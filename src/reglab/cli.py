@@ -4,8 +4,8 @@ Every command writes a CSV whose first line is a ``#``-prefixed JSON
 header carrying the constants and the configuration, so a single file is
 self-describing for plot scripts and tests alike.  ``--json`` switches
 to a pure JSON artifact.  Exit code 0 means the computation completed
-(an indeterminate verdict is still a result); flag errors exit nonzero
-with a one-line reason.
+(an indeterminate verdict is still a result); flag errors and numerical
+failures (``NumericsError``) exit 2 with a one-line reason.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from reglab import blayer, criteria, kernels, pdesim, spectral
+from reglab.numcore import NumericsError
 
 # reference eigenvalues of the fundamental-parabola benchmark (half-width -> rate)
 BENCHMARK_LAMBDA0 = {
@@ -463,7 +464,7 @@ def main(argv=None):
     args = _apply_config(args, parser)
     try:
         return args.func(args)
-    except (argparse.ArgumentTypeError, ValueError, OSError) as exc:
+    except (argparse.ArgumentTypeError, ValueError, OSError, NumericsError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

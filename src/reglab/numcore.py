@@ -188,24 +188,34 @@ def integrate_ode(rhs, y0, span, tol, max_step=None, t_eval=None):
 # root finding
 
 
-def find_root(f, bracket, tol=1e-12, maxiter=200):
+def find_root(f, bracket, tol=1e-12, maxiter=200, f_ends=None):
     """Locate a root of ``f`` inside ``bracket = (lo, hi)``.
 
     Requires an explicit sign change; callers tracing branches must
     supply brackets from grid scans.  Raises :class:`BracketError` when
     the endpoints do not straddle zero (distinct from non-convergence,
     which raises :class:`RootConvergenceError`).
+
+    ``f_ends = (f(lo), f(hi))`` passes end values the caller already
+    holds (for example from a grid scan); ``f`` is then never evaluated
+    at ``lo`` or ``hi``.  Either way each end is evaluated at most once.
     """
     lo, hi = bracket
-    flo, fhi = f(lo), f(hi)
+    flo, fhi = (f(lo), f(hi)) if f_ends is None else f_ends
     if flo == 0.0:
         return lo
     if fhi == 0.0:
         return hi
     if flo * fhi > 0:
         raise BracketError(f"no sign change on [{lo}, {hi}]: f ends {flo:g}, {fhi:g}")
+    known = {lo: flo, hi: fhi}  # brentq starts by evaluating both ends again
+
+    def memo_f(x):
+        return known[x] if x in known else f(x)
+
     try:
-        return optimize.brentq(f, lo, hi, xtol=tol, rtol=4 * np.finfo(float).eps, maxiter=maxiter)
+        return optimize.brentq(memo_f, lo, hi, xtol=tol, rtol=4 * np.finfo(float).eps,
+                               maxiter=maxiter)
     except RuntimeError as exc:  # brentq's non-convergence signal
         raise RootConvergenceError(str(exc)) from exc
 

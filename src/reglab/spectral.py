@@ -20,11 +20,16 @@ import numpy as np
 from scipy import integrate
 
 from reglab import kernels
-from reglab.numcore import BracketError, dense_eigenvalues, find_root
+from reglab.numcore import BracketError, OdeError, dense_eigenvalues, find_root
 
 
 # ---------------------------------------------------------------------------
 # problem description
+
+
+def _check_half_length(l):
+    if not (math.isfinite(l) and l > 0):
+        raise ValueError(f"half-length l must be positive and finite, got {l!r}")
 
 
 @dataclass(frozen=True)
@@ -39,8 +44,7 @@ class IntervalEigenProblem:
     tol: float = 1e-12
 
     def __post_init__(self):
-        if self.l <= 0:
-            raise ValueError("half-length l must be positive")
+        _check_half_length(self.l)
         if self.family.kind != "parabolic":
             raise ValueError("interval eigenproblem is posed for the parabolic family")
         if self.parity not in ("even", "odd", "full"):
@@ -219,26 +223,42 @@ class ClampedEndDeterminant:
     the cancellation between growing fundamental modes.  The returned
     value is scaled by the full minor norm at y = l, so sign changes in
     lambda are meaningful for bracketing.
+
+    A scalar ``lam`` returns a float.  A 1-D array of lambdas returns an
+    array of the same length: the minor ODE is linear in lambda, so all k
+    of them are integrated as one stacked system U' = (G0 + y G1) U
+    + (G2 U) diag(lam).  DOP853 bounds the RMS error over all components,
+    which lets one lambda's error grow to sqrt(k) times the bound, so the
+    stacked solve runs at ``rtol`` and ``atol`` divided by sqrt(k): each
+    lambda is held to at least its scalar tolerance.  A failed integration
+    raises :class:`~reglab.numcore.OdeError`.
     """
 
     def __init__(self, l, m, parity, tol=1e-12):
+        _check_half_length(l)
         self.l, self.m, self.parity, self.tol = l, m, parity, tol
         self._g0, self._g1, self._g2, self._u0, self._target = _compound_setup(m, parity)
 
     def __call__(self, lam):
-        gl = self._g0 + lam * self._g2
-        g1 = self._g1
+        lams = np.atleast_1d(np.asarray(lam, dtype=float))
+        if lams.ndim != 1 or not lams.size:
+            raise ValueError("lambda must be a scalar or a non-empty 1-D array")
+        g0, g1, g2 = self._g0, self._g1, self._g2
+        size, k = len(self._u0), len(lams)
 
         def rhs(y, u):
-            return gl @ u + y * (g1 @ u)
+            us = u.reshape(size, k)
+            return ((g0 + y * g1) @ us + (g2 @ us) * lams).ravel()
 
-        sol = integrate.solve_ivp(rhs, (0.0, self.l), self._u0, method="DOP853",
-                                  rtol=self.tol, atol=self.tol * 1e-2)
+        scale = math.sqrt(k)
+        sol = integrate.solve_ivp(rhs, (0.0, self.l), np.repeat(self._u0, k), method="DOP853",
+                                  rtol=self.tol / scale, atol=self.tol * 1e-2 / scale)
         if not sol.success:
-            raise RuntimeError(f"shooting failed at lambda={lam}: {sol.message}")
-        u = sol.y[:, -1]
-        norm = np.linalg.norm(u)
-        return float(u[self._target] / norm) if norm else 0.0
+            raise OdeError(f"shooting failed at lambda={lam}: {sol.message}", float(sol.t[-1]))
+        us = sol.y[:, -1].reshape(size, k)
+        norms = np.linalg.norm(us, axis=0)
+        d = np.divide(us[self._target], norms, out=np.zeros(k), where=norms > 0)
+        return float(d[0]) if np.ndim(lam) == 0 else d
 
 
 def _shooting_eigenfunction(l, m, parity, lam, tol, n_samples=401):
@@ -289,17 +309,6 @@ def _mode_centers(l, parity, n_modes):
     return [-((x / (2.0 * l)) ** 4) for x in xs[:n_modes]]
 
 
-def _bracketed_roots(fun, brackets, tol=1e-13):
-    roots = []
-    for lo, hi in brackets:
-        flo, fhi = fun(lo), fun(hi)
-        if flo == 0.0:
-            roots.append(lo)
-        elif flo * fhi < 0:
-            roots.append(find_root(fun, (lo, hi), tol=tol))
-    return roots
-
-
 def _scan_parity_eigenvalues(det, l, parity, count):
     """Real eigenvalues of one parity class, descending, via windowed scans."""
     centers = _mode_centers(l, parity, count + 2)
@@ -307,20 +316,22 @@ def _scan_parity_eigenvalues(det, l, parity, count):
     # near-zero sweep catches the drift-shifted top of the spectrum
     top = 0.3 * abs(centers[0]) + 0.25
     grid = np.linspace(top, 1.6 * centers[0], 24)
-    vals = [det(x) for x in grid]
+    vals = det(grid)
     for i in range(len(grid) - 1):
         if vals[i] * vals[i + 1] < 0:
-            found.append(find_root(det, (grid[i + 1], grid[i]), tol=1e-13))
+            found.append(find_root(det, (grid[i + 1], grid[i]), tol=1e-13,
+                                   f_ends=(vals[i + 1], vals[i])))
     lo_reached = grid[-1]
     for c in centers[1:]:
         if len(found) >= count:
             break
         gap = 0.55 * abs(c - lo_reached)
         grid = np.linspace(max(c + gap, lo_reached), c - gap, 14)
-        vals = [det(x) for x in grid]
+        vals = det(grid)
         for i in range(len(grid) - 1):
             if vals[i] * vals[i + 1] < 0:
-                r = find_root(det, (grid[i + 1], grid[i]), tol=1e-13)
+                r = find_root(det, (grid[i + 1], grid[i]), tol=1e-13,
+                              f_ends=(vals[i + 1], vals[i]))
                 if not any(abs(r - f) < 1e-9 * max(1, abs(r)) for f in found):
                     found.append(r)
         lo_reached = grid[-1]
@@ -368,13 +379,16 @@ def top_eigenvalue(l, family=None, tol=1e-12, bracket=None):
     """Real top eigenvalue lambda_0(l), even parity, by shooting.
 
     ``bracket = (lo, hi)`` reuses knowledge from a continuation
-    neighbour; without it (or if the bracket fails) a windowed scan runs.
+    neighbour (both ends are evaluated in one batched determinant call);
+    without it (or if the bracket fails) a windowed scan runs.  Raises
+    ``ValueError`` unless ``l`` is positive and finite.
     """
     family = family or kernels.biharmonic()
     det = ClampedEndDeterminant(l, family.m, "even", tol)
     if bracket is not None:
+        flo, fhi = det(np.asarray(bracket, dtype=float))
         try:
-            return find_root(det, bracket, tol=1e-13)
+            return find_root(det, bracket, tol=1e-13, f_ends=(flo, fhi))
         except BracketError:
             pass
     vals = _scan_parity_eigenvalues(det, l, "even", 1)
@@ -429,8 +443,8 @@ def branch_trace(l_range, step=0.05, family=None, tol=1e-12):
     """
     family = family or kernels.biharmonic()
     l_min, l_max = l_range
-    if not (0 < l_min < l_max) or step <= 0:
-        raise ValueError("need 0 < l_min < l_max and step > 0")
+    if not (0 < l_min < l_max < math.inf) or not step > 0:
+        raise ValueError("need 0 < l_min < l_max < inf and step > 0")
     ls = np.arange(l_min, l_max + 0.5 * step, step)
 
     lams = []
@@ -461,7 +475,8 @@ def branch_trace(l_range, step=0.05, family=None, tol=1e-12):
                 _state["bracket"] = (lam - 0.02, lam + 0.02)
                 return lam
 
-            roots.append(float(find_root(branch_fun, (float(ls[i]), float(ls[i + 1])), tol=1e-5)))
+            roots.append(float(find_root(branch_fun, (float(ls[i]), float(ls[i + 1])), tol=1e-5,
+                                         f_ends=(lams[i], lams[i + 1]))))
     return EigenBranch(samples=samples, roots=tuple(roots))
 
 

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from reglab import cli
+from reglab import cli, spectral
+from reglab.numcore import OdeError
 
 
 def run_cli(tmp_path, *argv):
@@ -57,6 +58,24 @@ class TestSpectrumCommand:
         out = tmp_path / "x.txt"
         code = cli.main(["spectrum", "--out", str(out)])
         assert code == 2
+
+    @pytest.mark.parametrize("l", ["-1", "0", "nan", "inf"])
+    def test_invalid_half_length_is_an_error(self, tmp_path, capsys, l):
+        out = tmp_path / "x.txt"
+        code = cli.main(["spectrum", "--l", l, "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert "half-length" in capsys.readouterr().err
+
+    def test_numerics_error_is_one_line_exit_two(self, tmp_path, capsys, monkeypatch):
+        def failing(l, *args, **kwargs):
+            raise OdeError("shooting failed at lambda=-0.1: step size underflow", 0.0)
+
+        monkeypatch.setattr(spectral, "top_eigenvalue", failing)
+        code = cli.main(["spectrum", "--l", "4", "--out", str(tmp_path / "x.txt")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("spectrum: shooting failed") and err.count("\n") == 1
 
 
 class TestCriterionCommand:

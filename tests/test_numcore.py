@@ -98,6 +98,33 @@ class TestFindRoot:
         with pytest.raises(nc.BracketError):
             nc.find_root(lambda x: x * x + 1.0, (0.0, 1.0))
 
+    @staticmethod
+    def counting(f):
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return f(x)
+
+        return counted, calls
+
+    def test_known_ends_never_evaluated(self):
+        f, calls = self.counting(lambda x: x * x - 2.0)
+        root = nc.find_root(f, (1.0, 2.0), f_ends=(-1.0, 2.0))
+        assert root == pytest.approx(math.sqrt(2.0))
+        assert calls and 1.0 not in calls and 2.0 not in calls
+
+    def test_ends_evaluated_once_without_known_values(self):
+        f, calls = self.counting(lambda x: x * x - 2.0)
+        nc.find_root(f, (1.0, 2.0))
+        assert calls.count(1.0) == 1 and calls.count(2.0) == 1
+
+    def test_known_ends_without_sign_change(self):
+        f, calls = self.counting(lambda x: x * x + 1.0)
+        with pytest.raises(nc.BracketError):
+            nc.find_root(f, (0.0, 1.0), f_ends=(1.0, 2.0))
+        assert calls == []
+
 
 class TestDenseEigenvalues:
     def test_identity(self):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 
 from reglab import criteria, kernels, pdesim, spectral
 
@@ -27,6 +28,37 @@ class TestFitRate:
                                snapshots_tau=np.array([0.0]), snapshots=np.zeros((1, 3)))
         with pytest.raises(ValueError):
             pdesim.fit_rate(res, (2.0, 3.0))
+
+
+class TestConstantWallFactors:
+    @pytest.mark.parametrize("family,n,l,tau_end,dt", [("biharmonic", 96, 2.0, 2.0, 0.01),
+                                                      ("heat", 96, 1.0, 1.0, 0.005),
+                                                      ("biharmonic", 2048, 2.0, 0.2, 0.01)])
+    def test_matches_banded_reference_loop(self, family, n, l, tau_end, dt):
+        cfg = pdesim.SimConfig(family=family, phi=criteria.Constant(l), n=n, dt=dt,
+                               tau_span=(0.0, tau_end), initial="bump")
+        res = pdesim.simulate(cfg)
+
+        # reference: one banded backward-Euler solve per step
+        h, z = 2.0 / n, res.z
+        if family == "biharmonic":
+            ab, bands, inner = pdesim._biharmonic_operator(n, h, l, 0.0), (2, 2), slice(2, n - 1)
+            fk = kernels.eval_kernel(kernels.biharmonic(), l * z)
+        else:
+            ab, bands, inner = pdesim._heat_operator(n, h, l, 0.0), (1, 1), slice(1, n)
+            fk = kernels.eval_kernel(kernels.heat(), l * z)
+        ab = -dt * ab
+        ab[bands[0], :] += 1.0
+        x = pdesim._initial_data(cfg, z)[inner]
+        sups, a0s = [], []
+        for _ in range(math.ceil(tau_end / dt)):
+            x = solve_banded(bands, ab, x)
+            sups.append(np.max(np.abs(x)))
+            a0s.append(np.trapezoid(pdesim._full_state(family, x, n) * fk * l, z))
+
+        assert len(res.sup_norm) == len(sups)
+        np.testing.assert_allclose(res.sup_norm, sups, rtol=1e-9, atol=0.0)
+        np.testing.assert_allclose(res.a0, a0s, rtol=1e-9, atol=0.0)
 
 
 class TestRateSpectrumAgreement:

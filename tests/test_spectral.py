@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reglab import kernels, spectral
-from reglab.numcore import find_root
+from reglab.numcore import NumericsError, OdeError, find_root
 
 
 class TestPoincare:
@@ -101,6 +101,53 @@ class TestIntervalSpectrum:
             spectral.IntervalEigenProblem(-1.0)
         with pytest.raises(ValueError):
             spectral.IntervalEigenProblem(1.0, parity="sideways")
+
+
+class TestHalfLengthValidation:
+    @pytest.mark.parametrize("l", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejected_by_every_entry_point(self, l):
+        with pytest.raises(ValueError):
+            spectral.top_eigenvalue(l)
+        with pytest.raises(ValueError):
+            spectral.ClampedEndDeterminant(l, 2, "even")
+        with pytest.raises(ValueError):
+            spectral.IntervalEigenProblem(l)
+
+    @pytest.mark.parametrize("l_range", [(-1.0, 2.0), (0.0, 2.0), (math.nan, 2.0),
+                                         (1.0, math.inf), (1.0, math.nan)])
+    def test_branch_trace_rejects_range(self, l_range):
+        with pytest.raises(ValueError):
+            spectral.branch_trace(l_range, 0.05)
+
+
+class TestShootingDeterminant:
+    # branch traces shoot up to l = 13.5; the benchmark up to l = 8
+    @pytest.mark.parametrize("l", [1.0, 4.0, 8.0, 13.5])
+    def test_batched_matches_scalar_loop_on_scan_grid(self, l):
+        det = spectral.ClampedEndDeterminant(l, 2, "even")
+        c0 = spectral._mode_centers(l, "even", 1)[0]
+        grid = np.linspace(0.3 * abs(c0) + 0.25, 1.6 * c0, 24)
+        scalar = np.array([det(x) for x in grid])
+        batched = det(grid)
+        assert isinstance(det(grid[0]), float)
+        assert batched.shape == grid.shape
+        assert np.max(np.abs(batched - scalar)) <= 1e-12
+        assert np.array_equal(np.sign(batched), np.sign(scalar))
+
+    @pytest.mark.parametrize("lam", [np.zeros((2, 2)), np.zeros(0)])
+    def test_rejects_lambda_shapes(self, lam):
+        with pytest.raises(ValueError):
+            spectral.ClampedEndDeterminant(4.0, 2, "even")(lam)
+
+    @pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_failed_shooting_raises_numerics_error(self):
+        # atol = 1e-302 cannot be met: the step size underflows at y = 0
+        det = spectral.ClampedEndDeterminant(4.0, 2, "even", tol=1e-300)
+        for lam in (-0.1, np.array([-0.1, -0.2])):
+            with pytest.raises(OdeError) as info:
+                det(lam)
+            assert isinstance(info.value, NumericsError)
 
 
 class TestBranchTrace:
