@@ -21,7 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from reglab import blayer, criteria, kernels, pdesim, spectral
-from reglab.numcore import NumericsError
+from reglab.numcore import NumericsError, check_tolerance
 
 # reference eigenvalues of the fundamental-parabola benchmark (half-width -> rate)
 BENCHMARK_LAMBDA0 = {
@@ -127,6 +127,7 @@ def _constants_header(family):
 
 
 def cmd_kernel(args):
+    check_tolerance(args.tol)
     family = _family_from(args)
     lo, hi, step = args.range
     ys = np.arange(lo, hi + 0.5 * step, step)
@@ -273,9 +274,7 @@ def cmd_simulate(args):
         print("PASS" if report.passed else "FAIL", file=sys.stderr)
         return 0 if report.passed else 1
     phi = _parse_phi(args.phi)
-    tau0 = args.tau_start
-    if tau0 is None:
-        tau0 = 0.0 if isinstance(phi, criteria.Constant) else criteria.TAU0
+    tau0 = phi.tau_min if args.tau_start is None else args.tau_start
     cfg = pdesim.SimConfig(family=args.family, phi=phi, n=args.n, dt=args.dt,
                            tau_span=(tau0, args.tau_end), initial=args.initial,
                            seed=args.seed)
@@ -458,12 +457,13 @@ def build_parser():
 
 
 def main(argv=None):
-    warnings.filterwarnings("ignore")
     parser = build_parser()
     args = parser.parse_args(argv)
     args = _apply_config(args, parser)
     try:
-        return args.func(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return args.func(args)
     except (argparse.ArgumentTypeError, ValueError, OSError, NumericsError) as exc:
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2

@@ -32,15 +32,53 @@ TAU0 = math.e  # boundary families live on tau >= e so ln(tau) >= 1
 
 
 class BoundaryFunction:
-    """Base for lateral-boundary profiles phi(tau) on [TAU0, inf)."""
+    """Base for lateral-boundary profiles phi(tau) on [tau_min, tau_max].
+
+    A subclass gives the array formula ``_phi(tau)`` (and ``_dphi(tau)`` for
+    the derivative), which maps a float array of at least one dimension to
+    an array of the same shape.  The base class converts the input once and
+    returns a float for scalar input, an array otherwise.  ``at_logtime(u)``
+    reads phi at u = ln(tau); subclasses whose formula is written in ln(tau)
+    override it so that log-times far beyond float tau stay finite.
+    """
 
     monotone = True
+    cutoff = False  # True once the oscillatory cut-off has been applied
+    tau_min = TAU0
+    tau_max = math.inf
+    log_power = None  # (C, gamma) when phi = C (ln tau)^gamma
+
+    def _phi(self, tau):
+        raise NotImplementedError
+
+    def _dphi(self, tau):
+        raise NotImplementedError
+
+    @staticmethod
+    def _evaluate(formula, tau):
+        # a scalar runs as a one-element array: numpy's scalar arithmetic
+        # (np.float64 ** x) can round differently from its array loops, and a
+        # scalar call must equal the matching element of an array call
+        tau = np.asarray(tau, dtype=float)
+        return formula(tau) if tau.shape else float(formula(tau.reshape(1))[0])
 
     def __call__(self, tau):
-        raise NotImplementedError
+        return self._evaluate(self._phi, tau)
 
     def derivative(self, tau):
-        raise NotImplementedError
+        return self._evaluate(self._dphi, tau)
+
+    def _central_difference(self, tau, h):
+        return (self._phi(tau + h) - self._phi(tau - h)) / (2.0 * h)
+
+    def at_logtime(self, u):
+        """phi(exp(u)) as a float."""
+        return float(self(math.exp(u)))
+
+    @property
+    def uncut(self):
+        """The boundary before any oscillatory cut-off."""
+        return self
 
     def describe(self):
         return type(self).__name__
@@ -52,15 +90,16 @@ class Constant(BoundaryFunction):
 
     l: float
 
-    def __call__(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        out = np.full_like(tau, self.l)
-        return out if out.shape else float(out)
+    tau_min = 0.0
 
-    def derivative(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        out = np.zeros_like(tau)
-        return out if out.shape else float(out)
+    def _phi(self, tau):
+        return np.full_like(tau, self.l)
+
+    def _dphi(self, tau):
+        return np.zeros_like(tau)
+
+    def at_logtime(self, u):
+        return float(self.l)
 
     def describe(self):
         return f"Constant(l={self.l})"
@@ -73,15 +112,18 @@ class PowerLog(BoundaryFunction):
     c: float
     gamma: float
 
-    def __call__(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        out = self.c * np.log(tau) ** self.gamma
-        return out if out.shape else float(out)
+    @property
+    def log_power(self):
+        return self.c, self.gamma
 
-    def derivative(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        out = self.c * self.gamma * np.log(tau) ** (self.gamma - 1.0) / tau
-        return out if out.shape else float(out)
+    def _phi(self, tau):
+        return self.c * np.log(tau) ** self.gamma
+
+    def _dphi(self, tau):
+        return self.c * self.gamma * np.log(tau) ** (self.gamma - 1.0) / tau
+
+    def at_logtime(self, u):
+        return self.c * u**self.gamma
 
     def describe(self):
         return f"PowerLog(C={self.c}, gamma={self.gamma})"
@@ -93,15 +135,18 @@ class PetrovskiiSqrtLog(BoundaryFunction):
 
     c: float
 
-    def __call__(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        out = self.c * np.sqrt(np.log(tau))
-        return out if out.shape else float(out)
+    @property
+    def log_power(self):
+        return self.c, 0.5
 
-    def derivative(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        out = 0.5 * self.c / (np.sqrt(np.log(tau)) * tau)
-        return out if out.shape else float(out)
+    def _phi(self, tau):
+        return self.c * np.sqrt(np.log(tau))
+
+    def _dphi(self, tau):
+        return 0.5 * self.c / (np.sqrt(np.log(tau)) * tau)
+
+    def at_logtime(self, u):
+        return self.c * math.sqrt(u)
 
     def describe(self):
         return f"PetrovskiiSqrtLog(C={self.c})"
@@ -121,15 +166,14 @@ class PowerOfTau(BoundaryFunction):
     c: float
     gamma: float
 
-    def __call__(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        out = self.c * tau**self.gamma
-        return out if out.shape else float(out)
+    def _phi(self, tau):
+        return self.c * tau**self.gamma
 
-    def derivative(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        out = self.c * self.gamma * tau ** (self.gamma - 1.0)
-        return out if out.shape else float(out)
+    def _dphi(self, tau):
+        return self.c * self.gamma * tau ** (self.gamma - 1.0)
+
+    def at_logtime(self, u):
+        return self.c * math.exp(self.gamma * u)
 
     def describe(self):
         return f"PowerOfTau(C={self.c}, gamma={self.gamma})"
@@ -156,17 +200,13 @@ class Tabulated(BoundaryFunction):
     def tau_max(self):
         return self.tau_grid[-1]
 
-    def __call__(self, tau):
+    def _phi(self, tau):
         t = np.log(np.asarray(self.tau_grid))
         v = np.log(np.asarray(self.values))
-        out = np.exp(np.interp(np.log(np.asarray(tau, dtype=float)), t, v))
-        return out if out.shape else float(out)
+        return np.exp(np.interp(np.log(tau), t, v))
 
-    def derivative(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        h = 1e-4 * tau
-        out = (self(tau + h) - self(tau - h)) / (2.0 * h)
-        return out if out.shape else float(out)
+    def _dphi(self, tau):
+        return self._central_difference(tau, 1e-4 * tau)
 
     def describe(self):
         return f"Tabulated(n={len(self.tau_grid)}, tau<= {self.tau_max:g})"
@@ -299,7 +339,7 @@ def oscillation_spec(family, side="right"):
 
 
 @dataclass(frozen=True)
-class CutoffBoundary:
+class CutoffBoundary(BoundaryFunction):
     """Boundary modified so the criterion integrand stays nonpositive.
 
     The phase theta = osc_rate * phi^exponent + phase is pushed through a
@@ -315,6 +355,8 @@ class CutoffBoundary:
     spec: OscillationSpec
     eps_s: float = math.pi / 20.0
     hold_margin: float = 0.3
+
+    cutoff = True
 
     def __post_init__(self):
         if self.spec.osc_rate <= 0:
@@ -368,22 +410,29 @@ class CutoffBoundary:
         return g
 
     def value_from_base(self, base_value):
-        """Wrapped boundary value given the base boundary value."""
+        """Wrapped boundary value given the base value (a numpy float for a scalar)."""
         sp = self.spec
         theta = sp.osc_rate * np.asarray(base_value, dtype=float) ** sp.exponent + sp.phase
         g = self._phase_map(theta)
         phi_pow = (g - sp.phase) / sp.osc_rate
-        out = np.maximum(phi_pow, 0.0) ** (1.0 / sp.exponent)
-        return out if out.shape else float(out)
+        return np.maximum(phi_pow, 0.0) ** (1.0 / sp.exponent)
 
-    def __call__(self, tau):
+    @property
+    def uncut(self):
+        return self.base
+
+    @property
+    def tau_max(self):
+        return self.base.tau_max
+
+    def _phi(self, tau):
         return self.value_from_base(self.base(tau))
 
-    def derivative(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        h = 1e-5 * np.maximum(tau, 1.0)
-        out = (self(tau + h) - self(tau - h)) / (2.0 * h)
-        return out if out.shape else float(out)
+    def _dphi(self, tau):
+        return self._central_difference(tau, 1e-5 * np.maximum(tau, 1.0))
+
+    def at_logtime(self, u):
+        return float(self.value_from_base(self.base.at_logtime(u)))
 
     def describe(self):
         return f"Cutoff({self.base.describe()}, eps_s={self.eps_s:.4g})"
@@ -424,22 +473,6 @@ class CriterionVerdict:
         return f"{self.verdict} [{self.rationale}]"
 
 
-def _is_cutoff(phi):
-    return isinstance(phi, CutoffBoundary)
-
-
-def _criterion_integrand(spec, phi, cutoff=None):
-    """Log-derivative integrand of the first Fourier coefficient in tau."""
-
-    def integrand(tau):
-        v = np.asarray(phi(tau), dtype=float)
-        u = v**spec.exponent
-        osc = np.cos(spec.osc_rate * u + spec.phase) if spec.osc_rate else 1.0
-        return spec.amplitude * v**spec.power * np.exp(-spec.env_rate * u) * osc
-
-    return integrand
-
-
 def criterion_integrand_logtime(spec, phi):
     """d ln a0 / du against u = ln(tau), overflow-safe at extreme log-times.
 
@@ -447,7 +480,7 @@ def criterion_integrand_logtime(spec, phi):
     (measure included) and ``exponent(u)`` bounds its log-magnitude, used
     to stop the window sweep before the divergent side overflows.
     """
-    phi_u = _logtime_boundary(phi)
+    phi_u = phi.at_logtime
 
     def exponent(u):
         v = max(phi_u(u), 1e-300)
@@ -535,17 +568,13 @@ def diagnose_windows(f, exponent, u_max=None, min_windows=6):
 
 def _numeric_verdict(spec, phi, note=""):
     """Dyadic-tail route shared by all families."""
-    cutoff = _is_cutoff(phi)
-    u_max = math.log(phi.tau_max) if isinstance(phi, Tabulated) else None
-    if isinstance(phi, CutoffBoundary) and isinstance(phi.base, Tabulated):
-        u_max = math.log(phi.base.tau_max)
-    diag = diagnose_tail(spec, phi, u_max=u_max)
+    diag = diagnose_tail(spec, phi, u_max=math.log(phi.tau_max))
     base = {"window_sums": diag.window_sums, "fitted_ratio": diag.fitted_ratio,
             "tail_exponent": diag.tail_exponent, "note": note}
     if diag.kind == "convergent":
         return CriterionVerdict(IRREGULAR_NONSINGULAR, "numeric-tail", base)
     if diag.kind == "divergent":
-        if spec.osc_rate == 0.0 or cutoff:
+        if spec.osc_rate == 0.0 or phi.cutoff:
             return CriterionVerdict(REGULAR, "numeric-tail", base)
         return CriterionVerdict(INDETERMINATE, "numeric-tail",
                                 base | {"note": "one-signed divergence without cut-off " + note})
@@ -555,7 +584,7 @@ def _numeric_verdict(spec, phi, note=""):
     return CriterionVerdict(INDETERMINATE, "numeric-tail", base)
 
 
-def _analytic_powerlog_verdict(spec, c, gamma, cutoff, extra=None):
+def _analytic_powerlog_verdict(spec, c, gamma, cutoff):
     """Threshold logic for phi = C (ln tau)^gamma under an envelope family.
 
     The envelope factor exp(-env_rate * phi^exponent) turns into
@@ -567,8 +596,6 @@ def _analytic_powerlog_verdict(spec, c, gamma, cutoff, extra=None):
     p = spec.env_rate * c**spec.exponent
     info = {"envelope_exponent": p, "gamma_times_exponent": ge,
             "critical_c": spec.env_rate ** (-1.0 / spec.exponent) if spec.env_rate else None}
-    if extra:
-        info |= extra
     oscillatory = spec.osc_rate > 0.0
     if ge > 1.0:
         return CriterionVerdict(IRREGULAR_NONSINGULAR, "analytic-family",
@@ -588,10 +615,6 @@ def _analytic_powerlog_verdict(spec, c, gamma, cutoff, extra=None):
                                 info | {"note": "critical line, envelope exponent at most one"})
     return CriterionVerdict(INDETERMINATE, "analytic-family",
                             info | {"note": "critical line below threshold; cut-off required"})
-
-
-def _base_of(phi):
-    return phi.base if isinstance(phi, CutoffBoundary) else phi
 
 
 def classify_biharmonic(phi, tol_zero=5e-4):
@@ -616,13 +639,12 @@ def classify_polyharmonic(m, phi, tol_zero=5e-4):
         raise ValueError("the oscillatory-kernel classification needs m >= 2; "
                          "use classify_heat for the second-order equation")
     fam = kernels.parabolic(m)
-    base = _base_of(phi)
-    cutoff = _is_cutoff(phi)
     spec = oscillation_spec(fam)
 
+    base = phi.uncut
     if isinstance(base, Constant):
         if m != 2:
-            raise NotImplementedError("spectral delegation is wired for the fourth-order case")
+            raise ValueError("spectral delegation is wired for the fourth-order case")
         from reglab import spectral
 
         lam = spectral.top_eigenvalue(base.l)
@@ -635,15 +657,13 @@ def classify_polyharmonic(m, phi, tol_zero=5e-4):
                                 info | {"note": "top eigenvalue at a branch root; "
                                                "finite nonzero vertex limit"})
 
-    if isinstance(base, PetrovskiiSqrtLog):
-        base = PowerLog(base.c, 0.5)
-    if isinstance(base, PowerLog):
-        return _analytic_powerlog_verdict(spec, base.c, base.gamma, cutoff)
+    if base.log_power:
+        return _analytic_powerlog_verdict(spec, *base.log_power, phi.cutoff)
     if isinstance(base, PowerOfTau):
         return CriterionVerdict(
             IRREGULAR_NONSINGULAR, "analytic-family",
             {"note": "power growth in the log-time: envelope decays superpolynomially"})
-    if isinstance(base, Tabulated) and math.log(base.tau_max) < _WINDOW_EXPONENTS[4]:
+    if math.log(phi.tau_max) < _WINDOW_EXPONENTS[4]:
         return CriterionVerdict(INDETERMINATE, "numeric-tail",
                                 {"note": "tabulated range too short for the tail windows"})
     return _numeric_verdict(spec, phi)
@@ -657,7 +677,7 @@ def classify_heat(phi):
     flip at gamma = 1/2.  No cut-off is ever needed.  The equivalent
     density form over h = -t is exposed by :func:`petrovskii_rho_form`.
     """
-    base = _base_of(phi)
+    base = phi.uncut
     spec = oscillation_spec(kernels.heat())
     if isinstance(base, Constant):
         from reglab import spectral
@@ -668,10 +688,8 @@ def classify_heat(phi):
         info = {"lambda0": lam, "l": base.l}
         return CriterionVerdict(REGULAR if lam < 0 else IRREGULAR_SINGULAR,
                                 "delegated-spectral", info)
-    if isinstance(base, PetrovskiiSqrtLog):
-        base = PowerLog(base.c, 0.5)
-    if isinstance(base, PowerLog):
-        return _analytic_powerlog_verdict(spec, base.c, base.gamma, cutoff=False)
+    if base.log_power:
+        return _analytic_powerlog_verdict(spec, *base.log_power, cutoff=False)
     if isinstance(base, PowerOfTau):
         return CriterionVerdict(IRREGULAR_NONSINGULAR, "analytic-family",
                                 {"note": "Gaussian envelope of a power boundary converges"})
@@ -686,7 +704,7 @@ def petrovskii_rho_form(phi, u_max=None):
     integral; the returned diagnosis classifies it with the same dyadic
     machinery, for cross-checking that the two presentations agree.
     """
-    phi_u = _logtime_boundary(phi)
+    phi_u = phi.at_logtime
 
     def log_rho(w):
         return -0.25 * phi_u(w) ** 2
@@ -723,29 +741,25 @@ def classify_dispersion(side, phi):
     """
     if side not in ("left", "right"):
         raise ValueError("side must be left or right")
-    base = _base_of(phi)
-    cutoff = _is_cutoff(phi)
-
+    base = phi.uncut
     if side == "right":
         spec = oscillation_spec(kernels.dispersion3(), side="right")
         if isinstance(base, (PowerLog, PowerOfTau)):
-            c, gamma = base.c, base.gamma
+            gamma = base.gamma
             info = {"gamma": gamma, "critical_gamma": 4.0 / 3.0,
                     "note": "single-log boundary tau^gamma; threshold is C-independent"}
             if gamma > 4.0 / 3.0:
                 return CriterionVerdict(IRREGULAR_NONSINGULAR, "analytic-family",
                                         info | {"note": "stationary-phase tail converges"})
-            if cutoff:
+            if phi.cutoff:
                 return CriterionVerdict(REGULAR, "analytic-family", info)
             return CriterionVerdict(INDETERMINATE, "analytic-family",
                                     info | {"note": "oscillatory divergence; cut-off required"})
         return _numeric_verdict(spec, phi, note="dispersion right boundary")
 
     spec = oscillation_spec(kernels.dispersion3(), side="left")
-    if isinstance(base, PetrovskiiSqrtLog):
-        base = PowerLog(base.c, 0.5)
-    if isinstance(base, PowerLog):
-        return _analytic_powerlog_verdict(spec, base.c, base.gamma, cutoff=False)
+    if base.log_power:
+        return _analytic_powerlog_verdict(spec, *base.log_power, cutoff=False)
     return _numeric_verdict(spec, phi, note="dispersion left boundary")
 
 
@@ -788,23 +802,6 @@ class A0Trace:
         y = self.log_a0[mask]
         p, intercept = np.polyfit(x, y, 1)
         return float(p), float(math.exp(intercept))
-
-
-def _logtime_boundary(phi):
-    """phi as a function of u = ln(tau), safe far beyond float tau."""
-    base = phi
-    if isinstance(phi, CutoffBoundary):
-        inner = _logtime_boundary(phi.base)
-        return lambda u: float(phi.value_from_base(inner(u)))
-    if isinstance(phi, PowerLog):
-        return lambda u: phi.c * u**phi.gamma
-    if isinstance(phi, PetrovskiiSqrtLog):
-        return lambda u: phi.c * math.sqrt(u)
-    if isinstance(phi, Constant):
-        return lambda u: phi.l
-    if isinstance(phi, PowerOfTau):
-        return lambda u: phi.c * math.exp(phi.gamma * u)
-    return lambda u: float(base(math.exp(u)))
 
 
 def _a0_log_slope(family, phi_u, spec):
@@ -881,10 +878,9 @@ def integrate_a0(family, phi, tau_span=None, a0_init=1.0, n_out=400, lntau_span=
     cubic-diffusion models a positive start is required and the run
     stops with ``hit_zero`` when the coefficient reaches zero.
 
-    The boundary callable must accept the argument it will be probed
-    with; families defined through ln(tau) (all built-ins) are safe at
-    any u because phi(tau) is evaluated as phi(exp(u)) only when finite,
-    otherwise through its log-time form.
+    The boundary is read through ``phi.at_logtime(u)``: every built-in
+    family is safe at any u, while a boundary that only gives its tau
+    formula is read as phi(exp(u)), which overflows past u ~ 709.
     """
     if lntau_span is None:
         tau_lo, tau_hi = tau_span
@@ -893,7 +889,7 @@ def integrate_a0(family, phi, tau_span=None, a0_init=1.0, n_out=400, lntau_span=
         lntau_span = (math.log(tau_lo), math.log(tau_hi))
     if family.startswith("pme4") and a0_init <= 0:
         raise ValueError("the cubic-diffusion coefficient model needs a0_init > 0")
-    phi_u = _logtime_boundary(phi)
+    phi_u = phi.at_logtime
     u_eval = np.linspace(lntau_span[0], lntau_span[1], n_out)
 
     if family in ("heat", "biharmonic", "beam4"):

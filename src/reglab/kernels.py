@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -103,22 +103,13 @@ class KernelConstants:
     b0: float
     delta0: float
     alpha0: float
-    c1: float | None = None
-    c2: float | None = None
-
-    @property
-    def amplitude_phase(self):
-        """Canonical (amplitude, phase): C1 sin + C2 cos = A cos(. - phase0)."""
-        if self.c1 is None or self.c2 is None:
-            raise ValueError("run kernel_asymptotics_fit first to populate C1, C2")
-        return math.hypot(self.c1, self.c2), math.atan2(-self.c1, self.c2)
 
 
 def kernel_constants(family):
     """Closed-form decay/oscillation constants for the given family.
 
-    The fitted amplitude/phase pair stays unset until
-    :func:`kernel_asymptotics_fit` is run.
+    The fitted amplitudes C1, C2 are not closed-form; they come from
+    :func:`kernel_asymptotics_fit` (cached per kernel by ``ensure_fit``).
     """
     if family.kind == "parabolic":
         m = family.m
@@ -256,10 +247,9 @@ class _ParabolicKernel:
         denv = (-k.delta0 / y - k.d0 * du) * env
         return denv * osc + env * dosc
 
-    def ensure_fit(self, window=None):
+    def ensure_fit(self):
         if self._fit is None:
-            window = window or _default_fit_window(self.m)
-            self._fit = kernel_asymptotics_fit(parabolic(self.m), window)
+            self._fit = kernel_asymptotics_fit(parabolic(self.m), _default_fit_window(self.m))
         return self._fit
 
     def switch_point(self, tol=1e-6):
@@ -336,9 +326,9 @@ class _DispersionKernel:
         out = -self.scale**2 * aip
         return float(out) if out.ndim == 0 else out
 
-    def ensure_fit(self, window=None):
+    def ensure_fit(self):
         if self._fit is None:
-            self._fit = kernel_asymptotics_fit(dispersion3(), window or (5.0, 12.0))
+            self._fit = kernel_asymptotics_fit(dispersion3(), (5.0, 12.0))
         return self._fit
 
 
@@ -386,9 +376,9 @@ class _BeamKernel:
             out[i] = (head + tail) / math.pi
         return float(out[0]) if np.isscalar(y) else out
 
-    def ensure_fit(self, window=None):
+    def ensure_fit(self):
         if self._fit is None:
-            self._fit = kernel_asymptotics_fit(beam4(), window or (6.0, 14.0))
+            self._fit = kernel_asymptotics_fit(beam4(), (6.0, 14.0))
         return self._fit
 
 
@@ -468,7 +458,9 @@ def kernel_asymptotics_fit(family, window, n_samples=48):
     deficient, a wider window is advised via ``ValueError``.
 
     For the beam kernel the algebraic decay exponent is itself fitted
-    (reported in ``exponent``) rather than assumed.
+    (reported in ``exponent``) rather than assumed.  The fit is returned,
+    never cached: only the evaluator's ``ensure_fit`` stores the fit on its
+    default window, so a custom window cannot change later kernel values.
     """
     if n_samples < 40:
         raise ValueError("need at least 40 sample points for a stable fit")
@@ -504,15 +496,7 @@ def kernel_asymptotics_fit(family, window, n_samples=48):
         qbest = optimize.minimize_scalar(misfit, bounds=(0.3, 3.0), method="bounded").x
         c1, c2, resid = _fit_linear(ys, fs, qbest, 0.0, 0.25, 2.0)
         fit = AsymptoticFit(family, (lo, hi), c1, c2, resid, float(qbest))
-    kern._fit = fit
     return fit
-
-
-def fitted_constants(family):
-    """KernelConstants with the asymptotic amplitudes populated."""
-    kern = get_kernel(family)
-    fit = kern.ensure_fit()
-    return replace(kern.constants, c1=fit.c1, c2=fit.c2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Shared numerical primitives: quadrature, ODE integration, root finding,
+"""Shared numerical primitives: quadrature with an error contract,
+alternating-series summation, ODE integration, bracketed root finding,
 dense eigenvalue extraction, and exact-rational polynomial arithmetic.
 
 Everything here is a pure function of its inputs; returned objects are
@@ -52,6 +53,12 @@ class EigenError(NumericsError):
     """Eigenvalue iteration failed; names the offending index."""
 
 
+def check_tolerance(tol):
+    """Raise ``ValueError`` unless ``tol`` is positive and finite."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 # ---------------------------------------------------------------------------
 # quadrature
 
@@ -67,8 +74,7 @@ def adaptive_quadrature(f, a, b, tol, envelope=None, limit=400):
     Raises :class:`QuadratureError` when the error estimate exceeds the
     tolerance after the subdivision budget.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tolerance(tol)
     upper = b
     if math.isinf(b) and envelope is not None:
         upper = _truncation_point(envelope, a, tol / 100.0)
@@ -88,12 +94,6 @@ def _truncation_point(envelope, a, threshold):
     raise QuadratureError("envelope never fell below the truncation threshold", x, math.inf)
 
 
-def gauss_legendre_panel(f, a, b, n):
-    """Fixed-order Gauss-Legendre rule on ``[a, b]`` for a vectorized ``f``."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return half * np.dot(w, f(mid + half * x))
-
 def alternating_series_sum(terms, tol):
     """Sum an eventually alternating sequence with iterated Euler averaging.
 
@@ -108,24 +108,6 @@ def alternating_series_sum(terms, tol):
             return float(s_next[-1])
         s = s_next
     return float(s[-1])
-
-
-def oscillatory_quadrature(f, breakpoints, tol):
-    """Integrate an oscillatory ``f`` by splitting at predicted sign changes.
-
-    ``breakpoints`` is an increasing sequence bracketing the half-waves
-    (typically the zeros of the trigonometric factor).  Panel integrals
-    are summed with alternating-series acceleration, which handles the
-    conditionally convergent tails produced by slowly decaying envelopes.
-    """
-    pts = list(breakpoints)
-    if len(pts) < 2:
-        raise ValueError("need at least two breakpoints")
-    panels = []
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        v, _ = integrate.quad(f, lo, hi, epsabs=tol / 10, epsrel=1e-12, limit=200)
-        panels.append(v)
-    return alternating_series_sum(panels, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -158,8 +140,7 @@ def integrate_ode(rhs, y0, span, tol, max_step=None, t_eval=None):
     Raises :class:`OdeError` if the step size underflows before the end
     of the span.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tolerance(tol)
     kwargs = {}
     if max_step is not None:
         kwargs["max_step"] = max_step
@@ -233,8 +214,6 @@ def dense_eigenvalues(matrix, vectors=False, residual_tol=1e-8):
     the offending index.  Near-degenerate clusters are reported as-is,
     never resolved artificially.
     """
-    if isinstance(matrix, DenseMatrix):
-        matrix = matrix.entries
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
@@ -330,9 +309,6 @@ class Polynomial:
 
     __rmul__ = __mul__
 
-    def scale(self, c):
-        return self * Fraction(c)
-
     def derivative(self, order=1):
         p = self
         for _ in range(order):
@@ -361,22 +337,3 @@ class Polynomial:
     @staticmethod
     def monomial(k, coeff=1):
         return Polynomial([Fraction(0)] * k + [_as_fraction(coeff)])
-
-
-@dataclass(frozen=True)
-class DenseMatrix:
-    """Thin immutable wrapper for a square dense matrix."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValueError("entries must form a square matrix of size >= 1")
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix entries must be finite")
-        object.__setattr__(self, "entries", m)
-
-    @property
-    def size(self):
-        return self.entries.shape[0]

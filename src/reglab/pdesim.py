@@ -32,7 +32,7 @@ class SimConfig:
     """Configuration of one rescaled-PDE run."""
 
     family: str  # heat | biharmonic
-    phi: object  # BoundaryFunction or CutoffBoundary
+    phi: object  # criteria.BoundaryFunction
     n: int = 128
     dt: float | None = None
     tau_span: tuple = (0.0, 100.0)
@@ -190,18 +190,16 @@ def simulate(cfg):
     fam_kernel = kernels.heat() if family == "heat" else kernels.biharmonic()
 
     phi = cfg.phi
-    phi_of = phi if callable(phi) else None
-    if phi_of is None:
-        raise TypeError("cfg.phi must be a boundary-function callable")
+    if not isinstance(phi, criteria.BoundaryFunction):
+        raise TypeError("cfg.phi must be a criteria.BoundaryFunction")
     static_phi = isinstance(phi, criteria.Constant)
 
     tau0, tau1 = cfg.tau_span
-    # boundary families live on tau >= e; constant boundaries are free to
-    # start at zero
-    if not static_phi and tau0 < criteria.TAU0:
-        raise ValueError("non-constant boundaries need tau_span inside [e, inf)")
+    if tau0 < phi.tau_min or tau1 > phi.tau_max:
+        raise ValueError(f"tau span ({tau0:g}, {tau1:g}) leaves the boundary's range "
+                         f"[{phi.tau_min:g}, {phi.tau_max:g}]")
 
-    phi0 = float(phi(max(tau0, criteria.TAU0 if not static_phi else tau0)))
+    phi0 = phi(tau0)
     dt = cfg.dt if cfg.dt is not None else _auto_dt(family, phi0)
     steps = int(math.ceil((tau1 - tau0) / dt))
 
@@ -313,8 +311,7 @@ def bl_snapshot_check(result, tau_star, xi_max=10.0):
     if abs(a0) < 0.9 * sup:
         return {"conclusive": False, "dominance": abs(a0) / sup, "deviation": math.inf}
 
-    phi_val = float(cfg.phi(t_snap)) if not isinstance(cfg.phi, criteria.Constant) \
-        else cfg.phi.l
+    phi_val = cfg.phi(t_snap)
     # layer width in z is phi^(-alpha): 4/3 for the fourth-order family, 2 for heat
     stretch = phi_val ** (4.0 / 3.0) if cfg.family == "biharmonic" else phi_val**2
     xi = stretch * (1.0 - result.z)

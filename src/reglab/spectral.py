@@ -20,7 +20,7 @@ import numpy as np
 from scipy import integrate
 
 from reglab import kernels
-from reglab.numcore import BracketError, OdeError, dense_eigenvalues, find_root
+from reglab.numcore import BracketError, OdeError, check_tolerance, dense_eigenvalues, find_root
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +45,7 @@ class IntervalEigenProblem:
 
     def __post_init__(self):
         _check_half_length(self.l)
+        check_tolerance(self.tol)
         if self.family.kind != "parabolic":
             raise ValueError("interval eigenproblem is posed for the parabolic family")
         if self.parity not in ("even", "odd", "full"):
@@ -231,11 +232,13 @@ class ClampedEndDeterminant:
     which lets one lambda's error grow to sqrt(k) times the bound, so the
     stacked solve runs at ``rtol`` and ``atol`` divided by sqrt(k): each
     lambda is held to at least its scalar tolerance.  A failed integration
-    raises :class:`~reglab.numcore.OdeError`.
+    raises :class:`~reglab.numcore.OdeError`; ``l`` and ``tol`` must be
+    positive and finite (``ValueError`` otherwise).
     """
 
     def __init__(self, l, m, parity, tol=1e-12):
         _check_half_length(l)
+        check_tolerance(tol)
         self.l, self.m, self.parity, self.tol = l, m, parity, tol
         self._g0, self._g1, self._g2, self._u0, self._target = _compound_setup(m, parity)
 

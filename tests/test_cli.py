@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -28,6 +29,15 @@ class TestKernelCommand:
                              "--range", "0:5:0.5")
         header = json.loads(text.split("\n")[0][2:])
         assert header["d0"] == pytest.approx(0.38490, abs=1e-5)
+
+    @pytest.mark.parametrize("tol", ["0", "-1e-10", "nan", "inf"])
+    def test_bad_tolerance_is_an_error(self, tmp_path, capsys, tol):
+        out = tmp_path / "x.txt"
+        code = cli.main(["kernel", "--family", "beam4", "--range", "0:1:0.5", f"--tol={tol}",
+                         "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("kernel: tol must be positive and finite")
 
     def test_bad_range_exits_nonzero(self):
         # argparse raises SystemExit for flag-validation failures
@@ -102,6 +112,24 @@ class TestCriterionCommand:
                              "--phi", "powerlog:C=2.5,g=0.75")
         assert code == 0
         assert json.loads(text)["verdict"] == "indeterminate"
+
+
+    def test_unsupported_spectral_delegation_is_one_line_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        code = cli.main(["criterion", "--family", "polyharmonic", "--m", "3",
+                         "--phi", "const:4", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert not out.exists()
+        assert err == "criterion: spectral delegation is wired for the fourth-order case\n"
+
+
+class TestWarningFilters:
+    def test_main_leaves_the_global_filters_alone(self, tmp_path):
+        before = list(warnings.filters)
+        code, _ = run_cli(tmp_path, "criterion", "--family", "heat", "--phi", "sqrtlog:C=2.2")
+        assert code == 0
+        assert warnings.filters == before
 
 
 class TestSimulateCommand:

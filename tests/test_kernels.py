@@ -89,11 +89,13 @@ class TestKernelEvaluation:
         v1, _ = quad(lambda y: K.eval_kernel(K.dispersion3(), float(y)), -14.0, 0.0, limit=200)
         # oscillatory right tail summed over lobes of the phase
         kc = K.kernel_constants(K.dispersion3())
-        edges = [(k * math.pi / kc.d0) ** (2.0 / 3.0) for k in range(1, 60)]
-        from reglab.numcore import oscillatory_quadrature
+        pts = [0.0] + [(k * math.pi / kc.d0) ** (2.0 / 3.0) for k in range(1, 60)]
+        from reglab.numcore import alternating_series_sum
 
-        v2 = oscillatory_quadrature(lambda y: K.eval_kernel(K.dispersion3(), float(y)),
-                                    [0.0] + edges, 1e-8)
+        panels = [quad(lambda y: K.eval_kernel(K.dispersion3(), float(y)), lo, hi,
+                       epsabs=1e-9, epsrel=1e-12, limit=200)[0]
+                  for lo, hi in zip(pts[:-1], pts[1:])]
+        v2 = alternating_series_sum(panels, 1e-8)
         assert v1 + v2 == pytest.approx(1.0, abs=1e-4)
 
     def test_beam_value_at_origin(self):
@@ -133,6 +135,14 @@ class TestAsymptoticFit:
     def test_narrow_window_rejected(self):
         with pytest.raises(ValueError):
             K.kernel_asymptotics_fit(K.parabolic(2), (5.0, 5.4))
+
+    def test_custom_window_fit_leaves_cached_kernel_unchanged(self):
+        fam = K.biharmonic()
+        before = K.eval_kernel(fam, 25.0)
+        fit = K.kernel_asymptotics_fit(fam, (6.0, 10.0))
+        assert fit.window == (6.0, 10.0)
+        assert K.get_kernel(fam).ensure_fit().window == (5.0, 9.0)
+        assert K.eval_kernel(fam, 25.0) == before
 
     def test_beam_exponent_is_reported_free(self):
         fit = K.get_kernel(K.beam4()).ensure_fit()

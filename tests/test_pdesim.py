@@ -127,6 +127,31 @@ class TestInitialData:
                              tau_span=(0.0, 1.0))
 
 
+class TestBoundaryRange:
+    def test_span_must_start_inside_the_boundary_range(self):
+        cfg = pdesim.SimConfig(family="heat", phi=criteria.PetrovskiiSqrtLog(2.0),
+                               n=64, dt=0.01, tau_span=(1.0, 5.0))
+        with pytest.raises(ValueError, match="range"):
+            pdesim.simulate(cfg)
+
+    def test_span_must_end_inside_a_tabulated_range(self):
+        taus = np.geomspace(criteria.TAU0, 10.0, 8)
+        phi = criteria.Tabulated(tuple(taus), tuple(2.0 * np.sqrt(np.log(taus))))
+        cfg = pdesim.SimConfig(family="heat", phi=phi, n=64, dt=0.01,
+                               tau_span=(criteria.TAU0, 12.0))
+        with pytest.raises(ValueError, match="range"):
+            pdesim.simulate(cfg)
+        short = pdesim.SimConfig(family="heat", phi=phi, n=64, dt=0.01,
+                                 tau_span=(criteria.TAU0, 10.0))
+        assert np.all(np.isfinite(pdesim.simulate(short).sup_norm))
+
+    def test_phi_must_be_a_boundary_function(self):
+        cfg = pdesim.SimConfig(family="heat", phi=lambda tau: 2.0, n=64, dt=0.01,
+                               tau_span=(0.0, 1.0))
+        with pytest.raises(TypeError):
+            pdesim.simulate(cfg)
+
+
 class TestExpansionConsistency:
     def test_interior_reconstruction_from_low_modes(self):
         # at late times the interior field is captured by the adjoint

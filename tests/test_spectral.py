@@ -120,6 +120,17 @@ class TestHalfLengthValidation:
             spectral.branch_trace(l_range, 0.05)
 
 
+class TestToleranceValidation:
+    @pytest.mark.parametrize("tol", [0.0, -1e-12, math.nan, math.inf])
+    def test_rejected_before_shooting(self, tol):
+        with pytest.raises(ValueError, match="tol"):
+            spectral.ClampedEndDeterminant(4.0, 2, "even", tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            spectral.IntervalEigenProblem(4.0, tol=tol)
+        with pytest.raises(ValueError, match="tol"):
+            spectral.top_eigenvalue(4.0, tol=tol)
+
+
 class TestShootingDeterminant:
     # branch traces shoot up to l = 13.5; the benchmark up to l = 8
     @pytest.mark.parametrize("l", [1.0, 4.0, 8.0, 13.5])
