@@ -17,6 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
+from reglab.numcore import BvpError, check_tolerance
+
 
 @dataclass(frozen=True)
 class BoundaryLayerProfile:
@@ -184,8 +186,10 @@ def solve_bl_bvp(family, length=30.0, tol=1e-10, n0=400):
     G = G' = 0 at the wall and plateau 1.  Far-field conditions are the
     growth-killing and plateau-pinning functionals of the linearization,
     so the quality is limited by the solver tolerance, not the domain
-    truncation.
+    truncation.  ``tol`` must be positive and finite (``ValueError``); a
+    solve that does not converge raises ``numcore.BvpError``.
     """
+    check_tolerance(tol)
     if family == "dispersion3":
         order = 3
 
@@ -226,7 +230,7 @@ def solve_bl_bvp(family, length=30.0, tol=1e-10, n0=400):
 
     sol = integrate.solve_bvp(rhs, bc, xi, guess, tol=tol, max_nodes=200000)
     if not sol.success:
-        raise RuntimeError(f"layer BVP for {family} did not converge: {sol.message}")
+        raise BvpError(f"layer BVP for {family} did not converge: {sol.message}")
 
     xi_out = np.linspace(0.0, length, 1201)
     vals = sol.sol(xi_out)[0]
@@ -250,6 +254,7 @@ def _solve_pme4_layer(length, tol, xi0=1e-3):
     xi0).  Far-field conditions kill the growing mode of the plateau
     linearization and pin the plateau to one.
     """
+    check_tolerance(tol)
     order = 4
     floor = 1e-14
 
@@ -280,7 +285,7 @@ def _solve_pme4_layer(length, tol, xi0=1e-3):
 
     sol = integrate.solve_bvp(rhs, bc, xi, guess, p=[0.3, 0.3], tol=tol, max_nodes=200000)
     if not sol.success:
-        raise RuntimeError(f"layer BVP for pme4 did not converge: {sol.message}")
+        raise BvpError(f"layer BVP for pme4 did not converge: {sol.message}")
 
     s2, s3 = sol.p
     xi_out = np.linspace(0.0, length, 1201)

@@ -18,6 +18,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import integrate
@@ -200,9 +201,17 @@ class Tabulated(BoundaryFunction):
     def tau_max(self):
         return self.tau_grid[-1]
 
-    def _phi(self, tau):
+    @cached_property
+    def _log_grid(self):
+        # (ln tau_grid, ln values), made once: diagnose_tail reads phi
+        # point by point many thousands of times
         t = np.log(np.asarray(self.tau_grid))
         v = np.log(np.asarray(self.values))
+        t.flags.writeable = v.flags.writeable = False
+        return t, v
+
+    def _phi(self, tau):
+        t, v = self._log_grid
         return np.exp(np.interp(np.log(tau), t, v))
 
     def _dphi(self, tau):

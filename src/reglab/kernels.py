@@ -12,6 +12,7 @@ majorant deficiency of the oscillatory kernel.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -133,6 +134,54 @@ def kernel_constants(family):
 # kernel evaluators
 
 
+def _s_cutoff(m, order=0, threshold=1e-20):
+    # point where exp(-s^(2m)) * s^order drops below the threshold;
+    # pinned near machine precision because polynomial weights in the
+    # bi-orthogonality integrals amplify any truncation tail
+    s = (math.log(1.0 / threshold)) ** (1.0 / (2 * m))
+    for _ in range(4):
+        s = (math.log(1.0 / threshold) + order * math.log(max(s, 1.0))) ** (1.0 / (2 * m))
+    return s
+
+
+@lru_cache(maxsize=32)
+def _gl_nodes(n):
+    return np.polynomial.legendre.leggauss(n)
+
+
+@lru_cache(maxsize=64)
+def _gl_rule(m, nn, order):
+    """Nodes s and weights of the nn-point rule for int_0^smax exp(-s^(2m)) s^order g(s) ds.
+
+    The arrays are shared between callers and therefore read-only.
+    """
+    x, w = _gl_nodes(nn)
+    smax = _s_cutoff(m, order)
+    s = 0.5 * smax * (x + 1.0)
+    ws = 0.5 * smax * w * np.exp(-s ** (2 * m)) * s**order
+    s.flags.writeable = ws.flags.writeable = False
+    return s, ws
+
+
+# The evaluators are shared per family (``get_kernel``), also between the
+# threads of ``reglab spectrum``; their lazy state is filled under one
+# re-entrant lock (a fill may run another one: the switch point needs the
+# fit, the fit needs the evaluator), and read without it once set.
+_FILL_LOCK = threading.RLock()
+
+
+def _fill_once(owner, name, compute):
+    """``owner.<name>``, set to ``compute()`` by the first caller that finds it None."""
+    value = getattr(owner, name)
+    if value is None:
+        with _FILL_LOCK:
+            value = getattr(owner, name)
+            if value is None:
+                value = compute()
+                setattr(owner, name, value)
+    return value
+
+
 class _ParabolicKernel:
     """Evaluator for the order-2m kernel F and its derivatives.
 
@@ -150,51 +199,40 @@ class _ParabolicKernel:
 
     # -- quadrature route
 
-    def _s_cutoff(self, order=0, threshold=1e-20):
-        # point where exp(-s^(2m)) * s^order drops below the threshold;
-        # pinned near machine precision because polynomial weights in the
-        # bi-orthogonality integrals amplify any truncation tail
-        s = (math.log(1.0 / threshold)) ** (1.0 / (2 * self.m))
-        for _ in range(4):
-            s = (math.log(1.0 / threshold) + order * math.log(max(s, 1.0))) ** (1.0 / (2 * self.m))
-        return s
-
-    @staticmethod
-    @lru_cache(maxsize=32)
-    def _gl_nodes(n):
-        return np.polynomial.legendre.leggauss(n)
-
     _FAR_Y = 12.0  # beyond this, plain node sums hit their cancellation floor
 
     def _quad_deriv(self, y, order, tol):
         """D^order F by quadrature, vectorized over y.
 
         Moderate arguments use a fixed Gauss-Legendre rule with a doubling
-        check; far arguments switch to the adaptive cosine/sine-weighted
-        rule, whose analytic oscillation handling avoids the ~1e-15
-        cancellation floor that a plain node sum hits out there.
+        check; the node sums run once per distinct argument (``simulate``
+        asks for F on a grid mirrored about zero) and the nodes and weights
+        come from a per-(m, n, order) cache.  Far arguments switch to the
+        adaptive cosine/sine-weighted rule, whose analytic oscillation
+        handling avoids the ~1e-15 cancellation floor that a plain node sum
+        hits out there.
         """
         y = np.atleast_1d(np.asarray(y, dtype=float))
         out = np.empty_like(y)
         near = np.abs(y) <= self._FAR_Y
-        smax = self._s_cutoff(order)
+        smax = _s_cutoff(self.m, order)
         if near.any():
-            yn = y[near]
+            yn, inverse = np.unique(y[near], return_inverse=True)
             periods = smax * float(np.max(np.abs(yn))) / (2 * math.pi)
             n = int(max(128, 14 * periods))
 
             def values(nn):
-                x, w = self._gl_nodes(nn)
-                s = 0.5 * smax * (x + 1.0)
-                ws = 0.5 * smax * w * np.exp(-s ** (2 * self.m)) * s**order
-                phase = np.outer(yn, s) + 0.5 * math.pi * order
-                return np.cos(phase) @ ws / math.pi
+                s, ws = _gl_rule(self.m, nn, order)
+                phase = np.multiply.outer(yn, s)
+                if order:
+                    phase += 0.5 * math.pi * order
+                return np.cos(phase, out=phase) @ ws / math.pi
 
             v1, v2 = values(n), values(2 * n)
             if np.max(np.abs(v1 - v2)) > max(tol, 1e-13):
                 raise QuadratureError("kernel quadrature failed the doubling check",
-                                      float(v2[0]), float(np.max(np.abs(v1 - v2))))
-            out[near] = v2
+                                      float(v2[inverse[0]]), float(np.max(np.abs(v1 - v2))))
+            out[near] = v2[inverse]
         if (~near).any():
             # cos(sy + order*pi/2) reduces to +-cos or +-sin of sy
             weight = "cos" if order % 2 == 0 else "sin"
@@ -248,21 +286,21 @@ class _ParabolicKernel:
         return denv * osc + env * dosc
 
     def ensure_fit(self):
-        if self._fit is None:
-            self._fit = kernel_asymptotics_fit(parabolic(self.m), _default_fit_window(self.m))
-        return self._fit
+        return _fill_once(self, "_fit", lambda: kernel_asymptotics_fit(
+            parabolic(self.m), _default_fit_window(self.m)))
 
     def switch_point(self, tol=1e-6):
         """First grid point where quadrature and asymptotic agree within tol."""
-        if self._switch is None:
+        def find():
             fit = self.ensure_fit()
             ys = np.arange(3.0, 30.0, 0.25)
             quad_v = self.quad_value(ys)
             asym_v = self.asymptotic_value(ys, fit.c1, fit.c2)
             ok = np.abs(quad_v - asym_v) < tol
             idx = next((i for i in range(len(ys)) if ok[i:].all()), len(ys) - 1)
-            self._switch = float(ys[idx])
-        return self._switch
+            return float(ys[idx])
+
+        return _fill_once(self, "_switch", find)
 
     def _asymptotic_error_bound(self, y):
         # two-term form leaves a relative O(y^(-alpha)) correction
@@ -327,9 +365,7 @@ class _DispersionKernel:
         return float(out) if out.ndim == 0 else out
 
     def ensure_fit(self):
-        if self._fit is None:
-            self._fit = kernel_asymptotics_fit(dispersion3(), (5.0, 12.0))
-        return self._fit
+        return _fill_once(self, "_fit", lambda: kernel_asymptotics_fit(dispersion3(), (5.0, 12.0)))
 
 
 class _BeamKernel:
@@ -377,9 +413,7 @@ class _BeamKernel:
         return float(out[0]) if np.isscalar(y) else out
 
     def ensure_fit(self):
-        if self._fit is None:
-            self._fit = kernel_asymptotics_fit(beam4(), (6.0, 14.0))
-        return self._fit
+        return _fill_once(self, "_fit", lambda: kernel_asymptotics_fit(beam4(), (6.0, 14.0)))
 
 
 _KERNELS: dict[EquationFamily, object] = {}
@@ -387,14 +421,19 @@ _KERNELS: dict[EquationFamily, object] = {}
 
 def get_kernel(family):
     """Cached kernel evaluator for the family."""
-    if family not in _KERNELS:
-        if family.kind == "parabolic":
-            _KERNELS[family] = _ParabolicKernel(family.m)
-        elif family.kind == "dispersion3":
-            _KERNELS[family] = _DispersionKernel()
-        else:
-            _KERNELS[family] = _BeamKernel()
-    return _KERNELS[family]
+    kern = _KERNELS.get(family)
+    if kern is None:
+        with _FILL_LOCK:
+            kern = _KERNELS.get(family)
+            if kern is None:
+                if family.kind == "parabolic":
+                    kern = _ParabolicKernel(family.m)
+                elif family.kind == "dispersion3":
+                    kern = _DispersionKernel()
+                else:
+                    kern = _BeamKernel()
+                _KERNELS[family] = kern
+    return kern
 
 
 def eval_kernel(family, y, tol=1e-10):
@@ -421,15 +460,6 @@ class AsymptoticFit:
     c2: float
     residual: float
     exponent: float  # algebraic decay exponent actually used by the model
-
-    @property
-    def amplitude(self):
-        return math.hypot(self.c1, self.c2)
-
-    @property
-    def phase(self):
-        """Phase so that C1 sin(u) + C2 cos(u) = amplitude * cos(u - phase)... phase of cos."""
-        return math.atan2(self.c1, self.c2)
 
 
 def _default_fit_window(m):

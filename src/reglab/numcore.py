@@ -49,6 +49,10 @@ class OdeError(NumericsError):
         self.last_abscissa = last_abscissa
 
 
+class BvpError(NumericsError):
+    """Boundary-value collocation did not converge."""
+
+
 class EigenError(NumericsError):
     """Eigenvalue iteration failed; names the offending index."""
 

@@ -7,10 +7,12 @@ After mapping the shrinking domain to z in [-1, 1] the equation reads
 
 with clamped (w = w_z = 0) or Dirichlet (w = 0) walls.  The stiff
 spatial operator is advanced implicitly by backward Euler on the full
-operator.  A constant wall gives one fixed pentadiagonal/tridiagonal
-step matrix, so its banded LU factors are computed once and each step is
-a pair of O(n) triangular band solves; a moving wall rebuilds the banded
-system and factors and solves it on every step.  The recorded sup-norm and
+operator.  The pentadiagonal/tridiagonal step matrix is built straight
+into the LAPACK band layout.  A constant wall gives one fixed step matrix,
+so its banded LU factors are computed once and each step is a pair of O(n)
+triangular band solves; a moving wall rebuilds the matrix on every step
+and factors and solves it with one direct LAPACK call (``gbsv``, or
+``gtsv`` for the tridiagonal heat matrix).  The recorded sup-norm and
 first-coefficient traces provide the empirical decay and growth rates
 that cross-check the interval spectrum.
 """
@@ -21,8 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_banded
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs, dgtsv
 
 from reglab import criteria, kernels
 
@@ -88,7 +89,9 @@ def _biharmonic_operator(n, h, phi_val, phi_slope):
 
     Unknowns are w[2..n-2]; the wall rows use w0 = wn = 0 and the
     second-order one-sided slope conditions w1 = w2/4, w(n-1) = w(n-2)/4.
-    Returns the (5, m) banded form (two upper, two lower diagonals).
+    Returns the (7, m) LAPACK band layout of ``gbtrf``/``gbsv``: two zero
+    rows for the pivoting fill-in, then two upper diagonals, the main one
+    and two lower ones (rows 2: are the ``solve_banded`` layout).
     """
     m = n - 3
     idx = np.arange(2, n - 1)
@@ -96,43 +99,39 @@ def _biharmonic_operator(n, h, phi_val, phi_slope):
     c4 = -1.0 / phi_val**4 / h**4
     drift = (phi_slope / phi_val - 0.25) * zc / (2.0 * h)
 
-    main = np.full(m, 6.0 * c4)
-    off1_up = np.full(m - 1, -4.0 * c4) + drift[:-1]
-    off1_lo = np.full(m - 1, -4.0 * c4) - drift[1:]
-    off2_up = np.full(m - 2, 1.0 * c4)
-    off2_lo = np.full(m - 2, 1.0 * c4)
+    ab = np.zeros((7, m))
+    off2_up, off1_up, main, off1_lo, off2_lo = ab[2:]
+    off2_up[2:] = 1.0 * c4
+    off1_up[1:] = -4.0 * c4 + drift[:-1]
+    main[:] = 6.0 * c4
+    off1_lo[:-1] = -4.0 * c4 - drift[1:]
+    off2_lo[:-2] = 1.0 * c4
 
     # fold in w1 = w2/4 at the left (row i=2 sees w1 and w0; row i=3 sees w1)
     main[0] += 0.25 * (-4.0 * c4) + 0.25 * (-drift[0])
     off1_lo[0] += 0.25 * c4
     main[-1] += 0.25 * (-4.0 * c4) + 0.25 * drift[-1]
     off1_up[-1] += 0.25 * c4
-
-    ab = np.zeros((5, m))
-    ab[0, 2:] = off2_up
-    ab[1, 1:] = off1_up
-    ab[2, :] = main
-    ab[3, :-1] = off1_lo
-    ab[4, :-2] = off2_lo
     return ab
 
 
 def _heat_operator(n, h, phi_val, phi_slope):
-    """Banded interior operator with Dirichlet walls; unknowns w[1..n-1]."""
+    """Banded interior operator with Dirichlet walls; unknowns w[1..n-1].
+
+    Returns the (4, m) LAPACK band layout: one zero fill-in row, then the
+    upper, main and lower diagonals (rows 1: are the ``solve_banded`` layout).
+    """
     m = n - 1
     idx = np.arange(1, n)
     zc = -1.0 + idx * h
     c2 = 1.0 / phi_val**2 / h**2
     drift = (phi_slope / phi_val - 0.5) * zc / (2.0 * h)
 
-    main = np.full(m, -2.0 * c2)
-    off_up = np.full(m - 1, c2) + drift[:-1]
-    off_lo = np.full(m - 1, c2) - drift[1:]
-
-    ab = np.zeros((3, m))
-    ab[0, 1:] = off_up
-    ab[1, :] = main
-    ab[2, :-1] = off_lo
+    ab = np.zeros((4, m))
+    off_up, main, off_lo = ab[1:]
+    off_up[1:] = c2 + drift[:-1]
+    main[:] = -2.0 * c2
+    off_lo[:-1] = c2 - drift[1:]
     return ab
 
 
@@ -155,18 +154,20 @@ def _auto_dt(family, l_scale):
     return float(min(0.02, 0.1 / (1.0 + lam) ** 2))
 
 
-def _band_lu(ab, kl, ku):
-    """LU factors of a banded matrix given in ``solve_banded`` layout.
+def _band_solve(ab, kl, x):
+    """Solve one step system given in LAPACK band layout (``kl = ku``).
 
-    LAPACK ``gbtrf`` needs ``kl`` spare rows above the bands for the
-    fill-in of partial pivoting.  Returns ``(lu, piv)`` for ``gbtrs``.
+    A tridiagonal system goes to ``gtsv`` and a wider band to ``gbsv``,
+    the routines ``scipy.linalg.solve_banded`` calls, without its copies
+    and its finiteness pass over the matrix.  ``ab`` is overwritten.
     """
-    work = np.zeros((2 * kl + ku + 1, ab.shape[1]))
-    work[kl:] = ab
-    lu, piv, info = dgbtrf(work, kl, ku)
+    if kl == 1:
+        *_, x, info = dgtsv(ab[3, :-1], ab[2], ab[1, 1:], x, 1, 1, 1)
+    else:
+        *_, x, info = dgbsv(kl, kl, ab, x, overwrite_ab=1)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
-    return lu, piv
+    return x
 
 
 def simulate(cfg):
@@ -178,10 +179,15 @@ def simulate(cfg):
     tolerances.  Clamped (or Dirichlet) rows are imposed exactly through
     the banded stencils.  For a ``criteria.Constant`` wall the step matrix
     I - dt A is LU-factored once in band form (LAPACK ``gbtrf``) and each
-    step reuses the factors (``gbtrs``); any other wall rebuilds the banded
-    matrix and solves it per step.  Both paths cost O(n) per step, check
-    finiteness after every step and record traces and snapshots on the
-    same schedule.
+    step reuses the factors (``gbtrs``).  Any other wall rebuilds the band
+    from phi and phi' on every step and factors and solves it in one LAPACK
+    call (``gbsv``; ``gtsv`` for the heat family), the routines
+    ``scipy.linalg.solve_banded`` would call, so the results are the same
+    without its per-step copies and matrix scan.  Instead a non-finite phi
+    or phi' raises ``ValueError`` (naming tau) before the step, and a
+    singular step matrix raises ``LinAlgError``.  Both paths cost O(n) per
+    step, check the solution's finiteness after every step and record
+    traces and snapshots on the same schedule.
     """
     n = cfg.n
     h = 2.0 / n
@@ -210,22 +216,23 @@ def simulate(cfg):
         x = w_full[1:n].copy()
 
     build = _biharmonic_operator if family == "biharmonic" else _heat_operator
-    lu_bands = (2, 2) if family == "biharmonic" else (1, 1)
+    kl = 2 if family == "biharmonic" else 1  # as many upper as lower bands
 
-    def implicit_matrix(tau):
-        if static_phi:
-            pv, ps = phi0, 0.0
-        else:
-            pv = float(phi(tau))
-            ps = float(phi.derivative(tau))
+    def step_matrix(tau, pv, ps):
+        # I - dt A for the wall (pv, ps) at tau, in the LAPACK band layout
+        if not (math.isfinite(pv) and math.isfinite(ps)):
+            raise ValueError(f"boundary is not finite at tau={tau:.6g}: "
+                             f"phi={pv!r}, phi'={ps!r}")
         ab = build(n, h, pv, ps)
-        ab = -dt * ab
-        ab[lu_bands[0], :] += 1.0
-        return ab, pv
+        ab[kl:] *= -dt
+        ab[2 * kl] += 1.0
+        return ab
 
-    ab, pv = implicit_matrix(tau0 + dt)
+    pv = phi0
     if static_phi:
-        lu, piv = _band_lu(ab, *lu_bands)
+        lu, piv, info = dgbtrf(step_matrix(tau0, phi0, 0.0), kl, kl)
+        if info > 0:
+            raise np.linalg.LinAlgError("singular matrix")
     kernel_cache = {}
 
     def a0_of(x_now, pv_now):
@@ -247,10 +254,11 @@ def simulate(cfg):
     for k in range(steps):
         tau_next = tau0 + (k + 1) * dt
         if static_phi:
-            x, _ = dgbtrs(lu, *lu_bands, x, piv)
+            x, _ = dgbtrs(lu, kl, kl, x, piv)
         else:
-            ab, pv = implicit_matrix(tau_next)
-            x = solve_banded(lu_bands, ab, x)
+            pv = float(phi(tau_next))
+            ab = step_matrix(tau_next, pv, float(phi.derivative(tau_next)))
+            x = _band_solve(ab, kl, x)
         tau = tau_next
         if not np.all(np.isfinite(x)):
             raise FloatingPointError(f"solution lost finiteness at tau={tau:.3f}")

@@ -1,9 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from reglab import blayer
+from reglab.numcore import BvpError, NumericsError
 
 
 class TestClosedForms:
@@ -91,6 +93,24 @@ class TestBoundaryValueRoute:
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             blayer.solve_bl_bvp("beam4")
+
+    @pytest.mark.parametrize("family", ["biharmonic", "dispersion3", "pme4"])
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_tolerance_rejected(self, family, tol):
+        # tol = 0 used to run the collocation up to its node limit
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            blayer.solve_bl_bvp(family, 30.0, tol=tol)
+
+    @pytest.mark.parametrize("family", ["biharmonic", "pme4"])
+    def test_failed_collocation_is_a_numerics_error(self, family, monkeypatch):
+        # a real non-converging solve needs seconds of mesh refinement; the
+        # failure report of scipy's solver is stubbed instead
+        failed = SimpleNamespace(success=False, message="The maximum number of mesh nodes is exceeded.")
+        monkeypatch.setattr(blayer, "integrate",
+                            SimpleNamespace(solve_bvp=lambda *args, **kwargs: failed))
+        with pytest.raises(BvpError, match=f"layer BVP for {family} did not converge") as info:
+            blayer.solve_bl_bvp(family, 30.0)
+        assert isinstance(info.value, NumericsError)
 
 
 @pytest.fixture(scope="module")

@@ -53,6 +53,20 @@ def test_array_call_equals_scalar_calls_bit_for_bit(phi, points):
 
 
 @settings(max_examples=60, deadline=None)
+@given(amplitudes, log_exponents, st.lists(taus, min_size=1, max_size=12))
+def test_tabulated_cached_log_grid_keeps_the_formula(c, gamma, points):
+    # the log grid is made on first use and kept; scalar calls, array calls
+    # and a fresh instance's first call all equal the log-log interpolation
+    arr = np.array(points)
+    phi = _tabulated(c, gamma)
+    direct = np.exp(np.interp(np.log(arr), np.log(np.asarray(phi.tau_grid)),
+                              np.log(np.asarray(phi.values))))
+    np.testing.assert_array_equal(np.array([phi(t) for t in points]), direct)
+    np.testing.assert_array_equal(phi(arr), direct)
+    np.testing.assert_array_equal(_tabulated(c, gamma)(arr), direct)
+
+
+@settings(max_examples=60, deadline=None)
 @given(boundaries(), taus)
 def test_logtime_reading_matches_tau_reading(phi, tau):
     value = phi(tau)

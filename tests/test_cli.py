@@ -3,8 +3,8 @@ import warnings
 
 import pytest
 
-from reglab import cli, spectral
-from reglab.numcore import OdeError
+from reglab import blayer, cli, spectral
+from reglab.numcore import BvpError, OdeError
 
 
 def run_cli(tmp_path, *argv):
@@ -86,6 +86,29 @@ class TestSpectrumCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("spectrum: shooting failed") and err.count("\n") == 1
+
+
+class TestBlayerCommand:
+    @pytest.mark.parametrize("tol", ["0", "-1"])
+    def test_bad_tolerance_is_one_line_exit_two(self, tmp_path, capsys, tol):
+        out = tmp_path / "x.txt"
+        code = cli.main(["blayer", "--family", "biharmonic", "--solver", "bvp", f"--tol={tol}",
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert not out.exists()
+        assert err.startswith("blayer: tol must be positive and finite") and err.count("\n") == 1
+
+    def test_failed_solve_is_one_line_exit_two(self, tmp_path, capsys, monkeypatch):
+        def failing(family, *args, **kwargs):
+            raise BvpError(f"layer BVP for {family} did not converge: node limit")
+
+        monkeypatch.setattr(blayer, "solve_bl_bvp", failing)
+        code = cli.main(["blayer", "--family", "pme4", "--solver", "bvp",
+                         "--out", str(tmp_path / "x.txt")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("blayer: layer BVP for pme4 did not converge") and err.count("\n") == 1
 
 
 class TestCriterionCommand:

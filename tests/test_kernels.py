@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -102,6 +105,93 @@ class TestKernelEvaluation:
         # Fresnel-type closed value: F(0) = 1/sqrt(2 pi)
         assert K.eval_kernel(K.beam4(), 0.0, 1e-9) == pytest.approx(
             1.0 / math.sqrt(2.0 * math.pi), abs=1e-8)
+
+
+# Mirrored and repeated arguments.  The node count of the near-field rule,
+# and for value/derivative the regime, follow from the largest |y| of a
+# call, so each batch keeps to one rule: |y| <= 7.5 (the 128-node rule for
+# every m and order) or |y| >= 12.5 (the far field and the asymptotic form).
+_NEAR = np.array([0.0, 0.0, 0.5, -0.5, 1.25, -1.25, 1.25, 3.0, -3.0, -3.0, 7.5, -7.5])
+_FAR = np.array([12.5, -12.5, 20.0, -20.0, 20.0])
+
+
+class TestArrayCallsMatchScalarCalls:
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("ys", [_NEAR, _FAR], ids=["near", "far"])
+    def test_value_and_derivative(self, m, ys):
+        fam = K.parabolic(m)
+        for fn in (K.eval_kernel, K.eval_kernel_derivative):
+            vector = fn(fam, ys)
+            scalars = np.array([fn(fam, float(y)) for y in ys])
+            np.testing.assert_allclose(vector, scalars, rtol=0.0, atol=1e-16)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("ys", [_NEAR, _FAR], ids=["near", "far"])
+    def test_deriv_orders(self, m, order, ys):
+        kern = K.get_kernel(K.parabolic(m))
+        vector = kern.deriv(ys, order)
+        scalars = np.array([kern.deriv(float(y), order) for y in ys])
+        np.testing.assert_allclose(vector, scalars, rtol=0.0, atol=1e-16)
+        # a repeated argument gets one value
+        for y in np.unique(ys):
+            assert np.unique(vector[ys == y]).size == 1
+
+
+class TestLazyFillUnderThreads:
+    """Evaluators are shared between threads; their lazy state fills once."""
+
+    def _race(self, fn, workers=16):
+        # more threads than cores and a short switch interval force interleaving
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            barrier = threading.Barrier(workers, timeout=30)
+
+            def call(_):
+                barrier.wait()
+                return fn()
+
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                return [f.result(timeout=60) for f in [pool.submit(call, i) for i in range(workers)]]
+        finally:
+            sys.setswitchinterval(old)
+
+    def test_fit_is_computed_once(self, monkeypatch):
+        calls = []
+        sentinel = object()
+
+        def slow_fit(family, window):
+            calls.append(family)
+            threading.Event().wait(0.01)
+            return sentinel
+
+        monkeypatch.setattr(K, "kernel_asymptotics_fit", slow_fit)
+        kern = K._ParabolicKernel(2)
+        results = self._race(kern.ensure_fit)
+        assert len(calls) == 1
+        assert all(r is sentinel for r in results)
+
+    def test_evaluator_is_created_once(self, monkeypatch):
+        monkeypatch.setattr(K, "_KERNELS", {})
+        results = self._race(lambda: K.get_kernel(K.parabolic(3)))
+        assert all(r is results[0] for r in results)
+        assert K._KERNELS == {K.parabolic(3): results[0]}
+
+    def test_switch_point_is_computed_once(self, monkeypatch):
+        kern = K._ParabolicKernel(2)
+        kern._fit = K.get_kernel(K.biharmonic()).ensure_fit()
+        quad_calls = []
+        quad_value = kern.quad_value
+
+        def counted(ys, tol=1e-10):
+            quad_calls.append(len(ys))
+            return quad_value(ys, tol)
+
+        monkeypatch.setattr(kern, "quad_value", counted)
+        results = self._race(kern.switch_point)
+        assert len(quad_calls) == 1
+        assert set(results) == {K.get_kernel(K.biharmonic()).switch_point()}
 
 
 class TestAsymptoticFit:

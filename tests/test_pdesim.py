@@ -42,10 +42,10 @@ class TestConstantWallFactors:
         # reference: one banded backward-Euler solve per step
         h, z = 2.0 / n, res.z
         if family == "biharmonic":
-            ab, bands, inner = pdesim._biharmonic_operator(n, h, l, 0.0), (2, 2), slice(2, n - 1)
+            ab, bands, inner = pdesim._biharmonic_operator(n, h, l, 0.0)[2:], (2, 2), slice(2, n - 1)
             fk = kernels.eval_kernel(kernels.biharmonic(), l * z)
         else:
-            ab, bands, inner = pdesim._heat_operator(n, h, l, 0.0), (1, 1), slice(1, n)
+            ab, bands, inner = pdesim._heat_operator(n, h, l, 0.0)[1:], (1, 1), slice(1, n)
             fk = kernels.eval_kernel(kernels.heat(), l * z)
         ab = -dt * ab
         ab[bands[0], :] += 1.0
@@ -59,6 +59,67 @@ class TestConstantWallFactors:
         assert len(res.sup_norm) == len(sups)
         np.testing.assert_allclose(res.sup_norm, sups, rtol=1e-9, atol=0.0)
         np.testing.assert_allclose(res.a0, a0s, rtol=1e-9, atol=0.0)
+
+
+class TestMovingWallDirectSolves:
+    @pytest.mark.parametrize("family,phi", [
+        ("biharmonic", criteria.PowerLog(2.0, 0.75)),
+        ("heat", criteria.PetrovskiiSqrtLog(2.0)),
+    ])
+    def test_matches_solve_banded_reference_loop(self, family, phi):
+        n, dt, tau0 = 128, 0.02, criteria.TAU0
+        cfg = pdesim.SimConfig(family=family, phi=phi, n=n, dt=dt,
+                               tau_span=(tau0, tau0 + 3.0), initial="bump")
+        res = pdesim.simulate(cfg)
+
+        # reference: rebuild the banded matrix from phi and phi' and call
+        # solve_banded on every step
+        h, z = 2.0 / n, res.z
+        if family == "biharmonic":
+            build, bands, inner, fam = pdesim._biharmonic_operator, (2, 2), slice(2, n - 1), \
+                kernels.biharmonic()
+        else:
+            build, bands, inner, fam = pdesim._heat_operator, (1, 1), slice(1, n), kernels.heat()
+        x = pdesim._initial_data(cfg, z)[inner]
+        sups, a0s, states = [], [], []
+        for k in range(math.ceil(3.0 / dt)):
+            tau = tau0 + (k + 1) * dt
+            pv, ps = phi(tau), phi.derivative(tau)
+            ab = -dt * build(n, h, pv, ps)[bands[0]:]
+            ab[bands[0], :] += 1.0
+            x = solve_banded(bands, ab, x)
+            w = pdesim._full_state(family, x, n)
+            sups.append(np.max(np.abs(x)))
+            a0s.append(np.trapezoid(w * kernels.eval_kernel(fam, pv * z) * pv, z))
+            states.append(w)
+
+        assert len(res.sup_norm) == len(sups)
+        np.testing.assert_allclose(res.sup_norm, sups, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(res.a0, a0s, rtol=1e-12, atol=0.0)
+        steps_of_snapshots = np.rint((res.snapshots_tau - tau0) / dt).astype(int) - 1
+        np.testing.assert_allclose(res.snapshots, np.array(states)[steps_of_snapshots],
+                                   rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("family", ["biharmonic", "heat"])
+    def test_non_finite_boundary_is_rejected(self, family):
+        class BreaksDown(criteria.BoundaryFunction):
+            # finite up to tau = 3.5, nan after
+            def _phi(self, tau):
+                return np.where(tau > 3.5, np.nan, 2.0 + 0.0 * tau)
+
+            def _dphi(self, tau):
+                return np.zeros_like(tau)
+
+        cfg = pdesim.SimConfig(family=family, phi=BreaksDown(), n=64, dt=0.02,
+                               tau_span=(criteria.TAU0, 5.0))
+        with pytest.raises(ValueError, match="boundary is not finite at tau=3.5"):
+            pdesim.simulate(cfg)
+
+    @pytest.mark.parametrize("kl", [1, 2])
+    def test_singular_step_matrix_is_rejected(self, kl):
+        ab = np.zeros((3 * kl + 1, 8))  # LAPACK band layout of the zero matrix
+        with pytest.raises(np.linalg.LinAlgError, match="singular matrix"):
+            pdesim._band_solve(ab, kl, np.ones(8))
 
 
 class TestRateSpectrumAgreement:
