@@ -193,6 +193,7 @@ def cmd_spectrum(args):
 
 def cmd_branch(args):
     args.branch = args.range
+    args.method = "shooting"  # the branch is always traced by shooting
     args.l = None
     args.l_range = None
     args.reproduce = None
@@ -342,7 +343,7 @@ def cmd_reproduce(args):
 _CONFIG_KEYS = {
     "kernel": {"family", "m", "range", "tol", "out", "json"},
     "spectrum": {"l", "l_range", "branch", "method", "grid_size", "reproduce", "out", "json"},
-    "branch": {"range", "method", "grid_size", "out", "json"},
+    "branch": {"range", "out", "json"},
     "blayer": {"family", "length", "solver", "tol", "out", "json"},
     "criterion": {"family", "m", "side", "phi", "cutoff", "eps_s", "out", "json"},
     "simulate": {"family", "phi", "n", "dt", "tau_start", "tau_end", "initial", "seed",
@@ -400,7 +401,6 @@ def build_parser():
     p.add_argument("--l", type=float)
     p.add_argument("--l-range", dest="l_range", type=_parse_range, metavar="LO:HI:STEP")
     p.add_argument("--branch", type=_parse_range, metavar="LO:HI:STEP")
-    p.add_argument("--roots", action="store_true", help="report branch roots in the header")
     p.add_argument("--method", default="shooting", choices=["shooting", "collocation"])
     p.add_argument("--grid-size", dest="grid_size", type=int, default=96)
     p.add_argument("--reproduce", choices=["table1"])
@@ -409,8 +409,6 @@ def build_parser():
 
     p = sub.add_parser("branch", help="alias of spectrum --branch")
     p.add_argument("--range", type=_parse_range, required=True, metavar="LO:HI:STEP")
-    p.add_argument("--method", default="shooting", choices=["shooting"])
-    p.add_argument("--grid-size", dest="grid_size", type=int, default=96)
     common(p)
     p.set_defaults(func=cmd_branch)
 

@@ -205,6 +205,59 @@ def find_root(f, bracket, tol=1e-12, maxiter=200, f_ends=None):
         raise RootConvergenceError(str(exc)) from exc
 
 
+def find_roots(f, lo, hi, f_ends, tol=1e-12, maxiter=200):
+    """Roots of k bracketed problems at once, by Chandrupatla's iteration.
+
+    ``f(x, idx)`` returns the value of problem ``idx[j]`` at ``x[j]``; each
+    round calls it once, for the brackets still open.  ``lo``/``hi`` are
+    the k bracket ends and ``f_ends = (f(lo), f(hi))`` their known values,
+    which are never re-evaluated (an end value of 0 is its own root).
+    Rounds bisect or, where Chandrupatla's test allows, interpolate
+    inverse-quadratically.  A root is returned, as the bracket end with the
+    smaller |f|, once its bracket is narrower than ``tol`` plus 4 ulps.
+    Raises :class:`BracketError` if any bracket lacks a sign change and
+    :class:`RootConvergenceError` on a non-finite value or after
+    ``maxiter`` rounds.
+    """
+    x1, x2 = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    f1, f2 = (np.array(v, dtype=float) for v in f_ends)
+    bad = np.flatnonzero(f1 * f2 > 0)
+    if bad.size:
+        i = bad[0]
+        raise BracketError(f"no sign change on [{x1[i]}, {x2[i]}]: f ends {f1[i]:g}, {f2[i]:g}")
+    x3, f3 = x2.copy(), f2.copy()  # the end dropped last; unused in the first round
+    for it in range(maxiter + 1):
+        small = np.abs(f1) < np.abs(f2)
+        xm = np.where(small, x1, x2)
+        dx = np.abs(x2 - x1)
+        xtol = tol + 4 * np.finfo(float).eps * np.abs(xm)
+        live = np.flatnonzero((np.where(small, f1, f2) != 0) & (dx >= xtol))
+        if not live.size:
+            return xm
+        if it == maxiter:
+            raise RootConvergenceError(f"{live.size} of {x1.size} brackets still open "
+                                       f"after {maxiter} rounds")
+        a, b, c = x1[live], x2[live], x3[live]
+        fa, fb, fc = f1[live], f2[live], f3[live]
+        t = np.full(live.size, 0.5)
+        if it:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xi, ph = (a - b) / (c - b), (fa - fb) / (fc - fb)
+                iqi = (1 - np.sqrt(1 - xi) < ph) & (ph < np.sqrt(xi))
+                alpha = (c - a) / (b - a)
+                t_iqi = fa / (fa - fb) * fc / (fc - fb) - alpha * fa / (fc - fa) * fb / (fb - fc)
+            tl = 0.5 * xtol[live] / dx[live]
+            t = np.clip(np.where(iqi, t_iqi, 0.5), tl, 1 - tl)
+        x = a + t * (b - a)
+        fx = np.asarray(f(x, live), dtype=float)
+        if not np.all(np.isfinite(fx)):
+            raise RootConvergenceError(f"non-finite value at x = {x[~np.isfinite(fx)][0]}")
+        same = np.sign(fx) == np.sign(fa)  # x replaces a; else a becomes the far end
+        x3[live], f3[live] = np.where(same, a, b), np.where(same, fa, fb)
+        x2[live], f2[live] = np.where(same, b, a), np.where(same, fb, fa)
+        x1[live], f1[live] = x, fx
+
+
 # ---------------------------------------------------------------------------
 # dense eigenvalues
 

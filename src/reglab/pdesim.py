@@ -187,7 +187,9 @@ def simulate(cfg):
     or phi' raises ``ValueError`` (naming tau) before the step, and a
     singular step matrix raises ``LinAlgError``.  Both paths cost O(n) per
     step, check the solution's finiteness after every step and record
-    traces and snapshots on the same schedule.
+    traces and snapshots on the same schedule.  The recorded a0 weighs the
+    state with the kernel at the wall, evaluated once for a constant wall
+    and at every record (and kept no longer) for a moving one.
     """
     n = cfg.n
     h = 2.0 / n
@@ -233,14 +235,11 @@ def simulate(cfg):
         lu, piv, info = dgbtrf(step_matrix(tau0, phi0, 0.0), kl, kl)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
-    kernel_cache = {}
+        static_kernel = kernels.eval_kernel(fam_kernel, phi0 * z)
 
     def a0_of(x_now, pv_now):
         w = _full_state(family, x_now, n)
-        key = round(pv_now, 12)
-        if key not in kernel_cache:
-            kernel_cache[key] = kernels.eval_kernel(fam_kernel, pv_now * z)
-        fk = kernel_cache[key]
+        fk = static_kernel if static_phi else kernels.eval_kernel(fam_kernel, pv_now * z)
         integrand = w * fk * pv_now
         return float(np.trapezoid(integrand, z))
 

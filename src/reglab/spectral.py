@@ -5,8 +5,8 @@ clamped conditions v = v' = ... = v^(m-1) = 0 at both ends (m = 2 is the
 main case).  Two independent routes are provided: compound-matrix
 shooting for real eigenvalues, and Chebyshev collocation for the full
 (possibly complex) spectrum.  On top of these sit the Poincare bound,
-continuation of the top branch lambda_0(l) with its sign-change roots,
-and the large-l boundary-layer approximation of lambda_0.
+the top branch lambda_0(l) sampled over a range of l with its sign-change
+roots, and the large-l boundary-layer approximation of lambda_0.
 """
 
 from __future__ import annotations
@@ -20,7 +20,8 @@ import numpy as np
 from scipy import integrate
 
 from reglab import kernels
-from reglab.numcore import BracketError, OdeError, check_tolerance, dense_eigenvalues, find_root
+from reglab.numcore import (BracketError, OdeError, RootConvergenceError, check_tolerance,
+                            dense_eigenvalues, find_root, find_roots)
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +217,11 @@ def _compound_setup(m, parity):
     return g0, g1, g2, u0, target
 
 
+# most (lambda, l) pairs in one stacked solve: tol / sqrt(256) stays well
+# above the rtol floor of DOP853 (100 ulps)
+_MAX_STACK = 256
+
+
 class ClampedEndDeterminant:
     """Normalized clamped-end determinant d(lambda) for one parity class.
 
@@ -231,8 +237,15 @@ class ClampedEndDeterminant:
     + (G2 U) diag(lam).  DOP853 bounds the RMS error over all components,
     which lets one lambda's error grow to sqrt(k) times the bound, so the
     stacked solve runs at ``rtol`` and ``atol`` divided by sqrt(k): each
-    lambda is held to at least its scalar tolerance.  A failed integration
-    raises :class:`~reglab.numcore.OdeError`; ``l`` and ``tol`` must be
+    lambda is held to at least its scalar tolerance.
+
+    The ODE does not depend on the half-width either, so ``l`` (one
+    half-width per lambda, of the shape of ``lam``) reads each lambda's
+    determinant at its own half-width instead of ``self.l``: the stack is
+    integrated to the largest of them and each column is read at its own
+    l from the dense output.  More than 256 pairs are solved in chunks of
+    consecutive l.  A failed integration raises
+    :class:`~reglab.numcore.OdeError`; every half-width and ``tol`` must be
     positive and finite (``ValueError`` otherwise).
     """
 
@@ -242,10 +255,33 @@ class ClampedEndDeterminant:
         self.l, self.m, self.parity, self.tol = l, m, parity, tol
         self._g0, self._g1, self._g2, self._u0, self._target = _compound_setup(m, parity)
 
-    def __call__(self, lam):
+    def __call__(self, lam, l=None):
         lams = np.atleast_1d(np.asarray(lam, dtype=float))
         if lams.ndim != 1 or not lams.size:
             raise ValueError("lambda must be a scalar or a non-empty 1-D array")
+        ls = None
+        if l is not None:
+            if np.shape(l) != np.shape(lam):
+                raise ValueError("l must hold one half-width per lambda")
+            ls = np.atleast_1d(np.asarray(l, dtype=float))
+            if not np.all(np.isfinite(ls) & (ls > 0)):
+                raise ValueError(f"half-length l must be positive and finite, got {l!r}")
+        if lams.size > _MAX_STACK:
+            order = np.arange(lams.size) if ls is None else np.argsort(ls, kind="stable")
+            out = np.empty(lams.size)
+            for part in np.array_split(order, -(-lams.size // _MAX_STACK)):
+                out[part] = self._stacked(lams[part], None if ls is None else ls[part])
+            return out
+        d = self._stacked(lams, ls)
+        return float(d[0]) if np.ndim(lam) == 0 else d
+
+    def _stacked(self, lams, ls):
+        """One stacked solve: d at ``self.l``, or at ``ls`` column by column."""
+        if ls is None:
+            end, t_eval = self.l, None
+        else:
+            t_eval, at = np.unique(ls, return_inverse=True)
+            end = t_eval[-1]
         g0, g1, g2 = self._g0, self._g1, self._g2
         size, k = len(self._u0), len(lams)
 
@@ -254,14 +290,35 @@ class ClampedEndDeterminant:
             return ((g0 + y * g1) @ us + (g2 @ us) * lams).ravel()
 
         scale = math.sqrt(k)
-        sol = integrate.solve_ivp(rhs, (0.0, self.l), np.repeat(self._u0, k), method="DOP853",
-                                  rtol=self.tol / scale, atol=self.tol * 1e-2 / scale)
+        sol = integrate.solve_ivp(rhs, (0.0, end), np.repeat(self._u0, k), method="DOP853",
+                                  t_eval=t_eval, rtol=self.tol / scale,
+                                  atol=self.tol * 1e-2 / scale)
         if not sol.success:
-            raise OdeError(f"shooting failed at lambda={lam}: {sol.message}", float(sol.t[-1]))
-        us = sol.y[:, -1].reshape(size, k)
+            raise OdeError(f"shooting failed at lambda={lams}: {sol.message}", float(sol.t[-1]))
+        if ls is None:
+            us = sol.y[:, -1].reshape(size, k)
+        else:
+            us = sol.y.reshape(size, k, -1)[:, np.arange(k), at]
         norms = np.linalg.norm(us, axis=0)
-        d = np.divide(us[self._target], norms, out=np.zeros(k), where=norms > 0)
-        return float(d[0]) if np.ndim(lam) == 0 else d
+        return np.divide(us[self._target], norms, out=np.zeros(k), where=norms > 0)
+
+    def zero_eigenvalue_half_widths(self):
+        """Half-widths in (0, l] at which 0 is an eigenvalue.
+
+        These are the zeros in y of the lambda = 0 target minor, which do
+        not depend on where the integration stops: one integration to
+        ``self.l`` finds them all, located on its dense output by
+        ``solve_ivp``'s event search.  The minor also vanishes at y = 0;
+        that zero is not returned.
+        """
+        g0, g1, target = self._g0, self._g1, self._target
+        sol = integrate.solve_ivp(lambda y, u: (g0 + y * g1) @ u, (0.0, self.l), self._u0,
+                                  method="DOP853", rtol=self.tol, atol=self.tol * 1e-2,
+                                  events=lambda y, u: u[target])
+        if not sol.success:
+            raise OdeError(f"shooting failed at lambda=0: {sol.message}", float(sol.t[-1]))
+        zs = sol.t_events[0]
+        return zs[zs > 0]
 
 
 def _shooting_eigenfunction(l, m, parity, lam, tol, n_samples=401):
@@ -312,32 +369,32 @@ def _mode_centers(l, parity, n_modes):
     return [-((x / (2.0 * l)) ** 4) for x in xs[:n_modes]]
 
 
+def _scan_grids(l, parity, count):
+    """The lambda grids scanned for the top ``count`` eigenvalues, in order.
+
+    First the near-zero sweep, which catches the drift-shifted top of the
+    spectrum, then one fallback window around each further drift-free mode.
+    """
+    centers = _mode_centers(l, parity, count + 2)
+    grid = np.linspace(0.3 * abs(centers[0]) + 0.25, 1.6 * centers[0], 24)
+    yield grid
+    for c in centers[1:]:
+        gap = 0.55 * abs(c - grid[-1])
+        grid = np.linspace(max(c + gap, grid[-1]), c - gap, 14)
+        yield grid
+
+
 def _scan_parity_eigenvalues(det, l, parity, count):
     """Real eigenvalues of one parity class, descending, via windowed scans."""
-    centers = _mode_centers(l, parity, count + 2)
     found = []
-    # near-zero sweep catches the drift-shifted top of the spectrum
-    top = 0.3 * abs(centers[0]) + 0.25
-    grid = np.linspace(top, 1.6 * centers[0], 24)
-    vals = det(grid)
-    for i in range(len(grid) - 1):
-        if vals[i] * vals[i + 1] < 0:
-            found.append(find_root(det, (grid[i + 1], grid[i]), tol=1e-13,
-                                   f_ends=(vals[i + 1], vals[i])))
-    lo_reached = grid[-1]
-    for c in centers[1:]:
+    for grid in _scan_grids(l, parity, count):
         if len(found) >= count:
             break
-        gap = 0.55 * abs(c - lo_reached)
-        grid = np.linspace(max(c + gap, lo_reached), c - gap, 14)
         vals = det(grid)
-        for i in range(len(grid) - 1):
-            if vals[i] * vals[i + 1] < 0:
-                r = find_root(det, (grid[i + 1], grid[i]), tol=1e-13,
-                              f_ends=(vals[i + 1], vals[i]))
-                if not any(abs(r - f) < 1e-9 * max(1, abs(r)) for f in found):
-                    found.append(r)
-        lo_reached = grid[-1]
+        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0):
+            r = find_root(det, (grid[i + 1], grid[i]), tol=1e-13, f_ends=(vals[i + 1], vals[i]))
+            if not any(abs(r - f) < 1e-9 * max(1, abs(r)) for f in found):
+                found.append(r)
     found.sort(reverse=True)
     return found[:count]
 
@@ -378,22 +435,17 @@ def interval_spectrum(problem, count=1):
     return found[:count]
 
 
-def top_eigenvalue(l, family=None, tol=1e-12, bracket=None):
+def top_eigenvalue(l, family=None, tol=1e-12):
     """Real top eigenvalue lambda_0(l), even parity, by shooting.
 
-    ``bracket = (lo, hi)`` reuses knowledge from a continuation
-    neighbour (both ends are evaluated in one batched determinant call);
-    without it (or if the bracket fails) a windowed scan runs.  Raises
-    ``ValueError`` unless ``l`` is positive and finite.
+    The determinant is scanned over the near-zero sweep and then, until a
+    sign change turns up, over the fallback windows; the top sign change
+    is refined by ``find_root`` to 1e-13.  Raises ``ValueError`` unless
+    ``l`` is positive and finite, and ``BracketError`` if no window holds
+    a sign change.
     """
     family = family or kernels.biharmonic()
     det = ClampedEndDeterminant(l, family.m, "even", tol)
-    if bracket is not None:
-        flo, fhi = det(np.asarray(bracket, dtype=float))
-        try:
-            return find_root(det, bracket, tol=1e-13, f_ends=(flo, fhi))
-        except BracketError:
-            pass
     vals = _scan_parity_eigenvalues(det, l, "even", 1)
     if not vals:
         raise BracketError(f"lambda_0({l}) not bracketed by the scan")
@@ -438,48 +490,63 @@ def regularity_bound():
 
 
 def branch_trace(l_range, step=0.05, family=None, tol=1e-12):
-    """Continuation of lambda_0(l) over ``l_range`` with root refinement.
+    """lambda_0(l) sampled every ``step`` over ``l_range``, with its roots.
 
-    The previous eigenvalue seeds the next bracket; a jump beyond ten
-    times the local trend triggers a fresh scan.  Sign changes between
-    samples are refined by the bracketed root finder on l -> lambda_0(l).
+    The minor ODE does not depend on l, so one stacked determinant call
+    serves any set of (lambda, l) pairs (``ClampedEndDeterminant`` with
+    ``l``): all samples are computed together.  Each scan round is one
+    call holding the next grid of ``top_eigenvalue``'s scan for every
+    sample still without a sign change (the near-zero sweep, then the
+    fallback windows), and the top brackets of all samples are refined
+    together by ``find_roots`` (one call per round, xtol 1e-13).  Every
+    sample agrees with ``top_eigenvalue(l)`` to about 1e-13.
+
+    A root is a half-width at which lambda = 0 is an eigenvalue: a zero in
+    l of the lambda = 0 target minor.  One event-located integration to
+    the largest l finds them all (``zero_eigenvalue_half_widths``).  Each
+    sample interval over which lambda_0 changes sign must hold exactly one
+    of them, else ``RootConvergenceError``; a sample equal to 0 is a root
+    itself.  Raises ``BracketError`` if a sample's scan finds no sign
+    change.
     """
     family = family or kernels.biharmonic()
     l_min, l_max = l_range
     if not (0 < l_min < l_max < math.inf) or not step > 0:
         raise ValueError("need 0 < l_min < l_max < inf and step > 0")
     ls = np.arange(l_min, l_max + 0.5 * step, step)
+    det = ClampedEndDeterminant(ls[-1], family.m, "even", tol)
 
-    lams = []
-    prev, trend = None, None
-    for l in ls:
-        if prev is None:
-            lam = top_eigenvalue(l, family, tol)
-        else:
-            width = max(0.05, 4.0 * abs(trend) if trend is not None else 0.05)
-            lam = top_eigenvalue(l, family, tol, bracket=(prev - width, prev + width))
-            if trend is not None and abs(lam - prev) > 10.0 * max(abs(trend), 1e-3):
-                lam = top_eigenvalue(l, family, tol)
-        trend = None if prev is None else lam - prev
-        prev = lam
-        lams.append(lam)
+    lo, hi, f_lo, f_hi = (np.empty(len(ls)) for _ in range(4))
+    todo = np.arange(len(ls))
+    for grids in zip(*(_scan_grids(l, "even", 1) for l in ls)):
+        g = np.stack([grids[j] for j in todo])
+        vals = det(g.ravel(), np.repeat(ls[todo], g.shape[1])).reshape(g.shape)
+        change = vals[:, :-1] * vals[:, 1:] < 0
+        hit = np.flatnonzero(change.any(axis=1))
+        i = np.argmax(change[hit], axis=1)  # the top sign change
+        j = todo[hit]
+        lo[j], hi[j], f_lo[j], f_hi[j] = (g[hit, i + 1], g[hit, i],
+                                          vals[hit, i + 1], vals[hit, i])
+        todo = np.delete(todo, hit)
+        if not todo.size:
+            break
+    else:
+        raise BracketError(f"lambda_0({ls[todo[0]]}) not bracketed by the scan")
+    lams = find_roots(lambda x, idx: det(x, ls[idx]), lo, hi, (f_lo, f_hi), tol=1e-13)
 
     samples = tuple((float(l), float(lam)) for l, lam in zip(ls, lams))
+    zeros = det.zero_eigenvalue_half_widths() if np.any(lams[:-1] * lams[1:] < 0) else ()
     roots = []
     for i in range(len(ls) - 1):
         if lams[i] == 0.0:
             roots.append(float(ls[i]))
         elif lams[i] * lams[i + 1] < 0:
-            state = {"bracket": (min(lams[i], lams[i + 1]) - 0.02,
-                                 max(lams[i], lams[i + 1]) + 0.02)}
-
-            def branch_fun(l, _state=state):
-                lam = top_eigenvalue(l, family, tol, bracket=_state["bracket"])
-                _state["bracket"] = (lam - 0.02, lam + 0.02)
-                return lam
-
-            roots.append(float(find_root(branch_fun, (float(ls[i]), float(ls[i + 1])), tol=1e-5,
-                                         f_ends=(lams[i], lams[i + 1]))))
+            inside = [z for z in zeros if ls[i] <= z <= ls[i + 1]]
+            if len(inside) != 1:
+                raise RootConvergenceError(
+                    f"lambda_0 changes sign on [{ls[i]:g}, {ls[i + 1]:g}], where lambda = 0 "
+                    f"is an eigenvalue at {len(inside)} half-widths")
+            roots.append(float(inside[0]))
     return EigenBranch(samples=samples, roots=tuple(roots))
 
 

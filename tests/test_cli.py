@@ -60,9 +60,35 @@ class TestSpectrumCommand:
         assert abs(float(row[1])) <= 3e-4
 
     def test_branch_with_roots(self, tmp_path):
-        code, text = run_cli(tmp_path, "spectrum", "--branch", "3.9:4.3:0.05", "--roots")
+        code, text = run_cli(tmp_path, "spectrum", "--branch", "3.9:4.3:0.05")
         header = json.loads(text.split("\n")[0][2:])
         assert header["roots"][0] == pytest.approx(4.0775, abs=3e-3)
+
+    def test_branch_command_header_carries_roots(self, tmp_path):
+        code, text = run_cli(tmp_path, "branch", "--range", "3.9:4.3:0.05", "--json")
+        header = json.loads(text)["header"]
+        assert code == 0 and header["method"] == "shooting"
+        assert header["roots"] == [pytest.approx(4.0775, abs=3e-3)]
+
+    @pytest.mark.parametrize("argv", [
+        ["spectrum", "--branch", "3.9:4.3:0.05", "--roots"],
+        ["branch", "--range", "3.9:4.3:0.05", "--method", "shooting"],
+        ["branch", "--range", "3.9:4.3:0.05", "--grid-size", "96"],
+    ])
+    def test_removed_flags_exit_two(self, tmp_path, argv):
+        out = tmp_path / "x.txt"
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, "--out", str(out)])
+        assert info.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["method", "grid_size"])
+    def test_removed_branch_config_keys_exit_two(self, tmp_path, key):
+        config = tmp_path / "branch.json"
+        config.write_text(json.dumps({"range": "3.9:4.3:0.05", key: "shooting"}))
+        with pytest.raises(SystemExit) as info:
+            cli.main(["branch", "--range", "3.9:4.3:0.05", "--config", str(config)])
+        assert info.value.code == 2
 
     def test_missing_selection_is_an_error(self, tmp_path):
         out = tmp_path / "x.txt"

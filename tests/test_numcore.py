@@ -128,6 +128,53 @@ class TestFindRoot:
         assert calls == []
 
 
+class TestFindRoots:
+    @staticmethod
+    def problems(targets):
+        # problem i: x^3 - targets[i] on its bracket; records every call
+        calls = []
+
+        def f(x, idx):
+            calls.append((x.copy(), idx.copy()))
+            return x**3 - targets[idx]
+
+        return f, calls
+
+    def test_matches_brentq_per_problem(self):
+        targets = np.array([0.5, 2.0, 7.0, 30.0, -3.0])
+        lo, hi = np.array([0.0, 1.0, 1.0, 2.0, -2.0]), np.array([1.0, 2.0, 2.5, 4.0, 0.0])
+        f, calls = self.problems(targets)
+        roots = nc.find_roots(f, lo, hi, (lo**3 - targets, hi**3 - targets), tol=1e-13)
+        ref = [brentq(lambda x, t=t: x**3 - t, a, b, xtol=1e-14) for t, a, b in
+               zip(targets, lo, hi)]
+        np.testing.assert_allclose(roots, ref, rtol=0.0, atol=2e-13)
+        assert len(calls) < 20  # superlinear: far fewer rounds than bisection's 45
+
+    def test_each_round_evaluates_only_open_brackets(self):
+        targets = np.array([1.0, 8.0])
+        lo, hi = np.array([0.0, 1.5]), np.array([1.0, 3.0])  # the first is solved by its end
+        f, calls = self.problems(targets)
+        roots = nc.find_roots(f, lo, hi, (lo**3 - targets, hi**3 - targets))
+        assert roots[0] == 1.0 and roots[1] == pytest.approx(2.0, abs=1e-12)
+        assert calls and all(list(idx) == [1] for _, idx in calls)
+        assert all(not np.isin(x, [1.5, 3.0]).any() for x, _ in calls)
+
+    def test_no_sign_change_is_a_bracket_error(self):
+        f, calls = self.problems(np.array([1.0, 1.0]))
+        with pytest.raises(nc.BracketError):
+            nc.find_roots(f, [0.0, 2.0], [2.0, 3.0], ([-1.0, 7.0], [7.0, 26.0]))
+        assert calls == []
+
+    def test_round_limit_is_a_convergence_error(self):
+        f, _ = self.problems(np.array([2.0]))
+        with pytest.raises(nc.RootConvergenceError):
+            nc.find_roots(f, [1.0], [2.0], ([-1.0], [6.0]), tol=1e-15, maxiter=3)
+
+    def test_non_finite_value_is_a_convergence_error(self):
+        with pytest.raises(nc.RootConvergenceError):
+            nc.find_roots(lambda x, idx: np.full(x.shape, np.nan), [1.0], [2.0], ([-1.0], [1.0]))
+
+
 class TestDenseEigenvalues:
     def test_identity(self):
         vals = nc.dense_eigenvalues(np.eye(3))

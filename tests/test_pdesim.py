@@ -122,6 +122,33 @@ class TestMovingWallDirectSolves:
             pdesim._band_solve(ab, kl, np.ones(8))
 
 
+class TestKernelEvaluations:
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        calls, original = [], kernels.eval_kernel
+
+        def counted(family, y):
+            calls.append(len(y))
+            return original(family, y)
+
+        monkeypatch.setattr(kernels, "eval_kernel", counted)
+        return calls
+
+    def test_constant_wall_evaluates_once(self, kernel_calls):
+        res = run("biharmonic", 2.0, 1.0, n=64, dt=0.01)
+        assert len(res.tau) == 100
+        assert kernel_calls == [65]
+
+    @pytest.mark.parametrize("family,phi", [("biharmonic", criteria.PowerLog(2.0, 0.75)),
+                                            ("heat", criteria.PetrovskiiSqrtLog(2.0))])
+    def test_moving_wall_evaluates_once_per_record(self, kernel_calls, family, phi):
+        cfg = pdesim.SimConfig(family=family, phi=phi, n=64, dt=0.02,
+                               tau_span=(criteria.TAU0, criteria.TAU0 + 1.0))
+        res = pdesim.simulate(cfg)
+        assert len(res.tau) == 50
+        assert kernel_calls == [65] * len(res.tau)
+
+
 class TestRateSpectrumAgreement:
     def test_fast_decay_small_interval(self):
         res = run("biharmonic", 1.0, 0.45)

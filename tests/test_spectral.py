@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reglab import kernels, spectral
-from reglab.numcore import NumericsError, OdeError, find_root
+from reglab.numcore import NumericsError, OdeError, RootConvergenceError, find_root
 
 
 class TestPoincare:
@@ -145,6 +145,40 @@ class TestShootingDeterminant:
         assert np.max(np.abs(batched - scalar)) <= 1e-12
         assert np.array_equal(np.sign(batched), np.sign(scalar))
 
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        # the scan grids at four half-widths, with the scalar calls they must match
+        ls = np.repeat([1.0, 4.0, 8.0, 13.5], 24)
+        lams = np.concatenate([next(spectral._scan_grids(l, "even", 1)) for l in ls[::24]])
+        scalar = np.array([spectral.ClampedEndDeterminant(l, 2, "even")(lam)
+                           for lam, l in zip(lams, ls)])
+        return lams, ls, scalar
+
+    @pytest.mark.parametrize("max_stack", [None, 10])
+    def test_per_pair_half_widths_match_scalar_calls(self, pairs, max_stack, monkeypatch):
+        if max_stack:  # more pairs than one stacked solve takes
+            monkeypatch.setattr(spectral, "_MAX_STACK", max_stack)
+        lams, ls, scalar = pairs
+        order = np.random.default_rng(0).permutation(len(ls))
+        det = spectral.ClampedEndDeterminant(2.0, 2, "even")  # its own l is not used
+        per_pair = det(lams[order], ls[order])
+        assert np.max(np.abs(per_pair - scalar[order])) <= 1e-12
+        assert np.array_equal(np.sign(per_pair), np.sign(scalar[order]))
+        one = det(lams[30], ls[30])
+        assert isinstance(one, float) and abs(one - scalar[30]) <= 1e-12
+
+    @pytest.mark.parametrize("l", [np.array([4.0]), np.array([4.0, -1.0]),
+                                   np.array([4.0, np.nan]), 4.0])
+    def test_rejects_bad_per_pair_half_widths(self, l):
+        with pytest.raises(ValueError):
+            spectral.ClampedEndDeterminant(4.0, 2, "even")(np.array([-0.1, -0.2]), l)
+
+    def test_half_widths_with_zero_eigenvalue(self):
+        zeros = spectral.ClampedEndDeterminant(13.5, 2, "even").zero_eigenvalue_half_widths()
+        np.testing.assert_allclose(zeros, [4.0774, 7.2864, 10.0839, 12.6436], atol=1e-4)
+        det_at_zero = [spectral.ClampedEndDeterminant(z, 2, "even")(0.0) for z in zeros]
+        assert np.max(np.abs(det_at_zero)) < 1e-9
+
     @pytest.mark.parametrize("lam", [np.zeros((2, 2)), np.zeros(0)])
     def test_rejects_lambda_shapes(self, lam):
         with pytest.raises(ValueError):
@@ -185,6 +219,41 @@ class TestBranchTrace:
         below = lams[ls < root][-1]
         above = lams[ls > root][0]
         assert below * above < 0
+
+    @pytest.mark.parametrize("l_range,step", [((3.9, 4.3), 0.05), ((7.0, 7.6), 0.05),
+                                              ((3.5, 5.0), 0.05), ((9.5, 10.5), 0.125),
+                                              ((12.5, 13.5), 0.125)])
+    def test_samples_match_top_eigenvalue(self, l_range, step):
+        br = spectral.branch_trace(l_range, step)
+        for l, lam in br.samples:
+            assert abs(lam - spectral.top_eigenvalue(l)) <= 1e-12, l
+
+    def test_first_sample_at_nine_and_a_half_needs_a_fallback_round(self):
+        # lambda_0(9.5) ~ -0.0079 lies below the near-zero sweep, so the
+        # (9.5, 10.5) trace above checks the batched fallback windows too
+        det = spectral.ClampedEndDeterminant(9.5, 2, "even")
+        vals = det(next(spectral._scan_grids(9.5, "even", 1)))
+        assert not np.any(vals[:-1] * vals[1:] < 0)
+
+    def test_top_eigenvalue_changes_sign_across_each_root(self):
+        roots = [r for l_range in [(3.9, 4.3), (7.0, 7.6), (9.5, 10.5), (12.5, 13.5)]
+                 for r in spectral.branch_trace(l_range, 0.125).roots]
+        assert len(roots) == 4
+        for r in roots:
+            assert spectral.top_eigenvalue(r - 1e-6) * spectral.top_eigenvalue(r + 1e-6) < 0
+
+    def test_range_without_roots(self):
+        br = spectral.branch_trace((2.0, 3.5), 0.05)
+        assert br.roots == ()
+        assert all(lam < 0 for _, lam in br.samples)
+
+    # the samples change sign on [4.05, 4.1] only
+    @pytest.mark.parametrize("zeros", [[], [4.01, 4.2], [4.06, 4.09]])
+    def test_sign_change_without_one_zero_is_an_error(self, zeros, monkeypatch):
+        monkeypatch.setattr(spectral.ClampedEndDeterminant, "zero_eigenvalue_half_widths",
+                            lambda self: np.array(zeros))
+        with pytest.raises(RootConvergenceError):
+            spectral.branch_trace((3.9, 4.3), 0.05)
 
     def test_find_root_on_branch_window(self):
         lam = find_root(lambda l: spectral.top_eigenvalue(float(l)), (4.0, 4.2), tol=1e-4)
