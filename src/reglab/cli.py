@@ -1,11 +1,15 @@
 """Command-line front end: table/curve artifacts, classification queries, sweeps.
 
-Every command writes a CSV whose first line is a ``#``-prefixed JSON
-header carrying the constants and the configuration, so a single file is
-self-describing for plot scripts and tests alike.  ``--json`` switches
-to a pure JSON artifact.  Exit code 0 means the computation completed
-(an indeterminate verdict is still a result); flag errors and numerical
-failures (``NumericsError``) exit 2 with a one-line reason.
+Table commands (kernel, spectrum, branch, blayer, simulate, reproduce
+table1) write a CSV whose first line is a ``#``-prefixed JSON header
+carrying the constants and the configuration, so a single file is
+self-describing for plot scripts and tests alike; ``--json`` switches
+them to one JSON object holding header, columns and rows.  Record
+commands (criterion, simulate --verify-P2 and the other reproduce
+targets) always write one JSON object, with or without ``--json``.
+Exit code 0 means the computation completed (an indeterminate verdict is
+still a result); flag errors and numerical failures (``NumericsError``)
+exit 2 with a one-line reason.
 """
 
 from __future__ import annotations
@@ -36,21 +40,21 @@ def _fmt(x):
     return str(x)
 
 
-def _emit(args, header, rows, columns, json_payload=None):
-    """Write a CSV with a JSON header line, or a pure JSON artifact."""
-    out = getattr(args, "out", None)
-    if getattr(args, "json", False):
-        text = json.dumps(json_payload if json_payload is not None else
-                          {"header": header, "columns": columns, "rows": rows},
-                          sort_keys=True, indent=2, default=_fmt) + "\n"
-    else:
-        lines = ["# " + json.dumps(header, sort_keys=True, default=_fmt)]
-        lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(v) for v in row))
-        text = "\n".join(lines) + "\n"
-    if out:
-        with open(out, "w") as fh:
+def _emit(args, header, rows=None, columns=()):
+    """Write a record, or a table as CSV under a JSON header line.
+
+    A record (no ``rows``) is always one JSON object; ``--json`` turns a
+    table into one JSON object holding header, columns and rows.
+    """
+    if rows is not None and args.json:
+        header, rows = {"header": header, "columns": columns, "rows": rows}, None
+    text = json.dumps(header, sort_keys=True, indent=2 if rows is None else None,
+                      default=_fmt) + "\n"
+    if rows is not None:
+        text = "# " + text + "\n".join([",".join(columns)]
+                                       + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -96,19 +100,17 @@ def _parse_phi(text):
     raise argparse.ArgumentTypeError(f"unknown boundary family {kind!r}")
 
 
+_FAMILIES = {"heat": kernels.heat, "biharmonic": kernels.biharmonic,
+             "dispersion3": kernels.dispersion3, "beam4": kernels.beam4}
+
+
 def _family_from(args):
-    name = args.family
-    if name == "parabolic":
+    """``--family`` (with ``--m`` for parabolic/polyharmonic) as an EquationFamily."""
+    if args.family in ("parabolic", "polyharmonic"):
         return kernels.parabolic(args.m)
-    if name == "heat":
-        return kernels.heat()
-    if name == "biharmonic":
-        return kernels.biharmonic()
-    if name == "dispersion3":
-        return kernels.dispersion3()
-    if name == "beam4":
-        return kernels.beam4()
-    raise argparse.ArgumentTypeError(f"unknown family {name!r}")
+    if args.family not in _FAMILIES:
+        raise argparse.ArgumentTypeError(f"unknown family {args.family!r}")
+    return _FAMILIES[args.family]()
 
 
 def _constants_header(family):
@@ -161,7 +163,6 @@ def _lambda_row(l, method, grid_size):
 
 
 def cmd_spectrum(args):
-    rows = []
     header = {"command": "spectrum", "method": args.method}
     if args.reproduce == "table1":
         ls = sorted(BENCHMARK_LAMBDA0)
@@ -174,9 +175,10 @@ def cmd_spectrum(args):
     if args.branch:
         lo, hi, step = args.branch
         br = spectral.branch_trace((lo, hi), step)
-        rows = [(l, lam) for l, lam in br.samples]
-        hdr = header | {"branch": list(args.branch), "roots": list(br.roots)}
-        _emit(args, hdr, rows, ["l", "lambda0"])
+        # the branch is always traced by shooting, whatever --method says
+        hdr = header | {"method": "shooting", "branch": list(args.branch),
+                        "roots": list(br.roots)}
+        _emit(args, hdr, list(br.samples), ["l", "lambda0"])
         return 0
     ls = [args.l] if args.l is not None else []
     if args.l_range:
@@ -193,10 +195,7 @@ def cmd_spectrum(args):
 
 def cmd_branch(args):
     args.branch = args.range
-    args.method = "shooting"  # the branch is always traced by shooting
-    args.l = None
-    args.l_range = None
-    args.reproduce = None
+    args.method = args.l = args.l_range = args.reproduce = None
     return cmd_spectrum(args)
 
 
@@ -222,56 +221,25 @@ def cmd_blayer(args):
 
 def cmd_criterion(args):
     phi = _parse_phi(args.phi)
+    family = _family_from(args)
     if args.cutoff:
-        fam = {"biharmonic": kernels.biharmonic(), "heat": kernels.heat(),
-               "dispersion3": kernels.dispersion3(),
-               "polyharmonic": kernels.parabolic(args.m)}[args.family]
-        phi = criteria.apply_cutoff(phi, fam, eps_s=args.eps_s)
-    if args.family == "biharmonic":
-        verdict = criteria.classify_biharmonic(phi)
-        threshold = kernels.kernel_constants(kernels.biharmonic()).d0 ** (-0.75)
-    elif args.family == "heat":
-        verdict = criteria.classify_heat(phi)
-        threshold = 2.0
-    elif args.family == "dispersion3":
-        verdict = criteria.classify_dispersion(args.side, phi)
-        threshold = (4.0 / 3.0 if args.side == "right"
-                     else (1.5 * math.sqrt(3.0)) ** (2.0 / 3.0))
-    elif args.family == "polyharmonic":
-        kc = kernels.kernel_constants(kernels.parabolic(args.m))
-        verdict = criteria.classify_polyharmonic(args.m, phi)
-        threshold = kc.d0 ** (-1.0 / kc.alpha)
-    else:
-        print(f"criterion: unsupported family {args.family}", file=sys.stderr)
-        return 2
-    payload = {
+        phi = criteria.apply_cutoff(phi, family, eps_s=args.eps_s)
+    verdict = criteria.classify(family, phi, args.side)
+    _emit(args, {
         "command": "criterion", "family": args.family, "side": args.side,
         "boundary": phi.describe(), "cutoff": bool(args.cutoff),
         "verdict": verdict.verdict, "rationale": verdict.rationale,
-        "threshold_constant": threshold,
-        "diagnostics": {k: (list(v) if isinstance(v, tuple) else v)
-                        for k, v in verdict.diagnostics.items()},
-    }
-    text = json.dumps(payload, sort_keys=True, indent=2, default=_fmt) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        "threshold_constant": criteria.threshold(family, args.side),
+        "diagnostics": verdict.diagnostics,
+    })
     return 0
 
 
 def cmd_simulate(args):
     if args.verify_P2:
         report = pdesim.verify_P2()
-        payload = {"command": "simulate", "verify_P2": report.passed,
-                   "rates": {f"l={l} seed={s}": r for (l, s), r in report.rates.items()}}
-        text = json.dumps(payload, sort_keys=True, indent=2, default=_fmt) + "\n"
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _emit(args, {"command": "simulate", "verify_P2": report.passed,
+                     "rates": {f"l={l} seed={s}": r for (l, s), r in report.rates.items()}})
         print("PASS" if report.passed else "FAIL", file=sys.stderr)
         return 0 if report.passed else 1
     phi = _parse_phi(args.phi)
@@ -306,33 +274,25 @@ def cmd_reproduce(args):
                    "l1": br1.roots[0] if br1.roots else None,
                    "l2": br2.roots[0] if br2.roots else None}
     elif args.target == "petrovskii-heat":
-        sweep = {}
-        for c in (1.6, 1.8, 2.0, 2.2, 2.4):
-            sweep[f"C={c}"] = criteria.classify_heat(criteria.PetrovskiiSqrtLog(c)).verdict
+        heat = kernels.heat()
+        sweep = {f"C={c}": criteria.classify(heat, criteria.PetrovskiiSqrtLog(c)).verdict
+                 for c in (1.6, 1.8, 2.0, 2.2, 2.4)}
         payload = {"command": "reproduce", "target": "petrovskii-heat",
-                   "threshold": 2.0, "sweep": sweep}
+                   "threshold": criteria.threshold(heat), "sweep": sweep}
     elif args.target == "critical-constants":
-        kc2 = kernels.kernel_constants(kernels.biharmonic())
-        kc3 = kernels.kernel_constants(kernels.parabolic(3))
-        kcd = kernels.kernel_constants(kernels.dispersion3())
         payload = {
             "command": "reproduce", "target": "critical-constants",
-            "biharmonic_c_star": kc2.d0 ** (-0.75),
+            "biharmonic_c_star": criteria.threshold(kernels.biharmonic()),
             "closed_form_identity": 3.0 ** (-0.75) * 2.0 ** 2.75,
-            "order6_c_star": kc3.d0 ** (-1.0 / kc3.alpha),
+            "order6_c_star": criteria.threshold(kernels.parabolic(3)),
             "dispersion_left_c_star": (1.5 * math.sqrt(3.0)) ** (2.0 / 3.0),
-            "dispersion_d0": kcd.d0,
-            "heat_threshold": 2.0,
+            "dispersion_d0": kernels.kernel_constants(kernels.dispersion3()).d0,
+            "heat_threshold": criteria.threshold(kernels.heat()),
         }
     else:
         print(f"reproduce: unknown target {args.target}", file=sys.stderr)
         return 2
-    text = json.dumps(payload, sort_keys=True, indent=2, default=_fmt) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(args, payload)
     return 0
 
 
@@ -370,8 +330,6 @@ def _apply_config(args, parser):
             parser.error(f"unknown config key {key!r} for command {args.command!r}")
         if key in ("range", "l_range", "branch") and isinstance(value, str):
             value = _parse_range(value)
-        if key == "phi" and isinstance(value, str):
-            pass  # parsed downstream
         setattr(args, key, value)
     return args
 

@@ -330,8 +330,6 @@ def _beam_oscillation():
 
 def oscillation_spec(family, side="right"):
     """Envelope/oscillation constants of the criterion integrand."""
-    if family == "pme4":
-        family = kernels.biharmonic()
     if family.kind == "parabolic":
         return _parabolic_oscillation(family.m)
     if family.kind == "dispersion3":
@@ -451,8 +449,8 @@ def apply_cutoff(phi, family_or_spec, eps_s=math.pi / 20.0):
     """Wrap a nondecreasing boundary with the oscillatory cut-off.
 
     ``family_or_spec`` is an :class:`~reglab.kernels.EquationFamily`
-    (whose fitted oscillation constants are used), the string ``pme4``,
-    or an explicit :class:`OscillationSpec`.  Non-oscillatory families
+    (whose fitted oscillation constants are used) or an explicit
+    :class:`OscillationSpec`.  Non-oscillatory families
     (zero oscillation rate) return the boundary unchanged.
     """
     spec = family_or_spec if isinstance(family_or_spec, OscillationSpec) \
@@ -593,6 +591,14 @@ def _numeric_verdict(spec, phi, note=""):
     return CriterionVerdict(INDETERMINATE, "numeric-tail", base)
 
 
+def _threshold(spec):
+    # the envelope's critical amplitude, or the single-log critical gamma
+    # where the kernel only oscillates
+    if spec.env_rate:
+        return spec.env_rate ** (-1.0 / spec.exponent)
+    return 1.0 / (spec.exponent - spec.power)
+
+
 def _analytic_powerlog_verdict(spec, c, gamma, cutoff):
     """Threshold logic for phi = C (ln tau)^gamma under an envelope family.
 
@@ -603,8 +609,7 @@ def _analytic_powerlog_verdict(spec, c, gamma, cutoff):
     """
     ge = gamma * spec.exponent
     p = spec.env_rate * c**spec.exponent
-    info = {"envelope_exponent": p, "gamma_times_exponent": ge,
-            "critical_c": spec.env_rate ** (-1.0 / spec.exponent) if spec.env_rate else None}
+    info = {"envelope_exponent": p, "gamma_times_exponent": ge, "critical_c": _threshold(spec)}
     oscillatory = spec.osc_rate > 0.0
     if ge > 1.0:
         return CriterionVerdict(IRREGULAR_NONSINGULAR, "analytic-family",
@@ -626,83 +631,128 @@ def _analytic_powerlog_verdict(spec, c, gamma, cutoff):
                             info | {"note": "critical line below threshold; cut-off required"})
 
 
-def classify_biharmonic(phi, tol_zero=5e-4):
-    """Vertex classification for the fourth-order equation.
+# |lambda_0| below this reads as a branch root of the fourth-order interval
+# spectrum: a finite nonzero vertex limit rather than decay or blow-up
+TOL_ZERO = 5e-4
 
-    Constant boundaries delegate to the interval spectrum; log-power
-    families are classified analytically by the envelope exponent
-    d0 C^(4/3) (threshold C* = d0^(-3/4)); anything else goes through
-    the dyadic-tail diagnosis.  Oscillatory regular verdicts require the
+
+def _spectral_verdict(family, l):
+    """Constant boundary: the sign of the top interval eigenvalue decides."""
+    from reglab import spectral
+
+    if family.m == 1:
+        prob = spectral.IntervalEigenProblem(l, family=family, method="collocation",
+                                             grid_size=64)
+        lam, band = spectral.interval_spectrum(prob, 1)[0].lam.real, 0.0
+    elif family.m == 2:
+        lam, band = spectral.top_eigenvalue(l), TOL_ZERO
+    else:
+        raise ValueError("spectral delegation is wired for the fourth-order case")
+    info = {"lambda0": lam, "l": l}
+    if lam < -band:
+        return CriterionVerdict(REGULAR, "delegated-spectral", info)
+    if lam > band:
+        return CriterionVerdict(IRREGULAR_SINGULAR, "delegated-spectral", info)
+    return CriterionVerdict(IRREGULAR_NONSINGULAR, "delegated-spectral",
+                            info | {"note": "top eigenvalue at a branch root; "
+                                           "finite nonzero vertex limit"})
+
+
+def _single_log_verdict(spec, gamma, cutoff):
+    """Stationary-phase rule for phi = C tau^gamma under a non-decaying kernel.
+
+    The tail converges iff gamma exceeds the threshold, for every C.
+    """
+    critical = _threshold(spec)
+    info = {"gamma": gamma, "critical_gamma": critical,
+            "note": "single-log boundary tau^gamma; threshold is C-independent"}
+    if gamma > critical:
+        return CriterionVerdict(IRREGULAR_NONSINGULAR, "analytic-family",
+                                info | {"note": "stationary-phase tail converges"})
+    if cutoff:
+        return CriterionVerdict(REGULAR, "analytic-family", info)
+    return CriterionVerdict(INDETERMINATE, "analytic-family",
+                            info | {"note": "oscillatory divergence; cut-off required"})
+
+
+def _check_family(family, side):
+    if not isinstance(family, kernels.EquationFamily):
+        raise ValueError(f"family must be a kernels.EquationFamily, got {family!r}")
+    if family.kind == "beam4":
+        raise ValueError(f"no regularity criterion for {family}: its kernel has no "
+                         "exponential envelope or single-log rule")
+    if side not in ("left", "right"):
+        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
+
+
+def threshold(family, side="right"):
+    """Critical constant of the family's criterion at the given side.
+
+    C* = env_rate^(-1/exponent) of the oscillation spec where the kernel
+    decays (d0^(-1/alpha) for order 2m, 2 for heat, (3 sqrt(3)/2)^(2/3)
+    on the dispersion left side); 1/(exponent - power) where it only
+    oscillates, the critical gamma 4/3 of the dispersion right side.
+    """
+    _check_family(family, side)
+    return _threshold(oscillation_spec(family, side))
+
+
+def classify(family, phi, side="right"):
+    """Vertex classification of boundary ``phi`` for an equation family.
+
+    ``family`` is a parabolic family of order 2m or the dispersion
+    equation, whose two lateral boundaries differ (``side``).  The route:
+
+    * a constant boundary (order 2 and 4) delegates to the interval
+      spectrum;
+    * on the dispersion right side the kernel oscillates without decay
+      and the natural family is the single-log boundary C tau^gamma
+      (``PowerOfTau``; ``PowerLog`` input is read as the same (C, gamma)):
+      the tail converges iff gamma > 4/3, for every C;
+    * a log-power C (ln tau)^gamma is classified analytically by the
+      envelope exponent env_rate C^exponent, flipping at
+      C* = :func:`threshold` on the critical line gamma = 1/exponent
+      (C (ln tau)^((2m-1)/2m) for order 2m, sqrt(log) with C* = 2 for
+      heat, (ln tau)^(2/3) on the dispersion left side);
+    * a parabolic power of tau converges analytically;
+    * anything else goes through the dyadic-tail diagnosis, except a
+      tabulated order >= 4 boundary too short for the tail windows.
+
+    Where the kernel oscillates, regular verdicts need the oscillatory
     cut-off; the same inputs without it stay indeterminate.
     """
-    return classify_polyharmonic(2, phi, tol_zero=tol_zero)
-
-
-def classify_polyharmonic(m, phi, tol_zero=5e-4):
-    """Vertex classification for the order-2m equation (m >= 2 analytic).
-
-    The critical boundary family is C (ln tau)^((2m-1)/2m) with
-    threshold C* = d0^(-1/alpha).
-    """
-    if m < 2:
-        raise ValueError("the oscillatory-kernel classification needs m >= 2; "
-                         "use classify_heat for the second-order equation")
-    fam = kernels.parabolic(m)
-    spec = oscillation_spec(fam)
-
+    _check_family(family, side)
+    spec = oscillation_spec(family, side)
     base = phi.uncut
-    if isinstance(base, Constant):
-        if m != 2:
-            raise ValueError("spectral delegation is wired for the fourth-order case")
-        from reglab import spectral
-
-        lam = spectral.top_eigenvalue(base.l)
-        info = {"lambda0": lam, "l": base.l}
-        if lam < -tol_zero:
-            return CriterionVerdict(REGULAR, "delegated-spectral", info)
-        if lam > tol_zero:
-            return CriterionVerdict(IRREGULAR_SINGULAR, "delegated-spectral", info)
-        return CriterionVerdict(IRREGULAR_NONSINGULAR, "delegated-spectral",
-                                info | {"note": "top eigenvalue at a branch root; "
-                                               "finite nonzero vertex limit"})
-
-    if base.log_power:
+    parabolic = family.kind == "parabolic"
+    single_log = spec.env_rate == 0.0  # the kernel oscillates without decay
+    if parabolic and isinstance(base, Constant):
+        return _spectral_verdict(family, base.l)
+    if single_log and isinstance(base, (PowerLog, PowerOfTau)):
+        return _single_log_verdict(spec, base.gamma, phi.cutoff)
+    if base.log_power and not single_log:
         return _analytic_powerlog_verdict(spec, *base.log_power, phi.cutoff)
-    if isinstance(base, PowerOfTau):
-        return CriterionVerdict(
-            IRREGULAR_NONSINGULAR, "analytic-family",
-            {"note": "power growth in the log-time: envelope decays superpolynomially"})
-    if math.log(phi.tau_max) < _WINDOW_EXPONENTS[4]:
+    if parabolic and isinstance(base, PowerOfTau):
+        note = ("Gaussian envelope of a power boundary converges" if family.m == 1
+                else "power growth in the log-time: envelope decays superpolynomially")
+        return CriterionVerdict(IRREGULAR_NONSINGULAR, "analytic-family", {"note": note})
+    if parabolic and family.m >= 2 and math.log(phi.tau_max) < _WINDOW_EXPONENTS[4]:
         return CriterionVerdict(INDETERMINATE, "numeric-tail",
                                 {"note": "tabulated range too short for the tail windows"})
-    return _numeric_verdict(spec, phi)
+    return _numeric_verdict(spec, phi, note="" if parabolic else f"dispersion {side} boundary")
 
 
+# fixed-family spellings of classify
 def classify_heat(phi):
-    """Sharp heat-equation classification (non-oscillatory kernel).
+    return classify(kernels.heat(), phi)
 
-    The criterion integral is int phi exp(-phi^2/4) dtau: regular iff it
-    diverges.  The sqrt(log) family flips exactly at C = 2; log-powers
-    flip at gamma = 1/2.  No cut-off is ever needed.  The equivalent
-    density form over h = -t is exposed by :func:`petrovskii_rho_form`.
-    """
-    base = phi.uncut
-    spec = oscillation_spec(kernels.heat())
-    if isinstance(base, Constant):
-        from reglab import spectral
 
-        prob = spectral.IntervalEigenProblem(base.l, family=kernels.heat(),
-                                             method="collocation", grid_size=64)
-        lam = spectral.interval_spectrum(prob, 1)[0].lam.real
-        info = {"lambda0": lam, "l": base.l}
-        return CriterionVerdict(REGULAR if lam < 0 else IRREGULAR_SINGULAR,
-                                "delegated-spectral", info)
-    if base.log_power:
-        return _analytic_powerlog_verdict(spec, *base.log_power, cutoff=False)
-    if isinstance(base, PowerOfTau):
-        return CriterionVerdict(IRREGULAR_NONSINGULAR, "analytic-family",
-                                {"note": "Gaussian envelope of a power boundary converges"})
-    return _numeric_verdict(spec, phi)
+def classify_biharmonic(phi):
+    return classify(kernels.biharmonic(), phi)
+
+
+def classify_dispersion(side, phi):
+    return classify(kernels.dispersion3(), phi, side)
 
 
 def petrovskii_rho_form(phi, u_max=None):
@@ -732,44 +782,6 @@ def petrovskii_rho_form(phi, u_max=None):
         return math.exp(ex) * math.sqrt(max(-lr, 0.0))
 
     return diagnose_windows(f, exponent, u_max=u_max)
-
-
-def classify_dispersion(side, phi):
-    """Classification at the dispersion equation's lateral boundaries.
-
-    right: the kernel oscillates without decay, the integrand is
-    phi^(3/4) cos(d0 phi^(3/2) + phase) and the natural family is the
-    single-log boundary phi(tau) = C tau^gamma (PowerOfTau; PowerLog
-    input is read as the same (C, gamma) single-log family).  The tail
-    converges iff gamma > 4/3 by stationary phase, for every C; regular
-    verdicts for gamma <= 4/3 need the cut-off.
-
-    left: the kernel decays like exp(-d0 |phi|^(3/2)) without
-    oscillation; the critical family is C (ln tau)^(2/3) with threshold
-    C = (3 sqrt(3) / 2)^(2/3) and no cut-off is needed.
-    """
-    if side not in ("left", "right"):
-        raise ValueError("side must be left or right")
-    base = phi.uncut
-    if side == "right":
-        spec = oscillation_spec(kernels.dispersion3(), side="right")
-        if isinstance(base, (PowerLog, PowerOfTau)):
-            gamma = base.gamma
-            info = {"gamma": gamma, "critical_gamma": 4.0 / 3.0,
-                    "note": "single-log boundary tau^gamma; threshold is C-independent"}
-            if gamma > 4.0 / 3.0:
-                return CriterionVerdict(IRREGULAR_NONSINGULAR, "analytic-family",
-                                        info | {"note": "stationary-phase tail converges"})
-            if phi.cutoff:
-                return CriterionVerdict(REGULAR, "analytic-family", info)
-            return CriterionVerdict(INDETERMINATE, "analytic-family",
-                                    info | {"note": "oscillatory divergence; cut-off required"})
-        return _numeric_verdict(spec, phi, note="dispersion right boundary")
-
-    spec = oscillation_spec(kernels.dispersion3(), side="left")
-    if base.log_power:
-        return _analytic_powerlog_verdict(spec, *base.log_power, cutoff=False)
-    return _numeric_verdict(spec, phi, note="dispersion left boundary")
 
 
 # ---------------------------------------------------------------------------

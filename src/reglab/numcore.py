@@ -1,6 +1,6 @@
-"""Shared numerical primitives: quadrature with an error contract,
-alternating-series summation, ODE integration, bracketed root finding,
-dense eigenvalue extraction, and exact-rational polynomial arithmetic.
+"""Shared numerical primitives: the failure classes of the numerical
+layers, alternating-series summation, bracketed root finding, dense
+eigenvalue extraction, and exact-rational polynomial arithmetic.
 
 Everything here is a pure function of its inputs; returned objects are
 immutable and safe to share across threads.
@@ -9,12 +9,11 @@ immutable and safe to share across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy import integrate, optimize
+from scipy import optimize
 
 
 class NumericsError(Exception):
@@ -64,38 +63,7 @@ def check_tolerance(tol):
 
 
 # ---------------------------------------------------------------------------
-# quadrature
-
-
-def adaptive_quadrature(f, a, b, tol, envelope=None, limit=400):
-    """Integrate ``f`` over ``(a, b)`` to absolute accuracy ``tol``.
-
-    ``b`` may be ``inf``.  If an ``envelope`` bound for ``|f|`` is given,
-    a semi-infinite range is truncated at the point where the envelope
-    falls below ``tol / 100``; otherwise the infinite range is handed to
-    the library transform as is.
-
-    Raises :class:`QuadratureError` when the error estimate exceeds the
-    tolerance after the subdivision budget.
-    """
-    check_tolerance(tol)
-    upper = b
-    if math.isinf(b) and envelope is not None:
-        upper = _truncation_point(envelope, a, tol / 100.0)
-    value, err = integrate.quad(f, a, upper, epsabs=tol / 2, epsrel=1e-12, limit=limit)
-    if not math.isfinite(value) or err > tol:
-        raise QuadratureError("quadrature did not converge", value, err)
-    return value
-
-
-def _truncation_point(envelope, a, threshold):
-    """Smallest grid point past ``a`` where ``envelope`` drops below ``threshold``."""
-    x = max(a, 0.0) + 1.0
-    for _ in range(200):
-        if envelope(x) < threshold:
-            return x
-        x *= 1.5
-    raise QuadratureError("envelope never fell below the truncation threshold", x, math.inf)
+# series summation
 
 
 def alternating_series_sum(terms, tol):
@@ -112,61 +80,6 @@ def alternating_series_sum(terms, tol):
             return float(s_next[-1])
         s = s_next
     return float(s[-1])
-
-
-# ---------------------------------------------------------------------------
-# ODE integration
-
-
-@dataclass(frozen=True)
-class OdeTrajectory:
-    """Result of an adaptive ODE integration.
-
-    ``abscissae`` is strictly increasing; ``states`` has one row per
-    abscissa.  ``error_estimate`` is the reported local-error level and
-    ``interpolant`` a dense-output callable.
-    """
-
-    abscissae: np.ndarray
-    states: np.ndarray
-    error_estimate: float
-    interpolant: Callable[[float], np.ndarray]
-
-    def final_state(self):
-        return self.states[-1]
-
-
-def integrate_ode(rhs, y0, span, tol, max_step=None, t_eval=None):
-    """Integrate ``y' = rhs(t, y)`` over ``span`` with local error ``<= tol``.
-
-    Uses an adaptive high-order embedded Runge-Kutta pair.  ``max_step``
-    caps the step size (useful for order checks against a fixed grid).
-    Raises :class:`OdeError` if the step size underflows before the end
-    of the span.
-    """
-    check_tolerance(tol)
-    kwargs = {}
-    if max_step is not None:
-        kwargs["max_step"] = max_step
-    sol = integrate.solve_ivp(
-        rhs,
-        span,
-        np.atleast_1d(np.asarray(y0, dtype=float)),
-        method="DOP853",
-        rtol=tol,
-        atol=tol * 1e-3,
-        dense_output=True,
-        t_eval=t_eval,
-        **kwargs,
-    )
-    if not sol.success:
-        raise OdeError(f"integration failed: {sol.message}", sol.t[-1] if len(sol.t) else span[0])
-    return OdeTrajectory(
-        abscissae=sol.t,
-        states=sol.y.T,
-        error_estimate=tol,
-        interpolant=sol.sol,
-    )
 
 
 # ---------------------------------------------------------------------------

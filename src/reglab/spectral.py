@@ -559,21 +559,17 @@ class BlEigenApprox:
     """Large-l approximation of lambda_0 from boundary-layer matching.
 
     ``v`` is the explicit layer profile on (0, l^(4/3)) with v(0) = 1 and
-    clamped far end; ``lam0`` couples its far-end second and third
-    derivatives to the kernel and its derivative at l.  That literal
-    assembly inherits resonance poles from the profile normalization, so
-    ``lam0_matched`` is also provided: the same matching formula with the
-    wall curvatures of the stationary layer profile normalized to the
-    interior plateau, which is the variant that localizes the branch
-    roots.  ``d_hat``/``b_hat`` are the predicted envelope and
-    oscillation rates of lambda_0(l).
+    clamped far end.  ``lam0_matched`` couples the kernel and its
+    derivative at l to the wall curvatures of the stationary layer
+    profile normalized to the interior plateau, the matching that
+    localizes the branch roots.  ``d_hat``/``b_hat`` are the predicted
+    envelope and oscillation rates of lambda_0(l).
     """
 
     l: float
     c1: float
     c2: float
     c3: float
-    lam0: float
     lam0_matched: float
     d_hat: float
     b_hat: float
@@ -601,7 +597,8 @@ def bl_eigenvalue_approx(l, family=None):
     """Boundary-layer profile V and the matched estimate of lambda_0(l).
 
     Requires l >= 8 (asymptotic regime).  The estimate is
-    -l V'''(L) F(l) + l^(2/3) V''(L) F'(l) with L = l^(4/3).
+    g2 l F(l) + g1 l^(2/3) F'(l), with (g1, g2) the wall constants of the
+    stationary layer profile; V lives on (0, L), L = l^(4/3).
     """
     if l < 8.0:
         raise ValueError("the boundary-layer approximation needs l >= 8")
@@ -616,18 +613,12 @@ def bl_eigenvalue_approx(l, family=None):
     c2 = el * (sinl + cosl / math.sqrt(3.0)) / den
     c3 = 1.0 / den
 
-    approx = BlEigenApprox(l=l, c1=c1, c2=c2, c3=c3, lam0=0.0, lam0_matched=0.0,
-                           d_hat=kc.d0 + b, b_hat=0.5 * (kc.b0 + a))
-    v2 = approx.v_deriv(big_l, 2)
-    v3 = approx.v_deriv(big_l, 3)
     f_l = kernels.eval_kernel(family, l)
     fp_l = kernels.eval_kernel_derivative(family, l)
-    lam0 = -l * v3 * f_l + l ** (2.0 / 3.0) * v2 * fp_l
 
     from reglab import blayer  # lazy: blayer does not depend on spectral
 
     g1, g2 = blayer.wall_constants(blayer.biharmonic_profile())
     lam0_matched = g2 * l * f_l + g1 * l ** (2.0 / 3.0) * fp_l
-    return BlEigenApprox(l=l, c1=c1, c2=c2, c3=c3, lam0=float(lam0),
-                         lam0_matched=float(lam0_matched),
+    return BlEigenApprox(l=l, c1=c1, c2=c2, c3=c3, lam0_matched=float(lam0_matched),
                          d_hat=kc.d0 + b, b_hat=0.5 * (kc.b0 + a))

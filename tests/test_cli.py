@@ -3,7 +3,7 @@ import warnings
 
 import pytest
 
-from reglab import blayer, cli, spectral
+from reglab import blayer, cli, criteria, kernels, spectral
 from reglab.numcore import BvpError, OdeError
 
 
@@ -69,6 +69,13 @@ class TestSpectrumCommand:
         header = json.loads(text)["header"]
         assert code == 0 and header["method"] == "shooting"
         assert header["roots"] == [pytest.approx(4.0775, abs=3e-3)]
+
+    def test_branch_header_names_the_route_that_ran(self, tmp_path):
+        # branch_trace always shoots, so --method collocation must not show
+        code, text = run_cli(tmp_path, "spectrum", "--branch", "3.9:4.0:0.05",
+                             "--method", "collocation")
+        header = json.loads(text.split("\n")[0][2:])
+        assert code == 0 and header["method"] == "shooting"
 
     @pytest.mark.parametrize("argv", [
         ["spectrum", "--branch", "3.9:4.3:0.05", "--roots"],
@@ -171,6 +178,30 @@ class TestCriterionCommand:
         assert code == 2
         assert not out.exists()
         assert err == "criterion: spectral delegation is wired for the fourth-order case\n"
+
+
+    def test_polyharmonic_threshold_is_the_classifier_rule(self, tmp_path):
+        code, text = run_cli(tmp_path, "criterion", "--family", "polyharmonic", "--m", "3",
+                             "--phi", "powerlog:C=4.3,g=0.8333333333333334")
+        data = json.loads(text)
+        assert code == 0 and data["verdict"] == "irregular-nonsingular"
+        assert data["threshold_constant"] == criteria.threshold(kernels.parabolic(3))
+
+
+class TestRecordCommands:
+    @pytest.mark.parametrize("argv", [
+        ["criterion", "--family", "dispersion3", "--side", "left",
+         "--phi", "powerlog:C=1.8,g=0.6666666666666666"],
+        ["criterion", "--family", "biharmonic", "--phi", "powerlog:C=2.9511,g=0.75",
+         "--cutoff"],
+        ["reproduce", "critical-constants"],
+    ])
+    def test_json_flag_changes_no_byte(self, capsys, argv):
+        assert cli.main(argv) == 0
+        plain = capsys.readouterr().out
+        assert cli.main([*argv, "--json"]) == 0
+        assert capsys.readouterr().out == plain
+        assert json.loads(plain)["command"] == argv[0]
 
 
 class TestWarningFilters:

@@ -8,6 +8,7 @@ from reglab import kernels
 
 C_STAR_4TH = 3.0 ** (-0.75) * 2.0**2.75  # ~2.9512, threshold of the fourth-order family
 C_STAR_DISP_LEFT = (1.5 * math.sqrt(3.0)) ** (2.0 / 3.0)
+BIH, HEAT, DISP = kernels.biharmonic(), kernels.heat(), kernels.dispersion3()
 
 
 class TestSlowGrowth:
@@ -72,30 +73,30 @@ class TestCutoff:
         phi = cr.PowerLog(2.0, 0.75)
         for eps in (math.pi / 20.0, math.pi / 40.0):
             wrapped = cr.apply_cutoff(phi, kernels.biharmonic(), eps_s=eps)
-            assert cr.classify_biharmonic(wrapped).verdict == cr.REGULAR
+            assert cr.classify(BIH, wrapped).verdict == cr.REGULAR
 
 
 class TestBiharmonicClassification:
     def test_critical_family_regular_with_cutoff(self):
         phi = cr.apply_cutoff(cr.PowerLog(C_STAR_4TH, 0.75), kernels.biharmonic())
-        verdict = cr.classify_biharmonic(phi)
+        verdict = cr.classify(BIH, phi)
         assert verdict.verdict == cr.REGULAR
         assert verdict.rationale == "analytic-family"
 
     def test_above_threshold_irregular(self):
-        verdict = cr.classify_biharmonic(cr.PowerLog(C_STAR_4TH + 0.1, 0.75))
+        verdict = cr.classify(BIH, cr.PowerLog(C_STAR_4TH + 0.1, 0.75))
         assert verdict.verdict == cr.IRREGULAR_NONSINGULAR
 
     def test_verdict_flips_exactly_at_threshold(self):
         eps = 1e-9
-        lo = cr.classify_biharmonic(cr.apply_cutoff(cr.PowerLog(C_STAR_4TH - eps, 0.75),
+        lo = cr.classify(BIH, cr.apply_cutoff(cr.PowerLog(C_STAR_4TH - eps, 0.75),
                                                     kernels.biharmonic()))
-        hi = cr.classify_biharmonic(cr.PowerLog(C_STAR_4TH + eps, 0.75))
+        hi = cr.classify(BIH, cr.PowerLog(C_STAR_4TH + eps, 0.75))
         assert lo.verdict == cr.REGULAR
         assert hi.verdict == cr.IRREGULAR_NONSINGULAR
 
     def test_below_threshold_without_cutoff_indeterminate(self):
-        verdict = cr.classify_biharmonic(cr.PowerLog(C_STAR_4TH - 0.3, 0.75))
+        verdict = cr.classify(BIH, cr.PowerLog(C_STAR_4TH - 0.3, 0.75))
         assert verdict.verdict == cr.INDETERMINATE
 
     def test_sign_alternating_partial_integrals_without_cutoff(self):
@@ -106,21 +107,20 @@ class TestBiharmonicClassification:
         assert np.any(signs[1:] * signs[:-1] < 0)
 
     def test_constant_boundaries_delegate_to_spectrum(self):
-        assert cr.classify_biharmonic(cr.Constant(4.0)).verdict == cr.REGULAR
-        v5 = cr.classify_biharmonic(cr.Constant(5.0))
+        assert cr.classify(BIH, cr.Constant(4.0)).verdict == cr.REGULAR
+        v5 = cr.classify(BIH, cr.Constant(5.0))
         assert v5.verdict == cr.IRREGULAR_SINGULAR
         assert v5.rationale == "delegated-spectral"
 
     def test_constant_near_branch_root(self):
-        v = cr.classify_biharmonic(cr.Constant(4.0775))
+        v = cr.classify(BIH, cr.Constant(4.0775))
         assert v.verdict == cr.IRREGULAR_NONSINGULAR
 
     def test_verdict_monotonicity_in_amplitude(self):
         # larger domains are more irregular along the critical family
         cs = [2.0, 2.5, C_STAR_4TH - 0.05, C_STAR_4TH + 0.05, 3.2, 4.0]
-        verdicts = [cr.classify_biharmonic(
-            cr.apply_cutoff(cr.PowerLog(c, 0.75), kernels.biharmonic())).verdict
-            for c in cs]
+        verdicts = [cr.classify(BIH, cr.apply_cutoff(cr.PowerLog(c, 0.75), BIH)).verdict
+                    for c in cs]
         seen_irregular = False
         for v in verdicts:
             if v == cr.IRREGULAR_NONSINGULAR:
@@ -129,36 +129,36 @@ class TestBiharmonicClassification:
                 pytest.fail("regular verdict above an irregular one")
 
     def test_steep_log_power_converges_regardless_of_cutoff(self):
-        v = cr.classify_biharmonic(cr.PowerLog(1.0, 1.0))
+        v = cr.classify(BIH, cr.PowerLog(1.0, 1.0))
         assert v.verdict == cr.IRREGULAR_NONSINGULAR
 
 
 class TestHeatClassification:
     def test_classic_threshold(self):
-        assert cr.classify_heat(cr.PetrovskiiSqrtLog(2.0)).verdict == cr.REGULAR
-        assert cr.classify_heat(cr.PetrovskiiSqrtLog(2.0 * 1.05)).verdict == \
+        assert cr.classify(HEAT, cr.PetrovskiiSqrtLog(2.0)).verdict == cr.REGULAR
+        assert cr.classify(HEAT, cr.PetrovskiiSqrtLog(2.0 * 1.05)).verdict == \
             cr.IRREGULAR_NONSINGULAR
 
     def test_flip_exactly_at_two(self):
         eps = 1e-9
-        assert cr.classify_heat(cr.PetrovskiiSqrtLog(2.0 - eps)).verdict == cr.REGULAR
-        assert cr.classify_heat(cr.PetrovskiiSqrtLog(2.0 + eps)).verdict == \
+        assert cr.classify(HEAT, cr.PetrovskiiSqrtLog(2.0 - eps)).verdict == cr.REGULAR
+        assert cr.classify(HEAT, cr.PetrovskiiSqrtLog(2.0 + eps)).verdict == \
             cr.IRREGULAR_NONSINGULAR
 
     def test_full_logarithm_is_irregular(self):
         # phi = ln(tau) decays like tau^(-ln(tau)/4): faster than any power
-        assert cr.classify_heat(cr.PowerLog(1.0, 1.0)).verdict == cr.IRREGULAR_NONSINGULAR
+        assert cr.classify(HEAT, cr.PowerLog(1.0, 1.0)).verdict == cr.IRREGULAR_NONSINGULAR
 
     def test_slow_log_power_regular(self):
-        assert cr.classify_heat(cr.PowerLog(5.0, 0.3)).verdict == cr.REGULAR
+        assert cr.classify(HEAT, cr.PowerLog(5.0, 0.3)).verdict == cr.REGULAR
 
     def test_no_cutoff_needed(self):
         # regular verdicts come without any cut-off for the positive kernel
-        v = cr.classify_heat(cr.PowerLog(1.0, 0.4))
+        v = cr.classify(HEAT, cr.PowerLog(1.0, 0.4))
         assert v.verdict == cr.REGULAR
 
     def test_constant_interval_always_regular(self):
-        assert cr.classify_heat(cr.Constant(3.0)).verdict == cr.REGULAR
+        assert cr.classify(HEAT, cr.Constant(3.0)).verdict == cr.REGULAR
 
     def test_density_form_agrees_on_sweep(self):
         # 20-case family sweep: the phi-form verdict matches the density form
@@ -167,7 +167,7 @@ class TestHeatClassification:
                   [(1.0, 0.3), (2.0, 0.35), (0.7, 0.45), (3.0, 0.55), (1.5, 0.65),
                    (1.0, 0.8), (2.5, 0.42), (2.2, 0.58), (4.0, 0.25), (1.2, 1.2)]]
         for phi in cases:
-            verdict = cr.classify_heat(phi).verdict
+            verdict = cr.classify(HEAT, phi).verdict
             rho = cr.petrovskii_rho_form(phi)
             if verdict == cr.REGULAR:
                 assert rho.kind == "divergent"
@@ -177,40 +177,45 @@ class TestHeatClassification:
 
 class TestDispersionClassification:
     def test_right_boundary_threshold(self):
-        assert cr.classify_dispersion("right", cr.PowerOfTau(1.0, 1.5)).verdict == \
+        assert cr.classify(DISP, cr.PowerOfTau(1.0, 1.5)).verdict == \
             cr.IRREGULAR_NONSINGULAR
         spec = cr.oscillation_spec(kernels.dispersion3())
         wrapped = cr.apply_cutoff(cr.PowerOfTau(1.0, 4.0 / 3.0), spec)
-        assert cr.classify_dispersion("right", wrapped).verdict == cr.REGULAR
+        assert cr.classify(DISP, wrapped).verdict == cr.REGULAR
 
     def test_right_threshold_is_amplitude_independent(self):
         for c in (0.3, 1.0, 7.0):
-            v = cr.classify_dispersion("right", cr.PowerOfTau(c, 1.4))
+            v = cr.classify(DISP, cr.PowerOfTau(c, 1.4))
             assert v.verdict == cr.IRREGULAR_NONSINGULAR
 
     def test_right_without_cutoff_indeterminate(self):
-        v = cr.classify_dispersion("right", cr.PowerOfTau(1.0, 1.0))
+        v = cr.classify(DISP, cr.PowerOfTau(1.0, 1.0))
         assert v.verdict == cr.INDETERMINATE
 
     def test_right_accepts_single_log_spelled_as_powerlog(self):
         # the natural right-boundary family carries a single logarithm in
         # the original time; (C, gamma) are read off either spelling
-        assert cr.classify_dispersion("right", cr.PowerLog(1.0, 1.5)).verdict == \
+        assert cr.classify(DISP, cr.PowerLog(1.0, 1.5)).verdict == \
             cr.IRREGULAR_NONSINGULAR
 
     def test_left_boundary_threshold(self):
-        reg = cr.classify_dispersion("left", cr.PowerLog(C_STAR_DISP_LEFT, 2.0 / 3.0))
-        irr = cr.classify_dispersion("left", cr.PowerLog(C_STAR_DISP_LEFT + 0.05, 2.0 / 3.0))
+        reg = cr.classify(DISP, cr.PowerLog(C_STAR_DISP_LEFT, 2.0 / 3.0), "left")
+        irr = cr.classify(DISP, cr.PowerLog(C_STAR_DISP_LEFT + 0.05, 2.0 / 3.0), "left")
         assert reg.verdict == cr.REGULAR
         assert irr.verdict == cr.IRREGULAR_NONSINGULAR
 
     def test_left_needs_no_cutoff(self):
-        v = cr.classify_dispersion("left", cr.PowerLog(1.0, 0.5))
+        v = cr.classify(DISP, cr.PowerLog(1.0, 0.5), "left")
         assert v.verdict == cr.REGULAR
 
     def test_bad_side_rejected(self):
         with pytest.raises(ValueError):
             cr.classify_dispersion("top", cr.PowerLog(1.0, 1.0))
+
+    def test_default_side_is_right(self):
+        phi = cr.PowerOfTau(1.0, 1.0)
+        assert cr.classify(DISP, phi) == cr.classify(DISP, phi, "right") == \
+            cr.classify_dispersion("right", phi)
 
 
 class TestPolyharmonicClassification:
@@ -218,28 +223,64 @@ class TestPolyharmonicClassification:
         kc = kernels.kernel_constants(kernels.parabolic(3))
         c_star = kc.d0 ** (-1.0 / kc.alpha)
         crit_gamma = 5.0 / 6.0
-        hi = cr.classify_polyharmonic(3, cr.PowerLog(c_star + 0.1, crit_gamma))
+        hi = cr.classify(kernels.parabolic(3), cr.PowerLog(c_star + 0.1, crit_gamma))
         assert hi.verdict == cr.IRREGULAR_NONSINGULAR
-        lo = cr.classify_polyharmonic(3, cr.apply_cutoff(
+        lo = cr.classify(kernels.parabolic(3), cr.apply_cutoff(
             cr.PowerLog(c_star - 0.1, crit_gamma), kernels.parabolic(3)))
         assert lo.verdict == cr.REGULAR
 
     def test_matches_fourth_order_wrapper(self):
         v1 = cr.classify_biharmonic(cr.PowerLog(3.2, 0.75))
-        v2 = cr.classify_polyharmonic(2, cr.PowerLog(3.2, 0.75))
-        assert v1.verdict == v2.verdict
+        v2 = cr.classify(kernels.parabolic(2), cr.PowerLog(3.2, 0.75))
+        assert v1 == v2
 
     def test_epsilon_above_threshold_irregular_any_order(self):
         for m in (2, 3, 4):
             kc = kernels.kernel_constants(kernels.parabolic(m))
             c_star = kc.d0 ** (-1.0 / kc.alpha)
             gamma = (2 * m - 1) / (2 * m)
-            v = cr.classify_polyharmonic(m, cr.PowerLog(c_star + 0.1, gamma))
+            v = cr.classify(kernels.parabolic(m), cr.PowerLog(c_star + 0.1, gamma))
             assert v.verdict == cr.IRREGULAR_NONSINGULAR
 
     def test_second_order_redirected(self):
-        with pytest.raises(ValueError):
-            cr.classify_polyharmonic(1, cr.PowerLog(2.0, 0.5))
+        # order 2 is the heat equation: Gaussian threshold 2, no cut-off
+        v = cr.classify(kernels.parabolic(1), cr.PowerLog(2.0, 0.5))
+        assert v.verdict == cr.REGULAR and v.rationale == "analytic-family"
+        assert v.diagnostics["critical_c"] == 2.0
+        assert cr.classify_heat(cr.PowerLog(2.0, 0.5)) == v
+
+
+# C* of order 2m in closed form: d0 = (2m-1) (2m)^(-alpha) sin(pi / (2 (2m-1))),
+# alpha = 2m / (2m-1); for m = 3, sin(pi/10) = (sqrt(5) - 1) / 4
+@pytest.mark.parametrize("family, side, closed_form", [
+    (kernels.biharmonic(), "right", 3.0 ** (-0.75) * 2.0 ** 2.75),
+    (kernels.biharmonic(), "left", 3.0 ** (-0.75) * 2.0 ** 2.75),
+    (kernels.heat(), "right", 2.0),
+    (kernels.parabolic(3), "right", 6.0 * (1.25 * (math.sqrt(5.0) - 1.0)) ** (-5.0 / 6.0)),
+    (kernels.dispersion3(), "right", 4.0 / 3.0),
+    (kernels.dispersion3(), "left", (1.5 * math.sqrt(3.0)) ** (2.0 / 3.0)),
+], ids=["biharmonic", "biharmonic-left", "heat", "order6", "dispersion-right",
+        "dispersion-left"])
+def test_threshold_matches_closed_form(family, side, closed_form):
+    assert cr.threshold(family, side) == pytest.approx(closed_form, rel=1e-15, abs=0.0)
+
+
+class TestClassifyRejectsBadInput:
+    def test_beam_has_no_criterion(self):
+        with pytest.raises(ValueError, match="beam4"):
+            cr.classify(kernels.beam4(), cr.PowerLog(1.0, 0.5))
+        with pytest.raises(ValueError, match="beam4"):
+            cr.threshold(kernels.beam4())
+
+    @pytest.mark.parametrize("family", ["biharmonic", 2, None])
+    def test_non_family_named(self, family):
+        with pytest.raises(ValueError, match=f"EquationFamily, got {family!r}"):
+            cr.classify(family, cr.PowerLog(1.0, 0.5))
+
+    @pytest.mark.parametrize("family", [kernels.biharmonic(), kernels.dispersion3()])
+    def test_bad_side_named(self, family):
+        with pytest.raises(ValueError, match="got 'top'"):
+            cr.classify(family, cr.PowerLog(1.0, 0.5), side="top")
 
 
 class TestNumericTail:
@@ -265,12 +306,12 @@ class TestNumericTail:
     def test_tabulated_short_range_indeterminate(self):
         taus = np.geomspace(cr.TAU0, 1e4, 32)
         phi = cr.Tabulated(tuple(taus), tuple(2.0 * np.log(taus) ** 0.75))
-        assert cr.classify_biharmonic(phi).verdict == cr.INDETERMINATE
+        assert cr.classify(BIH, phi).verdict == cr.INDETERMINATE
 
     def test_tabulated_long_range_classified(self):
         taus = np.geomspace(cr.TAU0, 1e70, 200)
         phi = cr.Tabulated(tuple(taus), tuple(4.2 * np.log(taus) ** 0.75))
-        verdict = cr.classify_biharmonic(phi)
+        verdict = cr.classify(BIH, phi)
         assert verdict.verdict == cr.IRREGULAR_NONSINGULAR
         assert verdict.rationale == "numeric-tail"
 

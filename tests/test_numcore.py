@@ -8,33 +8,6 @@ from scipy.optimize import brentq
 from reglab import numcore as nc
 
 
-class TestAdaptiveQuadrature:
-    def test_constant_integrand(self):
-        assert nc.adaptive_quadrature(lambda x: 1.0, 0.0, 1.0, 1e-12) == pytest.approx(1.0)
-
-    def test_gaussian_quartic_tail(self):
-        # int_0^inf exp(-s^4) ds = Gamma(5/4), the known special value
-        val = nc.adaptive_quadrature(lambda s: math.exp(-s**4), 0.0, math.inf, 1e-10,
-                                     envelope=lambda s: math.exp(-s**4))
-        assert val == pytest.approx(math.gamma(1.25), abs=1e-10)
-
-    def test_full_period_cosine(self):
-        val = nc.adaptive_quadrature(math.cos, 0.0, 2.0 * math.pi, 1e-12)
-        assert abs(val) < 1e-12
-
-    def test_linearity(self):
-        f = lambda x: math.sin(3 * x)
-        g = lambda x: math.exp(-x)
-        tol = 1e-10
-        q = lambda h: nc.adaptive_quadrature(h, 0.0, 2.0, tol)
-        combo = q(lambda x: 2.0 * f(x) - 0.5 * g(x))
-        assert combo == pytest.approx(2.0 * q(f) - 0.5 * q(g), abs=2 * tol)
-
-    def test_bad_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            nc.adaptive_quadrature(lambda x: x, 0.0, 1.0, -1.0)
-
-
 class TestAlternatingSeriesSum:
     def test_slowly_decaying_alternating_tail(self):
         # int_1^inf sin(pi x)/x dx = pi/2 - Si(pi), conditionally convergent:
@@ -47,46 +20,6 @@ class TestAlternatingSeriesSum:
         val = nc.alternating_series_sum(panels, 1e-10)
         ref = math.pi / 2 - sici(math.pi)[0]
         assert val == pytest.approx(ref, abs=1e-6)
-
-
-class TestIntegrateOde:
-    def test_exponential(self):
-        tr = nc.integrate_ode(lambda t, y: y, [1.0], (0.0, 1.0), 1e-10)
-        assert tr.final_state()[0] == pytest.approx(math.e, abs=1e-8)
-
-    def test_sine(self):
-        tr = nc.integrate_ode(lambda t, y: [y[1], -y[0]], [0.0, 1.0], (0.0, math.pi), 1e-10)
-        assert abs(tr.final_state()[0]) < 1e-9
-
-    def test_fourth_order_layer_equation_against_modes(self):
-        # V'''' = -(1/4) V' with V(0)=0, V'(0)=0, V''(0)=1, V'''(0)=0.
-        # Closed form: expand in the characteristic modes r^4 = -r/4
-        roots = [0.0] + list(np.roots([1.0, 0.0, 0.0, 0.25]))
-        vander = np.array([[r**k for r in roots] for k in range(4)], dtype=complex)
-        coef = np.linalg.solve(vander, [0.0, 0.0, 1.0, 0.0])
-
-        def exact(x):
-            return float(np.real(sum(c * np.exp(r * x) for c, r in zip(coef, roots))))
-
-        tol = 1e-10
-        rhs = lambda t, y: [y[1], y[2], y[3], -0.25 * y[1]]
-        tr = nc.integrate_ode(rhs, [0.0, 0.0, 1.0, 0.0], (0.0, 5.0), tol)
-        assert tr.final_state()[0] == pytest.approx(exact(5.0), abs=10 * tol)
-
-    def test_order_from_step_halving(self):
-        # fixed-step order check on the sine problem: halving the step cap
-        # must cut the error at least fourfold (the embedded pair is high order)
-        def err(h):
-            tr = nc.integrate_ode(lambda t, y: [y[1], -y[0]], [0.0, 1.0],
-                                  (0.0, math.pi), 1e-3, max_step=h)
-            return abs(tr.final_state()[0])
-
-        assert err(math.pi / 8) / max(err(math.pi / 16), 1e-300) > 4.0
-
-    def test_abscissae_increasing(self):
-        tr = nc.integrate_ode(lambda t, y: -y, [1.0], (0.0, 3.0), 1e-8)
-        assert np.all(np.diff(tr.abscissae) > 0)
-        assert np.all(np.isfinite(tr.states))
 
 
 class TestFindRoot:
