@@ -223,11 +223,11 @@ def cmd_criterion(args):
     phi = _parse_phi(args.phi)
     family = _family_from(args)
     if args.cutoff:
-        phi = criteria.apply_cutoff(phi, family, eps_s=args.eps_s)
+        phi = criteria.apply_cutoff(phi, criteria.oscillation_spec(family, args.side), args.eps_s)
     verdict = criteria.classify(family, phi, args.side)
     _emit(args, {
         "command": "criterion", "family": args.family, "side": args.side,
-        "boundary": phi.describe(), "cutoff": bool(args.cutoff),
+        "boundary": phi.describe(), "cutoff": phi.cutoff,
         "verdict": verdict.verdict, "rationale": verdict.rationale,
         "threshold_constant": criteria.threshold(family, args.side),
         "diagnostics": verdict.diagnostics,

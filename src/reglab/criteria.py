@@ -1,10 +1,11 @@
 """Petrovskii-type boundary regularity criteria for the shrinking vertex.
 
-Boundary families phi(tau) (tau = -ln(-t)), the oscillatory cut-off
-transform that keeps the criterion integrand's trigonometric factor
-nonpositive, analytic and numeric classification of the criterion
-integrals for every equation family, and the first-Fourier-coefficient
-ODE traces that carry the same information dynamically.
+Boundary families phi(tau) (tau = -ln(-t)), each one formula in log-time
+u = ln(tau); the oscillatory cut-off transform that keeps the criterion
+integrand's trigonometric factor nonpositive; analytic classification
+and the numeric dyadic-window tail of the criterion integrals for every
+equation family; and the first-Fourier-coefficient ODE traces that carry
+the same information dynamically.
 
 Verdict semantics: ``regular`` needs the log-derivative integral to
 diverge to -infinity (with cut-off where the kernel oscillates);
@@ -17,13 +18,13 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from functools import cached_property
 
 import numpy as np
 from scipy import integrate
 
-from reglab import blayer, kernels
+from reglab import blayer, kernels, numcore
 
 TAU0 = math.e  # boundary families live on tau >= e so ln(tau) >= 1
 
@@ -33,14 +34,15 @@ TAU0 = math.e  # boundary families live on tau >= e so ln(tau) >= 1
 
 
 class BoundaryFunction:
-    """Base for lateral-boundary profiles phi(tau) on [tau_min, tau_max].
+    """Base for lateral-boundary profiles phi on [tau_min, tau_max].
 
-    A subclass gives the array formula ``_phi(tau)`` (and ``_dphi(tau)`` for
-    the derivative), which maps a float array of at least one dimension to
-    an array of the same shape.  The base class converts the input once and
-    returns a float for scalar input, an array otherwise.  ``at_logtime(u)``
-    reads phi at u = ln(tau); subclasses whose formula is written in ln(tau)
-    override it so that log-times far beyond float tau stay finite.
+    A subclass gives one array formula, ``_phi_u(u)``, in log-time
+    u = ln(tau) (and ``_dphi(tau)`` for the derivative in tau); both map a
+    float array of at least one dimension to an array of the same shape.
+    ``phi(tau)`` evaluates the formula at ln(tau) and ``at_logtime(u)`` at u
+    itself, so log-times far beyond float tau stay finite.  Both return a
+    float for scalar input, an array otherwise.  A boundary that is not
+    smooth in u names its joints through ``breakpoints``.
     """
 
     monotone = True
@@ -49,32 +51,38 @@ class BoundaryFunction:
     tau_max = math.inf
     log_power = None  # (C, gamma) when phi = C (ln tau)^gamma
 
-    def _phi(self, tau):
+    def _phi_u(self, u):
         raise NotImplementedError
 
     def _dphi(self, tau):
         raise NotImplementedError
 
     @staticmethod
-    def _evaluate(formula, tau):
+    def _evaluate(formula, x):
         # a scalar runs as a one-element array: numpy's scalar arithmetic
         # (np.float64 ** x) can round differently from its array loops, and a
         # scalar call must equal the matching element of an array call
-        tau = np.asarray(tau, dtype=float)
-        return formula(tau) if tau.shape else float(formula(tau.reshape(1))[0])
+        x = np.asarray(x, dtype=float)
+        return formula(x) if x.shape else float(formula(x.reshape(1))[0])
 
     def __call__(self, tau):
-        return self._evaluate(self._phi, tau)
+        with np.errstate(divide="ignore"):  # ln 0 = -inf: Constant is valid at tau = 0
+            u = np.log(tau)
+        return self.at_logtime(u)
+
+    def at_logtime(self, u):
+        """phi(exp(u)), read straight from the log-time formula."""
+        return self._evaluate(self._phi_u, u)
 
     def derivative(self, tau):
         return self._evaluate(self._dphi, tau)
 
     def _central_difference(self, tau, h):
-        return (self._phi(tau + h) - self._phi(tau - h)) / (2.0 * h)
+        return (self(tau + h) - self(tau - h)) / (2.0 * h)
 
-    def at_logtime(self, u):
-        """phi(exp(u)) as a float."""
-        return float(self(math.exp(u)))
+    def breakpoints(self, u_lo, u_hi):
+        """Log-times in (u_lo, u_hi) where phi is not smooth; none by default."""
+        return np.empty(0)
 
     @property
     def uncut(self):
@@ -93,14 +101,11 @@ class Constant(BoundaryFunction):
 
     tau_min = 0.0
 
-    def _phi(self, tau):
-        return np.full_like(tau, self.l)
+    def _phi_u(self, u):
+        return np.full_like(u, self.l)
 
     def _dphi(self, tau):
         return np.zeros_like(tau)
-
-    def at_logtime(self, u):
-        return float(self.l)
 
     def describe(self):
         return f"Constant(l={self.l})"
@@ -117,14 +122,11 @@ class PowerLog(BoundaryFunction):
     def log_power(self):
         return self.c, self.gamma
 
-    def _phi(self, tau):
-        return self.c * np.log(tau) ** self.gamma
+    def _phi_u(self, u):
+        return self.c * u**self.gamma
 
     def _dphi(self, tau):
         return self.c * self.gamma * np.log(tau) ** (self.gamma - 1.0) / tau
-
-    def at_logtime(self, u):
-        return self.c * u**self.gamma
 
     def describe(self):
         return f"PowerLog(C={self.c}, gamma={self.gamma})"
@@ -140,14 +142,11 @@ class PetrovskiiSqrtLog(BoundaryFunction):
     def log_power(self):
         return self.c, 0.5
 
-    def _phi(self, tau):
-        return self.c * np.sqrt(np.log(tau))
+    def _phi_u(self, u):
+        return self.c * np.sqrt(u)
 
     def _dphi(self, tau):
         return 0.5 * self.c / (np.sqrt(np.log(tau)) * tau)
-
-    def at_logtime(self, u):
-        return self.c * math.sqrt(u)
 
     def describe(self):
         return f"PetrovskiiSqrtLog(C={self.c})"
@@ -167,14 +166,11 @@ class PowerOfTau(BoundaryFunction):
     c: float
     gamma: float
 
-    def _phi(self, tau):
-        return self.c * tau**self.gamma
+    def _phi_u(self, u):
+        return self.c * np.exp(self.gamma * u)
 
     def _dphi(self, tau):
         return self.c * self.gamma * tau ** (self.gamma - 1.0)
-
-    def at_logtime(self, u):
-        return self.c * math.exp(self.gamma * u)
 
     def describe(self):
         return f"PowerOfTau(C={self.c}, gamma={self.gamma})"
@@ -203,19 +199,22 @@ class Tabulated(BoundaryFunction):
 
     @cached_property
     def _log_grid(self):
-        # (ln tau_grid, ln values), made once: diagnose_tail reads phi
-        # point by point many thousands of times
+        # (ln tau_grid, ln values), made once and shared by every call
         t = np.log(np.asarray(self.tau_grid))
         v = np.log(np.asarray(self.values))
         t.flags.writeable = v.flags.writeable = False
         return t, v
 
-    def _phi(self, tau):
+    def _phi_u(self, u):
         t, v = self._log_grid
-        return np.exp(np.interp(np.log(tau), t, v))
+        return np.exp(np.interp(u, t, v))
 
     def _dphi(self, tau):
         return self._central_difference(tau, 1e-4 * tau)
+
+    def breakpoints(self, u_lo, u_hi):
+        t = self._log_grid[0]
+        return t[(t > u_lo) & (t < u_hi)]
 
     def describe(self):
         return f"Tabulated(n={len(self.tau_grid)}, tau<= {self.tau_max:g})"
@@ -235,9 +234,7 @@ class SlowGrowthReport:
 
     @property
     def all_pass(self):
-        return all([self.grows_to_infinity, self.derivative_vanishes,
-                    self.log_derivative_vanishes, self.inverse_log_derivative_diverges,
-                    self.below_any_power])
+        return all(astuple(self))
 
 
 def validate_slow_growth(phi, tau_lo=10.0, tau_hi=1e8, n=200):
@@ -345,6 +342,12 @@ def oscillation_spec(family, side="right"):
 # oscillatory cut-off
 
 
+def _hermite(t, p0, m0, p1, m1):
+    # the cubic on [0, 1] with values p0, p1 and slopes m0, m1 at its ends
+    return (p0 * ((1.0 + 2.0 * t) * (1.0 - t) ** 2) + m0 * (t * (1.0 - t) ** 2)
+            + p1 * (t * t * (3.0 - 2.0 * t)) + m1 * (t * t * (t - 1.0)))
+
+
 @dataclass(frozen=True)
 class CutoffBoundary(BoundaryFunction):
     """Boundary modified so the criterion integrand stays nonpositive.
@@ -361,7 +364,6 @@ class CutoffBoundary(BoundaryFunction):
     base: BoundaryFunction
     spec: OscillationSpec
     eps_s: float = math.pi / 20.0
-    hold_margin: float = 0.3
 
     cutoff = True
 
@@ -374,9 +376,12 @@ class CutoffBoundary(BoundaryFunction):
 
     # ramp shape: monotone piecewise-cubic from (0, slope delta) through
     # (S_BREAK, R_BREAK) to (1, slope 0); the early crossing keeps the
-    # positive-phase dwell short
+    # positive-phase dwell short.  The hold ends HOLD_MARGIN inside the
+    # nonpositive arc.
     _S_BREAK = 0.35
     _R_BREAK = 0.97
+    _HOLD_MARGIN = 0.3
+    _MAX_ARCS = 10_000  # more arcs than this in one call are beyond the panel rule
 
     def _ramp(self, s, delta):
         s = np.asarray(s, dtype=float)
@@ -384,45 +389,29 @@ class CutoffBoundary(BoundaryFunction):
         slope_b = 2.99 * (1.0 - rb) / (1.0 - sb)
         out = np.empty_like(s)
         left = s <= sb
-        t = s[left] / sb
-        h10 = t * (1.0 - t) ** 2
-        h01 = t * t * (3.0 - 2.0 * t)
-        h11 = t * t * (t - 1.0)
-        out[left] = delta * sb * h10 + rb * h01 + slope_b * sb * h11
-        t = (s[~left] - sb) / (1.0 - sb)
-        h00 = (1.0 + 2.0 * t) * (1.0 - t) ** 2
-        h10 = t * (1.0 - t) ** 2
-        h01 = t * t * (3.0 - 2.0 * t)
-        out[~left] = rb * h00 + slope_b * (1.0 - sb) * h10 + h01
+        out[left] = _hermite(s[left] / sb, 0.0, delta * sb, rb, slope_b * sb)
+        out[~left] = _hermite((s[~left] - sb) / (1.0 - sb), rb, slope_b * (1.0 - sb), 1.0, 0.0)
         return out
 
     def _phase_map(self, theta):
         """Monotone C^1 map g with g >= theta and cos(g) <= 0 off the ramps."""
         theta = np.asarray(theta, dtype=float)
-        span = math.pi + self.hold_margin + self.eps_s
+        span = math.pi + self._HOLD_MARGIN + self.eps_s
         delta = self.eps_s / span
         k = np.floor((theta + 0.5 * math.pi) / (2.0 * math.pi))
         a = 2.0 * math.pi * k - 0.5 * math.pi  # entry of the positive-cosine arc
-        hold = a + self.eps_s + math.pi + self.hold_margin
+        hold = a + self.eps_s + math.pi + self._HOLD_MARGIN
         rel = theta - a
         # identity before the arc; ramp across it; hold just inside the
         # nonpositive arc until the base phase catches up
-        g = np.array(theta, copy=True)
         in_ramp = (rel > 0.0) & (rel <= self.eps_s)
-        s = np.clip(rel / self.eps_s, 0.0, 1.0)
-        ramp_val = a + self._ramp(s, delta) * span
         in_hold = (rel > self.eps_s) & (theta < hold)
-        g = np.where(in_ramp, ramp_val, g)
-        g = np.where(in_hold, hold, g)
-        return g
+        ramp_val = a + self._ramp(np.clip(rel / self.eps_s, 0.0, 1.0), delta) * span
+        return np.where(in_hold, hold, np.where(in_ramp, ramp_val, theta))
 
-    def value_from_base(self, base_value):
-        """Wrapped boundary value given the base value (a numpy float for a scalar)."""
+    def _phase(self, base_value):
         sp = self.spec
-        theta = sp.osc_rate * np.asarray(base_value, dtype=float) ** sp.exponent + sp.phase
-        g = self._phase_map(theta)
-        phi_pow = (g - sp.phase) / sp.osc_rate
-        return np.maximum(phi_pow, 0.0) ** (1.0 / sp.exponent)
+        return sp.osc_rate * base_value**sp.exponent + sp.phase
 
     @property
     def uncut(self):
@@ -432,14 +421,31 @@ class CutoffBoundary(BoundaryFunction):
     def tau_max(self):
         return self.base.tau_max
 
-    def _phi(self, tau):
-        return self.value_from_base(self.base(tau))
+    def _phi_u(self, u):
+        sp = self.spec
+        g = self._phase_map(self._phase(self.base._phi_u(u)))
+        return np.maximum((g - sp.phase) / sp.osc_rate, 0.0) ** (1.0 / sp.exponent)
 
     def _dphi(self, tau):
         return self._central_difference(tau, 1e-5 * np.maximum(tau, 1.0))
 
-    def at_logtime(self, u):
-        return float(self.value_from_base(self.base.at_logtime(u)))
+    def breakpoints(self, u_lo, u_hi):
+        """The base's breakpoints and the log-times where the base phase
+        crosses a joint of the phase map, located on the monotone base."""
+        theta_lo, theta_hi = self._phase(self.base._phi_u(np.array([u_lo, u_hi])))
+        if not (theta_hi - theta_lo) / (2 * math.pi) <= self._MAX_ARCS:
+            raise numcore.NumericsError(f"too many cut-off arcs on u in [{u_lo:g}, {u_hi:g}]")
+        k = np.arange(math.floor(theta_lo / (2 * math.pi)), math.ceil(theta_hi / (2 * math.pi)) + 1)
+        # where the map changes formula: arc entry, ramp break, ramp end, hold end
+        offsets = [0.0, self._S_BREAK * self.eps_s, self.eps_s,
+                   self.eps_s + math.pi + self._HOLD_MARGIN]
+        targets = np.add.outer(2.0 * math.pi * k - 0.5 * math.pi, offsets).ravel()
+        targets = targets[(targets > theta_lo) & (targets < theta_hi)]
+        joints = numcore.find_roots(
+            lambda u, idx: self._phase(self.base._phi_u(u)) - targets[idx],
+            np.full(targets.size, u_lo), np.full(targets.size, u_hi),
+            (theta_lo - targets, theta_hi - targets))
+        return np.concatenate([self.base.breakpoints(u_lo, u_hi), joints])
 
     def describe(self):
         return f"Cutoff({self.base.describe()}, eps_s={self.eps_s:.4g})"
@@ -483,46 +489,34 @@ class CriterionVerdict:
 def criterion_integrand_logtime(spec, phi):
     """d ln a0 / du against u = ln(tau), overflow-safe at extreme log-times.
 
-    Returns ``(f, exponent)`` where ``f(u)`` is the window integrand
-    (measure included) and ``exponent(u)`` bounds its log-magnitude, used
-    to stop the window sweep before the divergent side overflows.
+    Returns ``(f, exponent)``, array functions of u: ``f(u)`` is the window
+    integrand (measure included) and ``exponent(u)`` its log-magnitude,
+    used to stop the window sweep before the divergent side overflows.
+    Under a decaying envelope a phi or phi^exponent past the float range
+    reads as the largest float, so ``f`` is exactly 0 there, never nan.
     """
-    phi_u = phi.at_logtime
+    cap = np.finfo(float).max if spec.env_rate else np.inf
 
-    def exponent(u):
-        v = max(phi_u(u), 1e-300)
-        return u - spec.env_rate * v**spec.exponent + spec.power * math.log(v)
+    def exponent(u, v):
+        v = np.minimum(np.maximum(v, 1e-300), cap)
+        env = spec.env_rate * v**spec.exponent if spec.env_rate else 0.0
+        return u - env + spec.power * np.log(v)
 
     def f(u):
-        v = phi_u(u)
-        ex = exponent(u)
-        if ex < -700.0:
-            return 0.0
-        osc = math.cos(spec.osc_rate * v**spec.exponent + spec.phase) if spec.osc_rate else 1.0
-        return spec.amplitude * math.exp(ex) * osc
+        v = phi.at_logtime(u)
+        osc = np.cos(np.minimum(spec.osc_rate * v**spec.exponent, cap) + spec.phase) \
+            if spec.osc_rate else 1.0
+        return spec.amplitude * np.exp(exponent(u, v)) * osc
 
-    return f, exponent
+    return f, lambda u: exponent(u, phi.at_logtime(u))
 
 
 # dyadic windows in the log-time variable: geometric in u = ln(tau), so the
 # near-threshold envelopes tau^(-p) produce decisively geometric window sums
 _WINDOW_EXPONENTS = [2.0**j for j in range(0, 11)]
-
-
-def _window_sums(f, exponent, u_max=None, rel_floor=1e-250):
-    sums = []
-    edges = [u for u in _WINDOW_EXPONENTS if u_max is None or u <= u_max]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            # stop before the divergent side overflows the exponentials
-            if max(exponent(lo), exponent(hi), exponent(0.5 * (lo + hi))) > 600.0:
-                break
-            val, _ = integrate.quad(f, lo, hi, limit=800, epsabs=1e-300, epsrel=1e-9)
-            sums.append(val)
-            if abs(val) < rel_floor:
-                break
-    return sums
+_MAX_EXPONENT = 600.0  # the sweep stops before a window reaches this log-magnitude
+_SUM_FLOOR = 1e-250  # ... and after the first window sum below this
+_MIN_WINDOWS = 6  # ratios of the last this-many windows fit the tail
 
 
 @dataclass(frozen=True)
@@ -533,29 +527,36 @@ class TailDiagnosis:
     tail_exponent: float | None
 
 
-def diagnose_tail(spec, phi, u_max=None, min_windows=6):
+def diagnose_tail(spec, phi, u_max=None):
     """Classify the improper criterion integral from dyadic window sums.
 
-    Windows are geometric in ln(tau) ([exp(2^j), exp(2^(j+1))]).  Sums
-    that decay geometrically (fitted ratio < 0.9) mark convergence;
-    growing one-signed sums mark genuine divergence; growing or
-    stagnating sums of alternating sign mark oscillatory divergence.
+    Windows are geometric in ln(tau) ([exp(2^j), exp(2^(j+1))]).  Their
+    sums come from :func:`reglab.numcore.gauss_legendre_windows` with
+    panels split at ``phi.breakpoints``, which raises ``QuadratureError``
+    for a sum it cannot certify.  Sums that decay geometrically (fitted
+    ratio < 0.9) mark convergence; growing one-signed sums mark genuine
+    divergence; growing or stagnating sums of alternating sign mark
+    oscillatory divergence.
     """
     f, exponent = criterion_integrand_logtime(spec, phi)
-    return diagnose_windows(f, exponent, u_max=u_max, min_windows=min_windows)
-
-
-def diagnose_windows(f, exponent, u_max=None, min_windows=6):
-    """Window-sum classification for a custom log-time integrand."""
-    sums = _window_sums(f, exponent, u_max=u_max)
+    edges = np.array([u for u in _WINDOW_EXPONENTS if u_max is None or u <= u_max])
+    with np.errstate(over="ignore", invalid="ignore"):  # phi past the float range
+        mids = 0.5 * (edges[:-1] + edges[1:])
+        peak = np.maximum.reduce([exponent(edges[:-1]), exponent(edges[1:]), exponent(mids)])
+        over = np.flatnonzero(peak > _MAX_EXPONENT)
+        edges = edges[: over[0] + 1] if over.size else edges
+        sums = numcore.gauss_legendre_windows(f, edges, phi.breakpoints(edges[0], edges[-1])) \
+            if edges.size > 1 else np.empty(0)
+    below = np.flatnonzero(np.abs(sums) < _SUM_FLOOR)  # kept up to the first one below
+    sums = tuple(sums[: below[0] + 1 if below.size else None].tolist())
     if len(sums) < 3:
-        return TailDiagnosis("inconclusive", tuple(sums), None, None)
-    mags = np.array([abs(s) for s in sums])
+        return TailDiagnosis("inconclusive", sums, None, None)
+    mags = np.abs(sums)
     nz = mags > 0
     if not nz[-1] and np.count_nonzero(nz) >= 2:
         # underflowed to zero: the envelope collapsed superpolynomially
-        return TailDiagnosis("convergent", tuple(sums), 0.0, None)
-    take = min(min_windows, len(sums) - 1)
+        return TailDiagnosis("convergent", sums, 0.0, None)
+    take = min(_MIN_WINDOWS, len(sums) - 1)
     ratios = mags[-take:] / np.maximum(mags[-take - 1:-1], 1e-300)
     fitted = float(np.exp(np.mean(np.log(np.maximum(ratios, 1e-300)))))
     us = np.array(_WINDOW_EXPONENTS[: len(sums) + 1])
@@ -565,12 +566,12 @@ def diagnose_windows(f, exponent, u_max=None, min_windows=6):
     signs = np.sign(sums[-take - 1:])
     alternating = bool(np.any(signs[1:] * signs[:-1] < 0))
     if fitted < 0.9:
-        return TailDiagnosis("convergent", tuple(sums), fitted, p_est)
+        return TailDiagnosis("convergent", sums, fitted, p_est)
     if not alternating and fitted > 1.02:
-        return TailDiagnosis("divergent", tuple(sums), fitted, p_est)
+        return TailDiagnosis("divergent", sums, fitted, p_est)
     if alternating:
-        return TailDiagnosis("divergent-oscillatory", tuple(sums), fitted, p_est)
-    return TailDiagnosis("inconclusive", tuple(sums), fitted, p_est)
+        return TailDiagnosis("divergent-oscillatory", sums, fitted, p_est)
+    return TailDiagnosis("inconclusive", sums, fitted, p_est)
 
 
 def _numeric_verdict(spec, phi, note=""):
@@ -755,35 +756,6 @@ def classify_dispersion(side, phi):
     return classify(kernels.dispersion3(), phi, side)
 
 
-def petrovskii_rho_form(phi, u_max=None):
-    """Density form of the heat criterion over h = -t.
-
-    With rho(h) = exp(-phi(-ln h)^2 / 4) the criterion integral
-    int_0 rho(h) sqrt(|ln rho|) / h dh equals half the phi-form
-    integral; the returned diagnosis classifies it with the same dyadic
-    machinery, for cross-checking that the two presentations agree.
-    """
-    phi_u = phi.at_logtime
-
-    def log_rho(w):
-        return -0.25 * phi_u(w) ** 2
-
-    # h = exp(-v) turns int rho sqrt(|ln rho|) dh/h into int rho sqrt(-ln rho) dv
-    # over v = -ln(h); windowing v geometrically adds the measure factor e^w
-    def exponent(w):
-        lr = log_rho(w)
-        return w + lr + 0.5 * math.log(max(-lr, 1e-300))
-
-    def f(w):
-        lr = log_rho(w)
-        ex = w + lr
-        if ex < -700.0:
-            return 0.0
-        return math.exp(ex) * math.sqrt(max(-lr, 0.0))
-
-    return diagnose_windows(f, exponent, u_max=u_max)
-
-
 # ---------------------------------------------------------------------------
 # first-Fourier-coefficient ODE traces
 
@@ -823,39 +795,6 @@ class A0Trace:
         y = self.log_a0[mask]
         p, intercept = np.polyfit(x, y, 1)
         return float(p), float(math.exp(intercept))
-
-
-def _a0_log_slope(family, phi_u, spec):
-    """d ln a0 / du for the linear-coefficient families, overflow-safe."""
-    if family == "heat":
-        g1, _ = blayer.wall_constants(blayer.heat_profile())
-        amp = g1 / (2.0 * math.sqrt(math.pi))
-
-        def slope(u):
-            v = phi_u(u)
-            ex = u - 0.25 * v * v
-            return -amp * v * math.exp(ex) if ex < 700.0 else -math.inf
-
-        return slope
-    if family == "biharmonic":
-        fam = kernels.biharmonic()
-        g1, g2 = blayer.wall_constants(blayer.biharmonic_profile())
-
-        def slope(u):
-            v = phi_u(u)
-            return (g2 * v * kernels.eval_kernel(fam, v)
-                    + g1 * v ** (2.0 / 3.0) * kernels.eval_kernel_derivative(fam, v)) \
-                * math.exp(min(u, 700.0))
-
-        return slope
-    if family == "beam4":
-        def slope(u):
-            v = phi_u(u)
-            return spec.amplitude * v**spec.power * math.cos(0.25 * v * v + spec.phase) \
-                * math.exp(min(u, 700.0))
-
-        return slope
-    raise ValueError(f"family {family!r} has no linear coefficient ODE")
 
 
 def _a0_direct_rhs(family, phi_u):
@@ -898,10 +837,6 @@ def integrate_a0(family, phi, tau_span=None, a0_init=1.0, n_out=400, lntau_span=
     extremely late log-times where the slow asymptotics settle.  For the
     cubic-diffusion models a positive start is required and the run
     stops with ``hit_zero`` when the coefficient reaches zero.
-
-    The boundary is read through ``phi.at_logtime(u)``: every built-in
-    family is safe at any u, while a boundary that only gives its tau
-    formula is read as phi(exp(u)), which overflows past u ~ 709.
     """
     if lntau_span is None:
         tau_lo, tau_hi = tau_span
@@ -914,38 +849,44 @@ def integrate_a0(family, phi, tau_span=None, a0_init=1.0, n_out=400, lntau_span=
     u_eval = np.linspace(lntau_span[0], lntau_span[1], n_out)
 
     if family in ("heat", "biharmonic", "beam4"):
-        # linear in a0: ln a0 is an explicit integral of the slope
-        spec = oscillation_spec(kernels.beam4()) if family == "beam4" else None
-        slope = _a0_log_slope(family, phi_u, spec)
+        # linear in a0: ln a0 is an explicit integral of the slope, which for
+        # heat and beam4 is their criterion integrand
+        if family == "biharmonic":
+            fam = kernels.biharmonic()
+            g1, g2 = blayer.wall_constants(blayer.biharmonic_profile())
+
+            def slope(u):
+                v = phi_u(u)
+                return (g2 * v * kernels.eval_kernel(fam, v)
+                        + g1 * v ** (2.0 / 3.0) * kernels.eval_kernel_derivative(fam, v)) \
+                    * math.exp(min(u, 700.0))
+        else:
+            fam = kernels.heat() if family == "heat" else kernels.beam4()
+            slope = criterion_integrand_logtime(oscillation_spec(fam), phi)[0]
 
         def rhs_u(u, y):
             return np.array([slope(u)])
 
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            sol = integrate.solve_ivp(rhs_u, (u_eval[0], u_eval[-1]),
-                                      [math.log(a0_init)], t_eval=u_eval,
-                                      method="LSODA", rtol=1e-10, atol=1e-12)
-        return A0Trace(ln_tau=sol.t, log_a0=sol.y[0], hit_zero=False, family=family)
+        y0, events, atol = math.log(a0_init), None, 1e-12
+    else:
+        rhs = _a0_direct_rhs(family, phi_u)
 
-    rhs = _a0_direct_rhs(family, phi_u)
+        def rhs_u(u, y):
+            return np.array([rhs(u, float(y[0]))])
 
-    def rhs_u(u, y):
-        return np.array([rhs(u, float(y[0]))])
+        def events(u, y):  # the coefficient reached its floor
+            return float(y[0]) - 1e-12 * a0_init
 
-    floor = 1e-12 * a0_init
-
-    def hit_floor(u, y):
-        return float(y[0]) - floor
-
-    hit_floor.terminal = True
-    hit_floor.direction = -1
+        events.terminal = True
+        events.direction = -1
+        y0, atol = float(a0_init), 1e-14 * a0_init
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sol = integrate.solve_ivp(rhs_u, (u_eval[0], u_eval[-1]), [float(a0_init)],
-                                  t_eval=u_eval, events=hit_floor, method="LSODA",
-                                  rtol=1e-10, atol=1e-14 * a0_init)
+        sol = integrate.solve_ivp(rhs_u, (u_eval[0], u_eval[-1]), [y0], t_eval=u_eval,
+                                  events=events, method="LSODA", rtol=1e-10, atol=atol)
+    if events is None:
+        return A0Trace(ln_tau=sol.t, log_a0=sol.y[0], hit_zero=False, family=family)
     hit = bool(sol.status == 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_a0 = np.log(np.maximum(sol.y[0], 0.0))

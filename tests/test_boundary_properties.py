@@ -1,6 +1,7 @@
 """Properties every boundary family and its oscillatory cut-off must keep."""
 
 import math
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
@@ -44,11 +45,11 @@ taus = st.floats(cr.TAU0, TAU_HI)
 @given(boundaries(), st.lists(taus, min_size=1, max_size=12))
 def test_array_call_equals_scalar_calls_bit_for_bit(phi, points):
     arr = np.array(points)
-    for fn in (phi, phi.derivative):
-        scalars = [fn(t) for t in points]
+    for fn, xs in ((phi, arr), (phi.derivative, arr), (phi.at_logtime, np.log(arr))):
+        scalars = [fn(x) for x in xs.tolist()]
         assert all(type(v) is float for v in scalars)
-        vector = fn(arr)
-        assert isinstance(vector, np.ndarray) and vector.shape == arr.shape
+        vector = fn(xs)
+        assert isinstance(vector, np.ndarray) and vector.shape == xs.shape
         np.testing.assert_array_equal(vector, np.array(scalars))
 
 
@@ -69,10 +70,19 @@ def test_tabulated_cached_log_grid_keeps_the_formula(c, gamma, points):
 @settings(max_examples=60, deadline=None)
 @given(boundaries(), taus)
 def test_logtime_reading_matches_tau_reading(phi, tau):
-    value = phi(tau)
-    at_u = phi.at_logtime(math.log(tau))
+    # phi(tau) is the log-time formula at np.log(tau); math.log differs from
+    # np.log in the last bit for a few inputs in 1e5, so it is not used here
+    at_u = phi.at_logtime(float(np.log(tau)))
     assert type(at_u) is float
-    assert math.isclose(at_u, value, rel_tol=1e-12)
+    assert at_u == phi(tau)
+
+
+def test_constant_reads_tau_zero_without_a_warning():
+    # ln 0 = -inf reaches the log-time formula, which a constant ignores
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cr.Constant(2.5)(0.0) == 2.5
+        np.testing.assert_array_equal(cr.Constant(2.5)(np.array([0.0, 1.0])), [2.5, 2.5])
 
 
 @settings(max_examples=60, deadline=None)

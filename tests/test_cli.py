@@ -170,6 +170,25 @@ class TestCriterionCommand:
         assert json.loads(text)["verdict"] == "indeterminate"
 
 
+    def test_cutoff_follows_the_side(self, tmp_path):
+        # the left kernel does not oscillate: --cutoff leaves the boundary as it is
+        code, text = run_cli(tmp_path, "criterion", "--family", "dispersion3", "--side", "left",
+                             "--phi", "powerlog:C=2.9511,g=0.75", "--cutoff")
+        data = json.loads(text)
+        assert code == 0
+        assert data["boundary"] == "PowerLog(C=2.9511, gamma=0.75)"
+        assert data["cutoff"] is False
+
+    def test_cutoff_reports_what_was_applied(self, tmp_path):
+        code, text = run_cli(tmp_path, "criterion", "--family", "heat",
+                             "--phi", "sqrtlog:C=2.2", "--cutoff")
+        data = json.loads(text)
+        assert code == 0 and data["cutoff"] is False
+        code, text = run_cli(tmp_path, "criterion", "--family", "dispersion3",
+                             "--phi", "powertau:C=1,g=1.3", "--cutoff")
+        data = json.loads(text)
+        assert data["cutoff"] is True and data["boundary"].startswith("Cutoff(")
+
     def test_unsupported_spectral_delegation_is_one_line_exit_two(self, tmp_path, capsys):
         out = tmp_path / "x.txt"
         code = cli.main(["criterion", "--family", "polyharmonic", "--m", "3",

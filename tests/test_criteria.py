@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from reglab import criteria as cr
-from reglab import kernels
+from reglab import kernels, numcore
 
 C_STAR_4TH = 3.0 ** (-0.75) * 2.0**2.75  # ~2.9512, threshold of the fourth-order family
 C_STAR_DISP_LEFT = (1.5 * math.sqrt(3.0)) ** (2.0 / 3.0)
@@ -60,7 +61,7 @@ class TestCutoff:
         # positive contributions only survive inside the short ramps; the
         # negative mass dominates by a wide margin
         f, _ = cr.criterion_integrand_logtime(wrapped.spec, wrapped)
-        integrand = np.array([f(u) for u in np.linspace(math.log(10.0), math.log(1e7), 50000)])
+        integrand = f(np.linspace(math.log(10.0), math.log(1e7), 50000))
         total_positive = np.sum(integrand[integrand > 0])
         total_negative = -np.sum(integrand[integrand < 0])
         assert total_positive < 0.05 * total_negative
@@ -161,14 +162,18 @@ class TestHeatClassification:
         assert cr.classify(HEAT, cr.Constant(3.0)).verdict == cr.REGULAR
 
     def test_density_form_agrees_on_sweep(self):
-        # 20-case family sweep: the phi-form verdict matches the density form
+        # 20-case family sweep: the phi-form verdict matches the density form.
+        # With rho(h) = exp(-phi(-ln h)^2 / 4) the density integrand
+        # rho sqrt(-ln rho) over v = -ln h is phi/2 exp(-phi^2/4): the heat
+        # integrand with amplitude 1/2, classified by the numeric tail
+        rho_spec = dataclasses.replace(cr.oscillation_spec(HEAT), amplitude=0.5)
         cases = [cr.PetrovskiiSqrtLog(c) for c in np.linspace(1.2, 3.2, 10)]
         cases += [cr.PowerLog(c, g) for c, g in
                   [(1.0, 0.3), (2.0, 0.35), (0.7, 0.45), (3.0, 0.55), (1.5, 0.65),
                    (1.0, 0.8), (2.5, 0.42), (2.2, 0.58), (4.0, 0.25), (1.2, 1.2)]]
         for phi in cases:
             verdict = cr.classify(HEAT, phi).verdict
-            rho = cr.petrovskii_rho_form(phi)
+            rho = cr.diagnose_tail(rho_spec, phi)
             if verdict == cr.REGULAR:
                 assert rho.kind == "divergent"
             else:
@@ -314,6 +319,79 @@ class TestNumericTail:
         verdict = cr.classify(BIH, phi)
         assert verdict.verdict == cr.IRREGULAR_NONSINGULAR
         assert verdict.rationale == "numeric-tail"
+
+
+def _tabulated(c, gamma, lntau):
+    return cr.Tabulated(tuple(np.exp(lntau)), tuple(c * lntau**gamma))
+
+
+C_STAR_6TH = cr.threshold(kernels.parabolic(3))
+
+
+class TestWindowRule:
+    @pytest.mark.parametrize("family, phi", [
+        (BIH, cr.apply_cutoff(cr.PowerLog(0.95 * C_STAR_4TH, 0.75), BIH)),
+        (BIH, cr.PowerLog(1.05 * C_STAR_4TH, 0.75)),
+        (BIH, cr.PowerLog(1.2 * C_STAR_4TH, 0.75)),
+        (BIH, cr.PowerLog(C_STAR_4TH - 0.2, 0.75)),
+        (HEAT, cr.PetrovskiiSqrtLog(1.9)),
+        (HEAT, cr.PetrovskiiSqrtLog(2.1)),
+        (HEAT, _tabulated(1.8, 0.5, np.linspace(1.0, 700.0, 60))),
+        (HEAT, _tabulated(2.2, 0.5, np.linspace(1.0, 700.0, 60))),
+        (DISP, cr.apply_cutoff(cr.PetrovskiiSqrtLog(1.0), DISP)),
+        (kernels.parabolic(3),
+         cr.apply_cutoff(cr.PetrovskiiSqrtLog(0.9 * C_STAR_6TH), kernels.parabolic(3))),
+        (BIH, _tabulated(4.2, 0.75, np.log(np.geomspace(cr.TAU0, 1e70, 200)))),
+    ], ids=["cutoff-0.95", "bare-1.05", "bare-1.2", "bare-minus-0.2", "heat-1.9", "heat-2.1",
+            "tabulated-heat-1.8", "tabulated-heat-2.2", "dispersion-right-cutoff",
+            "order6-cutoff", "tabulated-1e70"])
+    def test_order_doubling_moves_no_window(self, family, phi):
+        # diagnose_tail raises QuadratureError for any window whose order-24
+        # and order-48 sums differ by more than 1e-12 of its integral of |f|
+        diag = cr.diagnose_tail(cr.oscillation_spec(family), phi, u_max=math.log(phi.tau_max))
+        assert len(diag.window_sums) >= 3
+
+    def test_unpublished_jump_raises(self):
+        class Jump(cr.BoundaryFunction):
+            # sqrt-log boundary that jumps at u = 5.1, inside a panel
+            def _phi_u(self, u):
+                return np.where(u < 5.1, 1.9, 2.1) * np.sqrt(u)
+
+        class PublishedJump(Jump):
+            def breakpoints(self, u_lo, u_hi):
+                return np.array([5.1])
+
+        spec = cr.oscillation_spec(HEAT)
+        with pytest.raises(numcore.QuadratureError, match=r"window \[4, 8\]"):
+            cr.diagnose_tail(spec, Jump())
+        assert cr.diagnose_tail(spec, PublishedJump()).kind == "convergent"
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("family, side, phi, kind", [
+        (DISP, "left", cr.PowerOfTau(1.0, 1.3), "convergent"),
+        (DISP, "left", cr.PowerOfTau(0.5, 0.7), "convergent"),
+        (HEAT, "right", cr.PowerOfTau(1.0, 1.2), "convergent"),
+        (HEAT, "right", cr.PowerOfTau(0.5, 1.0), "convergent"),
+        (BIH, "right", cr.PowerLog(0.5, 3.0), "convergent"),
+        (kernels.parabolic(3), "right", cr.PowerOfTau(1.0, 3.0), "convergent"),
+    ], ids=["dispersion-left-tau-1.3", "dispersion-left-tau-0.7", "heat-tau-1.2",
+            "heat-tau-1.0", "biharmonic-log-3", "order6-tau-3"])
+    def test_steep_envelope_collapse(self, family, side, phi, kind):
+        # the envelope falls through many decades inside one panel, and phi
+        # itself passes the float range before u = 1024: panels are halved
+        # where the orders disagree, and the collapsed integrand reads 0
+        assert cr.diagnose_tail(cr.oscillation_spec(family, side), phi).kind == kind
+
+    def test_power_of_tau_on_the_dispersion_left_side(self):
+        verdict = cr.classify(DISP, cr.PowerOfTau(1.0, 1.3), "left")
+        assert (verdict.verdict, verdict.rationale) == (cr.IRREGULAR_NONSINGULAR, "numeric-tail")
+
+    def test_cutoff_of_a_power_of_tau_is_refused(self):
+        # the phase of C tau^gamma runs through ~1e12 radians by u = 16:
+        # too many joints to publish, so no window is integrated
+        wrapped = cr.apply_cutoff(cr.PowerOfTau(1.0, 1.2), DISP)
+        with pytest.raises(numcore.NumericsError, match="too many cut-off arcs"):
+            cr.diagnose_tail(cr.oscillation_spec(DISP), wrapped, u_max=20.0)
 
 
 class TestCoefficientTraces:

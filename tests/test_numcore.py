@@ -22,6 +22,56 @@ class TestAlternatingSeriesSum:
         assert val == pytest.approx(ref, abs=1e-6)
 
 
+class TestGaussLegendreWindows:
+    def test_smooth_windows(self):
+        # exp over dyadic windows: exact to rounding, one array call
+        calls = []
+
+        def f(u):
+            calls.append(u.size)
+            return np.exp(-u)
+
+        edges = np.array([1.0, 2.0, 4.0, 8.0])
+        sums = nc.gauss_legendre_windows(f, edges)
+        np.testing.assert_allclose(sums, np.exp(-edges[:-1]) - np.exp(-edges[1:]),
+                                   rtol=1e-14)
+        assert len(calls) == 1
+
+    def test_kink_is_refined_or_split(self):
+        # |u - 1.1| has a kink inside the panel [1.0, 1.25]: without the
+        # breakpoint the panels around it are halved until the orders agree
+        calls = []
+
+        def f(u):
+            calls.append(u.size)
+            return np.abs(u - 1.1)
+
+        exact = 0.5 * (0.1**2 + 0.9**2)
+        (val,) = nc.gauss_legendre_windows(f, [1.0, 2.0])
+        assert val == pytest.approx(exact, rel=1e-12)
+        assert len(calls) > 1
+        calls.clear()
+        (val,) = nc.gauss_legendre_windows(f, [1.0, 2.0], [1.1])
+        assert val == pytest.approx(exact, rel=1e-14)
+        assert len(calls) == 1
+
+    def test_jump_raises(self):
+        f = lambda u: np.where(u < 1.1, 1.0, 2.0)
+        with pytest.raises(nc.QuadratureError, match=r"order doubling moves window \[1, 2\]"):
+            nc.gauss_legendre_windows(f, [1.0, 2.0])
+        (val,) = nc.gauss_legendre_windows(f, [1.0, 2.0], [1.1])
+        assert val == pytest.approx(1.9, rel=1e-14)
+
+    def test_unresolvable_oscillation_raises(self):
+        # ~1.6e11 periods: the panel budget runs out long before agreement
+        with pytest.raises(nc.QuadratureError, match="order doubling"):
+            nc.gauss_legendre_windows(lambda u: np.cos(1e12 * u), [1.0, 2.0])
+
+    def test_non_finite_sum_raises(self):
+        with pytest.raises(nc.QuadratureError, match="not finite"):
+            nc.gauss_legendre_windows(lambda u: np.where(u > 1.5, np.nan, u), [1.0, 2.0])
+
+
 class TestFindRoot:
     def test_sqrt_two(self):
         assert nc.find_root(lambda x: x * x - 2.0, (1.0, 2.0)) == pytest.approx(math.sqrt(2.0))

@@ -104,8 +104,8 @@ class TestMovingWallDirectSolves:
     def test_non_finite_boundary_is_rejected(self, family):
         class BreaksDown(criteria.BoundaryFunction):
             # finite up to tau = 3.5, nan after
-            def _phi(self, tau):
-                return np.where(tau > 3.5, np.nan, 2.0 + 0.0 * tau)
+            def _phi_u(self, u):
+                return np.where(u > math.log(3.5), np.nan, 2.0 + 0.0 * u)
 
             def _dphi(self, tau):
                 return np.zeros_like(tau)
