@@ -77,27 +77,36 @@ def _parse_range(text):
     return start, stop, step
 
 
+_PHI_KINDS = {"const": (criteria.Constant, ("l",)), "powerlog": (criteria.PowerLog, ("c", "g")),
+              "sqrtlog": (criteria.PetrovskiiSqrtLog, ("c",)),
+              "powertau": (criteria.PowerOfTau, ("c", "g"))}
+
+
 def _parse_phi(text):
-    """Boundary spec: const:4 | powerlog:C=2.95,g=0.75 | sqrtlog:C=2 | powertau:C=1,g=1.5."""
+    """Boundary spec: const:4 (or l=4) | powerlog:C=2.95,g=0.75 | sqrtlog:C=2 | powertau:C=1,g=1.5.
+
+    Keys are case-insensitive; a key the family does not take is an error.
+    """
     kind, _, rest = text.partition(":")
+    if kind not in _PHI_KINDS:
+        raise argparse.ArgumentTypeError(f"unknown boundary family {kind!r}")
+    make, keys = _PHI_KINDS[kind]
+    if kind == "const" and "=" not in rest:
+        rest = "l=" + rest
     params = {}
-    if rest:
-        for item in rest.split(","):
-            if "=" in item:
-                key, _, val = item.partition("=")
-                params[key.strip().lower()] = float(val)
     try:
-        if kind == "const":
-            return criteria.Constant(params.get("l", float(rest)))
-        if kind == "powerlog":
-            return criteria.PowerLog(params["c"], params["g"])
-        if kind == "sqrtlog":
-            return criteria.PetrovskiiSqrtLog(params["c"])
-        if kind == "powertau":
-            return criteria.PowerOfTau(params["c"], params["g"])
-    except (KeyError, ValueError) as exc:
+        for item in rest.split(","):
+            key, _, val = item.partition("=")
+            key = key.strip().lower()
+            if key not in keys:
+                raise ValueError(f"unknown key {key!r} ({kind} takes {', '.join(keys)})")
+            params[key] = float(val)
+        missing = [key for key in keys if key not in params]
+        if missing:
+            raise ValueError(f"missing key {missing[0]!r}")
+        return make(*(params[key] for key in keys))
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad boundary spec {text!r}: {exc}") from exc
-    raise argparse.ArgumentTypeError(f"unknown boundary family {kind!r}")
 
 
 _FAMILIES = {"heat": kernels.heat, "biharmonic": kernels.biharmonic,
@@ -134,19 +143,9 @@ def cmd_kernel(args):
     lo, hi, step = args.range
     ys = np.arange(lo, hi + 0.5 * step, step)
     vals = kernels.eval_kernel(family, ys, args.tol)
-    kern = kernels.get_kernel(family)
-    fit = kern.ensure_fit()
-    kc = kernels.kernel_constants(family)
-    safe = np.maximum(np.abs(ys), 1e-9)
-    if family.kind == "parabolic":
-        asym = kern.asymptotic_value(safe, fit.c1, fit.c2)
-    elif family.kind == "dispersion3":
-        u = safe**1.5
-        asym = safe ** (-0.25) * (fit.c1 * np.sin(kc.d0 * u) + fit.c2 * np.cos(kc.d0 * u))
-    else:
-        u = safe**2
-        asym = safe ** (-fit.exponent) * (fit.c1 * np.sin(0.25 * u) + fit.c2 * np.cos(0.25 * u))
-    asym = np.where(np.abs(ys) >= 1.0, asym, np.nan)  # the large-argument form only
+    big = np.abs(ys) >= 1.0  # the large-argument form only
+    asym = np.full_like(ys, np.nan)
+    asym[big] = kernels.get_kernel(family).ensure_fit()(ys[big])
     rows = [(y, v, a, abs(v - a)) for y, v, a in zip(ys, vals, asym)]
     _emit(args, _constants_header(family) | {"command": "kernel", "tol": args.tol},
           rows, ["y", "F", "asymptotic", "abs_diff"])

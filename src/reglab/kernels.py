@@ -6,7 +6,11 @@ beam (hyperbolic) equation ``u_tt = -u_xxxx``.  For each family the module
 computes the rescaled kernel ``F``, its closed-form decay/oscillation
 constants, the double-scale large-argument asymptotics, the polynomial
 adjoint eigenfunctions with exact rational coefficients, and the L1
-majorant deficiency of the oscillatory kernel.
+majorant deficiency of the oscillatory kernel.  Every evaluator has one
+method, ``deriv(y, order, tol)``, whose value at a point never depends on
+the batch it is asked in: the heat kernel is the Gaussian in closed form,
+higher orders take quadrature or, far out, the self-evaluating
+``AsymptoticFit``; dispersion is an Airy function, beam a summed integral.
 """
 
 from __future__ import annotations
@@ -182,13 +186,32 @@ def _fill_once(owner, name, compute):
     return value
 
 
+def _check_order(family, order, highest=math.inf):
+    if not 0 <= order <= highest:
+        raise ValueError(f"{family} kernel: derivative order {order} is outside 0..{highest}")
+
+
+def _gaussian_deriv(y, order):
+    """D^k F for the m = 1 kernel F = exp(-y^2/4) / (2 sqrt(pi)), in closed form:
+    (-1)^k 2^(-k/2) He_k(y/sqrt 2) F, He_k by its three-term recurrence."""
+    # past |y| = 64 the Gaussian is 0.0 in double precision; the clip keeps He_k finite
+    y = np.clip(y, -64.0, 64.0)
+    x = y / math.sqrt(2.0)
+    he_prev, he = np.zeros_like(x), np.ones_like(x)
+    for n in range(order):
+        he_prev, he = he, x * he - n * he_prev
+    return (-1) ** order * 2.0 ** (-0.5 * order) * he * np.exp(-0.25 * y * y) \
+        / (2.0 * math.sqrt(math.pi))
+
+
 class _ParabolicKernel:
     """Evaluator for the order-2m kernel F and its derivatives.
 
     F(y) = (1/pi) * int_0^inf exp(-s^(2m)) cos(s y) ds, normalized so that
-    the kernel integrates to one over the line.  Direct quadrature is used
-    up to ``switch_point``; past it the fitted two-term asymptotic takes
-    over.
+    the kernel integrates to one over the line.  For m = 1 this is the
+    Gaussian, evaluated in closed form.  For m >= 2 each point takes its
+    own route: quadrature, or, for F and F' past ``switch_point`` where its
+    error bound meets the tolerance, the fitted two-term asymptotic form.
     """
 
     def __init__(self, m):
@@ -197,38 +220,57 @@ class _ParabolicKernel:
         self._fit = None
         self._switch = None
 
-    # -- quadrature route
-
     _FAR_Y = 12.0  # beyond this, plain node sums hit their cancellation floor
+    _NODES = 128  # near-field rule size; checked against twice as many nodes
 
-    def _quad_deriv(self, y, order, tol):
-        """D^order F by quadrature, vectorized over y.
+    def deriv(self, y, order=0, tol=1e-10):
+        """(d/dy)^order F(y) for scalar or array y, point by point."""
+        _check_order(self.constants.family, order)
+        y_arr = np.atleast_1d(np.asarray(y, dtype=float))
+        if self.m == 1:
+            out = _gaussian_deriv(y_arr, order)
+        else:
+            out = np.empty_like(y_arr)
+            ay = np.abs(y_arr)
+            fitted = np.zeros(ay.shape, dtype=bool)
+            # the fitted form serves only far points, so near-field calls never fill the fit
+            if order <= 1 and ay.max(initial=0.0) > self._FAR_Y:
+                fitted = (ay > max(self._FAR_Y, self.switch_point())) \
+                    & (self._asymptotic_error_bound(np.maximum(ay, 1.0)) <= tol)
+                out[fitted] = self.ensure_fit()(y_arr[fitted], order)
+            out[~fitted] = self._quad(y_arr[~fitted], tol, order)
+        return float(out[0]) if np.isscalar(y) else out
 
-        Moderate arguments use a fixed Gauss-Legendre rule with a doubling
-        check; the node sums run once per distinct argument (``simulate``
-        asks for F on a grid mirrored about zero) and the nodes and weights
-        come from a per-(m, n, order) cache.  Far arguments switch to the
-        adaptive cosine/sine-weighted rule, whose analytic oscillation
-        handling avoids the ~1e-15 cancellation floor that a plain node sum
-        hits out there.
+    def _quad(self, y, tol=1e-10, order=0):
+        """D^order F by quadrature alone, for scalar or array y.
+
+        Up to |y| = 12 a fixed Gauss-Legendre rule with a doubling check;
+        its node sums run once per distinct |y| (``simulate`` asks for F on
+        a grid mirrored about zero) and the nodes and weights come from a
+        per-(m, n, order) cache.  Farther points take the adaptive
+        cosine/sine-weighted rule, whose analytic oscillation handling
+        avoids the ~1e-15 cancellation floor that a plain node sum hits out
+        there.  Values at y < 0 follow from the parity of D^order F.
         """
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.empty_like(y)
-        near = np.abs(y) <= self._FAR_Y
-        smax = _s_cutoff(self.m, order)
+        y_arr = np.atleast_1d(np.asarray(y, dtype=float))
+        ay = np.abs(y_arr)
+        out = np.empty_like(ay)
+        near = ay <= self._FAR_Y
         if near.any():
-            yn, inverse = np.unique(y[near], return_inverse=True)
-            periods = smax * float(np.max(np.abs(yn))) / (2 * math.pi)
-            n = int(max(128, 14 * periods))
+            yn, inverse = np.unique(ay[near], return_inverse=True)
 
             def values(nn):
                 s, ws = _gl_rule(self.m, nn, order)
                 phase = np.multiply.outer(yn, s)
                 if order:
                     phase += 0.5 * math.pi * order
-                return np.cos(phase, out=phase) @ ws / math.pi
+                # a row-wise sum, unlike a BLAS matrix-vector product, gives
+                # each row the same value whatever other rows the batch holds
+                terms = np.cos(phase, out=phase)
+                terms *= ws
+                return terms.sum(axis=1) / math.pi
 
-            v1, v2 = values(n), values(2 * n)
+            v1, v2 = values(self._NODES), values(2 * self._NODES)
             if np.max(np.abs(v1 - v2)) > max(tol, 1e-13):
                 raise QuadratureError("kernel quadrature failed the doubling check",
                                       float(v2[inverse[0]]), float(np.max(np.abs(v1 - v2))))
@@ -237,66 +279,37 @@ class _ParabolicKernel:
             # cos(sy + order*pi/2) reduces to +-cos or +-sin of sy
             weight = "cos" if order % 2 == 0 else "sin"
             sign = (1.0, -1.0, -1.0, 1.0)[order % 4]
+            smax = _s_cutoff(self.m, order)
             g = lambda s: math.exp(-s ** (2 * self.m)) * s**order
             kc = self.constants
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", integrate.IntegrationWarning)
-                for idx in np.nonzero(~near)[0]:
-                    ay = abs(y[idx])
+                for idx, yi in zip(np.nonzero(~near)[0], ay[~near]):
                     # pointwise envelope bound with a WKBJ factor per derivative;
                     # below the double-precision floor the value is certified zero,
                     # which keeps polynomial weights from amplifying pure noise
-                    bound = 2.0 * (1.3 * kc.alpha * abs(kc.a) * ay ** (kc.alpha - 1.0)) ** order \
-                        * ay ** (-kc.delta0) * math.exp(-kc.d0 * ay**kc.alpha)
+                    bound = 2.0 * (1.3 * kc.alpha * abs(kc.a) * yi ** (kc.alpha - 1.0)) ** order \
+                        * yi ** (-kc.delta0) * math.exp(-kc.d0 * yi**kc.alpha)
                     if bound < 1e-18:
                         out[idx] = 0.0
                         continue
-                    v, _ = integrate.quad(g, 0.0, smax, weight=weight, wvar=ay,
+                    v, _ = integrate.quad(g, 0.0, smax, weight=weight, wvar=yi,
                                           epsabs=1e-16, epsrel=1e-13, limit=200)
-                    parity = 1.0 if (order % 2 == 0 or y[idx] >= 0) else -1.0
-                    out[idx] = parity * sign * v / math.pi
-        return out
-
-    def quad_value(self, y, tol=1e-10):
-        out = self._quad_deriv(y, 0, tol)
+                    out[idx] = sign * v / math.pi
+        if order % 2:
+            out[y_arr < 0] *= -1.0
         return float(out[0]) if np.isscalar(y) else out
-
-    def deriv(self, y, order, tol=1e-10):
-        """(d/dy)^order F(y); sign-exact, used for the eigenfunctions of B."""
-        out = self._quad_deriv(y, order, tol)
-        return float(out[0]) if np.isscalar(y) else out
-
-    # -- asymptotic route
-
-    def asymptotic_value(self, y, c1, c2):
-        k = self.constants
-        y = np.asarray(y, dtype=float)
-        u = y**k.alpha
-        return y ** (-k.delta0) * np.exp(-k.d0 * u) * (c1 * np.sin(k.b0 * u) + c2 * np.cos(k.b0 * u))
-
-    def asymptotic_derivative(self, y, c1, c2):
-        k = self.constants
-        y = np.asarray(y, dtype=float)
-        u = y**k.alpha
-        du = k.alpha * y ** (k.alpha - 1.0)
-        env = y ** (-k.delta0) * np.exp(-k.d0 * u)
-        osc = c1 * np.sin(k.b0 * u) + c2 * np.cos(k.b0 * u)
-        dosc = (c1 * np.cos(k.b0 * u) - c2 * np.sin(k.b0 * u)) * k.b0 * du
-        denv = (-k.delta0 / y - k.d0 * du) * env
-        return denv * osc + env * dosc
 
     def ensure_fit(self):
-        return _fill_once(self, "_fit", lambda: kernel_asymptotics_fit(
-            parabolic(self.m), _default_fit_window(self.m)))
+        window = {1: (3.0, 6.0), 2: (5.0, 9.0)}.get(self.m, (4.0, 9.0))
+        return _fill_once(self, "_fit", lambda: kernel_asymptotics_fit(parabolic(self.m), window))
 
     def switch_point(self, tol=1e-6):
-        """First grid point where quadrature and asymptotic agree within tol."""
+        """First grid point from which on quadrature and the fitted form agree within tol."""
         def find():
             fit = self.ensure_fit()
             ys = np.arange(3.0, 30.0, 0.25)
-            quad_v = self.quad_value(ys)
-            asym_v = self.asymptotic_value(ys, fit.c1, fit.c2)
-            ok = np.abs(quad_v - asym_v) < tol
+            ok = np.abs(self._quad(ys) - fit(ys)) < tol
             idx = next((i for i in range(len(ys)) if ok[i:].all()), len(ys) - 1)
             return float(ys[idx])
 
@@ -308,40 +321,6 @@ class _ParabolicKernel:
         return 5e-3 * y ** (-k.delta0 - k.alpha) * np.exp(-k.d0 * y**k.alpha) \
             * self.switch_point() ** k.alpha
 
-    def value(self, y, tol=1e-10):
-        y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.empty_like(y_arr)
-        ay = np.abs(y_arr)  # F is even
-        cut = self.switch_point() if ay.max(initial=0.0) > 12.0 else math.inf
-        near = ay <= cut
-        if not near.all():
-            # the asymptotic branch only serves points where it meets tol
-            near |= self._asymptotic_error_bound(np.maximum(ay, 1.0)) > tol
-        if near.any():
-            out[near] = self._quad_deriv(ay[near], 0, tol)
-        if (~near).any():
-            fit = self.ensure_fit()
-            out[~near] = self.asymptotic_value(ay[~near], fit.c1, fit.c2)
-        return float(out[0]) if np.isscalar(y) else out
-
-    def derivative(self, y, tol=1e-10):
-        """F'(y) for scalar or array y (odd continuation for y < 0)."""
-        y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-        sign = np.sign(y_arr)
-        ay = np.abs(y_arr)
-        cut = self.switch_point() if ay.max(initial=0.0) > 12.0 else math.inf
-        out = np.empty_like(y_arr)
-        near = ay <= cut
-        if not near.all():
-            near |= self._asymptotic_error_bound(np.maximum(ay, 1.0)) > tol
-        if near.any():
-            out[near] = self._quad_deriv(ay[near], 1, tol)
-        if (~near).any():
-            fit = self.ensure_fit()
-            out[~near] = self.asymptotic_derivative(ay[~near], fit.c1, fit.c2)
-        out *= np.where(sign == 0, 1.0, sign)
-        return float(out[0]) if np.isscalar(y) else out
-
 
 class _DispersionKernel:
     """Airy-type kernel of u_t = u_xxx: F'' + (y/3) F = 0, int F = 1."""
@@ -352,16 +331,11 @@ class _DispersionKernel:
         self.constants = kernel_constants(dispersion3())
         self._fit = None
 
-    def value(self, y, tol=None):
+    def deriv(self, y, order=0, tol=None):
+        _check_order(self.constants.family, order, 1)
         y = np.asarray(y, dtype=float)
-        ai = special.airy(-self.scale * y)[0]
-        out = self.scale * ai
-        return float(out) if out.ndim == 0 else out
-
-    def derivative(self, y, tol=None):
-        y = np.asarray(y, dtype=float)
-        aip = special.airy(-self.scale * y)[1]
-        out = -self.scale**2 * aip
+        ai, aip = special.airy(-self.scale * y)[:2]
+        out = self.scale * ai if order == 0 else -self.scale**2 * aip
         return float(out) if out.ndim == 0 else out
 
     def ensure_fit(self):
@@ -399,7 +373,8 @@ class _BeamKernel:
             panels.append(v)
         return alternating_series_sum(panels, tol / 4)
 
-    def value(self, y, tol=1e-8):
+    def deriv(self, y, order=0, tol=1e-10):
+        _check_order(self.constants.family, order, 0)
         y_arr = np.atleast_1d(np.asarray(y, dtype=float))
         out = np.empty_like(y_arr)
         for i, yi in enumerate(np.abs(y_arr)):  # even kernel
@@ -438,12 +413,12 @@ def get_kernel(family):
 
 def eval_kernel(family, y, tol=1e-10):
     """Rescaled kernel F(y) with absolute error below ``tol``."""
-    return get_kernel(family).value(y, tol)
+    return get_kernel(family).deriv(y, 0, tol)
 
 
 def eval_kernel_derivative(family, y, tol=1e-10):
     """F'(y), needed by the eigenvalue matching and the criterion ODEs."""
-    return get_kernel(family).derivative(y, tol)
+    return get_kernel(family).deriv(y, 1, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +427,11 @@ def eval_kernel_derivative(family, y, tol=1e-10):
 
 @dataclass(frozen=True)
 class AsymptoticFit:
-    """Least-squares amplitudes of the double-scale large-y form."""
+    """Least-squares amplitudes of the double-scale large-y form.
+
+    One model for every family: ``y**-exponent * exp(-decay * y**alpha)
+    * (c1 sin(rate * y**alpha) + c2 cos(rate * y**alpha))``.
+    """
 
     family: EquationFamily
     window: tuple[float, float]
@@ -460,10 +439,33 @@ class AsymptoticFit:
     c2: float
     residual: float
     exponent: float  # algebraic decay exponent actually used by the model
+    decay: float
+    rate: float
+    alpha: float
 
+    def __call__(self, y, order=0):
+        """The form (order 0) or its slope (order 1) at y.
 
-def _default_fit_window(m):
-    return {1: (3.0, 6.0), 2: (5.0, 9.0)}.get(m, (4.0, 9.0))
+        Even kernels extend it by parity; the dispersion form is the
+        right-hand oscillation alone and gives nan for y < 0.
+        """
+        _check_order(self.family, order, 1)
+        y = np.asarray(y, dtype=float)
+        ay = np.abs(y)
+        u = ay**self.alpha
+        env = ay ** (-self.exponent) * np.exp(-self.decay * u)
+        osc = self.c1 * np.sin(self.rate * u) + self.c2 * np.cos(self.rate * u)
+        if order == 0:
+            out = env * osc
+        else:
+            du = self.alpha * ay ** (self.alpha - 1.0)
+            dosc = (self.c1 * np.cos(self.rate * u) - self.c2 * np.sin(self.rate * u)) \
+                * self.rate * du
+            denv = (-self.exponent / ay - self.decay * du) * env
+            out = np.where(y < 0, -1.0, 1.0) * (denv * osc + env * dosc)
+        if self.family.kind == "dispersion3":
+            out = np.where(y < 0, np.nan, out)
+        return out
 
 
 def _fit_linear(ys, fs, delta, d_env, b_osc, kappa):
@@ -482,10 +484,10 @@ def _fit_linear(ys, fs, delta, d_env, b_osc, kappa):
 def kernel_asymptotics_fit(family, window, n_samples=48):
     """Fit the oscillatory large-argument form of the kernel on ``window``.
 
-    Returns the sin/cos amplitudes and the relative RMS misfit of the fit
-    against direct kernel values.  The kernel's oscillation must be
-    sampled by the window; if the fit matrix is numerically rank
-    deficient, a wider window is advised via ``ValueError``.
+    Returns the sin/cos amplitudes (for heat, which does not oscillate,
+    the sin one is zero) and the relative RMS misfit of the fit against
+    direct kernel values (parabolic: quadrature alone).  A window holding
+    less than a half oscillation raises ``ValueError``.
 
     For the beam kernel the algebraic decay exponent is itself fitted
     (reported in ``exponent``) rather than assumed.  The fit is returned,
@@ -499,34 +501,24 @@ def kernel_asymptotics_fit(family, window, n_samples=48):
     kern = get_kernel(family)
     k = kern.constants
     if family.kind == "parabolic":
-        fs = kern.quad_value(ys, 1e-12)
-        if k.b0 == 0.0:
-            # pure decay: only the cos amplitude is identifiable
-            env = ys ** (-k.delta0) * np.exp(-k.d0 * ys**k.alpha)
-            fn = fs / env
-            c2 = float(np.mean(fn))
-            resid = float(np.sqrt(np.mean((fn - c2) ** 2)))
-            fit = AsymptoticFit(family, (lo, hi), 0.0, c2, resid, k.delta0)
-        else:
-            phase_span = k.b0 * (hi**k.alpha - lo**k.alpha)
-            if phase_span < math.pi:
-                raise ValueError("window samples less than a half oscillation; widen it")
-            c1, c2, resid = _fit_linear(ys, fs, k.delta0, k.d0, k.b0, k.alpha)
-            fit = AsymptoticFit(family, (lo, hi), c1, c2, resid, k.delta0)
+        if k.b0 != 0.0 and k.b0 * (hi**k.alpha - lo**k.alpha) < math.pi:
+            raise ValueError("window samples less than a half oscillation; widen it")
+        fs = kern._quad(ys, 1e-12)
+        model = (k.delta0, k.d0, k.b0, k.alpha)
     elif family.kind == "dispersion3":
-        fs = kern.value(ys)
-        c1, c2, resid = _fit_linear(ys, fs, k.delta0, 0.0, k.d0, 1.5)
-        fit = AsymptoticFit(family, (lo, hi), c1, c2, resid, k.delta0)
+        fs = kern.deriv(ys)
+        model = (k.delta0, 0.0, k.d0, k.alpha)
     else:
-        fs = kern.value(ys, 1e-9)
+        fs = kern.deriv(ys, 0, 1e-9)
 
         def misfit(q):
-            return _fit_linear(ys, fs, q, 0.0, 0.25, 2.0)[2]
+            return _fit_linear(ys, fs, q, 0.0, k.b0, k.alpha)[2]
 
         qbest = optimize.minimize_scalar(misfit, bounds=(0.3, 3.0), method="bounded").x
-        c1, c2, resid = _fit_linear(ys, fs, qbest, 0.0, 0.25, 2.0)
-        fit = AsymptoticFit(family, (lo, hi), c1, c2, resid, float(qbest))
-    return fit
+        model = (float(qbest), 0.0, k.b0, k.alpha)
+    c1, c2, resid = _fit_linear(ys, fs, *model)
+    return AsymptoticFit(family, (lo, hi), c1, c2, resid, *model)
+
 
 
 # ---------------------------------------------------------------------------
@@ -631,9 +623,11 @@ def orthonormality_matrix(family, k_max, tol=1e-8):
         ws.append(0.5 * (b - a) * gw)
     ys, ws = np.concatenate(ys), np.concatenate(ws)
 
+    # quadrature alone: the fitted far form meets tol pointwise, but the
+    # polynomial weights would amplify its error far past tol
     kern = get_kernel(family)
     psi_vals = np.stack([
-        kern.deriv(ys, p.k, tol * 1e-2) * ((-1) ** p.k) / math.sqrt(p.norm_sq)
+        kern._quad(ys, tol * 1e-2, p.k) * ((-1) ** p.k) / math.sqrt(p.norm_sq)
         for p in pairs
     ])
     star_vals = np.stack([p.psi_star_poly(ys) / math.sqrt(p.norm_sq) for p in pairs])
@@ -773,19 +767,20 @@ def majorant_deficiency(family, tol=1e-8):
         y_hi += 1.0
 
     grid = np.linspace(0.0, y_hi, max(400, int(40 * y_hi)))
-    vals = kern.value(grid, tol * 1e-2)
+    vals = kern.deriv(grid, 0, tol * 1e-2)
     zeros = []
     for i in range(len(grid) - 1):
         if vals[i] == 0.0:
             zeros.append(float(grid[i]))
         elif vals[i] * vals[i + 1] < 0.0:
-            z = optimize.brentq(lambda y: kern.value(float(y), tol * 1e-2), grid[i], grid[i + 1], xtol=1e-12)
+            z = optimize.brentq(lambda y: kern.deriv(float(y), 0, tol * 1e-2),
+                                grid[i], grid[i + 1], xtol=1e-12)
             zeros.append(float(z))
 
     pts = [0.0] + zeros + [y_hi]
     total = 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
-        v, _ = integrate.quad(lambda y: kern.value(float(y), tol * 1e-2), lo, hi,
+        v, _ = integrate.quad(lambda y: kern.deriv(float(y), 0, tol * 1e-2), lo, hi,
                               epsabs=tol / (4 * len(pts)), limit=200)
         total += abs(v)
     tail = abs(integrate.quad(lambda y: env(y), y_hi, y_hi + 40.0, epsabs=tol / 10, limit=100)[0])

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 
 import pytest
@@ -38,6 +39,16 @@ class TestKernelCommand:
         assert code == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("kernel: tol must be positive and finite")
+
+    def test_dispersion_asymptotic_column_is_right_side_only(self, tmp_path):
+        code, text = run_cli(tmp_path, "kernel", "--family", "dispersion3", "--range=-6:6:2")
+        assert code == 0
+        rows = [[float(v) for v in line.split(",")] for line in text.strip().split("\n")[2:]]
+        for y, _, asym, diff in rows:
+            if y < 0:
+                assert math.isnan(asym) and math.isnan(diff)
+            elif y >= 1:
+                assert math.isfinite(asym)
 
     def test_bad_range_exits_nonzero(self):
         # argparse raises SystemExit for flag-validation failures
@@ -188,6 +199,20 @@ class TestCriterionCommand:
                              "--phi", "powertau:C=1,g=1.3", "--cutoff")
         data = json.loads(text)
         assert data["cutoff"] is True and data["boundary"].startswith("Cutoff(")
+
+    def test_unknown_boundary_key_is_one_line_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        code = cli.main(["criterion", "--family", "biharmonic",
+                         "--phi", "powerlog:C=2.9,g=0.75,x=1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert not out.exists()
+        assert "unknown key 'x'" in err and err.count("\n") == 1
+
+    def test_constant_boundary_takes_its_key(self, tmp_path):
+        assert cli._parse_phi("const:l=4").describe() == cli._parse_phi("const:4").describe()
+        code, text = run_cli(tmp_path, "criterion", "--family", "biharmonic", "--phi", "const:l=4")
+        assert code == 0 and json.loads(text)["boundary"] == criteria.Constant(4.0).describe()
 
     def test_unsupported_spectral_delegation_is_one_line_exit_two(self, tmp_path, capsys):
         out = tmp_path / "x.txt"

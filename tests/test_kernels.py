@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from reglab import kernels as K
 from reglab.numcore import Polynomial
@@ -107,10 +109,11 @@ class TestKernelEvaluation:
             1.0 / math.sqrt(2.0 * math.pi), abs=1e-8)
 
 
-# Mirrored and repeated arguments.  The node count of the near-field rule,
-# and for value/derivative the regime, follow from the largest |y| of a
-# call, so each batch keeps to one rule: |y| <= 7.5 (the 128-node rule for
-# every m and order) or |y| >= 12.5 (the far field and the asymptotic form).
+# Mirrored and repeated arguments.  Every point takes its own route, so the
+# split is for coverage only: for m >= 2, |y| <= 7.5 takes the fixed
+# Gauss-Legendre rule and |y| >= 12.5 the adaptive far-field quadrature or,
+# for F and F', the fitted form (m = 1 is closed form throughout).  Mixed
+# batches are the property test below.
 _NEAR = np.array([0.0, 0.0, 0.5, -0.5, 1.25, -1.25, 1.25, 3.0, -3.0, -3.0, 7.5, -7.5])
 _FAR = np.array([12.5, -12.5, 20.0, -20.0, 20.0])
 
@@ -136,6 +139,70 @@ class TestArrayCallsMatchScalarCalls:
         # a repeated argument gets one value
         for y in np.unique(ys):
             assert np.unique(vector[ys == y]).size == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.sampled_from([1, 2, 3]), order=st.integers(0, 3),
+       ys=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=6))
+@example(m=1, order=0, ys=[11.9, 20.0])
+@example(m=2, order=1, ys=[11.9, -20.0])
+@example(m=3, order=0, ys=[-11.9, 26.0])
+def test_each_point_is_independent_of_its_batch(m, order, ys):
+    fam = K.parabolic(m)
+    kern = K.get_kernel(fam)
+    fns = [lambda y: kern.deriv(y, order)]
+    if order <= 1:
+        fns.append(lambda y: (K.eval_kernel, K.eval_kernel_derivative)[order](fam, y))
+    ys = np.array(ys)
+    for fn in fns:
+        scalars = np.array([fn(float(y)) for y in ys])
+        np.testing.assert_allclose(fn(ys), scalars, rtol=0.0, atol=1e-16)
+
+
+class TestOneEvaluator:
+    @pytest.mark.parametrize("order", range(6))
+    def test_heat_closed_form_matches_fourier_integral(self, order):
+        # independent route: (1/pi) int_0^inf exp(-s^2) s^k cos(s y + k pi/2) ds
+        from scipy.integrate import quad
+
+        kern = K.get_kernel(K.heat())
+        for y in (0.0, 0.7, -1.3, 2.5, 4.0, -6.0):
+            integrand = lambda s: math.exp(-s * s) * s**order * math.cos(s * y + 0.5 * math.pi * order)
+            ref, _ = quad(integrand, 0.0, 8.0, epsabs=1e-14, epsrel=0.0, limit=200)
+            assert kern.deriv(y, order) == pytest.approx(ref / math.pi, rel=0.0, abs=1e-13)
+
+    @pytest.mark.parametrize("fam", [K.heat(), K.biharmonic(), K.parabolic(3), K.dispersion3()],
+                             ids=str)
+    def test_public_calls_are_deriv(self, fam):
+        ys = np.array([-20.0, -3.5, 0.0, 0.4, 7.0, 13.0, 30.0])
+        kern = K.get_kernel(fam)
+        assert np.array_equal(K.eval_kernel(fam, ys), kern.deriv(ys, 0))
+        assert np.array_equal(K.eval_kernel_derivative(fam, ys), kern.deriv(ys, 1))
+        assert K.eval_kernel(fam, 13.0) == kern.deriv(13.0, 0)
+
+    def test_beam_has_order_zero_only(self):
+        assert K.eval_kernel(K.beam4(), 2.0) == K.get_kernel(K.beam4()).deriv(2.0, 0)
+        with pytest.raises(ValueError, match="beam4"):
+            K.eval_kernel_derivative(K.beam4(), 1.0)
+        with pytest.raises(ValueError, match="beam4"):
+            K.get_kernel(K.beam4()).deriv(1.0, 2)
+
+    def test_dispersion_rejects_order_two(self):
+        kern = K.get_kernel(K.dispersion3())
+        assert np.isfinite(kern.deriv(1.0, 1))
+        with pytest.raises(ValueError, match="dispersion3"):
+            kern.deriv(1.0, 2)
+
+    def test_dispersion_fit_holds_on_the_right_only(self):
+        fit = K.get_kernel(K.dispersion3()).ensure_fit()
+        vals = fit(np.array([-6.0, -2.0, 2.0, 6.0]))
+        assert np.isnan(vals[:2]).all() and np.isfinite(vals[2:]).all()
+        assert np.isnan(fit(-2.0, 1))
+
+    def test_even_fit_extends_by_parity(self):
+        fit = K.get_kernel(K.biharmonic()).ensure_fit()
+        assert fit(-15.0) == fit(15.0)
+        assert fit(-15.0, 1) == -fit(15.0, 1)
 
 
 class TestLazyFillUnderThreads:
@@ -182,13 +249,13 @@ class TestLazyFillUnderThreads:
         kern = K._ParabolicKernel(2)
         kern._fit = K.get_kernel(K.biharmonic()).ensure_fit()
         quad_calls = []
-        quad_value = kern.quad_value
+        quad_value = kern._quad
 
         def counted(ys, tol=1e-10):
             quad_calls.append(len(ys))
             return quad_value(ys, tol)
 
-        monkeypatch.setattr(kern, "quad_value", counted)
+        monkeypatch.setattr(kern, "_quad", counted)
         results = self._race(kern.switch_point)
         assert len(quad_calls) == 1
         assert set(results) == {K.get_kernel(K.biharmonic()).switch_point()}
@@ -212,11 +279,11 @@ class TestAsymptoticFit:
         kern = K.get_kernel(K.parabolic(2))
         kc = kern.constants
         grid = np.linspace(4.0, 16.0, 900)
-        vals = kern.quad_value(grid, 1e-12)
+        vals = kern._quad(grid, 1e-12)
         zeros = []
         for i in range(len(grid) - 1):
             if vals[i] * vals[i + 1] < 0:
-                zeros.append(brentq(lambda y: kern.quad_value(float(y), 1e-12),
+                zeros.append(brentq(lambda y: kern._quad(float(y), 1e-12),
                                     grid[i], grid[i + 1], xtol=1e-10))
         spacings = np.diff([z ** (4.0 / 3.0) for z in zeros])
         assert len(spacings) >= 2
