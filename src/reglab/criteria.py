@@ -774,6 +774,7 @@ class A0Trace:
     log_a0: np.ndarray
     hit_zero: bool
     family: str
+    rhs_calls: int  # right-hand-side evaluations the solver made
 
     @property
     def tau(self):
@@ -798,9 +799,11 @@ class A0Trace:
 
 
 def _a0_direct_rhs(family, phi_u):
-    """d a0 / du for the cubic-diffusion models (coefficient inside the kernel)."""
+    """d a0 / du for the cubic-diffusion models (coefficient inside the kernel),
+    with its derivative in a0 where the solver needs one (else None)."""
     if family == "pme4":
         fam = kernels.biharmonic()
+        kern = kernels.get_kernel(fam)
         g1, g2 = blayer.wall_constants(blayer.solve_bl_bvp("pme4", 50.0, tol=1e-8))
 
         def rhs(u, a0):
@@ -813,7 +816,22 @@ def _a0_direct_rhs(family, phi_u):
                        * kernels.eval_kernel_derivative(fam, arg))
             return density * math.exp(min(u, 700.0))
 
-        return rhs
+        def jac(u, a0):
+            # d arg / d a0 = -arg / (2 a0); F, F' and F'' at the one argument.
+            # Once a0 sits on the root of the layer flux the rhs is e^u times
+            # rounding noise: a finite-difference Jacobian of it would make
+            # LSODA's step count, or its failure, hinge on the last bits of F
+            if a0 <= 0:
+                return 0.0
+            v = phi_u(u)
+            arg = v / math.sqrt(a0)
+            f0, f1, f2 = (kern.deriv(arg, k) for k in range(3))
+            d_density = (0.5 * g2 * v / math.sqrt(a0) * (f0 - arg * f1)
+                         + g1 * v ** (2.0 / 3.0) * a0 ** (-1.0 / 3.0)
+                         * (2.0 / 3.0 * f1 - 0.5 * arg * f2))
+            return d_density * math.exp(min(u, 700.0))
+
+        return rhs, jac
     if family == "pme4-reduced":
         kc = kernels.kernel_constants(kernels.biharmonic())
 
@@ -823,7 +841,7 @@ def _a0_direct_rhs(family, phi_u):
             ex = u - kc.d0 * (phi_u(u) / math.sqrt(a0)) ** (4.0 / 3.0)
             return -math.exp(ex) if ex < 700.0 else -math.inf
 
-        return rhs
+        return rhs, None
     raise ValueError(f"no first-coefficient ODE for family {family!r}")
 
 
@@ -836,7 +854,10 @@ def integrate_a0(family, phi, tau_span=None, a0_init=1.0, n_out=400, lntau_span=
     ``lntau_span`` may be given instead of ``tau_span`` to reach the
     extremely late log-times where the slow asymptotics settle.  For the
     cubic-diffusion models a positive start is required and the run
-    stops with ``hit_zero`` when the coefficient reaches zero.
+    stops with ``hit_zero`` when the coefficient reaches zero; the full
+    model hands LSODA its analytic Jacobian.  A solver failure raises
+    ``numcore.OdeError`` naming the family, the ln(tau) reached and the
+    solver's message, instead of returning a truncated trace.
     """
     if lntau_span is None:
         tau_lo, tau_hi = tau_span
@@ -867,12 +888,14 @@ def integrate_a0(family, phi, tau_span=None, a0_init=1.0, n_out=400, lntau_span=
         def rhs_u(u, y):
             return np.array([slope(u)])
 
-        y0, events, atol = math.log(a0_init), None, 1e-12
+        y0, events, atol, jac_u = math.log(a0_init), None, 1e-12, None
     else:
-        rhs = _a0_direct_rhs(family, phi_u)
+        rhs, jac = _a0_direct_rhs(family, phi_u)
 
         def rhs_u(u, y):
             return np.array([rhs(u, float(y[0]))])
+
+        jac_u = None if jac is None else (lambda u, y: np.array([[jac(u, float(y[0]))]]))
 
         def events(u, y):  # the coefficient reached its floor
             return float(y[0]) - 1e-12 * a0_init
@@ -884,13 +907,20 @@ def integrate_a0(family, phi, tau_span=None, a0_init=1.0, n_out=400, lntau_span=
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         sol = integrate.solve_ivp(rhs_u, (u_eval[0], u_eval[-1]), [y0], t_eval=u_eval,
-                                  events=events, method="LSODA", rtol=1e-10, atol=atol)
+                                  events=events, method="LSODA", rtol=1e-10, atol=atol,
+                                  jac=jac_u)
+    if sol.status == -1:
+        reached = float(sol.t[-1]) if sol.t.size else float(u_eval[0])
+        raise numcore.OdeError(f"integrate_a0({family!r}) stopped at ln tau = {reached:.6g} "
+                               f"of {u_eval[-1]:.6g}: {sol.message}", reached)
     if events is None:
-        return A0Trace(ln_tau=sol.t, log_a0=sol.y[0], hit_zero=False, family=family)
+        return A0Trace(ln_tau=sol.t, log_a0=sol.y[0], hit_zero=False, family=family,
+                       rhs_calls=sol.nfev)
     hit = bool(sol.status == 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_a0 = np.log(np.maximum(sol.y[0], 0.0))
-    return A0Trace(ln_tau=sol.t, log_a0=log_a0, hit_zero=hit, family=family)
+    return A0Trace(ln_tau=sol.t, log_a0=log_a0, hit_zero=hit, family=family,
+                   rhs_calls=sol.nfev)
 
 
 @dataclass(frozen=True)

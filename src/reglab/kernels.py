@@ -8,9 +8,12 @@ constants, the double-scale large-argument asymptotics, the polynomial
 adjoint eigenfunctions with exact rational coefficients, and the L1
 majorant deficiency of the oscillatory kernel.  Every evaluator has one
 method, ``deriv(y, order, tol)``, whose value at a point never depends on
-the batch it is asked in: the heat kernel is the Gaussian in closed form,
-higher orders take quadrature or, far out, the self-evaluating
-``AsymptoticFit``; dispersion is an Airy function, beam a summed integral.
+the batch it is asked in: the heat kernel is the Gaussian in closed form;
+higher orders read a piecewise-Chebyshev table per derivative order for
+|y| <= 12 (built once from the quadrature, which stays the reference, and
+certified against it between its nodes), and take quadrature or, far out,
+the self-evaluating ``AsymptoticFit`` beyond; dispersion is an Airy
+function, beam a summed integral.
 """
 
 from __future__ import annotations
@@ -175,11 +178,11 @@ _FILL_LOCK = threading.RLock()
 
 
 def _fill_once(owner, name, compute):
-    """``owner.<name>``, set to ``compute()`` by the first caller that finds it None."""
-    value = getattr(owner, name)
+    """``owner.<name>``, set to ``compute()`` by the first caller that finds it None or unset."""
+    value = getattr(owner, name, None)
     if value is None:
         with _FILL_LOCK:
-            value = getattr(owner, name)
+            value = getattr(owner, name, None)
             if value is None:
                 value = compute()
                 setattr(owner, name, value)
@@ -204,14 +207,29 @@ def _gaussian_deriv(y, order):
         / (2.0 * math.sqrt(math.pi))
 
 
+def _clenshaw(coef, t):
+    """sum_k coef[k] T_k(t) by Clenshaw's recurrence, element by element.
+
+    ``coef`` has one row per degree and one column per point, so no step
+    mixes points and a point's value never depends on its batch.
+    """
+    b1, b2 = coef[-1], 0.0
+    t2 = 2.0 * t
+    for c in coef[-2:0:-1]:
+        b1, b2 = t2 * b1 - b2 + c, b1
+    return t * b1 - b2 + coef[0]
+
+
 class _ParabolicKernel:
     """Evaluator for the order-2m kernel F and its derivatives.
 
     F(y) = (1/pi) * int_0^inf exp(-s^(2m)) cos(s y) ds, normalized so that
     the kernel integrates to one over the line.  For m = 1 this is the
     Gaussian, evaluated in closed form.  For m >= 2 each point takes its
-    own route: quadrature, or, for F and F' past ``switch_point`` where its
-    error bound meets the tolerance, the fitted two-term asymptotic form.
+    own route: up to |y| = 12 a piecewise-Chebyshev table of D^order F,
+    built once from quadrature and certified against it; farther out
+    quadrature, or, for F and F' past ``switch_point`` where its error
+    bound meets the tolerance, the fitted two-term asymptotic form.
     """
 
     def __init__(self, m):
@@ -222,6 +240,9 @@ class _ParabolicKernel:
 
     _FAR_Y = 12.0  # beyond this, plain node sums hit their cancellation floor
     _NODES = 128  # near-field rule size; checked against twice as many nodes
+    _PANEL = 0.25  # width of a table panel on [0, _FAR_Y]
+    _DEGREE = 12  # Chebyshev degree on each panel
+    _TABLE_TOL = 1e-14  # certified table error, scaled by the bound on |D^order F| where above 1
 
     def deriv(self, y, order=0, tol=1e-10):
         """(d/dy)^order F(y) for scalar or array y, point by point."""
@@ -232,22 +253,67 @@ class _ParabolicKernel:
         else:
             out = np.empty_like(y_arr)
             ay = np.abs(y_arr)
-            fitted = np.zeros(ay.shape, dtype=bool)
+            near = ay <= self._FAR_Y
+            if near.any():
+                out[near] = self._tabulated(y_arr[near], order)
+            rest = ~near
             # the fitted form serves only far points, so near-field calls never fill the fit
-            if order <= 1 and ay.max(initial=0.0) > self._FAR_Y:
-                fitted = (ay > max(self._FAR_Y, self.switch_point())) \
+            if order <= 1 and rest.any():
+                fitted = rest & (ay > self.switch_point()) \
                     & (self._asymptotic_error_bound(np.maximum(ay, 1.0)) <= tol)
                 out[fitted] = self.ensure_fit()(y_arr[fitted], order)
-            out[~fitted] = self._quad(y_arr[~fitted], tol, order)
+                rest &= ~fitted
+            if rest.any():
+                out[rest] = self._quad(y_arr[rest], tol, order)
         return float(out[0]) if np.isscalar(y) else out
+
+    def _tabulated(self, y, order):
+        """D^order F at |y| <= 12 from the certified table of that order."""
+        coef = _fill_once(self, f"_table{order}", lambda: self._build_table(order))
+        ay = np.abs(y)
+        panel = np.minimum((ay / self._PANEL).astype(np.intp), coef.shape[1] - 1)
+        t = (ay - (panel + 0.5) * self._PANEL) * (2.0 / self._PANEL)
+        out = _clenshaw(coef[:, panel], t)
+        # odd orders flip sign with y and vanish at 0, exactly
+        return np.sign(y) * out if order % 2 else out
+
+    def _build_table(self, order):
+        """Chebyshev coefficients (degree, panel) of D^order F on [0, 12].
+
+        Each panel interpolates ``_quad`` at the Chebyshev points of the
+        first kind and is certified against ``_quad`` at the Chebyshev-
+        Lobatto points, which lie between those nodes and include the panel
+        joints; a panel off by more than ``_TABLE_TOL`` raises
+        ``QuadratureError``.  Panel by panel, no temporary array is large.
+        """
+        n = self._DEGREE + 1
+        theta = math.pi * (np.arange(n) + 0.5) / n
+        to_coef = np.cos(np.outer(np.arange(n), theta)) * (2.0 / n)
+        to_coef[0] *= 0.5
+        nodes, checks = np.cos(theta), np.cos(math.pi * np.arange(n + 1) / n)
+        # the weights' mass bounds |D^order F|
+        scale = max(1.0, float(_gl_rule(self.m, 2 * self._NODES, order)[1].sum()) / math.pi)
+        half = 0.5 * self._PANEL
+        coef = np.empty((n, round(self._FAR_Y / self._PANEL)))
+        for j in range(coef.shape[1]):
+            mid = (j + 0.5) * self._PANEL
+            coef[:, j] = (to_coef * self._quad(mid + half * nodes, 1e-13, order)).sum(axis=1)
+            ref = self._quad(mid + half * checks, 1e-13, order)
+            err = np.abs(_clenshaw(coef[:, [j] * checks.size], checks) - ref)
+            if err.max() > self._TABLE_TOL * scale:
+                raise QuadratureError(
+                    f"{self.constants.family} kernel table of order {order} failed its "
+                    f"certification on [{mid - half}, {mid + half}]",
+                    float(ref[err.argmax()]), float(err.max()))
+        coef.flags.writeable = False
+        return coef
 
     def _quad(self, y, tol=1e-10, order=0):
         """D^order F by quadrature alone, for scalar or array y.
 
         Up to |y| = 12 a fixed Gauss-Legendre rule with a doubling check;
-        its node sums run once per distinct |y| (``simulate`` asks for F on
-        a grid mirrored about zero) and the nodes and weights come from a
-        per-(m, n, order) cache.  Farther points take the adaptive
+        its node sums run once per distinct |y| and the nodes and weights
+        come from a per-(m, n, order) cache.  Farther points take the adaptive
         cosine/sine-weighted rule, whose analytic oscillation handling
         avoids the ~1e-15 cancellation floor that a plain node sum hits out
         there.  Values at y < 0 follow from the parity of D^order F.
@@ -476,7 +542,12 @@ def _fit_linear(ys, fs, delta, d_env, b_osc, kappa):
     env = ys ** (-delta) * np.exp(-d_env * u)
     basis = np.column_stack([np.sin(b_osc * u), np.cos(b_osc * u)])
     fn = fs / env
-    coef, *_ = np.linalg.lstsq(basis, fn, rcond=None)
+    if b_osc == 0.0:
+        # the sin column vanishes and least squares is the mean, without the
+        # few ulps an SVD would add to an exact form
+        coef = np.array([0.0, np.mean(fn)])
+    else:
+        coef, *_ = np.linalg.lstsq(basis, fn, rcond=None)
     resid = float(np.sqrt(np.mean((fn - basis @ coef) ** 2)))
     return float(coef[0]), float(coef[1]), resid
 
@@ -486,7 +557,8 @@ def kernel_asymptotics_fit(family, window, n_samples=48):
 
     Returns the sin/cos amplitudes (for heat, which does not oscillate,
     the sin one is zero) and the relative RMS misfit of the fit against
-    direct kernel values (parabolic: quadrature alone).  A window holding
+    direct kernel values (heat: its closed form, which the form matches
+    exactly; higher parabolic orders: quadrature alone).  A window holding
     less than a half oscillation raises ``ValueError``.
 
     For the beam kernel the algebraic decay exponent is itself fitted
@@ -503,7 +575,7 @@ def kernel_asymptotics_fit(family, window, n_samples=48):
     if family.kind == "parabolic":
         if k.b0 != 0.0 and k.b0 * (hi**k.alpha - lo**k.alpha) < math.pi:
             raise ValueError("window samples less than a half oscillation; widen it")
-        fs = kern._quad(ys, 1e-12)
+        fs = kern.deriv(ys) if family.m == 1 else kern._quad(ys, 1e-12)
         model = (k.delta0, k.d0, k.b0, k.alpha)
     elif family.kind == "dispersion3":
         fs = kern.deriv(ys)

@@ -25,6 +25,13 @@ class TestKernelCommand:
         assert lines[1] == "y,F,asymptotic,abs_diff"
         assert len(lines) - 2 == 201
 
+    def test_heat_asymptotic_form_matches_the_kernel(self, tmp_path):
+        code, text = run_cli(tmp_path, "kernel", "--family", "heat", "--range=-6:6:2")
+        rows = [line.split(",") for line in text.strip().split("\n")[2:]]
+        diffs = {float(y): float(d) for y, _, _, d in rows if y != "0"}
+        assert code == 0 and sorted(diffs) == [-6.0, -4.0, -2.0, 2.0, 4.0, 6.0]
+        assert max(diffs.values()) <= 1e-15
+
     def test_dispersion_header_constant(self, tmp_path):
         code, text = run_cli(tmp_path, "kernel", "--family", "dispersion3",
                              "--range", "0:5:0.5")

@@ -1,11 +1,12 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from reglab import criteria as cr
-from reglab import kernels, numcore
+from reglab import blayer, kernels, numcore
 
 C_STAR_4TH = 3.0 ** (-0.75) * 2.0**2.75  # ~2.9512, threshold of the fourth-order family
 C_STAR_DISP_LEFT = (1.5 * math.sqrt(3.0)) ** (2.0 / 3.0)
@@ -440,6 +441,51 @@ class TestCoefficientTraces:
     def test_beam_trace_swings_both_ways(self):
         tr = cr.integrate_a0("beam4", cr.PowerLog(1.0, 0.5), tau_span=(cr.TAU0, 1e8))
         assert tr.log_a0.max() > 1.0 and tr.log_a0.min() < -1.0
+
+
+class TestFullCubicModel:
+    """The full pme4 coefficient settles on the root a0* of the layer flux
+    by ln tau ~ 5; after that its right-hand side is e^u times rounding
+    noise, and only the analytic Jacobian keeps LSODA's work bounded."""
+
+    @pytest.fixture(scope="class")
+    def flux_root(self):
+        g1, g2 = blayer.wall_constants(blayer.solve_bl_bvp("pme4", 50.0, tol=1e-8))
+        fam = kernels.biharmonic()
+
+        def density(a0):
+            arg = 1.0 / math.sqrt(a0)
+            return (g2 * math.sqrt(a0) * kernels.eval_kernel(fam, arg)
+                    + g1 * a0 ** (2.0 / 3.0) * kernels.eval_kernel_derivative(fam, arg))
+
+        return numcore.find_root(density, (0.03, 0.2), tol=1e-15)
+
+    @pytest.mark.parametrize("a0_init", [0.9, 0.95, 0.98, 1.0, 1.05])
+    def test_every_start_reaches_the_end_on_the_flux_root(self, a0_init, flux_root):
+        tr = cr.integrate_a0("pme4", cr.Constant(1.0), lntau_span=(1.0, 3000.0),
+                             a0_init=a0_init)
+        assert tr.ln_tau[-1] == 3000.0 and not tr.hit_zero
+        assert math.exp(tr.log_a0[-1]) == pytest.approx(flux_root, rel=1e-9)
+        # a count, not a time: starts in this range took 440-680 calls
+        assert tr.rhs_calls < 2000
+
+    @pytest.mark.parametrize("a0", [0.03, 0.0639, 0.2, 1.0, 1.5])
+    @pytest.mark.parametrize("u", [1.0, 4.0])
+    def test_jacobian_matches_a_central_difference(self, a0, u):
+        rhs, jac = cr._a0_direct_rhs("pme4", cr.Constant(1.0).at_logtime)
+        h = 1e-5 * a0
+        central = (rhs(u, a0 + h) - rhs(u, a0 - h)) / (2.0 * h)
+        assert jac(u, a0) == pytest.approx(central, rel=1e-7, abs=1e-9 * math.exp(u))
+
+    def test_solver_failure_is_an_ode_error(self, monkeypatch):
+        def failed_run(fun, t_span, y0, t_eval, **kwargs):
+            return SimpleNamespace(status=-1, message="Unexpected istate in LSODA.",
+                                   t=t_eval[:3], y=np.ones((1, 3)), nfev=10)
+
+        monkeypatch.setattr(cr.integrate, "solve_ivp", failed_run)
+        with pytest.raises(numcore.OdeError, match=r"'pme4'.*ln tau = 3 of 100: .*istate") as err:
+            cr.integrate_a0("pme4", cr.Constant(1.0), lntau_span=(1.0, 100.0), n_out=100)
+        assert err.value.last_abscissa == 3.0
 
 
 class TestCubicCriticalFamily:

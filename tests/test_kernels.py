@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import threading
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reglab import kernels as K
-from reglab.numcore import Polynomial
+from reglab.numcore import Polynomial, QuadratureError
 
 
 class TestKernelConstants:
@@ -110,8 +111,8 @@ class TestKernelEvaluation:
 
 
 # Mirrored and repeated arguments.  Every point takes its own route, so the
-# split is for coverage only: for m >= 2, |y| <= 7.5 takes the fixed
-# Gauss-Legendre rule and |y| >= 12.5 the adaptive far-field quadrature or,
+# split is for coverage only: for m >= 2, |y| <= 7.5 takes the certified
+# Chebyshev table and |y| >= 12.5 the adaptive far-field quadrature or,
 # for F and F', the fitted form (m = 1 is closed form throughout).  Mixed
 # batches are the property test below.
 _NEAR = np.array([0.0, 0.0, 0.5, -0.5, 1.25, -1.25, 1.25, 3.0, -3.0, -3.0, 7.5, -7.5])
@@ -157,6 +158,39 @@ def test_each_point_is_independent_of_its_batch(m, order, ys):
     for fn in fns:
         scalars = np.array([fn(float(y)) for y in ys])
         np.testing.assert_allclose(fn(ys), scalars, rtol=0.0, atol=1e-16)
+
+
+# every panel joint of the table on [-12, 12] and a dense grid between them
+_TABLE_GRID = np.unique(np.concatenate([np.arange(-48, 49) * 0.25, np.linspace(-12.0, 12.0, 2401)]))
+
+
+class TestKernelTable:
+    """For m >= 2, points with |y| <= 12 come from a piecewise-Chebyshev table."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_table_matches_quadrature(self, m, order):
+        kern = K.get_kernel(K.parabolic(m))
+        err = np.abs(kern.deriv(_TABLE_GRID, order) - kern._quad(_TABLE_GRID, 1e-13, order))
+        assert err.max() <= 1e-14
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_exact_parity(self, m, order):
+        kern = K.get_kernel(K.parabolic(m))
+        right, left = kern.deriv(_TABLE_GRID, order), kern.deriv(-_TABLE_GRID, order)
+        assert np.array_equal(left, right if order % 2 == 0 else -right)
+        if order % 2:
+            assert kern.deriv(0.0, order) == 0.0
+
+    def test_failed_certification_raises_and_stores_nothing(self):
+        kern = K._ParabolicKernel(2)
+        kern._TABLE_TOL = 1e-20  # below the rounding of the quadrature it is checked against
+        for _ in range(2):
+            with pytest.raises(QuadratureError, match="table of order 1"):
+                kern.deriv(1.0, 1)
+        assert getattr(kern, "_table1", None) is None
+        assert kern.deriv(20.0, 1) == K.get_kernel(K.biharmonic()).deriv(20.0, 1)
 
 
 class TestOneEvaluator:
@@ -245,6 +279,30 @@ class TestLazyFillUnderThreads:
         assert all(r is results[0] for r in results)
         assert K._KERNELS == {K.parabolic(3): results[0]}
 
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_each_table_is_built_once(self, m):
+        kern = K._ParabolicKernel(m)
+        built = []
+        build = kern._build_table
+
+        def counted(order):
+            built.append(order)
+            threading.Event().wait(0.01)
+            return build(order)
+
+        kern._build_table = counted
+        starts = itertools.count()
+
+        def ask_all_orders():
+            # each thread asks for all four orders, starting from a different one
+            s = next(starts)
+            return [(k, kern.deriv(1.3, k)) for k in ((s + j) % 4 for j in range(4))]
+
+        results = self._race(ask_all_orders)
+        assert sorted(built) == [0, 1, 2, 3]
+        values = {k: v for r in results for k, v in r}
+        assert all(dict(r) == values for r in results)
+
     def test_switch_point_is_computed_once(self, monkeypatch):
         kern = K._ParabolicKernel(2)
         kern._fit = K.get_kernel(K.biharmonic()).ensure_fit()
@@ -267,6 +325,14 @@ class TestAsymptoticFit:
         assert fit.c1 == 0.0
         assert fit.c2 == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi)), rel=1e-9)
         assert fit.residual < 1e-6
+
+    def test_heat_fit_samples_the_closed_form(self):
+        # the form is exact for heat, so its amplitude is 1/(2 sqrt pi) to rounding
+        fit = K.get_kernel(K.heat()).ensure_fit()
+        c = 1.0 / (2.0 * math.sqrt(math.pi))
+        assert abs(fit.c2 - c) <= math.ulp(c)
+        ys = np.array([-6.0, -2.0, 1.0, 2.0, 4.0, 6.0])
+        assert np.max(np.abs(fit(ys) - K.eval_kernel(K.heat(), ys))) <= 1e-16
 
     def test_fourth_order_fit_quality(self):
         fit = K.kernel_asymptotics_fit(K.parabolic(2), (5.0, 9.0))
