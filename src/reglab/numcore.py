@@ -92,7 +92,8 @@ _GL_NODES = np.concatenate([_GL[0][0], _GL[1][0]])
 _PANEL_WIDTH = 0.25
 _AGREEMENT = 1e-12
 _MAX_HALVINGS = 20  # a panel is halved at most this often ...
-_MAX_PANELS = 2**14  # ... and no more than this many are evaluated at once
+_MAX_PANELS = 2**14  # ... and no more than this many are evaluated in one round
+_CHUNK = 128  # panels per call of f, so its node arrays (9216 values) stay small
 
 
 def gauss_legendre_windows(f, edges, breakpoints=()):
@@ -101,12 +102,14 @@ def gauss_legendre_windows(f, edges, breakpoints=()):
     One composite Gauss-Legendre rule: panels 0.25 wide on a grid from
     ``edges[0]``, split at the edges and at ``breakpoints`` (where ``f`` is
     not smooth), and ``f`` called, as an array function, on the nodes of
-    every panel at orders 24 and 48.  A window whose two orders differ by
-    more than 1e-12 of its integral of |f| has the panels that carry the
-    difference halved and evaluated again, up to 20 times; a jump in
-    ``f`` is never resolved this way.  Returns the order-48 sums.  Raises
-    :class:`QuadratureError`, and returns no number, for a window that
-    stays unresolved or an ``f`` that is not finite.
+    orders 24 and 48 of up to 128 panels at a time; each panel is summed
+    on its own, so the sums do not depend on that blocking.  A window
+    whose two orders differ by more than 1e-12 of its integral of |f| has
+    the panels that carry the difference halved and evaluated again, up
+    to 20 times; a jump in ``f`` is never resolved this way.  Returns the
+    order-48 sums.  Raises :class:`QuadratureError`, and returns no
+    number, for a window that stays unresolved or an ``f`` that is not
+    finite.
     """
     edges = np.asarray(edges, dtype=float)
     grid = np.arange(edges[0], edges[-1], _PANEL_WIDTH)
@@ -117,11 +120,17 @@ def gauss_legendre_windows(f, edges, breakpoints=()):
     settled = np.zeros((3, width.size))  # order-24, order-48 and |f| sums of settled panels
     for _ in range(_MAX_HALVINGS + 1):
         mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-        fx = f((mid[:, None] + half[:, None] * _GL_NODES).ravel()).reshape(mid.size, -1)
-        if not np.all(np.isfinite(fx)):
-            raise QuadratureError("integrand not finite", math.nan, math.inf)
-        parts = np.array([fx[:, :n] @ _GL[0][1], fx[:, n:] @ _GL[1][1],
-                          np.abs(fx[:, n:]) @ _GL[1][1]]) * half
+        parts = np.empty((3, mid.size))
+        for i in range(0, mid.size, _CHUNK):
+            fx = f((mid[i:i + _CHUNK, None] + half[i:i + _CHUNK, None] * _GL_NODES).ravel())
+            fx = fx.reshape(-1, _GL_NODES.size)
+            if not np.all(np.isfinite(fx)):
+                raise QuadratureError("integrand not finite", math.nan, math.inf)
+            # row-wise sums: a panel's sums never depend on the other panels of its block
+            parts[:, i:i + _CHUNK] = [(fx[:, :n] * _GL[0][1]).sum(axis=1),
+                                      (fx[:, n:] * _GL[1][1]).sum(axis=1),
+                                      (np.abs(fx[:, n:]) * _GL[1][1]).sum(axis=1)]
+        parts *= half
         window = np.searchsorted(edges, lo, side="right") - 1
         low, high, mass = settled + [np.bincount(window, p, width.size) for p in parts]
         failing = ~(np.abs(high - low) <= _AGREEMENT * mass)  # a nan sum fails too

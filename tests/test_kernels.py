@@ -112,9 +112,9 @@ class TestKernelEvaluation:
 
 # Mirrored and repeated arguments.  Every point takes its own route, so the
 # split is for coverage only: for m >= 2, |y| <= 7.5 takes the certified
-# Chebyshev table and |y| >= 12.5 the adaptive far-field quadrature or,
-# for F and F', the fitted form (m = 1 is closed form throughout).  Mixed
-# batches are the property test below.
+# Chebyshev table and |y| >= 12.5 the saddle-line quadrature or, for F and
+# F', the fitted form (m = 1 is closed form throughout).  Mixed batches are
+# the property test below.
 _NEAR = np.array([0.0, 0.0, 0.5, -0.5, 1.25, -1.25, 1.25, 3.0, -3.0, -3.0, 7.5, -7.5])
 _FAR = np.array([12.5, -12.5, 20.0, -20.0, 20.0])
 
@@ -144,7 +144,7 @@ class TestArrayCallsMatchScalarCalls:
 
 @settings(max_examples=40, deadline=None)
 @given(m=st.sampled_from([1, 2, 3]), order=st.integers(0, 3),
-       ys=st.lists(st.floats(-30.0, 30.0), min_size=1, max_size=6))
+       ys=st.lists(st.floats(-40.0, 40.0), min_size=1, max_size=6))
 @example(m=1, order=0, ys=[11.9, 20.0])
 @example(m=2, order=1, ys=[11.9, -20.0])
 @example(m=3, order=0, ys=[-11.9, 26.0])
@@ -191,6 +191,124 @@ class TestKernelTable:
                 kern.deriv(1.0, 1)
         assert getattr(kern, "_table1", None) is None
         assert kern.deriv(20.0, 1) == K.get_kernel(K.biharmonic()).deriv(20.0, 1)
+
+
+def _qawo(m, y, order):
+    """D^order F(y) by scipy's adaptive cosine/sine-weighted rule (QAWO), point by point.
+
+    The reference the saddle-line rule replaced: (1/pi) int_0^smax exp(-s^(2m))
+    s^order cos(s|y| + order pi/2) ds, odd orders flipped for y < 0.
+    """
+    from scipy import integrate
+
+    weight = "cos" if order % 2 == 0 else "sin"
+    sign = (1.0, -1.0, -1.0, 1.0)[order % 4]
+    smax = K._s_cutoff(m, order)
+    out = []
+    for yi in y:
+        v, _ = integrate.quad(lambda s: math.exp(-s ** (2 * m)) * s**order, 0.0, smax,
+                              weight=weight, wvar=abs(yi), epsabs=1e-16, epsrel=1e-13, limit=200)
+        out.append(sign * v / math.pi * (-1.0 if order % 2 and yi < 0 else 1.0))
+    return np.array(out)
+
+
+_SADDLE_GRID = np.concatenate([np.linspace(12.0001, 45.0, 67), -np.linspace(12.25, 45.0, 27)])
+
+
+class TestSaddleLineRule:
+    """Past |y| = 12, ``_quad`` sums the Fourier integral on a line through the saddle."""
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    def test_matches_adaptive_oscillatory_quadrature(self, m, order):
+        kern = K.get_kernel(K.parabolic(m))
+        err = np.abs(kern._quad(_SADDLE_GRID, 1e-13, order) - _qawo(m, _SADDLE_GRID, order))
+        assert err.max() <= 2e-15
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_doubling_gap_and_finite_everywhere(self, m):
+        # the rule's two node counts agree to rounding, and no argument,
+        # however large, gives a value that is not finite
+        kern = K._ParabolicKernel(m)
+        ys = np.concatenate([np.linspace(12.0001, 60.0, 97), [1e3, 1e8, 1e300, np.inf]])
+        for order in range(7):
+            v1, v2 = kern._saddle_line(ys, order)
+            assert np.abs(v1 - v2).max() <= 1e-15
+            assert np.isfinite(v2).all() and v2[-2:].tolist() == [0.0, 0.0]
+
+    def test_failed_doubling_raises(self, monkeypatch):
+        real = K._gl_nodes
+        # a 6-node rule in place of the 128-node one cannot agree with 256 nodes
+        monkeypatch.setattr(K, "_gl_nodes", lambda n: real(6 if n == 128 else n))
+        kern = K._ParabolicKernel(2)
+        with pytest.raises(QuadratureError, match="doubling check"):
+            kern._quad(20.0, 1e-10, 2)
+        with pytest.raises(QuadratureError, match="doubling check"):
+            kern.deriv(np.array([-15.0, 30.0]), 2)
+
+    def test_never_calls_adaptive_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("integrate.quad called")
+
+        monkeypatch.setattr(K.integrate, "quad", refuse)
+        ys = np.array([-30.0, -12.5, -3.0, 0.0, 7.0, 12.0, 12.5, 20.0, 45.0, 1e4])
+        for m in (1, 2, 3):
+            kern = K._ParabolicKernel(m)
+            for order in range(4):
+                assert np.isfinite(kern._quad(ys, 1e-10, order)).all()
+
+    def test_memory_does_not_grow_with_the_batch(self):
+        import tracemalloc
+
+        kern = K.get_kernel(K.biharmonic())
+        ys = np.linspace(12.0, 40.0, 20_000)
+        kern._quad(ys[:3], order=2)  # node caches filled outside the measurement
+        tracemalloc.start()
+        try:
+            kern._quad(ys, order=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one block of 128 points holds 128 x 384 complex node terms (0.8 MB);
+        # the whole batch at once would take about 120 MB
+        assert peak < 5e6
+
+
+class TestValuesThatMustNotMove:
+    """The near-field table, the fit and the switch point never reach the far rule."""
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_table_and_fit_do_not_use_the_far_rule(self, m, monkeypatch):
+        shared = K.get_kernel(K.parabolic(m))
+        ys = np.linspace(-12.0, 12.0, 241)
+        near = {k: shared.deriv(ys, k) for k in range(4)}
+        fit = shared.ensure_fit()
+        fitted = shared.deriv(np.linspace(45.0, 60.0, 31), 1)
+
+        def refuse(*args):
+            raise AssertionError("far rule called")
+
+        monkeypatch.setattr(K._ParabolicKernel, "_saddle_line", refuse)
+        fresh = K._ParabolicKernel(m)
+        for k in range(4):
+            assert np.array_equal(fresh.deriv(ys, k), near[k])
+        assert K.kernel_asymptotics_fit(K.parabolic(m), fit.window) == fit
+        fresh._fit, fresh._switch = fit, shared.switch_point()
+        assert np.array_equal(fresh.deriv(np.linspace(45.0, 60.0, 31), 1), fitted)
+
+    @pytest.mark.parametrize("m, switch, c1, c2", [
+        (2, 13.25, 0.1862158290003875, 0.30935201676403146),
+        (3, 24.5, 0.17973855482307743, 0.2219093645134407),
+    ])
+    def test_pinned_switch_point_and_fit(self, m, switch, c1, c2):
+        kern = K.get_kernel(K.parabolic(m))
+        assert kern.switch_point() == switch
+        fit = kern.ensure_fit()
+        # the fit samples the near-field quadrature only; a few ulps allow
+        # for the cosine of another SIMD build
+        assert fit.c1 == pytest.approx(c1, rel=1e-14, abs=0.0)
+        assert fit.c2 == pytest.approx(c2, rel=1e-14, abs=0.0)
 
 
 class TestOneEvaluator:

@@ -67,6 +67,24 @@ class TestGaussLegendreWindows:
         with pytest.raises(nc.QuadratureError, match="order doubling"):
             nc.gauss_legendre_windows(lambda u: np.cos(1e12 * u), [1.0, 2.0])
 
+    def test_bounded_calls_and_sums_independent_of_chunking(self, monkeypatch):
+        # 800 panels: f sees bounded blocks of nodes, and each panel's sums
+        # are row-wise, so the window sums do not depend on how panels are blocked
+        calls = []
+
+        def f(u):
+            calls.append(u.size)
+            return np.cos(3.0 * u) * np.exp(-0.01 * u)
+
+        edges = np.linspace(0.0, 200.0, 9)
+        sums = nc.gauss_legendre_windows(f, edges)
+        assert len(calls) > 1 and max(calls) <= nc._CHUNK * 72
+        monkeypatch.setattr(nc, "_CHUNK", 7)
+        assert np.array_equal(nc.gauss_legendre_windows(f, edges), sums)
+        exact = [(np.exp(-0.01 * u) * (0.01 * -np.cos(3.0 * u) + 3.0 * np.sin(3.0 * u))
+                  / (0.01**2 + 9.0)) for u in edges]
+        np.testing.assert_allclose(sums, np.diff(exact), rtol=1e-12, atol=1e-14)
+
     def test_non_finite_sum_raises(self):
         with pytest.raises(nc.QuadratureError, match="not finite"):
             nc.gauss_legendre_windows(lambda u: np.where(u > 1.5, np.nan, u), [1.0, 2.0])
