@@ -36,12 +36,10 @@ class BoundaryLayerProfile:
     wall_derivatives: tuple[float, float, float]
     far_value: float
     provenance: str
-    evaluate: callable = None
+    evaluate: callable
 
     def __call__(self, xi):
-        if self.evaluate is not None:
-            return self.evaluate(xi)
-        return np.interp(xi, self.xi, self.values)
+        return self.evaluate(xi)
 
 
 # ---------------------------------------------------------------------------
@@ -65,14 +63,14 @@ def _biharmonic_closed(xi):
     return out if out.shape else float(out)
 
 
-def biharmonic_profile(xi_max=30.0, n=601):
-    """Closed-form layer profile of the fourth-order equation.
+def biharmonic_profile(xi_max=30.0):
+    """Closed-form layer profile of the fourth-order equation, on 601 points of [0, xi_max].
 
     g0(xi) = 1 - exp(-xi/2^(5/3)) [cos(sqrt(3) xi / 2^(5/3))
                                    + sin(sqrt(3) xi / 2^(5/3)) / sqrt(3)],
     with exact wall derivatives (0, 2^(-4/3), -1/4).
     """
-    xi = np.linspace(0.0, xi_max, n)
+    xi = np.linspace(0.0, xi_max, 601)
     b, a = _BIH_B, _BIH_A
     # g0' = (4b/sqrt(3)) e^(-b xi) sin(a xi); differentiate twice more at 0
     g1 = 0.0
@@ -91,13 +89,13 @@ def _dispersion_closed(xi):
     return out if out.shape else float(out)
 
 
-def dispersion_profile(xi_max=30.0, n=601):
-    """Closed-form layer profile of the dispersion equation: 1 - exp(-xi/sqrt(3)).
+def dispersion_profile(xi_max=30.0):
+    """Closed-form dispersion layer profile 1 - exp(-xi/sqrt(3)), on 601 points of [0, xi_max].
 
     Only g0(0) = 0 is imposed by the third-order operator; the wall
     derivative set is (1/sqrt(3), -1/3, ...).
     """
-    xi = np.linspace(0.0, xi_max, n)
+    xi = np.linspace(0.0, xi_max, 601)
     s = 1.0 / math.sqrt(3.0)
     return BoundaryLayerProfile(
         family="dispersion3", xi=xi, values=_dispersion_closed(xi),
@@ -112,9 +110,9 @@ def _heat_closed(xi):
     return out if out.shape else float(out)
 
 
-def heat_profile(xi_max=30.0, n=601):
-    """Heat-equation layer profile 1 - exp(-xi/2); wall slope 1/2."""
-    xi = np.linspace(0.0, xi_max, n)
+def heat_profile(xi_max=30.0):
+    """Heat-equation layer profile 1 - exp(-xi/2) on 601 points of [0, xi_max]; wall slope 1/2."""
+    xi = np.linspace(0.0, xi_max, 601)
     return BoundaryLayerProfile(
         family="heat", xi=xi, values=_heat_closed(xi),
         wall_derivatives=(0.5, -0.25, 0.125), far_value=1.0,
@@ -177,7 +175,7 @@ def _far_field_functionals(family, order):
     return np.real(row_grow), np.imag(row_grow), np.real(row_plateau)
 
 
-def solve_bl_bvp(family, length=30.0, tol=1e-10, n0=400):
+def solve_bl_bvp(family, length=30.0, tol=1e-10):
     """Layer profile by collocation on (0, length) for the named family.
 
     ``family`` is ``biharmonic``, ``dispersion3`` (linear layers, the
@@ -186,7 +184,8 @@ def solve_bl_bvp(family, length=30.0, tol=1e-10, n0=400):
     G = G' = 0 at the wall and plateau 1.  Far-field conditions are the
     growth-killing and plateau-pinning functionals of the linearization,
     so the quality is limited by the solver tolerance, not the domain
-    truncation.  ``tol`` must be positive and finite (``ValueError``); a
+    truncation.  The linear layers start from their closed forms on 400
+    even nodes.  ``tol`` must be positive and finite (``ValueError``); a
     solve that does not converge raises ``numcore.BvpError``.
     """
     check_tolerance(tol)
@@ -219,14 +218,11 @@ def solve_bl_bvp(family, length=30.0, tol=1e-10, n0=400):
     else:
         raise ValueError(f"no boundary-value layer for family {family!r}")
 
-    xi = np.linspace(0.0, length, n0)
-    guess = np.zeros((order, n0))
+    xi = np.linspace(0.0, length, 400)
+    guess = np.zeros((order, xi.size))
     guess[0] = guess_fun(xi)
-    guess[1] = np.gradient(guess[0], xi)
-    if order > 2:
-        guess[2] = np.gradient(guess[1], xi)
-    if order > 3:
-        guess[3] = np.gradient(guess[2], xi)
+    for k in range(1, order):
+        guess[k] = np.gradient(guess[k - 1], xi)
 
     sol = integrate.solve_bvp(rhs, bc, xi, guess, tol=tol, max_nodes=200000)
     if not sol.success:
@@ -279,9 +275,8 @@ def _solve_pme4_layer(length, tol, xi0=1e-3):
     guess = np.zeros((order, xi.size))
     base = np.clip(_biharmonic_closed(xi), 1e-8, None)
     guess[0] = base**3
-    guess[1] = np.gradient(guess[0], xi)
-    guess[2] = np.gradient(guess[1], xi)
-    guess[3] = np.gradient(guess[2], xi)
+    for k in range(1, order):
+        guess[k] = np.gradient(guess[k - 1], xi)
 
     sol = integrate.solve_bvp(rhs, bc, xi, guess, p=[0.3, 0.3], tol=tol, max_nodes=200000)
     if not sol.success:

@@ -17,10 +17,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -58,13 +56,6 @@ def _emit(args, header, rows=None, columns=()):
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _threads():
-    env = os.environ.get("REG_LAB_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(8, os.cpu_count() or 1)
 
 
 def _parse_range(text):
@@ -164,10 +155,8 @@ def _lambda_row(l, method, grid_size):
 def cmd_spectrum(args):
     header = {"command": "spectrum", "method": args.method}
     if args.reproduce == "table1":
-        ls = sorted(BENCHMARK_LAMBDA0)
-        with ThreadPoolExecutor(max_workers=_threads()) as pool:
-            rows = list(pool.map(lambda l: _lambda_row(l, args.method, args.grid_size), ls))
-        rows = [r + (BENCHMARK_LAMBDA0[r[0]],) for r in rows]
+        rows = [_lambda_row(l, args.method, args.grid_size) + (ref,)
+                for l, ref in sorted(BENCHMARK_LAMBDA0.items())]
         _emit(args, header | {"reproduce": "table1"}, rows,
               ["l", "re_lambda0", "im_lambda0", "residual", "method", "reference"])
         return 0
@@ -186,8 +175,7 @@ def cmd_spectrum(args):
     if not ls:
         print("spectrum: need --l, --l-range, --branch or --reproduce table1", file=sys.stderr)
         return 2
-    with ThreadPoolExecutor(max_workers=_threads()) as pool:
-        rows = list(pool.map(lambda l: _lambda_row(float(l), args.method, args.grid_size), ls))
+    rows = [_lambda_row(float(l), args.method, args.grid_size) for l in ls]
     _emit(args, header, rows, ["l", "re_lambda0", "im_lambda0", "residual", "method"])
     return 0
 

@@ -20,6 +20,7 @@ summed integral.
 from __future__ import annotations
 
 import math
+import numbers
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,9 +40,9 @@ from reglab.numcore import Polynomial, QuadratureError, alternating_series_sum
 class EquationFamily:
     """Tag for the evolution equation whose kernel is being studied.
 
-    ``kind`` is one of ``parabolic`` (order ``2m``), ``dispersion3`` or
-    ``beam4``.  The boundary rescaling exponent is ``1/(2m)``, ``1/3``
-    and ``1/2`` respectively.
+    ``kind`` is one of ``parabolic`` (order ``2m``, m an integer >= 1; a
+    bool is refused), ``dispersion3`` or ``beam4``.  The boundary
+    rescaling exponent is ``1/(2m)``, ``1/3`` and ``1/2`` respectively.
     """
 
     kind: str
@@ -49,8 +50,8 @@ class EquationFamily:
 
     def __post_init__(self):
         if self.kind == "parabolic":
-            if self.m is None or self.m < 1:
-                raise ValueError("parabolic family needs order m >= 1")
+            if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral) or self.m < 1:
+                raise ValueError(f"parabolic family needs an integer order m >= 1, got {self.m!r}")
         elif self.kind in ("dispersion3", "beam4"):
             if self.m is not None:
                 raise ValueError(f"{self.kind} takes no order parameter")
@@ -137,13 +138,13 @@ def kernel_constants(family):
 # kernel evaluators
 
 
-def _s_cutoff(m, order=0, threshold=1e-20):
-    # point where exp(-s^(2m)) * s^order drops below the threshold;
-    # pinned near machine precision because polynomial weights in the
+def _s_cutoff(m, order=0):
+    # point where exp(-s^(2m)) * s^order drops below 1e-20, far under
+    # machine precision because polynomial weights in the
     # bi-orthogonality integrals amplify any truncation tail
-    s = (math.log(1.0 / threshold)) ** (1.0 / (2 * m))
+    s = (math.log(1e20)) ** (1.0 / (2 * m))
     for _ in range(4):
-        s = (math.log(1.0 / threshold) + order * math.log(max(s, 1.0))) ** (1.0 / (2 * m))
+        s = (math.log(1e20) + order * math.log(max(s, 1.0))) ** (1.0 / (2 * m))
     return s
 
 
@@ -166,10 +167,10 @@ def _gl_rule(m, nn, order):
     return s, ws
 
 
-# The evaluators are shared per family (``get_kernel``), also between the
-# threads of ``reglab spectrum``; their lazy state is filled under one
-# re-entrant lock (a fill may run another one: the switch point needs the
-# fit, the fit needs the evaluator), and read without it once set.
+# The evaluators are shared per family (``get_kernel``), also between a
+# caller's threads; their lazy state is filled under one re-entrant lock (a
+# fill may run another one: the switch point needs the fit, the fit needs
+# the evaluator), and read without it once set.
 _FILL_LOCK = threading.RLock()
 
 
@@ -579,8 +580,8 @@ def _fit_linear(ys, fs, delta, d_env, b_osc, kappa):
     return float(coef[0]), float(coef[1]), resid
 
 
-def kernel_asymptotics_fit(family, window, n_samples=48):
-    """Fit the oscillatory large-argument form of the kernel on ``window``.
+def kernel_asymptotics_fit(family, window):
+    """Fit the oscillatory large-argument form of the kernel at 48 even points of ``window``.
 
     Returns the sin/cos amplitudes (for heat, which does not oscillate,
     the sin one is zero) and the relative RMS misfit of the fit against
@@ -593,10 +594,8 @@ def kernel_asymptotics_fit(family, window, n_samples=48):
     never cached: only the evaluator's ``ensure_fit`` stores the fit on its
     default window, so a custom window cannot change later kernel values.
     """
-    if n_samples < 40:
-        raise ValueError("need at least 40 sample points for a stable fit")
     lo, hi = window
-    ys = np.linspace(lo, hi, n_samples)
+    ys = np.linspace(lo, hi, 48)
     kern = get_kernel(family)
     k = kern.constants
     if family.kind == "parabolic":

@@ -243,14 +243,14 @@ def find_roots(f, lo, hi, f_ends, tol=1e-12, maxiter=200):
 # dense eigenvalues
 
 
-def dense_eigenvalues(matrix, vectors=False, residual_tol=1e-8):
+def dense_eigenvalues(matrix, vectors=False):
     """All eigenvalues of a dense square matrix, descending by real part.
 
     With ``vectors=True`` returns ``(values, vectors)`` where column ``j``
-    of ``vectors`` pairs with ``values[j]``.  Residuals are checked
-    against ``residual_tol`` for well-conditioned inputs; a failure names
-    the offending index.  Near-degenerate clusters are reported as-is,
-    never resolved artificially.
+    of ``vectors`` pairs with ``values[j]``.  Each residual
+    |M v - lambda v| / |v| must be at most 1e-8 max(|M|_inf, 1), else
+    ``EigenError`` names the offending index.  Near-degenerate clusters
+    are reported as-is, never resolved artificially.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -264,7 +264,7 @@ def dense_eigenvalues(matrix, vectors=False, residual_tol=1e-8):
     for j, lam in enumerate(vals):
         v = vecs[:, j]
         res = np.linalg.norm(m @ v - lam * v) / np.linalg.norm(v)
-        if res > residual_tol * scale:
+        if res > 1e-8 * scale:
             raise EigenError(f"eigenpair {j} residual {res:.3e} exceeds tolerance")
     if vectors:
         return vals, vecs

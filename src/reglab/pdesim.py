@@ -25,12 +25,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs, dgtsv
 
-from reglab import criteria, kernels
+from reglab import blayer, criteria, kernels
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Configuration of one rescaled-PDE run."""
+    """One rescaled-PDE run; ``dt`` is positive and finite, or None for the automatic step."""
 
     family: str  # heat | biharmonic
     phi: object  # criteria.BoundaryFunction
@@ -39,7 +39,6 @@ class SimConfig:
     tau_span: tuple = (0.0, 100.0)
     initial: str = "bump"  # bump | poly | random-smooth
     seed: int = 0
-    n_snapshots: int = 60
 
     def __post_init__(self):
         if self.family not in ("heat", "biharmonic"):
@@ -48,6 +47,8 @@ class SimConfig:
             raise ValueError("grid size n must be even and at least 64")
         if self.tau_span[1] <= self.tau_span[0]:
             raise ValueError("tau span must be increasing")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"time step dt must be positive and finite, got {self.dt!r}")
 
 
 @dataclass(frozen=True)
@@ -187,9 +188,10 @@ def simulate(cfg):
     or phi' raises ``ValueError`` (naming tau) before the step, and a
     singular step matrix raises ``LinAlgError``.  Both paths cost O(n) per
     step, check the solution's finiteness after every step and record
-    traces and snapshots on the same schedule.  The recorded a0 weighs the
-    state with the kernel at the wall, evaluated once for a constant wall
-    and at every record (and kept no longer) for a moving one.
+    traces and 60 evenly spaced snapshots on the same schedule.  The
+    recorded a0 weighs the state with the kernel at the wall, evaluated
+    once for a constant wall and at every record (and kept no longer) for
+    a moving one.
     """
     n = cfg.n
     h = 2.0 / n
@@ -245,7 +247,7 @@ def simulate(cfg):
 
     record_every = max(1, steps // 4000)
     taus, sups, a0s = [], [], []
-    snap_taus = np.linspace(tau0, tau1, cfg.n_snapshots)
+    snap_taus = np.linspace(tau0, tau1, 60)
     snap_idx = 0
     snaps_t, snaps = [], []
 
@@ -302,13 +304,13 @@ def fit_rate(result, window):
     return float(slope)
 
 
-def bl_snapshot_check(result, tau_star, xi_max=10.0):
+def bl_snapshot_check(result, tau_star):
     """Deviation of the late-time wall region from the layer prediction.
 
     Rescales the snapshot nearest ``tau_star`` into the wall variable
-    xi = phi^(4/3) (1 - z) (or phi (1 - z) for the heat family) and
-    compares with a0 * g0(xi); returns the maximum deviation relative to
-    the plateau.  Requires first-coefficient dominance
+    xi = phi^(4/3) (1 - z) (or phi^2 (1 - z) for the heat family) and
+    compares with a0 * g0(xi) on 0 <= xi <= 10; returns the maximum
+    deviation relative to the plateau.  Requires first-coefficient dominance
     |a0| >= 0.9 sup-norm, else the check is inconclusive.
     """
     cfg = result.config
@@ -322,18 +324,12 @@ def bl_snapshot_check(result, tau_star, xi_max=10.0):
     # layer width in z is phi^(-alpha): 4/3 for the fourth-order family, 2 for heat
     stretch = phi_val ** (4.0 / 3.0) if cfg.family == "biharmonic" else phi_val**2
     xi = stretch * (1.0 - result.z)
-    sel = (xi >= 0.0) & (xi <= xi_max)
-    profile = blayer_profile_for(cfg.family)
+    sel = (xi >= 0.0) & (xi <= 10.0)
+    profile = blayer.biharmonic_profile() if cfg.family == "biharmonic" else blayer.heat_profile()
     predicted = a0 * profile(xi[sel])
     deviation = float(np.max(np.abs(w[sel] - predicted)) / abs(a0))
     return {"conclusive": True, "dominance": abs(a0) / sup, "deviation": deviation,
             "tau": t_snap}
-
-
-def blayer_profile_for(family):
-    from reglab import blayer
-
-    return blayer.biharmonic_profile() if family == "biharmonic" else blayer.heat_profile()
 
 
 @dataclass(frozen=True)

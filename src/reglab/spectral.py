@@ -321,8 +321,8 @@ class ClampedEndDeterminant:
         return zs[zs > 0]
 
 
-def _shooting_eigenfunction(l, m, parity, lam, tol, n_samples=401):
-    """Recover and normalize the eigenfunction of a located real eigenvalue."""
+def _shooting_eigenfunction(l, m, parity, lam, tol):
+    """Eigenfunction of a located real eigenvalue on 401 points of [0, l], mirrored by parity."""
     seeds = _parity_seed_indices(m, parity)
     z0 = np.zeros((2 * m, m))
     for col, s in enumerate(seeds):
@@ -333,7 +333,7 @@ def _shooting_eigenfunction(l, m, parity, lam, tol, n_samples=401):
         zm = z.reshape(2 * m, m)
         return ((a0 + y * a1 + lam * a2) @ zm).ravel()
 
-    ys = np.linspace(0.0, l, n_samples)
+    ys = np.linspace(0.0, l, 401)
     sol = integrate.solve_ivp(rhs, (0.0, l), z0.ravel(), t_eval=ys,
                               method="DOP853", rtol=tol, atol=tol * 1e-2)
     z = sol.y.reshape(2 * m, m, -1)
@@ -351,9 +351,8 @@ def _shooting_eigenfunction(l, m, parity, lam, tol, n_samples=401):
     return ys_full, v_full, resid
 
 
-def _count_zeros(v, edge_clip=2):
-    core = v[edge_clip:-edge_clip] if edge_clip else v
-    s = np.sign(core)
+def _count_zeros(v):
+    s = np.sign(v[2:-2])  # next to the clamped walls v is at rounding level
     s = s[s != 0]
     return int(np.sum(s[1:] * s[:-1] < 0))
 
@@ -435,8 +434,9 @@ def interval_spectrum(problem, count=1):
     return found[:count]
 
 
-def top_eigenvalue(l, family=None, tol=1e-12):
-    """Real top eigenvalue lambda_0(l), even parity, by shooting.
+def top_eigenvalue(l, tol=1e-12):
+    """Real top eigenvalue lambda_0(l) of the fourth-order (m = 2) operator,
+    even parity, by shooting.
 
     The determinant is scanned over the near-zero sweep and then, until a
     sign change turns up, over the fallback windows; the top sign change
@@ -444,8 +444,7 @@ def top_eigenvalue(l, family=None, tol=1e-12):
     ``l`` is positive and finite, and ``BracketError`` if no window holds
     a sign change.
     """
-    family = family or kernels.biharmonic()
-    det = ClampedEndDeterminant(l, family.m, "even", tol)
+    det = ClampedEndDeterminant(l, 2, "even", tol)
     vals = _scan_parity_eigenvalues(det, l, "even", 1)
     if not vals:
         raise BracketError(f"lambda_0({l}) not bracketed by the scan")
@@ -489,8 +488,9 @@ def regularity_bound():
 # branch tracing
 
 
-def branch_trace(l_range, step=0.05, family=None, tol=1e-12):
-    """lambda_0(l) sampled every ``step`` over ``l_range``, with its roots.
+def branch_trace(l_range, step=0.05, tol=1e-12):
+    """lambda_0(l) of the fourth-order (m = 2) operator sampled every
+    ``step`` over ``l_range``, with its roots.
 
     The minor ODE does not depend on l, so one stacked determinant call
     serves any set of (lambda, l) pairs (``ClampedEndDeterminant`` with
@@ -509,12 +509,11 @@ def branch_trace(l_range, step=0.05, family=None, tol=1e-12):
     itself.  Raises ``BracketError`` if a sample's scan finds no sign
     change.
     """
-    family = family or kernels.biharmonic()
     l_min, l_max = l_range
     if not (0 < l_min < l_max < math.inf) or not step > 0:
         raise ValueError("need 0 < l_min < l_max < inf and step > 0")
     ls = np.arange(l_min, l_max + 0.5 * step, step)
-    det = ClampedEndDeterminant(ls[-1], family.m, "even", tol)
+    det = ClampedEndDeterminant(ls[-1], 2, "even", tol)
 
     lo, hi, f_lo, f_hi = (np.empty(len(ls)) for _ in range(4))
     todo = np.arange(len(ls))
@@ -593,16 +592,17 @@ class BlEigenApprox:
         return out if out.shape else float(out)
 
 
-def bl_eigenvalue_approx(l, family=None):
+def bl_eigenvalue_approx(l):
     """Boundary-layer profile V and the matched estimate of lambda_0(l).
 
-    Requires l >= 8 (asymptotic regime).  The estimate is
-    g2 l F(l) + g1 l^(2/3) F'(l), with (g1, g2) the wall constants of the
+    Posed for the fourth-order (m = 2) operator only.  Requires l >= 8
+    (asymptotic regime).  The estimate is g2 l F(l) + g1 l^(2/3) F'(l), with
+    F the biharmonic kernel and (g1, g2) the wall constants of the
     stationary layer profile; V lives on (0, L), L = l^(4/3).
     """
     if l < 8.0:
         raise ValueError("the boundary-layer approximation needs l >= 8")
-    family = family or kernels.biharmonic()
+    family = kernels.biharmonic()
     kc = kernels.kernel_constants(family)
     b = 2.0 ** (-5.0 / 3.0)
     a = math.sqrt(3.0) * b

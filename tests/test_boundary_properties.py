@@ -4,6 +4,7 @@ import math
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -100,3 +101,54 @@ def test_cutoff_phase_map(family, eps_s, thetas):
     arc_entry = 2.0 * math.pi * np.floor((theta + 0.5 * math.pi) / (2.0 * math.pi)) - 0.5 * math.pi
     off_ramp = ~((theta - arc_entry > 0.0) & (theta - arc_entry <= eps_s))
     assert np.all(np.cos(g[off_ramp]) <= 1e-12)
+
+
+def _sqrt_log_table(c):
+    # C sqrt(ln tau) on 400 log-times up to ln tau = 700, near the float range of tau
+    taus = np.exp(np.linspace(1.0, 700.0, 400))
+    return cr.Tabulated(tuple(taus), tuple(c * np.sqrt(np.log(taus))))
+
+
+_M3 = kernels.parabolic(3)
+_BIH, _HEAT, _DISP = kernels.biharmonic(), kernels.heat(), kernels.dispersion3()
+_DISP_RIGHT = cr.oscillation_spec(_DISP, "right")
+
+# (family, side, boundary of the swept constant, verdict below the threshold,
+#  whether the flip must fall exactly at the threshold, sweep points)
+MONOTONE_CASES = {
+    "biharmonic-powerlog-cutoff": (
+        _BIH, "right", lambda c: cr.apply_cutoff(cr.PowerLog(c, 0.75), _BIH),
+        cr.REGULAR, True, 31),
+    "biharmonic-powerlog": (
+        _BIH, "right", lambda c: cr.PowerLog(c, 0.75), cr.INDETERMINATE, True, 31),
+    "heat-sqrtlog": (
+        _HEAT, "right", cr.PetrovskiiSqrtLog, cr.REGULAR, True, 31),
+    "heat-sqrtlog-tabulated": (
+        _HEAT, "right", _sqrt_log_table, cr.REGULAR, False, 41),
+    "order6-powerlog-cutoff": (
+        _M3, "right", lambda c: cr.apply_cutoff(cr.PowerLog(c, 5.0 / 6.0), _M3),
+        cr.REGULAR, True, 31),
+    "dispersion-left-powerlog": (
+        _DISP, "left", lambda c: cr.PowerLog(c, 2.0 / 3.0), cr.REGULAR, True, 31),
+    # on the right side the threshold is the exponent gamma, swept at C = 1
+    "dispersion-right-powertau-cutoff": (
+        _DISP, "right", lambda g: cr.apply_cutoff(cr.PowerOfTau(1.0, g), _DISP_RIGHT),
+        cr.REGULAR, True, 31),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MONOTONE_CASES))
+def test_verdicts_monotone_in_the_constant(case):
+    # a larger boundary is never more regular: from half to twice the
+    # threshold the verdicts run from the below-threshold verdict to
+    # irregular-nonsingular and never back
+    family, side, make, below, exact, n = MONOTONE_CASES[case]
+    critical = cr.threshold(family, side)
+    xs = np.linspace(0.5, 2.0, n) * critical
+    verdicts = [cr.classify(family, make(x), side).verdict for x in xs]
+    assert set(verdicts) == {below, cr.IRREGULAR_NONSINGULAR}, verdicts
+    rank = [v == cr.IRREGULAR_NONSINGULAR for v in verdicts]
+    assert rank == sorted(rank), verdicts
+    if exact:
+        assert all(r == (x > critical) for x, r in zip(xs, rank)
+                   if abs(x / critical - 1.0) > 1e-9), verdicts

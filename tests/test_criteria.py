@@ -37,6 +37,46 @@ class TestSlowGrowth:
             cr.validate_slow_growth(cr.Constant(2.0))
 
 
+class TestBoundaryConstants:
+    """A constant that is not positive and finite, or an exponent that is not
+    finite, gives no boundary: each family refuses it when built."""
+
+    BAD_C = [0.0, -2.0, math.nan, math.inf, -math.inf]
+    BAD_GAMMA = [math.nan, math.inf, -math.inf]
+
+    @pytest.mark.parametrize("l", BAD_C)
+    def test_constant(self, l):
+        with pytest.raises(ValueError, match="positive and finite"):
+            cr.Constant(l)
+
+    @pytest.mark.parametrize("c, gamma", [(c, 0.75) for c in BAD_C]
+                             + [(3.0, g) for g in BAD_GAMMA])
+    def test_power_log(self, c, gamma):
+        # PowerLog(-3, 0.75) used to fail later with a TypeError on a complex
+        # power, and PowerLog(nan, 0.75) to classify as indeterminate
+        with pytest.raises(ValueError):
+            cr.PowerLog(c, gamma)
+
+    @pytest.mark.parametrize("c", BAD_C)
+    def test_petrovskii_sqrt_log(self, c):
+        # PetrovskiiSqrtLog(-2) used to classify as regular for heat
+        with pytest.raises(ValueError, match="positive and finite"):
+            cr.PetrovskiiSqrtLog(c)
+
+    @pytest.mark.parametrize("c, gamma", [(c, 1.5) for c in BAD_C]
+                             + [(1.0, g) for g in BAD_GAMMA])
+    def test_power_of_tau(self, c, gamma):
+        # PowerOfTau(-1, 1.5) used to classify as irregular on the dispersion right side
+        with pytest.raises(ValueError):
+            cr.PowerOfTau(c, gamma)
+
+    def test_good_constants_still_build(self):
+        assert cr.Constant(4.0).l == 4.0
+        assert cr.PowerLog(2.0, -0.5).log_power == (2.0, -0.5)
+        assert cr.PetrovskiiSqrtLog(1e-3).c == 1e-3
+        assert cr.PowerOfTau(1.0, 0.0).gamma == 0.0
+
+
 @pytest.fixture(scope="module")
 def wrapped():
     return cr.apply_cutoff(cr.PowerLog(2.0, 0.75), kernels.biharmonic())
@@ -437,6 +477,24 @@ class TestCoefficientTraces:
         with pytest.raises(ValueError):
             cr.integrate_a0("pme4-reduced", cr.Constant(1.0), lntau_span=(1.0, 10.0),
                             a0_init=-1.0)
+
+    @pytest.mark.parametrize("span", [(10.0, 1.0), (5.0, 5.0), (-5.0, 1.0), (0.5, 10.0),
+                                      (1.0, math.inf), (math.nan, 10.0), (1.0, math.nan)])
+    def test_bad_log_span_rejected(self, span):
+        # (10, 1) used to return log a0 = 445.5 and (-5, 1) a nan trace
+        with pytest.raises(ValueError, match="span"):
+            cr.integrate_a0("heat", cr.PetrovskiiSqrtLog(2.0), lntau_span=span)
+
+    def test_decreasing_tau_span_rejected(self):
+        with pytest.raises(ValueError, match="span"):
+            cr.integrate_a0("heat", cr.PetrovskiiSqrtLog(2.0), tau_span=(1e8, cr.TAU0))
+
+    @pytest.mark.parametrize("n_out", [1, 0, -3])
+    def test_fewer_than_two_output_points_rejected(self, n_out):
+        # n_out = 1 used to fail with an IndexError
+        with pytest.raises(ValueError, match="n_out"):
+            cr.integrate_a0("heat", cr.PetrovskiiSqrtLog(2.0), lntau_span=(1.0, 10.0),
+                            n_out=n_out)
 
     def test_beam_trace_swings_both_ways(self):
         tr = cr.integrate_a0("beam4", cr.PowerLog(1.0, 0.5), tau_span=(cr.TAU0, 1e8))

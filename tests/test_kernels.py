@@ -44,6 +44,17 @@ class TestKernelConstants:
         assert K.dispersion3().rescale_exponent == pytest.approx(1.0 / 3.0)
         assert K.beam4().rescale_exponent == 0.5
 
+    @pytest.mark.parametrize("m", [2.5, 2.0, True, False, 0, -1, None, "2", math.nan])
+    def test_parabolic_order_must_be_an_integer_at_least_one(self, m):
+        # parabolic(2.5) used to evaluate a kernel of an order-5 equation, and
+        # parabolic(True) to pass for the heat equation
+        with pytest.raises(ValueError, match="integer order"):
+            K.parabolic(m)
+
+    def test_integer_orders_still_build(self):
+        assert K.parabolic(np.int64(3)) == K.parabolic(3)
+        assert K.heat().m == 1 and K.biharmonic().m == 2
+
 
 class TestKernelEvaluation:
     def test_heat_value_at_origin(self):

@@ -214,6 +214,13 @@ class TestInitialData:
             pdesim.SimConfig(family="wave", phi=criteria.Constant(1.0),
                              tau_span=(0.0, 1.0))
 
+    @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
+    def test_step_must_be_positive_and_finite(self, dt):
+        # dt = -0.1 used to give an empty trace, and dt = nan an int conversion error
+        with pytest.raises(ValueError, match="dt"):
+            pdesim.SimConfig(family="heat", phi=criteria.Constant(2.0), dt=dt,
+                             tau_span=(0.0, 1.0))
+
 
 class TestBoundaryRange:
     def test_span_must_start_inside_the_boundary_range(self):
