@@ -45,7 +45,7 @@ class BoundaryFunction:
     smooth in u names its joints through ``breakpoints``.
     """
 
-    monotone = True
+    monotone = True  # nondecreasing in tau; a cut-off needs a monotone base
     cutoff = False  # True once the oscillatory cut-off has been applied
     tau_min = TAU0
     tau_max = math.inf
@@ -136,6 +136,10 @@ class PowerLog(BoundaryFunction):
     def log_power(self):
         return self.c, self.gamma
 
+    @property
+    def monotone(self):
+        return self.gamma >= 0.0
+
     def _phi_u(self, u):
         return self.c * u**self.gamma
 
@@ -186,6 +190,10 @@ class PowerOfTau(BoundaryFunction):
     def __post_init__(self):
         _check_shape(self.c, self.gamma)
 
+    @property
+    def monotone(self):
+        return self.gamma >= 0.0
+
     def _phi_u(self, u):
         return self.c * np.exp(self.gamma * u)
 
@@ -206,6 +214,8 @@ class Tabulated(BoundaryFunction):
     def __post_init__(self):
         t = np.asarray(self.tau_grid, dtype=float)
         v = np.asarray(self.values, dtype=float)
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise ValueError("tau_grid and values must be finite")
         if t.ndim != 1 or t.size < 4 or np.any(np.diff(t) <= 0):
             raise ValueError("tau_grid must be increasing with at least 4 points")
         if np.any(v <= 0):
@@ -216,6 +226,10 @@ class Tabulated(BoundaryFunction):
     @property
     def tau_max(self):
         return self.tau_grid[-1]
+
+    @property
+    def monotone(self):
+        return all(a <= b for a, b in zip(self.values, self.values[1:]))
 
     @cached_property
     def _log_grid(self):
@@ -860,10 +874,11 @@ def integrate_a0(family, phi, tau_span=None, a0_init=1.0, n_out=400, lntau_span=
     (the envelope-only model).  The integration runs in u = ln(tau), and
     ``lntau_span`` may be given instead of ``tau_span`` to reach the
     extremely late log-times where the slow asymptotics settle.  For the
-    cubic-diffusion models a positive start is required and the run
-    stops with ``hit_zero`` when the coefficient reaches zero; the full
-    model hands LSODA its analytic Jacobian.  A span that does not increase
-    from ln tau >= 1, or ``n_out < 2``, raises ``ValueError``.  A solver
+    cubic-diffusion models the run stops with ``hit_zero`` when the
+    coefficient reaches zero; the full model hands LSODA its analytic
+    Jacobian.  An ``a0_init`` that is not positive and finite, a span that
+    does not increase from ln tau >= 1, or ``n_out < 2`` raises
+    ``ValueError``.  A solver
     failure raises ``numcore.OdeError`` naming the family, the ln(tau)
     reached and the solver's message, instead of returning a truncated trace.
     """
@@ -877,8 +892,8 @@ def integrate_a0(family, phi, tau_span=None, a0_init=1.0, n_out=400, lntau_span=
                          f"got {tuple(lntau_span)!r}")
     if n_out < 2:
         raise ValueError(f"n_out must be at least 2, got {n_out!r}")
-    if family.startswith("pme4") and a0_init <= 0:
-        raise ValueError("the cubic-diffusion coefficient model needs a0_init > 0")
+    if not (math.isfinite(a0_init) and a0_init > 0):
+        raise ValueError(f"a0_init must be positive and finite, got {a0_init!r}")
     phi_u = phi.at_logtime
     u_eval = np.linspace(lntau_span[0], lntau_span[1], n_out)
 

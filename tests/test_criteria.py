@@ -70,6 +70,17 @@ class TestBoundaryConstants:
         with pytest.raises(ValueError):
             cr.PowerOfTau(c, gamma)
 
+    @pytest.mark.parametrize("taus, values", [
+        ((3.0, 10.0, 100.0, 1e3), (1.0, math.nan, 2.0, 3.0)),
+        ((3.0, 10.0, 100.0, 1e3), (1.0, 2.0, 3.0, math.inf)),
+        ((3.0, 10.0, math.nan, 1e3), (1.0, 2.0, 3.0, 4.0)),
+        ((3.0, 10.0, 100.0, math.inf), (1.0, 2.0, 3.0, 4.0)),
+    ])
+    def test_tabulated_non_finite(self, taus, values):
+        # a nan value used to build, and phi(50) returned nan
+        with pytest.raises(ValueError, match="tau_grid and values must be finite"):
+            cr.Tabulated(taus, values)
+
     def test_good_constants_still_build(self):
         assert cr.Constant(4.0).l == 4.0
         assert cr.PowerLog(2.0, -0.5).log_power == (2.0, -0.5)
@@ -106,6 +117,22 @@ class TestCutoff:
         total_positive = np.sum(integrand[integrand > 0])
         total_negative = -np.sum(integrand[integrand < 0])
         assert total_positive < 0.05 * total_negative
+
+    @pytest.mark.parametrize("phi", [
+        cr.PowerLog(2.0, -0.5), cr.PowerOfTau(1.0, -0.2),
+        cr.Tabulated((3.0, 10.0, 100.0, 1e3), (4.0, 3.0, 3.5, 5.0)),
+    ])
+    def test_decreasing_base_rejected(self, phi):
+        # PowerLog(2, -0.5) used to be cut off and classified regular
+        assert not phi.monotone
+        with pytest.raises(ValueError, match="nondecreasing base"):
+            cr.apply_cutoff(phi, kernels.biharmonic())
+
+    def test_nondecreasing_bases_are_monotone(self):
+        assert all(phi.monotone for phi in (
+            cr.Constant(2.0), cr.PowerLog(2.0, 0.0), cr.PowerLog(2.0, 0.75),
+            cr.PetrovskiiSqrtLog(1.0), cr.PowerOfTau(1.0, 0.5),
+            cr.Tabulated((3.0, 10.0, 100.0, 1e3), (3.0, 3.0, 3.5, 5.0))))
 
     def test_non_oscillatory_family_passes_through(self):
         phi = cr.PowerLog(1.0, 0.5)
@@ -477,6 +504,14 @@ class TestCoefficientTraces:
         with pytest.raises(ValueError):
             cr.integrate_a0("pme4-reduced", cr.Constant(1.0), lntau_span=(1.0, 10.0),
                             a0_init=-1.0)
+
+    @pytest.mark.parametrize("family", ["heat", "biharmonic", "beam4", "pme4", "pme4-reduced"])
+    @pytest.mark.parametrize("a0_init", [-1.0, 0.0, math.nan, math.inf])
+    def test_positive_finite_start_required(self, family, a0_init):
+        # heat with a0_init = -1 used to fail with "math domain error"
+        with pytest.raises(ValueError, match="a0_init"):
+            cr.integrate_a0(family, cr.PetrovskiiSqrtLog(2.0), lntau_span=(1.0, 10.0),
+                            a0_init=a0_init)
 
     @pytest.mark.parametrize("span", [(10.0, 1.0), (5.0, 5.0), (-5.0, 1.0), (0.5, 10.0),
                                       (1.0, math.inf), (math.nan, 10.0), (1.0, math.nan)])

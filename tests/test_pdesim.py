@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,15 +32,23 @@ class TestFitRate:
 
 
 class TestConstantWallFactors:
-    @pytest.mark.parametrize("family,n,l,tau_end,dt", [("biharmonic", 96, 2.0, 2.0, 0.01),
-                                                      ("heat", 96, 1.0, 1.0, 0.005),
-                                                      ("biharmonic", 2048, 2.0, 0.2, 0.01)])
+    @pytest.mark.parametrize("family,n,l,tau_end,dt", [
+        ("biharmonic", 96, 2.0, 2.0, 0.01),
+        ("heat", 96, 1.0, 1.0, 0.005),
+        ("biharmonic", 2048, 2.0, 0.2, 0.01),
+        # 8004 steps: record stride 2 and a remainder step before the last record
+        ("biharmonic", 128, 4.0, 8.0035, 0.001),
+        ("heat", 128, 1.0, 8.0035, 0.001),
+        # interior size 381 > 256: band solves between records, stride 2
+        ("biharmonic", 384, 3.0, 8.0035, 0.001),
+    ])
     def test_matches_banded_reference_loop(self, family, n, l, tau_end, dt):
         cfg = pdesim.SimConfig(family=family, phi=criteria.Constant(l), n=n, dt=dt,
                                tau_span=(0.0, tau_end), initial="bump")
         res = pdesim.simulate(cfg)
 
-        # reference: one banded backward-Euler solve per step
+        # reference: one banded backward-Euler solve per step, recorded and
+        # snapshotted on the schedule of the moving-wall loop
         h, z = 2.0 / n, res.z
         if family == "biharmonic":
             ab, bands, inner = pdesim._biharmonic_operator(n, h, l, 0.0)[2:], (2, 2), slice(2, n - 1)
@@ -50,15 +59,84 @@ class TestConstantWallFactors:
         ab = -dt * ab
         ab[bands[0], :] += 1.0
         x = pdesim._initial_data(cfg, z)[inner]
-        sups, a0s = [], []
-        for _ in range(math.ceil(tau_end / dt)):
+        steps = math.ceil(tau_end / dt)
+        every = max(1, steps // 4000)
+        snap_taus = np.linspace(0.0, tau_end, 60)
+        taus, sups, a0s, snaps_t, snaps = [], [], [], [], []
+        for k in range(steps):
             x = solve_banded(bands, ab, x)
-            sups.append(np.max(np.abs(x)))
-            a0s.append(np.trapezoid(pdesim._full_state(family, x, n) * fk * l, z))
+            tau = (k + 1) * dt
+            w = pdesim._full_state(family, x, n)
+            if k % every == 0 or k == steps - 1:
+                taus.append(tau)
+                sups.append(np.max(np.abs(x)))
+                a0s.append(np.trapezoid(w * fk * l, z))
+            while len(snaps_t) < 60 and tau >= snap_taus[len(snaps_t)] - 0.5 * dt:
+                snaps_t.append(tau)
+                snaps.append(w)
 
-        assert len(res.sup_norm) == len(sups)
+        if every > 1:
+            assert (steps - 1) % every  # the last record is a remainder
+        assert np.array_equal(res.tau, taus)
         np.testing.assert_allclose(res.sup_norm, sups, rtol=1e-9, atol=0.0)
         np.testing.assert_allclose(res.a0, a0s, rtol=1e-9, atol=0.0)
+        assert np.array_equal(res.snapshots_tau, snaps_t)
+        np.testing.assert_allclose(res.snapshots, snaps, rtol=1e-9, atol=1e-9 * np.max(sups))
+
+    @pytest.fixture
+    def spoil_initial_data(self, monkeypatch):
+        initial = pdesim._initial_data
+
+        def spoil(change):
+            monkeypatch.setattr(pdesim, "_initial_data", lambda cfg, z: change(initial(cfg, z)))
+
+        return spoil
+
+    @pytest.mark.parametrize("family,n", [("biharmonic", 128), ("heat", 128),
+                                          ("biharmonic", 384)])
+    def test_nan_state_names_the_step_of_the_banded_loop(self, spoil_initial_data, family, n):
+        # the banded loop loses finiteness at its first step; the dense path
+        # (m <= 256) and the band path (m = 381) name that step too
+        def with_nan(w):
+            w[n // 2] = math.nan
+            return w
+
+        spoil_initial_data(with_nan)
+        cfg = pdesim.SimConfig(family=family, phi=criteria.Constant(2.0), n=n, dt=0.02,
+                               tau_span=(1.0, 300.0))
+        with pytest.raises(FloatingPointError, match=r"tau=1\.020$"):
+            pdesim.simulate(cfg)
+
+    def test_overflow_is_named_where_the_state_overflows(self, spoil_initial_data):
+        # data of size 1e305 growing at l = 5: the banded loop's triangular
+        # solves overflow at tau = 2.76, long before the state does; the dense
+        # products do not, and the block replay names a step shortly before
+        # the first record whose scaled sup norm passes the float range
+        cfg = pdesim.SimConfig(family="biharmonic", phi=criteria.Constant(5.0), n=128,
+                               dt=0.02, tau_span=(0.0, 300.0))
+        res = pdesim.simulate(cfg)
+        over = res.tau[np.argmax(res.sup_norm > np.finfo(float).max / 1e305)]
+        spoil_initial_data(lambda w: 1e305 * w)
+        with pytest.raises(FloatingPointError) as lost:
+            pdesim.simulate(cfg)
+        named = float(str(lost.value).rsplit("=", 1)[1])
+        assert over - 2.0 < named <= over
+
+    def test_large_grid_holds_linear_memory(self):
+        # n = 20 000 takes band solves between records and keeps a few records
+        # at a time: the dense propagator alone would hold 3.2 GB, and 256-row
+        # record blocks 580 state vectors at this length
+        n = 20000
+        cfg = pdesim.SimConfig(family="biharmonic", phi=criteria.Constant(2.0), n=n,
+                               dt=1e-5, tau_span=(0.0, 3e-3))
+        tracemalloc.start()
+        try:
+            res = pdesim.simulate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(res.tau) == 300 and np.all(np.isfinite(res.sup_norm))
+        assert peak < 150 * 8 * (n + 1)  # 84 state vectors measured
 
 
 class TestMovingWallDirectSolves:
@@ -213,6 +291,20 @@ class TestInitialData:
         with pytest.raises(ValueError):
             pdesim.SimConfig(family="wave", phi=criteria.Constant(1.0),
                              tau_span=(0.0, 1.0))
+
+    @pytest.mark.parametrize("n", [128.0, True, "128"])
+    def test_grid_size_must_be_an_integer(self, n):
+        # n = 128.0 used to end in "slice indices must be integers"
+        with pytest.raises(ValueError, match="grid size n"):
+            pdesim.SimConfig(family="biharmonic", phi=criteria.Constant(2.0), n=n,
+                             tau_span=(0.0, 1.0))
+
+    @pytest.mark.parametrize("span", [(0.0, math.nan), (0.0, math.inf), (math.nan, 1.0),
+                                      (-math.inf, 1.0)])
+    def test_tau_span_must_be_finite(self, span):
+        # (0, nan) used to fail converting nan to an integer, (0, inf) overflow
+        with pytest.raises(ValueError, match="tau_span"):
+            pdesim.SimConfig(family="heat", phi=criteria.Constant(2.0), tau_span=span)
 
     @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
     def test_step_must_be_positive_and_finite(self, dt):
