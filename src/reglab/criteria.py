@@ -878,9 +878,9 @@ def integrate_a0(family, phi, tau_span=None, a0_init=1.0, n_out=400, lntau_span=
     coefficient reaches zero; the full model hands LSODA its analytic
     Jacobian.  An ``a0_init`` that is not positive and finite, a span that
     does not increase from ln tau >= 1, or ``n_out < 2`` raises
-    ``ValueError``.  A solver
-    failure raises ``numcore.OdeError`` naming the family, the ln(tau)
-    reached and the solver's message, instead of returning a truncated trace.
+    ``ValueError``.  A solver failure raises ``numcore.OdeError`` naming the
+    family, the ln(tau) reached and the solver's message, instead of
+    returning a truncated trace.
     """
     if lntau_span is None:
         tau_lo, tau_hi = tau_span
