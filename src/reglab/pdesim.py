@@ -8,16 +8,16 @@ After mapping the shrinking domain to z in [-1, 1] the equation reads
 with clamped (w = w_z = 0) or Dirichlet (w = 0) walls.  The stiff
 spatial operator is advanced implicitly by backward Euler on the full
 operator.  The pentadiagonal/tridiagonal step matrix is built straight
-into the LAPACK band layout.  A constant wall gives one fixed step matrix,
-so its banded LU factors are computed once.  Up to 256 interior
-unknowns the run then moves from one recorded state to the next by one
-dense product with the precomputed propagator (I - dt A)^-r, r the record
-stride; past it each step is a pair of O(n) triangular band solves.  A
-moving wall rebuilds the matrix on every step and factors and solves it
-with one direct LAPACK call (``gbsv``, or ``gtsv`` for the tridiagonal
-heat matrix).  The recorded sup-norm and first-coefficient traces provide
-the empirical decay and growth rates that cross-check the interval
-spectrum."""
+into the LAPACK band layout.  Every wall runs through one driver, which
+records the state on one schedule, checks it for finiteness and reduces
+it to sup norms and a0 in blocks, and takes snapshots.  Walls differ only
+in how a state advances between two steps: a constant wall reuses one
+banded LU, and on a long enough run over at most 256 interior unknowns
+the precomputed propagator (I - dt A)^-r, r the record stride; a moving
+wall rebuilds the matrix on every step and factors and solves it with
+one LAPACK call (``gbsv``, or ``gtsv`` for the tridiagonal heat matrix).
+The recorded sup-norm and first-coefficient traces provide the empirical
+decay and growth rates that cross-check the interval spectrum."""
 
 from __future__ import annotations
 
@@ -36,8 +36,8 @@ from reglab import blayer, criteria, kernels
 # (I - dt A)^-5: 6.8 against 4.3 us at m = 125, 12.7 against 11.1 us at
 # m = 253, 18.1 against 22.2 us at m = 381.  At 256 the matrix takes 0.5 MB.
 _DENSE_MAX = 256
-# Recorded constant-wall states are checked and reduced in blocks of at most
-# this many rows and values, so a run at any n holds O(n) memory.
+# Recorded states are checked and reduced in blocks of at most this many
+# rows and values, so a run at any n holds O(n) memory.
 _BLOCK_ROWS = 256
 _BLOCK_VALUES = 1 << 16
 
@@ -65,12 +65,17 @@ class SimConfig:
             raise ValueError(f"grid size n must be an integer, got {self.n!r}")
         if self.n < 64 or self.n % 2:
             raise ValueError("grid size n must be even and at least 64")
-        if not all(math.isfinite(t) for t in self.tau_span):
-            raise ValueError(f"tau_span must be finite, got {tuple(self.tau_span)!r}")
-        if self.tau_span[1] <= self.tau_span[0]:
+        span = self.tau_span
+        if not (isinstance(span, (tuple, list, np.ndarray)) and len(span) == 2
+                and all(isinstance(t, numbers.Real) and math.isfinite(t) for t in span)):
+            raise ValueError(f"tau_span must be two finite numbers, got {span!r}")
+        if span[1] <= span[0]:
             raise ValueError("tau span must be increasing")
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"time step dt must be positive and finite, got {self.dt!r}")
+        if self.initial not in ("bump", "poly", "random-smooth"):
+            raise ValueError(f"initial must be bump, poly or random-smooth, "
+                             f"got {self.initial!r}")
 
 
 @dataclass(frozen=True)
@@ -96,15 +101,13 @@ def _initial_data(cfg, z):
         with np.errstate(divide="ignore", over="ignore"):
             core = np.where(np.abs(z) < 1.0, np.exp(-1.0 / np.maximum(1.0 - z * z, 1e-12)), 0.0)
         return core / core.max()
-    if cfg.initial == "random-smooth":
-        rng = np.random.default_rng(cfg.seed)
-        modes = np.arange(1, 9)
-        coef = rng.standard_normal(modes.size) / (1.0 + modes**2)
-        series = sum(c * np.sin(0.5 * k * math.pi * (z + 1.0)) for k, c in zip(modes, coef))
-        data = clamp * series
-        peak = np.max(np.abs(data))
-        return data / peak if peak else clamp
-    raise ValueError(f"unknown initial data {cfg.initial!r}")
+    rng = np.random.default_rng(cfg.seed)  # random-smooth
+    modes = np.arange(1, 9)
+    coef = rng.standard_normal(modes.size) / (1.0 + modes**2)
+    series = sum(c * np.sin(0.5 * k * math.pi * (z + 1.0)) for k, c in zip(modes, coef))
+    data = clamp * series
+    peak = np.max(np.abs(data))
+    return data / peak if peak else clamp
 
 
 def _biharmonic_operator(n, h, phi_val, phi_slope):
@@ -196,40 +199,29 @@ def _band_solve(ab, kl, x):
 def simulate(cfg):
     """Advance the rescaled equation and record norm/coefficient traces.
 
-    The full operator (stiff term and drift) is advanced by backward
-    Euler; the step is unconditionally stable and the default step is
-    chosen so the first-order bias stays below the per-case rate
-    tolerances.  Clamped (or Dirichlet) rows are imposed exactly through
-    the banded stencils.  The state is recorded after the first step,
-    every r = max(1, steps // 4000) steps after that and after the last
-    step, and 60 evenly spaced snapshots are taken.
+    The full operator (stiff term and drift) is advanced by backward Euler;
+    the step is unconditionally stable and the default step keeps the
+    first-order bias below the per-case rate tolerances.  Clamped (or
+    Dirichlet) rows are imposed exactly through the banded stencils.  The
+    state is recorded after step 1, every r = max(1, steps // 4000) steps
+    and after the last step; each of 60 evenly spaced snapshot times t is
+    taken at the first step with tau >= t - dt/2, from the record before it.
+    Records are checked for finiteness and reduced to sup norms and a0 (the
+    state weighed with the kernel at the wall) in blocks of at most 256.  A
+    block with a state that is not finite, or that ends in an error, is
+    replayed by single steps from the record before, and the first of a
+    non-finite state (``FloatingPointError``) and the error is raised.
 
-    For a ``criteria.Constant`` wall the step matrix I - dt A is LU-factored
-    once in band form (LAPACK ``gbtrf``).  When the interior size m (n - 3,
-    or n - 1 for heat) is at most 256, r solves with those factors
-    (``gbtrs``) applied to the identity give the propagator (I - dt A)^-r,
-    and each stride between records is one dense product with it; larger m
-    take r band solves per stride, in O(n) memory.  The first record, the
-    remainder before the last one and each snapshot are reached by band
-    solves from the record before them.  Records are kept in blocks of at
-    most 256 rows, and each block is checked for finiteness and reduced to
-    its sup norms and a0 at once.  A block that is not finite is replayed by
-    single band steps from the record before its first non-finite one, and
-    the ``FloatingPointError`` names the first replayed step whose state is
-    not finite: for nan data the step the band loop names.  An overflow
-    shows later than in the band loop, whose triangular solves overflow
-    before the state does (data of size 1e305 at l = 5: tau = 2.76 by band
-    solves, 154.9 by the propagator, 155.6 where the state passes 1.8e308).
-
-    Any other wall rebuilds the band from phi and phi' on every step and
-    factors and solves it in one LAPACK call (``gbsv``; ``gtsv`` for the
-    heat family), the routines ``scipy.linalg.solve_banded`` would call, so
-    the results are the same without its per-step copies and matrix scan.
-    Instead a non-finite phi or phi' raises ``ValueError`` (naming tau)
-    before the step, and a singular step matrix raises ``LinAlgError``.
-    This path checks finiteness after every step.  The recorded a0 weighs
-    the state with the kernel at the wall, evaluated once for a constant
-    wall and at every record (and kept no longer) for a moving one.
+    Walls differ only in how a state advances.  A ``criteria.Constant`` wall
+    LU-factors I - dt A once in band form (``gbtrf``) and steps by ``gbtrs``.
+    When the interior size m (n - 3, or n - 1 for heat) is at most 256 and
+    the run has enough full strides to repay it, r such solves on the
+    identity give the propagator (I - dt A)^-r, and a full stride is one
+    product with it; its overflow shows later than that of band solves
+    (data of size 1e305 at l = 5: tau = 154.9 against 2.76).  Any other wall
+    rebuilds the band from phi and phi' on every step and solves it by
+    ``gbsv`` (``gtsv`` for heat), as ``solve_banded`` would; a non-finite
+    phi or phi' raises ``ValueError``, a singular matrix ``LinAlgError``.
     """
     n = cfg.n
     h = 2.0 / n
@@ -249,12 +241,14 @@ def simulate(cfg):
     phi0 = phi(tau0)
     dt = cfg.dt if cfg.dt is not None else _auto_dt(family, phi0)
     steps = int(math.ceil((tau1 - tau0) / dt))
+    r = max(1, steps // 4000)
 
     w_full = _initial_data(cfg, z)
     if family == "biharmonic":
         x = w_full[2:n - 1].copy()
     else:
         x = w_full[1:n].copy()
+    m = x.size
 
     build = _biharmonic_operator if family == "biharmonic" else _heat_operator
     kl = 2 if family == "biharmonic" else 1  # as many upper as lower bands
@@ -269,59 +263,50 @@ def simulate(cfg):
         ab[2 * kl] += 1.0
         return ab
 
-    snap_taus = np.linspace(tau0, tau1, 60)
+    def weights_at(pv):
+        return _a0_weights(family, z, kernels.eval_kernel(fam_kernel, pv * z) * pv)
+
     if isinstance(phi, criteria.Constant):
         lu, piv, info = dgbtrf(step_matrix(tau0, phi0, 0.0), kl, kl)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
-        weights = _a0_weights(family, z, kernels.eval_kernel(fam_kernel, phi0 * z) * phi0)
-        taus, sups, a0s, snaps_t, snaps = _constant_wall(
-            x, (lu, piv, kl), weights, snap_taus, tau0, dt, steps, family, n)
-        return SimResult(config=cfg, tau=taus, sup_norm=sups, a0=a0s, z=z,
-                         snapshots_tau=snaps_t, snapshots=snaps)
+        weights, prop = weights_at(phi0), None
 
-    def a0_of(x_now, pv_now):
-        w = _full_state(family, x_now, n)
-        fk = kernels.eval_kernel(fam_kernel, pv_now * z)
-        integrand = w * fk * pv_now
-        return float(np.trapezoid(integrand, z))
+        def advance(x, s_from, s_to):
+            if prop is not None and s_to - s_from == r:
+                return np.dot(prop, x)
+            for _ in range(s_to - s_from):
+                x, _ = dgbtrs(lu, kl, kl, x, piv)
+            return x
 
-    record_every = max(1, steps // 4000)
-    taus, sups, a0s = [], [], []
-    snap_idx = 0
-    snaps_t, snaps = [], []
+        def a0_weights(record_steps):
+            return weights
 
-    tau = tau0
-    for k in range(steps):
-        tau_next = tau0 + (k + 1) * dt
-        pv = float(phi(tau_next))
-        ab = step_matrix(tau_next, pv, float(phi.derivative(tau_next)))
-        x = _band_solve(ab, kl, x)
-        tau = tau_next
-        if not np.all(np.isfinite(x)):
-            raise FloatingPointError(f"solution lost finiteness at tau={tau:.3f}")
-        if k % record_every == 0 or k == steps - 1:
-            taus.append(tau)
-            sups.append(float(np.max(np.abs(x))))
-            a0s.append(a0_of(x, pv))
-        while snap_idx < len(snap_taus) and tau >= snap_taus[snap_idx] - 0.5 * dt:
-            snaps_t.append(tau)
-            snaps.append(_full_state(family, x, n))
-            snap_idx += 1
+        # Forming P^r takes r solves on m columns, about 0.4 r m single band
+        # solves; each full stride then saves r band solves less one product,
+        # which costs about m / 200 of them.  Measured break-even, 2 vCPU:
+        # 25-27 strides at m = 61 (r = 1), 90-160 at m = 125 (r = 1), 250 at
+        # m = 253 with r = 2; at m = 253 and r = 1 the product is no cheaper.
+        if m <= _DENSE_MAX and (r - m / 200) * (steps // r) >= 0.4 * r * m:
+            prop = advance(np.eye(m, order="F"), 0, r)
+    else:
+        def advance(x, s_from, s_to):
+            for s in range(s_from + 1, s_to + 1):
+                t = tau0 + s * dt  # bit for bit the tau of step s
+                x = _band_solve(step_matrix(t, float(phi(t)), float(phi.derivative(t))), kl, x)
+            return x
 
-    return SimResult(
-        config=cfg,
-        tau=np.asarray(taus),
-        sup_norm=np.asarray(sups),
-        a0=np.asarray(a0s),
-        z=z,
-        snapshots_tau=np.asarray(snaps_t),
-        snapshots=np.asarray(snaps),
-    )
+        def a0_weights(record_steps):
+            return np.array([weights_at(float(phi(tau0 + s * dt))) for s in record_steps])
+
+    taus, sups, a0s, snaps_t, snaps = _record_run(
+        x, advance, a0_weights, r, np.linspace(tau0, tau1, 60), tau0, dt, steps, family, n)
+    return SimResult(config=cfg, tau=taus, sup_norm=sups, a0=a0s, z=z,
+                     snapshots_tau=snaps_t, snapshots=snaps)
 
 
 def _a0_weights(family, z, kernel_row):
-    """Interior weights c with a0 = c . x for a constant wall.
+    """Interior weights c with a0 = c . x for the wall at one step.
 
     ``kernel_row`` is phi F(phi z) on the grid; it is multiplied by the
     trapezoid weights, and the wall values w1 = x0/4 and w(n-1) = x(-1)/4
@@ -342,29 +327,22 @@ def _a0_weights(family, z, kernel_row):
     return c
 
 
-def _constant_wall(x, factors, weights, snap_taus, tau0, dt, steps, family, n):
-    """(tau, sup_norm, a0, snapshots_tau, snapshots) of a constant-wall run.
+def _record_run(x, advance, a0_weights, r, snap_taus, tau0, dt, steps, family, n):
+    """(tau, sup_norm, a0, snapshots_tau, snapshots) of one run from state x.
 
-    ``x`` is the initial interior state, ``factors`` the band LU
-    ``(lu, piv, kl)`` of the step matrix and ``weights`` the a0 weights of
-    ``_a0_weights``; ``simulate`` describes the schedule and the checks.
+    ``advance(x, s_from, s_to)`` steps x from s_from to s_to, and
+    ``a0_weights(steps)`` gives ``_a0_weights`` for those records, one
+    vector for all or one row each; ``simulate`` describes the schedule.
     """
-    lu, piv, kl = factors
-    r, m = max(1, steps // 4000), x.size
+    m = x.size
 
-    def tau(s):  # bit for bit the tau of step s in the moving-wall loop
+    def tau(s):
         return tau0 + s * dt
 
-    def band(x, count):
-        for _ in range(count):
-            x, _ = dgbtrs(lu, kl, kl, x, piv)
-        return x
-
     def lost_finiteness(x, s_from, s_to):
-        # single band steps from step s_from; raise at the first state that
-        # is not finite, at s_to at the latest
+        # single steps from s_from to the first non-finite state or to s_to
         for s in range(s_from + 1, s_to + 1):
-            x = band(x, 1)
+            x = advance(x, s - 1, s)
             if not np.all(np.isfinite(x)):
                 break
         raise FloatingPointError(f"solution lost finiteness at tau={tau(s):.3f}")
@@ -385,41 +363,41 @@ def _constant_wall(x, factors, weights, snap_taus, tau0, dt, steps, family, n):
             break
         snap_steps.append(s)
 
-    prop = band(np.eye(m, order="F"), r) if m <= _DENSE_MAX else None
     snaps = np.empty((len(snap_steps), n + 1))
     rows = max(1, min(_BLOCK_ROWS, _BLOCK_VALUES // m))
     sups, a0s = [], []
     s_prev = snap_idx = 0
     for b in range(0, len(rec), rows):
-        block_steps = rec[b:b + rows]
-        block = np.empty((len(block_steps), m))
+        block_steps, states = rec[b:b + rows], []
         x_start, s_start = x, s_prev
 
         def before(s):
             # (state, step) of the last record at or before step s, from this
             # block or the one before it
             j = bisect.bisect_right(block_steps, s) - 1
-            return (block[j], block_steps[j]) if j >= 0 else (x_start, s_start)
+            return (states[j], block_steps[j]) if j >= 0 else (x_start, s_start)
 
-        with np.errstate(over="ignore", invalid="ignore"):  # caught below
-            for i, s in enumerate(block_steps):
-                if prop is not None and s - s_prev == r:
-                    np.dot(prop, x, out=block[i])
-                else:
-                    block[i] = band(x, s - s_prev)
-                x, s_prev = block[i], s
-        finite = np.isfinite(block).all(axis=1)
-        if not finite.all():
-            s_lost = block_steps[int(np.argmin(finite))]
-            lost_finiteness(*before(s_lost - 1), s_lost)
+        with np.errstate(over="ignore", invalid="ignore"):  # checked here
+            try:
+                for s in block_steps:
+                    x, s_prev = advance(x, s_prev, s), s
+                    states.append(x)
+            except ValueError:  # a bad wall or step matrix: the replay raises it again
+                pass
+            block = np.array(states).reshape(-1, m)
+            finite = np.isfinite(block).all(axis=1)
+            if len(states) < len(block_steps) or not finite.all():
+                # a state lost before the failing step is named first
+                s_lost = block_steps[len(states) if finite.all() else int(np.argmin(finite))]
+                lost_finiteness(*before(s_lost - 1), s_lost)
         sups.append(np.abs(block).max(axis=1))
         # row-wise sums: one matrix-vector product over the block would give
         # different bits at different BLAS thread counts
-        a0s.append((block * weights).sum(axis=1))
+        a0s.append((block * a0_weights(block_steps)).sum(axis=1))
         while snap_idx < len(snap_steps) and snap_steps[snap_idx] <= s_prev:
             s = snap_steps[snap_idx]
             x_base, s_base = before(s)
-            snaps[snap_idx] = _full_state(family, band(x_base, s - s_base), n)
+            snaps[snap_idx] = _full_state(family, advance(x_base, s_base, s), n)
             snap_idx += 1
     return (np.array([tau(s) for s in rec]), np.concatenate(sups), np.concatenate(a0s),
             np.array([tau(s) for s in snap_steps]), snaps)
@@ -494,6 +472,8 @@ def verify_P2(seeds=(1, 2, 3), tau_end=400.0, n=128):
     carries the fitted rates and fails if any run contradicts the
     expected sign.
     """
+    if not seeds:
+        raise ValueError("verify_P2 needs at least one seed")
     rates = {}
     for l in (4.0, 5.0):
         for seed in seeds:

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from reglab import criteria, kernels, pdesim, spectral
 
@@ -12,6 +13,16 @@ def run(family, l, tau_end, n=160, dt=None, initial="bump", seed=0, tau0=0.0):
     cfg = pdesim.SimConfig(family=family, phi=criteria.Constant(l), n=n, dt=dt,
                            tau_span=(tau0, tau_end), initial=initial, seed=seed)
     return pdesim.simulate(cfg)
+
+
+@pytest.fixture
+def spoil_initial_data(monkeypatch):
+    initial = pdesim._initial_data
+
+    def spoil(change):
+        monkeypatch.setattr(pdesim, "_initial_data", lambda cfg, z: change(initial(cfg, z)))
+
+    return spoil
 
 
 class TestFitRate:
@@ -83,14 +94,30 @@ class TestConstantWallFactors:
         assert np.array_equal(res.snapshots_tau, snaps_t)
         np.testing.assert_allclose(res.snapshots, snaps, rtol=1e-9, atol=1e-9 * np.max(sups))
 
-    @pytest.fixture
-    def spoil_initial_data(self, monkeypatch):
-        initial = pdesim._initial_data
-
-        def spoil(change):
-            monkeypatch.setattr(pdesim, "_initial_data", lambda cfg, z: change(initial(cfg, z)))
-
-        return spoil
+    def test_short_run_steps_by_band_solves(self):
+        # 50 steps at m = 253 do not repay the propagator: the run is the
+        # gbtrf/gbtrs loop bit for bit
+        n, dt, l = 256, 0.02, 3.0
+        cfg = pdesim.SimConfig(family="biharmonic", phi=criteria.Constant(l), n=n, dt=dt,
+                               tau_span=(0.0, 1.0))
+        res = pdesim.simulate(cfg)
+        ab = pdesim._biharmonic_operator(n, 2.0 / n, l, 0.0)
+        ab[2:] *= -dt
+        ab[4] += 1.0
+        lu, piv, _ = dgbtrf(ab, 2, 2)
+        x, states = pdesim._initial_data(cfg, res.z)[2:n - 1], []
+        for _ in range(50):
+            x, _ = dgbtrs(lu, 2, 2, x, piv)
+            states.append(x)
+        states = np.array(states)
+        weights = pdesim._a0_weights(
+            "biharmonic", res.z, kernels.eval_kernel(kernels.biharmonic(), l * res.z) * l)
+        steps_of_snapshots = np.rint(res.snapshots_tau / dt).astype(int) - 1
+        assert np.array_equal(res.tau, dt * np.arange(1, 51))
+        assert np.array_equal(res.sup_norm, np.abs(states).max(axis=1))
+        assert np.array_equal(res.a0, (states * weights).sum(axis=1))
+        assert np.array_equal(res.snapshots, [pdesim._full_state("biharmonic", states[k], n)
+                                              for k in steps_of_snapshots])
 
     @pytest.mark.parametrize("family,n", [("biharmonic", 128), ("heat", 128),
                                           ("biharmonic", 384)])
@@ -140,18 +167,22 @@ class TestConstantWallFactors:
 
 
 class TestMovingWallDirectSolves:
-    @pytest.mark.parametrize("family,phi", [
-        ("biharmonic", criteria.PowerLog(2.0, 0.75)),
-        ("heat", criteria.PetrovskiiSqrtLog(2.0)),
-    ])
-    def test_matches_solve_banded_reference_loop(self, family, phi):
-        n, dt, tau0 = 128, 0.02, criteria.TAU0
+    @pytest.mark.parametrize("family,phi,dt,length", [
+        ("biharmonic", criteria.PowerLog(2.0, 0.75), 0.02, 3.0),
+        ("heat", criteria.PetrovskiiSqrtLog(2.0), 0.02, 3.0),
+        # 8004 steps: record stride 2, a remainder step before the last
+        # record, and snapshots between records
+        ("biharmonic", criteria.PowerLog(2.0, 0.75), 0.001, 8.0035),
+    ], ids=["biharmonic-phi0", "heat-phi1", "biharmonic-stride2"])
+    def test_matches_solve_banded_reference_loop(self, family, phi, dt, length):
+        n, tau0 = 128, criteria.TAU0
+        tau1 = tau0 + length
         cfg = pdesim.SimConfig(family=family, phi=phi, n=n, dt=dt,
-                               tau_span=(tau0, tau0 + 3.0), initial="bump")
+                               tau_span=(tau0, tau1), initial="bump")
         res = pdesim.simulate(cfg)
 
         # reference: rebuild the banded matrix from phi and phi' and call
-        # solve_banded on every step
+        # solve_banded on every step, recorded and snapshotted on the schedule
         h, z = 2.0 / n, res.z
         if family == "biharmonic":
             build, bands, inner, fam = pdesim._biharmonic_operator, (2, 2), slice(2, n - 1), \
@@ -159,24 +190,32 @@ class TestMovingWallDirectSolves:
         else:
             build, bands, inner, fam = pdesim._heat_operator, (1, 1), slice(1, n), kernels.heat()
         x = pdesim._initial_data(cfg, z)[inner]
-        sups, a0s, states = [], [], []
-        for k in range(math.ceil(3.0 / dt)):
+        steps = math.ceil((tau1 - tau0) / dt)
+        every = max(1, steps // 4000)
+        snap_taus = np.linspace(tau0, tau1, 60)
+        taus, sups, a0s, snaps_t, snaps = [], [], [], [], []
+        for k in range(steps):
             tau = tau0 + (k + 1) * dt
             pv, ps = phi(tau), phi.derivative(tau)
             ab = -dt * build(n, h, pv, ps)[bands[0]:]
             ab[bands[0], :] += 1.0
             x = solve_banded(bands, ab, x)
             w = pdesim._full_state(family, x, n)
-            sups.append(np.max(np.abs(x)))
-            a0s.append(np.trapezoid(w * kernels.eval_kernel(fam, pv * z) * pv, z))
-            states.append(w)
+            if k % every == 0 or k == steps - 1:
+                taus.append(tau)
+                sups.append(np.max(np.abs(x)))
+                a0s.append(np.trapezoid(w * kernels.eval_kernel(fam, pv * z) * pv, z))
+            while len(snaps_t) < 60 and tau >= snap_taus[len(snaps_t)] - 0.5 * dt:
+                snaps_t.append(tau)
+                snaps.append(w)
 
-        assert len(res.sup_norm) == len(sups)
+        if length > 5.0:
+            assert every == 2 and (steps - 1) % every
+        assert np.array_equal(res.tau, taus)
         np.testing.assert_allclose(res.sup_norm, sups, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(res.a0, a0s, rtol=1e-12, atol=0.0)
-        steps_of_snapshots = np.rint((res.snapshots_tau - tau0) / dt).astype(int) - 1
-        np.testing.assert_allclose(res.snapshots, np.array(states)[steps_of_snapshots],
-                                   rtol=1e-12, atol=0.0)
+        assert np.array_equal(res.snapshots_tau, snaps_t)
+        np.testing.assert_allclose(res.snapshots, snaps, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("family", ["biharmonic", "heat"])
     def test_non_finite_boundary_is_rejected(self, family):
@@ -191,6 +230,28 @@ class TestMovingWallDirectSolves:
         cfg = pdesim.SimConfig(family=family, phi=BreaksDown(), n=64, dt=0.02,
                                tau_span=(criteria.TAU0, 5.0))
         with pytest.raises(ValueError, match="boundary is not finite at tau=3.5"):
+            pdesim.simulate(cfg)
+
+    @pytest.mark.parametrize("family", ["biharmonic", "heat"])
+    def test_state_lost_before_the_boundary_breaks_is_named(self, spoil_initial_data,
+                                                            family):
+        # the state is nan from the first step on and the wall from tau = 3.5,
+        # both within the first block of records: the state's step is named
+        class BreaksLater(criteria.BoundaryFunction):
+            def _phi_u(self, u):
+                return np.where(u > math.log(3.5), np.nan, 2.0 + 0.0 * u)
+
+            def _dphi(self, tau):
+                return np.zeros_like(tau)
+
+        def with_nan(w):
+            w[32] = math.nan
+            return w
+
+        spoil_initial_data(with_nan)
+        cfg = pdesim.SimConfig(family=family, phi=BreaksLater(), n=64, dt=0.02,
+                               tau_span=(criteria.TAU0, 5.0))
+        with pytest.raises(FloatingPointError, match=f"tau={criteria.TAU0 + 0.02:.3f}$"):
             pdesim.simulate(cfg)
 
     @pytest.mark.parametrize("kl", [1, 2])
@@ -300,11 +361,19 @@ class TestInitialData:
                              tau_span=(0.0, 1.0))
 
     @pytest.mark.parametrize("span", [(0.0, math.nan), (0.0, math.inf), (math.nan, 1.0),
-                                      (-math.inf, 1.0)])
+                                      (-math.inf, 1.0), (0.0, 1.0, 2.0), (1.0,), "01",
+                                      (0.0, "1"), 1.0, None])
     def test_tau_span_must_be_finite(self, span):
-        # (0, nan) used to fail converting nan to an integer, (0, inf) overflow
+        # (0, nan) used to fail converting nan to an integer, (0, inf) overflow,
+        # and (0, 1, 2) to unpack inside simulate
         with pytest.raises(ValueError, match="tau_span"):
             pdesim.SimConfig(family="heat", phi=criteria.Constant(2.0), tau_span=span)
+
+    @pytest.mark.parametrize("initial", ["gauss", "", None])
+    def test_initial_data_must_be_known(self, initial):
+        with pytest.raises(ValueError, match="initial"):
+            pdesim.SimConfig(family="heat", phi=criteria.Constant(2.0), tau_span=(0.0, 1.0),
+                             initial=initial)
 
     @pytest.mark.parametrize("dt", [0.0, -0.1, math.nan, math.inf])
     def test_step_must_be_positive_and_finite(self, dt):
@@ -411,3 +480,8 @@ class TestVerifyP2:
         assert report.all_decay_at_4 and report.all_grow_at_5
         growth = [r for (l, _), r in report.rates.items() if l == 5.0]
         assert all(abs(g - 0.0483) < 0.015 for g in growth)
+
+    def test_no_seeds_rejected(self):
+        # seeds=() used to report passed=True after running nothing
+        with pytest.raises(ValueError, match="seed"):
+            pdesim.verify_P2(seeds=())
