@@ -1,12 +1,18 @@
-"""Stationary boundary-layer profiles near the lateral wall.
+"""Stationary boundary-layer profiles near the lateral wall, and their flux.
 
 In the wall variable xi (distance from the boundary in layer units) the
 generic solution transitions from 0 at the wall to the interior plateau
-value 1.  Closed forms exist for the heat, fourth-order (biharmonic) and
-third-order dispersion layers; the generic linear operator and the cubic
-diffusion layer are solved as boundary-value problems with far-field
-conditions that kill the growing mode and pin the plateau exactly, so
-the finite truncation length does not limit the accuracy.
+value 1.  A layer is an entry of two tables: ``_CLOSED`` holds the closed
+form g0 and its exact wall derivatives (heat, fourth-order (biharmonic)
+and third-order dispersion layers), ``_LAYERS`` the order, coefficient c
+and growing root of the linear operator g^(order) = g'/c (for the cubic
+diffusion layer, of its linearization at the plateau).  One collocation
+solves the layers as boundary-value problems with far-field conditions
+that kill the growing mode and pin the plateau exactly, so the finite
+truncation length does not limit the accuracy; the cubic diffusion layer
+brings its own coefficient and wall conditions.  ``wall_flux`` is the
+matched flux g2 v F + g1 v^(2/3) F' of a fourth-order layer, which drives
+the first coefficient and the large-l eigenvalue estimate.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
+from reglab import kernels
 from reglab.numcore import BvpError, check_tolerance
 
 
@@ -48,76 +55,48 @@ class BoundaryLayerProfile:
 
 _BIH_B = 2.0 ** (-5.0 / 3.0)
 _BIH_A = math.sqrt(3.0) * _BIH_B
+_S3 = 1.0 / math.sqrt(3.0)
+
+# family: (g0 of a float array, exact wall derivatives (g0'(0), g0''(0), g0'''(0)))
+_CLOSED = {
+    # g0' = (4b/sqrt(3)) e^(-b xi) sin(a xi), differentiated twice more at 0
+    "biharmonic": (lambda xi: 1.0 - np.exp(-_BIH_B * xi)
+                   * (np.cos(_BIH_A * xi) + np.sin(_BIH_A * xi) / math.sqrt(3.0)),
+                   (0.0, 4.0 * _BIH_B * _BIH_B, -8.0 * _BIH_B**3)),
+    # the third-order operator imposes only g0(0) = 0
+    "dispersion3": (lambda xi: 1.0 - np.exp(-xi / math.sqrt(3.0)), (_S3, -_S3 * _S3, _S3**3)),
+    "heat": (lambda xi: 1.0 - np.exp(-0.5 * xi), (0.5, -0.25, 0.125)),
+}
 
 
-def biharmonic_characteristic_roots():
-    """Roots of the layer operator -g'''' + g'/4: 0 and the decaying pair."""
-    pair = 4.0 ** (-1.0 / 3.0) * complex(-0.5, 0.5 * math.sqrt(3.0))
-    return 0.0, pair, pair.conjugate()
-
-
-def _biharmonic_closed(xi):
-    xi = np.asarray(xi, dtype=float)
-    b, a = _BIH_B, _BIH_A
-    out = 1.0 - np.exp(-b * xi) * (np.cos(a * xi) + np.sin(a * xi) / math.sqrt(3.0))
+def _closed_form(family, xi):
+    out = _CLOSED[family][0](np.asarray(xi, dtype=float))
     return out if out.shape else float(out)
+
+
+def _closed_profile(family, xi_max):
+    xi = np.linspace(0.0, xi_max, 601)
+    return BoundaryLayerProfile(
+        family=family, xi=xi, values=_closed_form(family, xi),
+        wall_derivatives=_CLOSED[family][1], far_value=1.0,
+        provenance="closed-form", evaluate=lambda q: _closed_form(family, q),
+    )
 
 
 def biharmonic_profile(xi_max=30.0):
-    """Closed-form layer profile of the fourth-order equation, on 601 points of [0, xi_max].
-
-    g0(xi) = 1 - exp(-xi/2^(5/3)) [cos(sqrt(3) xi / 2^(5/3))
-                                   + sin(sqrt(3) xi / 2^(5/3)) / sqrt(3)],
-    with exact wall derivatives (0, 2^(-4/3), -1/4).
-    """
-    xi = np.linspace(0.0, xi_max, 601)
-    b, a = _BIH_B, _BIH_A
-    # g0' = (4b/sqrt(3)) e^(-b xi) sin(a xi); differentiate twice more at 0
-    g1 = 0.0
-    g2 = 4.0 * b * b  # = 2^(-4/3)
-    g3 = -8.0 * b**3  # = -1/4
-    return BoundaryLayerProfile(
-        family="biharmonic", xi=xi, values=_biharmonic_closed(xi),
-        wall_derivatives=(g1, g2, g3), far_value=1.0,
-        provenance="closed-form", evaluate=_biharmonic_closed,
-    )
-
-
-def _dispersion_closed(xi):
-    xi = np.asarray(xi, dtype=float)
-    out = 1.0 - np.exp(-xi / math.sqrt(3.0))
-    return out if out.shape else float(out)
+    """Fourth-order layer 1 - e^(-b xi) (cos(a xi) + sin(a xi)/sqrt(3)) on 601 points
+    of [0, xi_max], b = 2^(-5/3), a = sqrt(3) b; wall derivatives (0, 2^(-4/3), -1/4)."""
+    return _closed_profile("biharmonic", xi_max)
 
 
 def dispersion_profile(xi_max=30.0):
-    """Closed-form dispersion layer profile 1 - exp(-xi/sqrt(3)), on 601 points of [0, xi_max].
-
-    Only g0(0) = 0 is imposed by the third-order operator; the wall
-    derivative set is (1/sqrt(3), -1/3, ...).
-    """
-    xi = np.linspace(0.0, xi_max, 601)
-    s = 1.0 / math.sqrt(3.0)
-    return BoundaryLayerProfile(
-        family="dispersion3", xi=xi, values=_dispersion_closed(xi),
-        wall_derivatives=(s, -s * s, s**3), far_value=1.0,
-        provenance="closed-form", evaluate=_dispersion_closed,
-    )
-
-
-def _heat_closed(xi):
-    xi = np.asarray(xi, dtype=float)
-    out = 1.0 - np.exp(-0.5 * xi)
-    return out if out.shape else float(out)
+    """Dispersion layer 1 - exp(-xi/sqrt(3)) on 601 points of [0, xi_max]."""
+    return _closed_profile("dispersion3", xi_max)
 
 
 def heat_profile(xi_max=30.0):
-    """Heat-equation layer profile 1 - exp(-xi/2) on 601 points of [0, xi_max]; wall slope 1/2."""
-    xi = np.linspace(0.0, xi_max, 601)
-    return BoundaryLayerProfile(
-        family="heat", xi=xi, values=_heat_closed(xi),
-        wall_derivatives=(0.5, -0.25, 0.125), far_value=1.0,
-        provenance="closed-form", evaluate=_heat_closed,
-    )
+    """Heat-equation layer 1 - exp(-xi/2) on 601 points of [0, xi_max]; wall slope 1/2."""
+    return _closed_profile("heat", xi_max)
 
 
 def wall_constants(profile):
@@ -134,29 +113,57 @@ def wall_constants(profile):
     return d2, d3
 
 
+def wall_flux(g1, g2):
+    """Matched flux of a fourth-order layer with wall constants (g1, g2).
+
+    Returns ``flux(v, a0=1.0)`` = g2 sqrt(a0) v F(y) + g1 a0^(2/3) v^(2/3) F'(y),
+    y = v / sqrt(a0), with F the biharmonic kernel: the rate at which a layer
+    of amplitude a0 at a wall of half-width v feeds the first coefficient,
+    and at a0 = 1 the matched estimate of lambda_0(v).
+    """
+    fam = kernels.biharmonic()
+
+    def flux(v, a0=1.0):
+        y = v / math.sqrt(a0)
+        return (g2 * math.sqrt(a0) * v * kernels.eval_kernel(fam, y)
+                + g1 * a0 ** (2.0 / 3.0) * v ** (2.0 / 3.0)
+                * kernels.eval_kernel_derivative(fam, y))
+
+    return flux
+
+
 # ---------------------------------------------------------------------------
 # boundary-value solver
 
 
-def _linear_layer_modes(family):
-    """Characteristic roots of the linearized layer operator at the plateau."""
-    if family == "biharmonic":
-        # -g'''' + g'/4 = 0 linear part: roots of r^3 = 1/4 plus r = 0
-        r = 4.0 ** (-1.0 / 3.0)
-    elif family == "pme4":
-        # -G'''' + |G|^(-2/3) G'/12 at G = 1: roots of r^3 = 1/12
-        r = 12.0 ** (-1.0 / 3.0)
-    elif family == "dispersion3":
-        # g''' - g'/3 = 0: roots 0, +-1/sqrt(3)
-        return [complex(1.0 / math.sqrt(3.0), 0.0)], [complex(-1.0 / math.sqrt(3.0), 0.0)]
+# family: (order, c, growing root r) of the linear layer operator
+# g^(order) = g'/c, whose roots are 0 and r times the roots of unity of
+# degree order - 1; pme4 is linearized at the plateau G = 1
+_LAYERS = {
+    "biharmonic": (4, 4.0, 4.0 ** (-1.0 / 3.0)),
+    "dispersion3": (3, 3.0, 1.0 / math.sqrt(3.0)),
+    "pme4": (4, 12.0, 12.0 ** (-1.0 / 3.0)),
+}
+
+
+def _layer_roots(family):
+    """Roots 0, r and then the decaying ones of the family's linear layer operator."""
+    order, _, r = _LAYERS[family]
+    if order == 3:
+        decaying = [complex(-r, 0.0)]
     else:
-        raise ValueError(f"no boundary-value layer for family {family!r}")
-    growing = [complex(r, 0.0)]
-    decaying = [r * complex(-0.5, 0.5 * math.sqrt(3.0)), r * complex(-0.5, -0.5 * math.sqrt(3.0))]
-    return growing, decaying
+        decaying = [r * complex(-0.5, 0.5 * math.sqrt(3.0)),
+                    r * complex(-0.5, -0.5 * math.sqrt(3.0))]
+    return [complex(0.0, 0.0), complex(r, 0.0)] + decaying
 
 
-def _far_field_functionals(family, order):
+def biharmonic_characteristic_roots():
+    """Roots of the layer operator -g'''' + g'/4: 0 and the decaying pair."""
+    _, _, pair, conj = _layer_roots("biharmonic")
+    return 0.0, pair, conj
+
+
+def _far_field_functionals(family):
     """Rows extracting the growing-mode coefficient and the plateau value.
 
     In the mode basis {1, growing, decaying...} of the linearized
@@ -166,13 +173,22 @@ def _far_field_functionals(family, order):
     constant), so the far boundary conditions (kill growth, plateau = 1)
     hold exactly rather than up to the truncated tail.
     """
-    growing, decaying = _linear_layer_modes(family)
-    roots = [complex(0.0, 0.0)] + growing + decaying
-    vand = np.array([[r**k for r in roots] for k in range(order)], dtype=complex)
+    roots = _layer_roots(family)
+    vand = np.array([[r**k for r in roots] for k in range(len(roots))], dtype=complex)
     inv = np.linalg.inv(vand)
-    row_grow = inv[1]
-    row_plateau = inv[0]
-    return np.real(row_grow), np.imag(row_grow), np.real(row_plateau)
+    return np.real(inv[1]), np.real(inv[0])
+
+
+def _collocate(family, rhs, bc, xi, g0, tol, **params):
+    """``solve_bvp`` on the mesh xi, started from g0 and its successive gradients."""
+    guess = np.zeros((_LAYERS[family][0], xi.size))
+    guess[0] = g0
+    for k in range(1, len(guess)):
+        guess[k] = np.gradient(guess[k - 1], xi)
+    sol = integrate.solve_bvp(rhs, bc, xi, guess, tol=tol, max_nodes=200000, **params)
+    if not sol.success:
+        raise BvpError(f"layer BVP for {family} did not converge: {sol.message}")
+    return sol
 
 
 def solve_bl_bvp(family, length=30.0, tol=1e-10):
@@ -189,54 +205,30 @@ def solve_bl_bvp(family, length=30.0, tol=1e-10):
     solve that does not converge raises ``numcore.BvpError``.
     """
     check_tolerance(tol)
-    if family == "dispersion3":
-        order = 3
-
-        def rhs(xi, y):
-            return np.vstack([y[1], y[2], y[1] / 3.0])
-
-        rg_re, _, row_pl = _far_field_functionals(family, order)
-
-        def bc(ya, yb):
-            return np.array([ya[0], rg_re @ yb, row_pl @ yb - 1.0])
-
-        guess_fun = _dispersion_closed
-    elif family == "biharmonic":
-        order = 4
-
-        def rhs(xi, y):
-            return np.vstack([y[1], y[2], y[3], y[1] / 4.0])
-
-        rg_re, rg_im, row_pl = _far_field_functionals(family, order)
-
-        def bc(ya, yb):
-            return np.array([ya[0], ya[1], rg_re @ yb, row_pl @ yb - 1.0])
-
-        guess_fun = _biharmonic_closed
-    elif family == "pme4":
-        return _solve_pme4_layer(length, tol)
-    else:
+    if family not in _LAYERS:
         raise ValueError(f"no boundary-value layer for family {family!r}")
+    if family == "pme4":
+        return _solve_pme4_layer(length, tol)
+    order, c, _ = _LAYERS[family]
+    row_grow, row_plateau = _far_field_functionals(family)
+
+    def rhs(xi, y):
+        return np.vstack([*y[1:], y[1] / c])
+
+    def bc(ya, yb):
+        # g = 0 at the wall, and g' = 0 too in fourth order
+        return np.array([*ya[:order - 2], row_grow @ yb, row_plateau @ yb - 1.0])
 
     xi = np.linspace(0.0, length, 400)
-    guess = np.zeros((order, xi.size))
-    guess[0] = guess_fun(xi)
-    for k in range(1, order):
-        guess[k] = np.gradient(guess[k - 1], xi)
-
-    sol = integrate.solve_bvp(rhs, bc, xi, guess, tol=tol, max_nodes=200000)
-    if not sol.success:
-        raise BvpError(f"layer BVP for {family} did not converge: {sol.message}")
-
+    sol = _collocate(family, rhs, bc, xi, _CLOSED[family][0](xi), tol)
     xi_out = np.linspace(0.0, length, 1201)
-    vals = sol.sol(xi_out)[0]
     state0 = sol.sol(0.0)
-    wall = (float(state0[1]), float(state0[2]), float(state0[3]) if order > 3 else 0.0)
-    far = float(row_pl @ sol.sol(length))
     return BoundaryLayerProfile(
-        family=family, xi=xi_out, values=vals,
-        wall_derivatives=wall, far_value=far,
-        provenance="bvp", evaluate=lambda q, _s=sol: _s.sol(np.asarray(q, dtype=float))[0],
+        family=family, xi=xi_out, values=sol.sol(xi_out)[0],
+        wall_derivatives=(float(state0[1]), float(state0[2]),
+                          float(state0[3]) if order > 3 else 0.0),
+        far_value=float(row_plateau @ sol.sol(length)),
+        provenance="bvp", evaluate=lambda q: sol.sol(np.asarray(q, dtype=float))[0],
     )
 
 
@@ -250,15 +242,14 @@ def _solve_pme4_layer(length, tol, xi0=1e-3):
     xi0).  Far-field conditions kill the growing mode of the plateau
     linearization and pin the plateau to one.
     """
-    check_tolerance(tol)
-    order = 4
+    _, c, _ = _LAYERS["pme4"]
     floor = 1e-14
 
     def rhs(xi, y, p):
         g = np.maximum(np.abs(y[0]), floor)
-        return np.vstack([y[1], y[2], y[3], g ** (-2.0 / 3.0) * y[1] / 12.0])
+        return np.vstack([y[1], y[2], y[3], g ** (-2.0 / 3.0) * y[1] / c])
 
-    rg_re, rg_im, row_pl = _far_field_functionals("pme4", order)
+    row_grow, row_plateau = _far_field_functionals("pme4")
 
     def bc(ya, yb, p):
         s2, s3 = p
@@ -267,26 +258,19 @@ def _solve_pme4_layer(length, tol, xi0=1e-3):
             ya[1] - (s2 * xi0 + 0.5 * s3 * xi0**2),
             ya[2] - (s2 + s3 * xi0),
             ya[3] - s3,
-            rg_re @ yb,
-            row_pl @ yb - 1.0,
+            row_grow @ yb,
+            row_plateau @ yb - 1.0,
         ])
 
     xi = np.geomspace(xi0, length, 900)
-    guess = np.zeros((order, xi.size))
-    base = np.clip(_biharmonic_closed(xi), 1e-8, None)
-    guess[0] = base**3
-    for k in range(1, order):
-        guess[k] = np.gradient(guess[k - 1], xi)
-
-    sol = integrate.solve_bvp(rhs, bc, xi, guess, p=[0.3, 0.3], tol=tol, max_nodes=200000)
-    if not sol.success:
-        raise BvpError(f"layer BVP for pme4 did not converge: {sol.message}")
+    g0 = np.clip(_CLOSED["biharmonic"][0](xi), 1e-8, None) ** 3
+    sol = _collocate("pme4", rhs, bc, xi, g0, tol, p=[0.3, 0.3])
 
     s2, s3 = sol.p
     xi_out = np.linspace(0.0, length, 1201)
     vals = sol.sol(np.clip(xi_out, xi0, None))[0]
     vals[0] = 0.0
-    far = float(row_pl @ sol.sol(length))
+    far = float(row_plateau @ sol.sol(length))
 
     def evaluate(q, _s=sol, _s2=s2, _s3=s3):
         q = np.asarray(q, dtype=float)

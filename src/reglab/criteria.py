@@ -823,19 +823,14 @@ def _a0_direct_rhs(family, phi_u):
     """d a0 / du for the cubic-diffusion models (coefficient inside the kernel),
     with its derivative in a0 where the solver needs one (else None)."""
     if family == "pme4":
-        fam = kernels.biharmonic()
-        kern = kernels.get_kernel(fam)
+        kern = kernels.get_kernel(kernels.biharmonic())
         g1, g2 = blayer.wall_constants(blayer.solve_bl_bvp("pme4", 50.0, tol=1e-8))
+        flux = blayer.wall_flux(g1, g2)
 
         def rhs(u, a0):
             if a0 <= 0:
                 return 0.0
-            v = phi_u(u)
-            arg = v / math.sqrt(a0)
-            density = (g2 * math.sqrt(a0) * v * kernels.eval_kernel(fam, arg)
-                       + g1 * a0 ** (2.0 / 3.0) * v ** (2.0 / 3.0)
-                       * kernels.eval_kernel_derivative(fam, arg))
-            return density * math.exp(min(u, 700.0))
+            return flux(phi_u(u), a0) * math.exp(min(u, 700.0))
 
         def jac(u, a0):
             # d arg / d a0 = -arg / (2 a0); F, F' and F'' at the one argument.
@@ -866,27 +861,21 @@ def _a0_direct_rhs(family, phi_u):
     raise ValueError(f"no first-coefficient ODE for family {family!r}")
 
 
-def integrate_a0(family, phi, tau_span=None, a0_init=1.0, n_out=400, lntau_span=None):
+def integrate_a0(family, phi, *, lntau_span, a0_init=1.0, n_out=400):
     """Integrate the first-coefficient ODE of the named family.
 
     ``family`` is ``heat``, ``biharmonic``, ``beam4``, ``pme4`` (full,
     with the coefficient inside the kernel argument) or ``pme4-reduced``
-    (the envelope-only model).  The integration runs in u = ln(tau), and
-    ``lntau_span`` may be given instead of ``tau_span`` to reach the
-    extremely late log-times where the slow asymptotics settle.  For the
-    cubic-diffusion models the run stops with ``hit_zero`` when the
-    coefficient reaches zero; the full model hands LSODA its analytic
-    Jacobian.  An ``a0_init`` that is not positive and finite, a span that
-    does not increase from ln tau >= 1, or ``n_out < 2`` raises
-    ``ValueError``.  A solver failure raises ``numcore.OdeError`` naming the
-    family, the ln(tau) reached and the solver's message, instead of
-    returning a truncated trace.
+    (the envelope-only model).  The integration runs in u = ln(tau) over
+    ``lntau_span``, so it reaches the extremely late log-times where the
+    slow asymptotics settle.  For the cubic-diffusion models the run stops
+    with ``hit_zero`` when the coefficient reaches zero; the full model
+    hands LSODA its analytic Jacobian.  An ``a0_init`` that is not
+    positive and finite, a span that does not increase from ln tau >= 1,
+    or ``n_out < 2`` raises ``ValueError``.  A solver failure raises
+    ``numcore.OdeError`` naming the family, the ln(tau) reached and the
+    solver's message, instead of returning a truncated trace.
     """
-    if lntau_span is None:
-        tau_lo, tau_hi = tau_span
-        if tau_lo < TAU0:
-            raise ValueError(f"tau span must start at or after {TAU0:.3f}")
-        lntau_span = (math.log(tau_lo), math.log(tau_hi))
     if not 1.0 <= lntau_span[0] < lntau_span[1] < math.inf:
         raise ValueError(f"ln tau span must increase from at least 1 to a finite end, "
                          f"got {tuple(lntau_span)!r}")
@@ -901,14 +890,10 @@ def integrate_a0(family, phi, tau_span=None, a0_init=1.0, n_out=400, lntau_span=
         # linear in a0: ln a0 is an explicit integral of the slope, which for
         # heat and beam4 is their criterion integrand
         if family == "biharmonic":
-            fam = kernels.biharmonic()
-            g1, g2 = blayer.wall_constants(blayer.biharmonic_profile())
+            flux = blayer.wall_flux(*blayer.wall_constants(blayer.biharmonic_profile()))
 
             def slope(u):
-                v = phi_u(u)
-                return (g2 * v * kernels.eval_kernel(fam, v)
-                        + g1 * v ** (2.0 / 3.0) * kernels.eval_kernel_derivative(fam, v)) \
-                    * math.exp(min(u, 700.0))
+                return flux(phi_u(u)) * math.exp(min(u, 700.0))
         else:
             fam = kernels.heat() if family == "heat" else kernels.beam4()
             slope = criterion_integrand_logtime(oscillation_spec(fam), phi)[0]

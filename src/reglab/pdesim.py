@@ -5,7 +5,12 @@ After mapping the shrinking domain to z in [-1, 1] the equation reads
     w_tau = -(1/phi^4) w_zzzz + (phi'/phi - 1/4) z w_z     (fourth order)
     w_tau =  (1/phi^2) w_zz   + (phi'/phi - 1/2) z w_z     (heat)
 
-with clamped (w = w_z = 0) or Dirichlet (w = 0) walls.  The stiff
+with clamped (w = w_z = 0) or Dirichlet (w = 0) walls.  A family enters
+only as its half-order m (heat 1, biharmonic 2), looked up once from its
+name: m sets the band count, the interior unknowns w[m..n-m], the clamp
+(1 - z^2)^m of the initial data, the kernel ``parabolic(m)`` and the
+layer stretch phi^(2m/(2m-1)), and for m = 2 the one-sided wall slope
+w1 = w2/4 is folded into the first and last rows.  The stiff
 spatial operator is advanced implicitly by backward Euler on the full
 operator.  The pentadiagonal/tridiagonal step matrix is built straight
 into the LAPACK band layout.  Every wall runs through one driver, which
@@ -40,6 +45,9 @@ _DENSE_MAX = 256
 # rows and values, so a run at any n holds O(n) memory.
 _BLOCK_ROWS = 256
 _BLOCK_VALUES = 1 << 16
+# half the spatial order m of each family: the equation has 2m derivatives
+# and the walls m conditions (Dirichlet for heat, clamped for biharmonic)
+_HALF_ORDER = {"heat": 1, "biharmonic": 2}
 
 
 @dataclass(frozen=True)
@@ -47,7 +55,8 @@ class SimConfig:
     """One rescaled-PDE run.
 
     ``n`` is an even integer of at least 64, ``tau_span`` finite and
-    increasing, and ``dt`` positive and finite, or None for the automatic step.
+    increasing, ``dt`` positive and finite, or None for the automatic step,
+    and ``seed`` a non-negative integer (not a bool).
     """
 
     family: str  # heat | biharmonic
@@ -59,7 +68,7 @@ class SimConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.family not in ("heat", "biharmonic"):
+        if self.family not in _HALF_ORDER:
             raise ValueError("family must be heat or biharmonic")
         if isinstance(self.n, bool) or not isinstance(self.n, numbers.Integral):
             raise ValueError(f"grid size n must be an integer, got {self.n!r}")
@@ -76,6 +85,9 @@ class SimConfig:
         if self.initial not in ("bump", "poly", "random-smooth"):
             raise ValueError(f"initial must be bump, poly or random-smooth, "
                              f"got {self.initial!r}")
+        if isinstance(self.seed, bool) or not (isinstance(self.seed, numbers.Integral)
+                                               and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -94,7 +106,7 @@ class SimResult:
 
 
 def _initial_data(cfg, z):
-    clamp = (1.0 - z * z) ** (2 if cfg.family == "biharmonic" else 1)
+    clamp = (1.0 - z * z) ** _HALF_ORDER[cfg.family]
     if cfg.initial == "poly":
         return clamp
     if cfg.initial == "bump":
@@ -161,19 +173,18 @@ def _heat_operator(n, h, phi_val, phi_slope):
     return ab
 
 
-def _full_state(family, x, n):
+def _full_state(m, x, n):
+    # the interior w[m:n+1-m], zero walls and, for m = 2, w1 = x0/4, w(n-1) = x(-1)/4
     w = np.zeros(n + 1)
-    if family == "biharmonic":
-        w[2:n - 1] = x
+    w[m:n + 1 - m] = x
+    if m == 2:
         w[1] = 0.25 * x[0]
         w[n - 1] = 0.25 * x[-1]
-    else:
-        w[1:n] = x
     return w
 
 
-def _auto_dt(family, l_scale):
-    if family == "heat":
+def _auto_dt(m, l_scale):
+    if m == 1:
         lam = (math.pi / (2.0 * l_scale)) ** 2 + 0.25
     else:
         lam = 31.2852 / l_scale**4 + 0.05
@@ -226,8 +237,8 @@ def simulate(cfg):
     n = cfg.n
     h = 2.0 / n
     z = -1.0 + h * np.arange(n + 1)
-    family = cfg.family
-    fam_kernel = kernels.heat() if family == "heat" else kernels.biharmonic()
+    kl = _HALF_ORDER[cfg.family]  # the half-order m: as many upper as lower bands
+    fam_kernel = kernels.parabolic(kl)
 
     phi = cfg.phi
     if not isinstance(phi, criteria.BoundaryFunction):
@@ -239,19 +250,13 @@ def simulate(cfg):
                          f"[{phi.tau_min:g}, {phi.tau_max:g}]")
 
     phi0 = phi(tau0)
-    dt = cfg.dt if cfg.dt is not None else _auto_dt(family, phi0)
+    dt = cfg.dt if cfg.dt is not None else _auto_dt(kl, phi0)
     steps = int(math.ceil((tau1 - tau0) / dt))
     r = max(1, steps // 4000)
 
-    w_full = _initial_data(cfg, z)
-    if family == "biharmonic":
-        x = w_full[2:n - 1].copy()
-    else:
-        x = w_full[1:n].copy()
+    x = _initial_data(cfg, z)[kl:n + 1 - kl].copy()
     m = x.size
-
-    build = _biharmonic_operator if family == "biharmonic" else _heat_operator
-    kl = 2 if family == "biharmonic" else 1  # as many upper as lower bands
+    build = (_heat_operator, _biharmonic_operator)[kl - 1]
 
     def step_matrix(tau, pv, ps):
         # I - dt A for the wall (pv, ps) at tau, in the LAPACK band layout
@@ -264,7 +269,7 @@ def simulate(cfg):
         return ab
 
     def weights_at(pv):
-        return _a0_weights(family, z, kernels.eval_kernel(fam_kernel, pv * z) * pv)
+        return _a0_weights(kl, z, kernels.eval_kernel(fam_kernel, pv * z) * pv)
 
     if isinstance(phi, criteria.Constant):
         lu, piv, info = dgbtrf(step_matrix(tau0, phi0, 0.0), kl, kl)
@@ -300,18 +305,18 @@ def simulate(cfg):
             return np.array([weights_at(float(phi(tau0 + s * dt))) for s in record_steps])
 
     taus, sups, a0s, snaps_t, snaps = _record_run(
-        x, advance, a0_weights, r, np.linspace(tau0, tau1, 60), tau0, dt, steps, family, n)
+        x, advance, a0_weights, r, np.linspace(tau0, tau1, 60), tau0, dt, steps, kl, n)
     return SimResult(config=cfg, tau=taus, sup_norm=sups, a0=a0s, z=z,
                      snapshots_tau=snaps_t, snapshots=snaps)
 
 
-def _a0_weights(family, z, kernel_row):
+def _a0_weights(m, z, kernel_row):
     """Interior weights c with a0 = c . x for the wall at one step.
 
     ``kernel_row`` is phi F(phi z) on the grid; it is multiplied by the
-    trapezoid weights, and the wall values w1 = x0/4 and w(n-1) = x(-1)/4
-    of the clamped family are folded into the first and last interior
-    weight.
+    trapezoid weights, and for the half-order m = 2 the wall values
+    w1 = x0/4 and w(n-1) = x(-1)/4 are folded into the first and last
+    interior weight.
     """
     n = z.size - 1
     half = 0.5 * np.diff(z)
@@ -319,15 +324,14 @@ def _a0_weights(family, z, kernel_row):
     g[:-1] += half
     g[1:] += half
     g *= kernel_row
-    if family == "heat":
-        return g[1:n].copy()
-    c = g[2:n - 1].copy()
-    c[0] += 0.25 * g[1]
-    c[-1] += 0.25 * g[n - 1]
+    c = g[m:n + 1 - m].copy()
+    if m == 2:
+        c[0] += 0.25 * g[1]
+        c[-1] += 0.25 * g[n - 1]
     return c
 
 
-def _record_run(x, advance, a0_weights, r, snap_taus, tau0, dt, steps, family, n):
+def _record_run(x, advance, a0_weights, r, snap_taus, tau0, dt, steps, half_order, n):
     """(tau, sup_norm, a0, snapshots_tau, snapshots) of one run from state x.
 
     ``advance(x, s_from, s_to)`` steps x from s_from to s_to, and
@@ -397,7 +401,7 @@ def _record_run(x, advance, a0_weights, r, snap_taus, tau0, dt, steps, family, n
         while snap_idx < len(snap_steps) and snap_steps[snap_idx] <= s_prev:
             s = snap_steps[snap_idx]
             x_base, s_base = before(s)
-            snaps[snap_idx] = _full_state(family, advance(x_base, s_base, s), n)
+            snaps[snap_idx] = _full_state(half_order, advance(x_base, s_base, s), n)
             snap_idx += 1
     return (np.array([tau(s) for s in rec]), np.concatenate(sups), np.concatenate(a0s),
             np.array([tau(s) for s in snap_steps]), snaps)
@@ -440,12 +444,11 @@ def bl_snapshot_check(result, tau_star):
     if abs(a0) < 0.9 * sup:
         return {"conclusive": False, "dominance": abs(a0) / sup, "deviation": math.inf}
 
-    phi_val = cfg.phi(t_snap)
-    # layer width in z is phi^(-alpha): 4/3 for the fourth-order family, 2 for heat
-    stretch = phi_val ** (4.0 / 3.0) if cfg.family == "biharmonic" else phi_val**2
-    xi = stretch * (1.0 - result.z)
+    m = _HALF_ORDER[cfg.family]
+    # layer width in z is phi^(-2m/(2m-1)): 4/3 for the fourth-order family, 2 for heat
+    xi = cfg.phi(t_snap) ** (2 * m / (2 * m - 1)) * (1.0 - result.z)
     sel = (xi >= 0.0) & (xi <= 10.0)
-    profile = blayer.biharmonic_profile() if cfg.family == "biharmonic" else blayer.heat_profile()
+    profile = (blayer.heat_profile, blayer.biharmonic_profile)[m - 1]()
     predicted = a0 * profile(xi[sel])
     deviation = float(np.max(np.abs(w[sel] - predicted)) / abs(a0))
     return {"conclusive": True, "dominance": abs(a0) / sup, "deviation": deviation,

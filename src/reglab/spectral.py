@@ -19,7 +19,7 @@ from itertools import combinations
 import numpy as np
 from scipy import integrate
 
-from reglab import kernels
+from reglab import blayer, kernels
 from reglab.numcore import (BracketError, OdeError, RootConvergenceError, check_tolerance,
                             dense_eigenvalues, find_root, find_roots)
 
@@ -596,14 +596,14 @@ def bl_eigenvalue_approx(l):
     """Boundary-layer profile V and the matched estimate of lambda_0(l).
 
     Posed for the fourth-order (m = 2) operator only.  Requires l >= 8
-    (asymptotic regime).  The estimate is g2 l F(l) + g1 l^(2/3) F'(l), with
-    F the biharmonic kernel and (g1, g2) the wall constants of the
-    stationary layer profile; V lives on (0, L), L = l^(4/3).
+    (asymptotic regime).  The estimate is the layer flux
+    ``blayer.wall_flux`` g2 l F(l) + g1 l^(2/3) F'(l), with F the
+    biharmonic kernel and (g1, g2) the wall constants of the stationary
+    layer profile; V lives on (0, L), L = l^(4/3).
     """
     if l < 8.0:
         raise ValueError("the boundary-layer approximation needs l >= 8")
-    family = kernels.biharmonic()
-    kc = kernels.kernel_constants(family)
+    kc = kernels.kernel_constants(kernels.biharmonic())
     b = 2.0 ** (-5.0 / 3.0)
     a = math.sqrt(3.0) * b
     big_l = l ** (4.0 / 3.0)
@@ -613,12 +613,6 @@ def bl_eigenvalue_approx(l):
     c2 = el * (sinl + cosl / math.sqrt(3.0)) / den
     c3 = 1.0 / den
 
-    f_l = kernels.eval_kernel(family, l)
-    fp_l = kernels.eval_kernel_derivative(family, l)
-
-    from reglab import blayer  # lazy: blayer does not depend on spectral
-
-    g1, g2 = blayer.wall_constants(blayer.biharmonic_profile())
-    lam0_matched = g2 * l * f_l + g1 * l ** (2.0 / 3.0) * fp_l
+    lam0_matched = blayer.wall_flux(*blayer.wall_constants(blayer.biharmonic_profile()))(l)
     return BlEigenApprox(l=l, c1=c1, c2=c2, c3=c3, lam0_matched=float(lam0_matched),
                          d_hat=kc.d0 + b, b_hat=0.5 * (kc.b0 + a))

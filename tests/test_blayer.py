@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from reglab import blayer
+from reglab import blayer, kernels
 from reglab.numcore import BvpError, NumericsError
 
 
@@ -94,6 +94,11 @@ class TestBoundaryValueRoute:
         with pytest.raises(ValueError):
             blayer.solve_bl_bvp("beam4")
 
+    def test_closed_form_only_family_rejected_by_name(self):
+        # heat has a closed form but no boundary-value layer
+        with pytest.raises(ValueError, match="no boundary-value layer for family 'heat'"):
+            blayer.solve_bl_bvp("heat")
+
     @pytest.mark.parametrize("family", ["biharmonic", "dispersion3", "pme4"])
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_bad_tolerance_rejected(self, family, tol):
@@ -111,6 +116,29 @@ class TestBoundaryValueRoute:
         with pytest.raises(BvpError, match=f"layer BVP for {family} did not converge") as info:
             blayer.solve_bl_bvp(family, 30.0)
         assert isinstance(info.value, NumericsError)
+
+
+class TestWallFlux:
+    @pytest.mark.parametrize("a0", [1.0, 0.3])
+    @pytest.mark.parametrize("v", [2.0, 9.3, 17.5])
+    def test_matches_the_explicit_formula(self, v, a0):
+        g1, g2 = blayer.wall_constants(blayer.biharmonic_profile())
+        fam = kernels.biharmonic()
+        y = v / math.sqrt(a0)
+        expected = (g2 * math.sqrt(a0) * v * kernels.eval_kernel(fam, y)
+                    + g1 * a0 ** (2.0 / 3.0) * v ** (2.0 / 3.0)
+                    * kernels.eval_kernel_derivative(fam, y))
+        assert blayer.wall_flux(g1, g2)(v, a0) == expected
+
+    def test_reads_the_kernel_through_its_module(self, monkeypatch):
+        # the benchmark tracer counts kernel points by wrapping these names
+        calls = []
+        for name in ("eval_kernel", "eval_kernel_derivative"):
+            fn = getattr(kernels, name)
+            monkeypatch.setattr(kernels, name, lambda fam, y, *a, _n=name, _f=fn:
+                                calls.append(_n) or _f(fam, y, *a))
+        blayer.wall_flux(0.5, 0.5)(14.0, 0.8)
+        assert calls == ["eval_kernel", "eval_kernel_derivative"]
 
 
 @pytest.fixture(scope="module")

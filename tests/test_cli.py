@@ -279,6 +279,15 @@ class TestSimulateCommand:
         _, second = run_cli(tmp_path, *argv)
         assert first == second
 
+    def test_negative_seed_is_one_line_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        code = cli.main(["simulate", "--family", "heat", "--phi", "const:2", "--tau-end", "1",
+                         "--initial", "random-smooth", "--seed", "-1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert not out.exists()
+        assert err == "simulate: seed must be a non-negative integer, got -1\n"
+
 
 class TestReproduceCommand:
     def test_critical_constants(self, tmp_path):

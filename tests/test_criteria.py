@@ -470,12 +470,12 @@ class TestCoefficientTraces:
         assert tr.log_a0[-1] < -15.0  # diverging negative log-integral
 
     def test_heat_positivity_preserved(self):
-        tr = cr.integrate_a0("heat", cr.PowerLog(1.5, 0.4), tau_span=(cr.TAU0, 1e8))
+        tr = cr.integrate_a0("heat", cr.PowerLog(1.5, 0.4), lntau_span=(1.0, math.log(1e8)))
         assert np.all(np.isfinite(tr.log_a0))  # a0 stayed positive
 
     def test_fourth_order_below_threshold_oscillates_unboundedly(self):
         tr = cr.integrate_a0("biharmonic", cr.PowerLog(2.5, 0.75),
-                             tau_span=(cr.TAU0, 1e12), n_out=1200)
+                             lntau_span=(1.0, math.log(1e12)), n_out=1200)
         la = tr.log_a0
         assert la.max() > 20.0 and la.min() < -20.0
         # excursions grow: the singular-irregular signature
@@ -484,7 +484,7 @@ class TestCoefficientTraces:
 
     def test_fourth_order_above_threshold_settles(self):
         tr = cr.integrate_a0("biharmonic", cr.PowerLog(3.5, 0.75),
-                             tau_span=(cr.TAU0, 1e12), n_out=1200)
+                             lntau_span=(1.0, math.log(1e12)), n_out=1200)
         la = tr.log_a0
         tail_swing = la[-300:].max() - la[-300:].min()
         assert tail_swing < 0.05  # convergent envelope, finite nonzero limit
@@ -522,7 +522,8 @@ class TestCoefficientTraces:
 
     def test_decreasing_tau_span_rejected(self):
         with pytest.raises(ValueError, match="span"):
-            cr.integrate_a0("heat", cr.PetrovskiiSqrtLog(2.0), tau_span=(1e8, cr.TAU0))
+            cr.integrate_a0("heat", cr.PetrovskiiSqrtLog(2.0),
+                            lntau_span=(math.log(1e8), math.log(cr.TAU0)))
 
     @pytest.mark.parametrize("n_out", [1, 0, -3])
     def test_fewer_than_two_output_points_rejected(self, n_out):
@@ -532,7 +533,7 @@ class TestCoefficientTraces:
                             n_out=n_out)
 
     def test_beam_trace_swings_both_ways(self):
-        tr = cr.integrate_a0("beam4", cr.PowerLog(1.0, 0.5), tau_span=(cr.TAU0, 1e8))
+        tr = cr.integrate_a0("beam4", cr.PowerLog(1.0, 0.5), lntau_span=(1.0, math.log(1e8)))
         assert tr.log_a0.max() > 1.0 and tr.log_a0.min() < -1.0
 
 

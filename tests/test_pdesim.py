@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -77,7 +78,7 @@ class TestConstantWallFactors:
         for k in range(steps):
             x = solve_banded(bands, ab, x)
             tau = (k + 1) * dt
-            w = pdesim._full_state(family, x, n)
+            w = pdesim._full_state(bands[0], x, n)
             if k % every == 0 or k == steps - 1:
                 taus.append(tau)
                 sups.append(np.max(np.abs(x)))
@@ -111,12 +112,12 @@ class TestConstantWallFactors:
             states.append(x)
         states = np.array(states)
         weights = pdesim._a0_weights(
-            "biharmonic", res.z, kernels.eval_kernel(kernels.biharmonic(), l * res.z) * l)
+            2, res.z, kernels.eval_kernel(kernels.biharmonic(), l * res.z) * l)
         steps_of_snapshots = np.rint(res.snapshots_tau / dt).astype(int) - 1
         assert np.array_equal(res.tau, dt * np.arange(1, 51))
         assert np.array_equal(res.sup_norm, np.abs(states).max(axis=1))
         assert np.array_equal(res.a0, (states * weights).sum(axis=1))
-        assert np.array_equal(res.snapshots, [pdesim._full_state("biharmonic", states[k], n)
+        assert np.array_equal(res.snapshots, [pdesim._full_state(2, states[k], n)
                                               for k in steps_of_snapshots])
 
     @pytest.mark.parametrize("family,n", [("biharmonic", 128), ("heat", 128),
@@ -200,7 +201,7 @@ class TestMovingWallDirectSolves:
             ab = -dt * build(n, h, pv, ps)[bands[0]:]
             ab[bands[0], :] += 1.0
             x = solve_banded(bands, ab, x)
-            w = pdesim._full_state(family, x, n)
+            w = pdesim._full_state(bands[0], x, n)
             if k % every == 0 or k == steps - 1:
                 taus.append(tau)
                 sups.append(np.max(np.abs(x)))
@@ -381,6 +382,21 @@ class TestInitialData:
         with pytest.raises(ValueError, match="dt"):
             pdesim.SimConfig(family="heat", phi=criteria.Constant(2.0), dt=dt,
                              tau_span=(0.0, 1.0))
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # -1 used to fail inside numpy without naming the field, 1.5 to raise
+        # TypeError inside simulate, and True to run as seed 1
+        with pytest.raises(ValueError, match="seed"):
+            pdesim.SimConfig(family="heat", phi=criteria.Constant(2.0), tau_span=(0.0, 1.0),
+                             initial="random-smooth", seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        cfg = pdesim.SimConfig(family="heat", phi=criteria.Constant(2.0), tau_span=(0.0, 1.0),
+                               initial="random-smooth", seed=np.int64(7))
+        z = np.linspace(-1, 1, 65)
+        assert np.array_equal(pdesim._initial_data(cfg, z),
+                              pdesim._initial_data(dataclasses.replace(cfg, seed=7), z))
 
 
 class TestBoundaryRange:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from reglab import kernels, spectral
+from reglab import blayer, kernels, spectral
 from reglab.numcore import NumericsError, OdeError, RootConvergenceError, find_root
 
 
@@ -305,6 +305,11 @@ class TestBoundaryLayerApprox:
     def test_requires_asymptotic_regime(self):
         with pytest.raises(ValueError):
             spectral.bl_eigenvalue_approx(5.0)
+
+    @pytest.mark.parametrize("l", [8.0, 9.3, 12.0])
+    def test_matched_estimate_is_the_layer_flux(self, l):
+        flux = blayer.wall_flux(*blayer.wall_constants(blayer.biharmonic_profile()))
+        assert spectral.bl_eigenvalue_approx(l).lam0_matched == flux(l)
 
 
 class TestHeatInterval:
