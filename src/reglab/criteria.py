@@ -19,7 +19,7 @@ import cmath
 import math
 import warnings
 from dataclasses import astuple, dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy import integrate
@@ -819,12 +819,20 @@ class A0Trace:
         return float(p), float(math.exp(intercept))
 
 
+@lru_cache(maxsize=1)
+def _pme4_wall_constants():
+    """(g1, g2) of the pme4 layer; they do not depend on the boundary, so the
+    layer BVP is solved once per process."""
+    g1, g2 = blayer.wall_constants(blayer.solve_bl_bvp("pme4", 50.0, tol=1e-8))
+    return float(g1), float(g2)
+
+
 def _a0_direct_rhs(family, phi_u):
     """d a0 / du for the cubic-diffusion models (coefficient inside the kernel),
     with its derivative in a0 where the solver needs one (else None)."""
     if family == "pme4":
         kern = kernels.get_kernel(kernels.biharmonic())
-        g1, g2 = blayer.wall_constants(blayer.solve_bl_bvp("pme4", 50.0, tol=1e-8))
+        g1, g2 = _pme4_wall_constants()
         flux = blayer.wall_flux(g1, g2)
 
         def rhs(u, a0):

@@ -217,9 +217,36 @@ def _compound_setup(m, parity):
     return g0, g1, g2, u0, target
 
 
-# most (lambda, l) pairs in one stacked solve: tol / sqrt(256) stays well
-# above the rtol floor of DOP853 (100 ulps)
+# most (lambda, l) pairs in one stacked solve: bounds the Taylor coefficient
+# array of a step, (_TAYLOR_ORDER + 1) x minors x pairs floats (381 kB at m = 2)
 _MAX_STACK = 256
+_TAYLOR_ORDER = 30
+
+
+def _taylor_coefficients(gen, lam, u, n_ord):
+    """Taylor coefficients c_0 = u, ..., c_n_ord about y0 of the stacked minor ODE.
+
+    ``gen`` stacks G0 + y0 G1, G2 and G1, so one product per order gives
+    all three terms of (n+1) c_{n+1} = (G0 + y0 G1) c_n + (G2 c_n) diag(lam)
+    + G1 c_{n-1}, the last one from the order before.
+    """
+    size = u.shape[0]
+    c = np.empty((n_ord + 1,) + u.shape)
+    c[0] = u
+    prev = np.zeros_like(u)  # G1 c_{-1}
+    for n in range(n_ord):
+        p = gen @ c[n]
+        c[n + 1] = (p[:size] + p[size:2 * size] * lam + prev) / (n + 1)
+        prev = p[2 * size:]
+    return c
+
+
+def _horner(c, t):
+    """The Taylor polynomial with coefficients ``c`` at ``t`` (per column)."""
+    v = c[-1]
+    for cn in c[-2::-1]:
+        v = v * t + cn
+    return v
 
 
 class ClampedEndDeterminant:
@@ -234,19 +261,24 @@ class ClampedEndDeterminant:
     A scalar ``lam`` returns a float.  A 1-D array of lambdas returns an
     array of the same length: the minor ODE is linear in lambda, so all k
     of them are integrated as one stacked system U' = (G0 + y G1) U
-    + (G2 U) diag(lam).  DOP853 bounds the RMS error over all components,
-    which lets one lambda's error grow to sqrt(k) times the bound, so the
-    stacked solve runs at ``rtol`` and ``atol`` divided by sqrt(k): each
-    lambda is held to at least its scalar tolerance.
+    + (G2 U) diag(lam).  Its coefficients are linear in y, so the Taylor
+    coefficients of U about y0 follow a three-term recurrence,
+    (n+1) c_{n+1} = (G0 + y0 G1) c_n + (G2 c_n) diag(lam) + G1 c_{n-1},
+    and the stack advances by Taylor steps of order 30 (Jorba & Zou,
+    Experimental Math. 14, 2005).  Each step is 0.9 times the shortest
+    length at which, for some column u_j, the last two terms reach
+    eps |u_j|_inf (eps = tol / 100), so every column is held to its own
+    tolerance.
 
     The ODE does not depend on the half-width either, so ``l`` (one
     half-width per lambda, of the shape of ``lam``) reads each lambda's
-    determinant at its own half-width instead of ``self.l``: the stack is
-    integrated to the largest of them and each column is read at its own
-    l from the dense output.  More than 256 pairs are solved in chunks of
-    consecutive l.  A failed integration raises
-    :class:`~reglab.numcore.OdeError`; every half-width and ``tol`` must be
-    positive and finite (``ValueError`` otherwise).
+    determinant at its own half-width instead of ``self.l``: each column is
+    read by Horner's rule inside the step that holds its l, and leaves the
+    stack.  More than 256 pairs are solved in chunks of consecutive l.  A
+    non-finite coefficient, or a step below 1e-12 l or too short to reach
+    the end in a million more, raises :class:`~reglab.numcore.OdeError`;
+    every lambda must be finite, and every half-width and ``tol`` positive
+    and finite (``ValueError`` otherwise).
     """
 
     def __init__(self, l, m, parity, tol=1e-12):
@@ -259,6 +291,8 @@ class ClampedEndDeterminant:
         lams = np.atleast_1d(np.asarray(lam, dtype=float))
         if lams.ndim != 1 or not lams.size:
             raise ValueError("lambda must be a scalar or a non-empty 1-D array")
+        if not np.all(np.isfinite(lams)):
+            raise ValueError(f"lambda must be finite, got {lam!r}")
         ls = None
         if l is not None:
             if np.shape(l) != np.shape(lam):
@@ -277,30 +311,37 @@ class ClampedEndDeterminant:
 
     def _stacked(self, lams, ls):
         """One stacked solve: d at ``self.l``, or at ``ls`` column by column."""
-        if ls is None:
-            end, t_eval = self.l, None
-        else:
-            t_eval, at = np.unique(ls, return_inverse=True)
-            end = t_eval[-1]
+        ends = np.full(len(lams), float(self.l)) if ls is None else ls
+        n_ord, eps, min_step = _TAYLOR_ORDER, self.tol * 1e-2, 1e-12 * ends.max()
         g0, g1, g2 = self._g0, self._g1, self._g2
-        size, k = len(self._u0), len(lams)
-
-        def rhs(y, u):
-            us = u.reshape(size, k)
-            return ((g0 + y * g1) @ us + (g2 @ us) * lams).ravel()
-
-        scale = math.sqrt(k)
-        sol = integrate.solve_ivp(rhs, (0.0, end), np.repeat(self._u0, k), method="DOP853",
-                                  t_eval=t_eval, rtol=self.tol / scale,
-                                  atol=self.tol * 1e-2 / scale)
-        if not sol.success:
-            raise OdeError(f"shooting failed at lambda={lams}: {sol.message}", float(sol.t[-1]))
-        if ls is None:
-            us = sol.y[:, -1].reshape(size, k)
-        else:
-            us = sol.y.reshape(size, k, -1)[:, np.arange(k), at]
-        norms = np.linalg.norm(us, axis=0)
-        return np.divide(us[self._target], norms, out=np.zeros(k), where=norms > 0)
+        out = np.empty((len(self._u0), len(lams)))
+        cols = np.arange(len(lams))  # the columns still in the stack
+        u = np.repeat(self._u0[:, None], len(lams), axis=1)
+        y = 0.0
+        while True:
+            with np.errstate(all="ignore"):  # a non-finite result raises below
+                c = _taylor_coefficients(np.vstack([g0 + y * g1, g2, g1]), lams[cols], u, n_ord)
+                size_u = eps * np.max(np.abs(u), axis=0)
+                h = 0.9 * min(np.min((size_u / np.max(np.abs(c[-1]), axis=0)) ** (1 / n_ord)),
+                              np.min((size_u / np.max(np.abs(c[-2]), axis=0))
+                                     ** (1 / (n_ord - 1))))
+            if not np.all(np.isfinite(c)):
+                raise OdeError(f"shooting failed at lambda={lams[cols]}: "
+                               "Taylor coefficient not finite", y)
+            # a step a million times shorter than the way left asks for a
+            # tolerance that no sum in double precision meets
+            if not h >= max(min_step, 1e-6 * (ends[cols].max() - y)):
+                raise OdeError(f"shooting failed at lambda={lams[cols]}: step {h:.3g} too short", y)
+            read = ends[cols] <= y + h
+            if read.any():
+                out[:, cols[read]] = _horner(c[:, :, read], ends[cols[read]] - y)
+                cols, c = cols[~read], c[:, :, ~read]
+                if not cols.size:
+                    break
+            u = _horner(c, h)
+            y += h
+        norms = np.linalg.norm(out, axis=0)
+        return np.divide(out[self._target], norms, out=np.zeros(len(lams)), where=norms > 0)
 
     def zero_eigenvalue_half_widths(self):
         """Half-widths in (0, l] at which 0 is an eigenvalue.
@@ -384,18 +425,23 @@ def _scan_grids(l, parity, count):
 
 
 def _scan_parity_eigenvalues(det, l, parity, count):
-    """Real eigenvalues of one parity class, descending, via windowed scans."""
+    """Real eigenvalues of one parity class, descending, via windowed scans.
+
+    The grids run downward one after the other, so sign changes turn up in
+    descending order and only the first ``count`` distinct ones are refined.
+    """
     found = []
     for grid in _scan_grids(l, parity, count):
         if len(found) >= count:
             break
         vals = det(grid)
         for i in np.flatnonzero(vals[:-1] * vals[1:] < 0):
+            if len(found) >= count:
+                break
             r = find_root(det, (grid[i + 1], grid[i]), tol=1e-13, f_ends=(vals[i + 1], vals[i]))
             if not any(abs(r - f) < 1e-9 * max(1, abs(r)) for f in found):
                 found.append(r)
-    found.sort(reverse=True)
-    return found[:count]
+    return found
 
 
 def interval_spectrum(problem, count=1):

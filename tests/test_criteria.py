@@ -563,6 +563,20 @@ class TestFullCubicModel:
         # a count, not a time: starts in this range took 440-680 calls
         assert tr.rhs_calls < 2000
 
+    def test_wall_constants_solved_once(self, monkeypatch):
+        solves, solve = [], blayer.solve_bl_bvp
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return solve(*args, **kwargs)
+
+        cr._pme4_wall_constants.cache_clear()
+        monkeypatch.setattr(cr.blayer, "solve_bl_bvp", counted)
+        for _ in range(2):
+            cr._a0_direct_rhs("pme4", cr.Constant(1.0).at_logtime)
+        direct = blayer.wall_constants(solve("pme4", 50.0, tol=1e-8))
+        assert solves == [("pme4", 50.0)] and cr._pme4_wall_constants() == direct
+
     @pytest.mark.parametrize("a0", [0.03, 0.0639, 0.2, 1.0, 1.5])
     @pytest.mark.parametrize("u", [1.0, 4.0])
     def test_jacobian_matches_a_central_difference(self, a0, u):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
 from reglab import blayer, kernels, spectral
 from reglab.numcore import NumericsError, OdeError, RootConvergenceError, find_root
@@ -82,6 +83,26 @@ class TestIntervalSpectrum:
         for k, pair in enumerate(pairs):
             assert pair.zero_count == k
             assert pair.is_real
+
+    def test_scan_refines_only_the_sign_changes_it_needs(self, monkeypatch):
+        # at l = 8 the near-zero sweep holds no sign change and the first
+        # fallback window two
+        det = spectral.ClampedEndDeterminant(8.0, 2, "even")
+        changes = [np.count_nonzero(v[:-1] * v[1:] < 0)
+                   for v in map(det, spectral._scan_grids(8.0, "even", 1))]
+        assert changes[:2] == [0, 2]
+        brackets = []
+
+        def counted(f, bracket, **kwargs):
+            brackets.append(bracket)
+            return find_root(f, bracket, **kwargs)
+
+        monkeypatch.setattr(spectral, "find_root", counted)
+        lam = spectral.top_eigenvalue(8.0)
+        assert len(brackets) == 1 and brackets[0][0] < lam < brackets[0][1]
+        assert len(spectral.interval_spectrum(spectral.IntervalEigenProblem(8.0, parity="even"),
+                                              2)) == 2
+        assert len(brackets) == 3
 
     def test_top_eigenvalue_real_at_sampled_widths(self):
         for l, n in ((1.0, 96), (5.0, 96), (9.0, 128), (13.0, 160)):
@@ -184,15 +205,44 @@ class TestShootingDeterminant:
         with pytest.raises(ValueError):
             spectral.ClampedEndDeterminant(4.0, 2, "even")(lam)
 
-    @pytest.mark.filterwarnings("ignore:At least one element of `rtol` is too small")
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, np.array([-0.1, math.nan])])
+    def test_rejects_non_finite_lambda_before_integrating(self, lam, monkeypatch):
+        def no_step(*args):
+            raise AssertionError("integration started")
+
+        monkeypatch.setattr(spectral, "_taylor_coefficients", no_step)
+        with pytest.raises(ValueError, match="lambda"):
+            spectral.ClampedEndDeterminant(4.0, 2, "even")(lam)
+
+    # scan grids down to lambda = -4e5 (l = 0.5) and up to l = 13.5, the
+    # longest branch trace
+    @pytest.mark.parametrize("l", [0.5, 1.0, 4.0, 8.0, 13.5])
+    def test_matches_tight_dop853_on_scan_grids(self, l):
+        g0, g1, g2, u0, target = spectral._compound_setup(2, "even")
+        lams = np.concatenate(list(spectral._scan_grids(l, "even", 3)))
+        ref = []
+        for lam in lams:
+            sol = integrate.solve_ivp(lambda y, u: (g0 + y * g1 + lam * g2) @ u, (0.0, l), u0,
+                                      method="DOP853", rtol=1e-13, atol=1e-15)
+            ref.append(sol.y[target, -1] / np.linalg.norm(sol.y[:, -1]))
+        det = spectral.ClampedEndDeterminant(l, 2, "even")
+        assert np.max(np.abs(det(lams) - np.array(ref))) <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
     def test_failed_shooting_raises_numerics_error(self):
-        # atol = 1e-302 cannot be met: the step size underflows at y = 0
+        # eps = 1e-302 asks for steps of 3e-10, ten billion of them to reach l = 4
         det = spectral.ClampedEndDeterminant(4.0, 2, "even", tol=1e-300)
         for lam in (-0.1, np.array([-0.1, -0.2])):
-            with pytest.raises(OdeError) as info:
+            with pytest.raises(OdeError, match="too short") as info:
                 det(lam)
             assert isinstance(info.value, NumericsError)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_coefficients_raise_numerics_error(self):
+        det = spectral.ClampedEndDeterminant(4.0, 2, "even")
+        det._g0 = det._g0 * 1e300
+        with pytest.raises(OdeError, match=r"lambda=\[-0.1\]: Taylor coefficient not finite"):
+            det(-0.1)
 
 
 class TestBranchTrace:
