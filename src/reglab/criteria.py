@@ -827,26 +827,33 @@ def _pme4_wall_constants():
     return float(g1), float(g2)
 
 
-def _a0_direct_rhs(family, phi_u):
+_RTOL = 1e-10  # relative tolerance of every coefficient trace
+_FLOOR = 1e-12  # a direct coefficient at or below this fraction of a0_init counts as zero
+
+
+def _a0_direct_rhs(family, phi_u, floor):
     """d a0 / du for the cubic-diffusion models (coefficient inside the kernel),
-    with its derivative in a0 where the solver needs one (else None)."""
+    with its derivative in a0 where the solver needs one (else None).
+
+    Below ``floor`` > 0 the rate runs linearly from its value at the floor to 0
+    at a0 = 0, so a coefficient that reaches the floor decays to zero and
+    never passes it.  The rate stays continuous: one that dropped to 0 at the
+    floor would jump there wherever the kernel at the floor is not 0, and
+    LSODA can stall in front of such a jump with steps of 1e-15.
+    """
     if family == "pme4":
         kern = kernels.get_kernel(kernels.biharmonic())
         g1, g2 = _pme4_wall_constants()
         flux = blayer.wall_flux(g1, g2)
 
-        def rhs(u, a0):
-            if a0 <= 0:
-                return 0.0
+        def rate(u, a0):
             return flux(phi_u(u), a0) * math.exp(min(u, 700.0))
 
-        def jac(u, a0):
+        def slope(u, a0):
             # d arg / d a0 = -arg / (2 a0); F, F' and F'' at the one argument.
             # Once a0 sits on the root of the layer flux the rhs is e^u times
             # rounding noise: a finite-difference Jacobian of it would make
             # LSODA's step count, or its failure, hinge on the last bits of F
-            if a0 <= 0:
-                return 0.0
             v = phi_u(u)
             arg = v / math.sqrt(a0)
             f0, f1, f2 = (kern.deriv(arg, k) for k in range(3))
@@ -854,19 +861,37 @@ def _a0_direct_rhs(family, phi_u):
                          + g1 * v ** (2.0 / 3.0) * a0 ** (-1.0 / 3.0)
                          * (2.0 / 3.0 * f1 - 0.5 * arg * f2))
             return d_density * math.exp(min(u, 700.0))
-
-        return rhs, jac
-    if family == "pme4-reduced":
+    elif family == "pme4-reduced":
         kc = kernels.kernel_constants(kernels.biharmonic())
+        slope = None
 
-        def rhs(u, a0):
-            if a0 <= 0:
-                return 0.0
+        def rate(u, a0):
             ex = u - kc.d0 * (phi_u(u) / math.sqrt(a0)) ** (4.0 / 3.0)
             return -math.exp(ex) if ex < 700.0 else -math.inf
+    else:
+        raise ValueError(f"no first-coefficient ODE for family {family!r}")
 
-        return rhs, None
-    raise ValueError(f"no first-coefficient ODE for family {family!r}")
+    def rhs(u, a0):
+        if a0 < floor:
+            return rate(u, floor) * (a0 / floor) if a0 > 0 else 0.0
+        return rate(u, a0)
+
+    def jac(u, a0):
+        if a0 < floor:
+            return rate(u, floor) / floor if a0 > 0 else 0.0
+        return slope(u, a0)
+
+    return rhs, (None if slope is None else jac)
+
+
+def _lsoda_first_step(f0, y0, t0, t1, atol):
+    """LSODA's first step for one equation y' = f, y(t0) = y0, f(t0, y0) = f0,
+    asked for y(t1) at rtol ``_RTOL`` (Hindmarsh, ODEPACK, 1983; 0 < t0 < t1):
+    h0^-2 = 1/(rtol t1^2) + rtol (|f0| / ewt)^2 with ewt = rtol |y0| + atol,
+    and h0 <= t1 - t0, rounded as the Fortran rounds it (an rtol inside
+    [100 eps, 1e-3] enters unclipped)."""
+    norm = abs(f0) * (1.0 / (_RTOL * abs(y0) + atol))
+    return min(1.0 / math.sqrt(1.0 / (_RTOL * t1 * t1) + _RTOL * norm**2), t1 - t0)
 
 
 def integrate_a0(family, phi, *, lntau_span, a0_init=1.0, n_out=400):
@@ -876,11 +901,15 @@ def integrate_a0(family, phi, *, lntau_span, a0_init=1.0, n_out=400):
     with the coefficient inside the kernel argument) or ``pme4-reduced``
     (the envelope-only model).  The integration runs in u = ln(tau) over
     ``lntau_span``, so it reaches the extremely late log-times where the
-    slow asymptotics settle.  For the cubic-diffusion models the run stops
-    with ``hit_zero`` when the coefficient reaches zero; the full model
-    hands LSODA its analytic Jacobian.  An ``a0_init`` that is not
-    positive and finite, a span that does not increase from ln tau >= 1,
-    or ``n_out < 2`` raises ``ValueError``.  A solver failure raises
+    slow asymptotics settle.  One Fortran LSODA loop (``odeint``, rtol
+    1e-10) steps to the end of the span, never past it, and reads the
+    ``n_out`` outputs off its interpolant; ``rhs_calls`` is its count of
+    right-hand sides.  The full model hands LSODA its analytic Jacobian.
+    For the cubic-diffusion models a coefficient that falls to 1e-12
+    a0_init counts as zero: the trace stops at the last output above that
+    floor and sets ``hit_zero``.  An ``a0_init`` that is not positive and
+    finite, a span that does not increase from ln tau >= 1, or
+    ``n_out < 2`` raises ``ValueError``.  A solver failure raises
     ``numcore.OdeError`` naming the family, the ln(tau) reached and the
     solver's message, instead of returning a truncated trace.
     """
@@ -907,41 +936,43 @@ def integrate_a0(family, phi, *, lntau_span, a0_init=1.0, n_out=400):
             slope = criterion_integrand_logtime(oscillation_spec(fam), phi)[0]
 
         def rhs_u(u, y):
-            return np.array([slope(u)])
+            return slope(u)
 
-        y0, events, atol, jac_u = math.log(a0_init), None, 1e-12, None
+        y0, atol, jac_u, floor = math.log(a0_init), 1e-12, None, None
     else:
-        rhs, jac = _a0_direct_rhs(family, phi_u)
+        floor = _FLOOR * a0_init
+        rhs, jac = _a0_direct_rhs(family, phi_u, floor)
 
         def rhs_u(u, y):
-            return np.array([rhs(u, float(y[0]))])
+            return rhs(u, y[0])
 
-        jac_u = None if jac is None else (lambda u, y: np.array([[jac(u, float(y[0]))]]))
-
-        def events(u, y):  # the coefficient reached its floor
-            return float(y[0]) - 1e-12 * a0_init
-
-        events.terminal = True
-        events.direction = -1
+        jac_u = None if jac is None else (lambda u, y: jac(u, y[0]))
         y0, atol = float(a0_init), 1e-14 * a0_init
 
+    # odeint's LSODA would size its first step by the first output; sized by the
+    # whole span, as a one-step LSODA run sizes it, the steps do not depend on n_out
+    h0 = _lsoda_first_step(rhs_u(u_eval[0], [y0]), y0, u_eval[0], u_eval[-1], atol)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        sol = integrate.solve_ivp(rhs_u, (u_eval[0], u_eval[-1]), [y0], t_eval=u_eval,
-                                  events=events, method="LSODA", rtol=1e-10, atol=atol,
-                                  jac=jac_u)
-    if sol.status == -1:
-        reached = float(sol.t[-1]) if sol.t.size else float(u_eval[0])
+        # tcrit: LSODA never steps past the end of the span; mxstep: no cap on
+        # the steps between two outputs
+        y, info = integrate.odeint(rhs_u, [y0], u_eval, Dfun=jac_u, tfirst=True,
+                                   tcrit=[u_eval[-1]], h0=h0, rtol=_RTOL, atol=atol,
+                                   mxstep=2**31 - 1, full_output=True)
+    if info["message"] != "Integration successful.":
+        # tcur holds where each output's call stopped; the failed call is the
+        # first that stopped short of its output, and the rows after it are unset
+        tcur = info["tcur"]
+        reached = float(tcur[np.flatnonzero(tcur < u_eval[1:])[0]])
         raise numcore.OdeError(f"integrate_a0({family!r}) stopped at ln tau = {reached:.6g} "
-                               f"of {u_eval[-1]:.6g}: {sol.message}", reached)
-    if events is None:
-        return A0Trace(ln_tau=sol.t, log_a0=sol.y[0], hit_zero=False, family=family,
-                       rhs_calls=sol.nfev)
-    hit = bool(sol.status == 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_a0 = np.log(np.maximum(sol.y[0], 0.0))
-    return A0Trace(ln_tau=sol.t, log_a0=log_a0, hit_zero=hit, family=family,
-                   rhs_calls=sol.nfev)
+                               f"of {u_eval[-1]:.6g}: {info['message']}", reached)
+    y, calls = y[:, 0], int(info["nfe"][-1])
+    if floor is None:
+        return A0Trace(ln_tau=u_eval, log_a0=y, hit_zero=False, family=family, rhs_calls=calls)
+    below = np.flatnonzero(y <= floor)
+    end = below[0] if below.size else n_out
+    return A0Trace(ln_tau=u_eval[:end], log_a0=np.log(y[:end]), hit_zero=bool(below.size),
+                   family=family, rhs_calls=calls)
 
 
 @dataclass(frozen=True)

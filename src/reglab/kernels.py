@@ -208,7 +208,9 @@ def _clenshaw(coef, t):
     """sum_k coef[k] T_k(t) by Clenshaw's recurrence, element by element.
 
     ``coef`` has one row per degree and one column per point, so no step
-    mixes points and a point's value never depends on its batch.
+    mixes points and a point's value never depends on its batch; for one
+    float t it may be the list of that point's coefficients, and the same
+    additions and products then run on floats.
     """
     b1, b2 = coef[-1], 0.0
     t2 = 2.0 * t
@@ -244,8 +246,16 @@ class _ParabolicKernel:
     _TABLE_TOL = 1e-14  # certified table error, scaled by the bound on |D^order F| where above 1
 
     def deriv(self, y, order=0, tol=1e-10):
-        """(d/dy)^order F(y) for scalar or array y, point by point."""
+        """(d/dy)^order F(y) for scalar or array y, point by point.
+
+        For m >= 2 a scalar y takes the scalar lane: the route and the route
+        function its element of an array read takes, without the masks, the
+        bound over the batch, the de-duplication and the blocks, so its value
+        is that element's, bit for bit.
+        """
         _check_order(self.constants.family, order)
+        if self.m > 1 and np.isscalar(y):
+            return self._deriv_point(float(y), order, tol)
         y_arr = np.atleast_1d(np.asarray(y, dtype=float))
         if self.m == 1:
             out = _gaussian_deriv(y_arr, order)
@@ -258,21 +268,43 @@ class _ParabolicKernel:
             rest = ~near
             # the fitted form serves only far points, so near-field calls never fill the fit
             if order <= 1 and rest.any():
-                fitted = rest & (ay > self.switch_point()) \
-                    & (self._asymptotic_error_bound(np.maximum(ay, 1.0)) <= tol)
+                fitted = rest & self._takes_fit(ay, tol)
                 out[fitted] = self.ensure_fit()(y_arr[fitted], order)
                 rest &= ~fitted
             if rest.any():
                 out[rest] = self._quad(y_arr[rest], tol, order)
         return float(out[0]) if np.isscalar(y) else out
 
+    def _deriv_point(self, y, order, tol):
+        """``deriv`` at one float y, m >= 2."""
+        if abs(y) <= self._FAR_Y:
+            return float(self._tabulated(y, order))
+        # a far point runs as a one-element array: numpy's scalar arithmetic
+        # can round differently from its array loops
+        ay = np.array([abs(y)])
+        if order <= 1 and self._takes_fit(ay, tol)[0]:
+            return float(self.ensure_fit()(np.array([y]), order)[0])
+        v = float(self._doubled(self._saddle_line, ay, order, tol)[0])
+        return -v if order % 2 and y < 0 else v
+
+    def _takes_fit(self, ay, tol):
+        """Mask of the |y| (an array) that the fitted form serves at ``tol``:
+        past the switch point, where its error bound meets the tolerance."""
+        return (ay > self.switch_point()) \
+            & (self._asymptotic_error_bound(np.maximum(ay, 1.0)) <= tol)
+
     def _tabulated(self, y, order):
-        """D^order F at |y| <= 12 from the certified table of that order."""
+        """D^order F at |y| <= 12 from the certified table of that order, y a float or an array."""
         coef = _fill_once(self, f"_table{order}", lambda: self._build_table(order))
-        ay = np.abs(y)
-        panel = np.minimum((ay / self._PANEL).astype(np.intp), coef.shape[1] - 1)
+        ay = abs(y)
+        if isinstance(y, float):
+            panel = min(int(ay / self._PANEL), coef.shape[1] - 1)
+            column = coef[:, panel].tolist()
+        else:
+            panel = np.minimum((ay / self._PANEL).astype(np.intp), coef.shape[1] - 1)
+            column = coef[:, panel]
         t = (ay - (panel + 0.5) * self._PANEL) * (2.0 / self._PANEL)
-        out = _clenshaw(coef[:, panel], t)
+        out = _clenshaw(column, t)
         # odd orders flip sign with y and vanish at 0, exactly
         return np.sign(y) * out if order % 2 else out
 
@@ -328,16 +360,22 @@ class _ParabolicKernel:
         for part, rule in ((near, self._real_line), (~near, self._saddle_line)):
             idx = np.flatnonzero(part)
             for block in (idx[i:i + self._BLOCK] for i in range(0, idx.size, self._BLOCK)):
-                v1, v2 = rule(yu[block], order)
-                gap = np.abs(v1 - v2)
-                if gap.max() > max(tol, 1e-13):
-                    raise QuadratureError("kernel quadrature failed the doubling check",
-                                          float(v2[gap.argmax()]), float(gap.max()))
-                out[block] = v2
+                out[block] = self._doubled(rule, yu[block], order, tol)
         out = out[inverse]
         if order % 2:
             out[y_arr < 0] *= -1.0
         return float(out[0]) if np.isscalar(y) else out
+
+    @staticmethod
+    def _doubled(rule, ay, order, tol):
+        """The finer of ``rule``'s two sums at the |y| values ``ay``; a gap above
+        max(tol, 1e-13) between the two raises ``QuadratureError``."""
+        v1, v2 = rule(ay, order)
+        gap = np.abs(v1 - v2)
+        if gap.max() > max(tol, 1e-13):
+            raise QuadratureError("kernel quadrature failed the doubling check",
+                                  float(v2[gap.argmax()]), float(gap.max()))
+        return v2
 
     def _real_line(self, y, order):
         """The 128- and 256-node sums for D^order F on the real axis, 0 <= y <= 12."""

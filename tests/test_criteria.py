@@ -1,6 +1,5 @@
 import dataclasses
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -532,6 +531,46 @@ class TestCoefficientTraces:
             cr.integrate_a0("heat", cr.PetrovskiiSqrtLog(2.0), lntau_span=(1.0, 10.0),
                             n_out=n_out)
 
+    @pytest.mark.parametrize("a0_init", [1e2, 1e3, 1e4])
+    def test_a_trace_that_crosses_the_floor_stops_before_it(self, a0_init):
+        # phi = 1e-30 leaves the reduced model at da0/du = -e^u to the last bit, so
+        # a0 = a0_init + e - e^u, which meets the floor 1e-12 a0_init at u_cross,
+        # where the rate is -e^u_cross, not 0
+        tr = cr.integrate_a0("pme4-reduced", cr.Constant(1e-30), lntau_span=(1.0, 10.0),
+                             a0_init=a0_init, n_out=91)
+        u_cross = math.log(a0_init + math.e - 1e-12 * a0_init)
+        u_eval = np.linspace(1.0, 10.0, 91)
+        assert tr.hit_zero
+        assert np.array_equal(tr.ln_tau, u_eval[u_eval < u_cross])
+        exact = a0_init + math.e - np.exp(tr.ln_tau)
+        np.testing.assert_allclose(np.exp(tr.log_a0), exact, rtol=0.0, atol=1e-8 * a0_init)
+
+    @pytest.mark.parametrize("family", ["pme4", "pme4-reduced"])
+    def test_rate_runs_linearly_to_zero_below_the_floor(self, family):
+        # a rate that dropped to 0 at the floor would jump there; on span (1, 30)
+        # with a0_init = 1e3 the trace above stalled LSODA at u = 6.9105 with
+        # steps of 2.4e-15
+        floor = 1e-12
+        rhs, jac = cr._a0_direct_rhs(family, cr.Constant(1e-6).at_logtime, floor)
+        at_floor = rhs(3.0, floor)
+        assert at_floor < 0.0
+        assert rhs(3.0, 0.5 * floor) == 0.5 * at_floor
+        assert rhs(3.0, 0.0) == rhs(3.0, -1.0) == 0.0
+        if jac is not None:
+            assert jac(3.0, 0.5 * floor) == at_floor / floor and jac(3.0, 0.0) == 0.0
+
+    @pytest.mark.parametrize("family, phi, span", [
+        ("pme4-reduced", cr.Constant(1.0), (1.0, 3000.0)),
+        ("pme4", cr.Constant(1.0), (1.0, 60.0)),
+        ("biharmonic", cr.PowerLog(3.5, 0.75), (1.0, 40.0)),
+    ])
+    def test_steps_do_not_depend_on_the_outputs(self, family, phi, span):
+        # the outputs are read off LSODA's interpolant; its first step is sized
+        # by the whole span, so the output grid never steers a step
+        calls = {cr.integrate_a0(family, phi, lntau_span=span, n_out=n).rhs_calls
+                 for n in (2, 57, 400)}
+        assert len(calls) == 1
+
     def test_beam_trace_swings_both_ways(self):
         tr = cr.integrate_a0("beam4", cr.PowerLog(1.0, 0.5), lntau_span=(1.0, math.log(1e8)))
         assert tr.log_a0.max() > 1.0 and tr.log_a0.min() < -1.0
@@ -573,24 +612,28 @@ class TestFullCubicModel:
         cr._pme4_wall_constants.cache_clear()
         monkeypatch.setattr(cr.blayer, "solve_bl_bvp", counted)
         for _ in range(2):
-            cr._a0_direct_rhs("pme4", cr.Constant(1.0).at_logtime)
+            cr._a0_direct_rhs("pme4", cr.Constant(1.0).at_logtime, 1e-12)
         direct = blayer.wall_constants(solve("pme4", 50.0, tol=1e-8))
         assert solves == [("pme4", 50.0)] and cr._pme4_wall_constants() == direct
 
     @pytest.mark.parametrize("a0", [0.03, 0.0639, 0.2, 1.0, 1.5])
     @pytest.mark.parametrize("u", [1.0, 4.0])
     def test_jacobian_matches_a_central_difference(self, a0, u):
-        rhs, jac = cr._a0_direct_rhs("pme4", cr.Constant(1.0).at_logtime)
+        rhs, jac = cr._a0_direct_rhs("pme4", cr.Constant(1.0).at_logtime, 1e-12)
         h = 1e-5 * a0
         central = (rhs(u, a0 + h) - rhs(u, a0 - h)) / (2.0 * h)
         assert jac(u, a0) == pytest.approx(central, rel=1e-7, abs=1e-9 * math.exp(u))
 
     def test_solver_failure_is_an_ode_error(self, monkeypatch):
-        def failed_run(fun, t_span, y0, t_eval, **kwargs):
-            return SimpleNamespace(status=-1, message="Unexpected istate in LSODA.",
-                                   t=t_eval[:3], y=np.ones((1, 3)), nfev=10)
+        def failed_run(func, y0, t, **kwargs):
+            # the outputs at ln tau = 2 and 3 were reached; the call for 4 stopped
+            # at 3, and the rows after it are unset
+            tcur = np.full(t.size - 1, np.nan)
+            tcur[:3] = (2.0, 3.0, 3.0)
+            return np.ones((t.size, 1)), {"message": "Unexpected istate in LSODA.",
+                                          "tcur": tcur, "nfe": np.full(t.size - 1, 10)}
 
-        monkeypatch.setattr(cr.integrate, "solve_ivp", failed_run)
+        monkeypatch.setattr(cr.integrate, "odeint", failed_run)
         with pytest.raises(numcore.OdeError, match=r"'pme4'.*ln tau = 3 of 100: .*istate") as err:
             cr.integrate_a0("pme4", cr.Constant(1.0), lntau_span=(1.0, 100.0), n_out=100)
         assert err.value.last_abscissa == 3.0

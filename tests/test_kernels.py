@@ -125,9 +125,28 @@ class TestKernelEvaluation:
 # split is for coverage only: for m >= 2, |y| <= 7.5 takes the certified
 # Chebyshev table and |y| >= 12.5 the saddle-line quadrature or, for F and
 # F', the fitted form (m = 1 is closed form throughout).  Mixed batches are
-# the property test below.
+# the property test below.  Far values run from 1e-20 down to 1e-300, so
+# every comparison is exact: a scalar read takes the route and the route
+# function of its element of an array read, and must give its value bit for
+# bit.
 _NEAR = np.array([0.0, 0.0, 0.5, -0.5, 1.25, -1.25, 1.25, 3.0, -3.0, -3.0, 7.5, -7.5])
 _FAR = np.array([12.5, -12.5, 20.0, -20.0, 20.0])
+
+
+def _seams(kern, tol=1e-10):
+    """The arguments where a read changes route, and their neighbours: every
+    panel joint, |y| = 12 and the floats either side, both sides of the switch
+    point, the last saddle-line and first fitted point of a 0.01 grid, and a
+    run of fitted points past it."""
+    joints = np.arange(-48, 49) * 0.25
+    edge = np.array([12.0, np.nextafter(12.0, 0.0), np.nextafter(12.0, 13.0)])
+    sw = kern.switch_point()
+    switch = np.array([sw, np.nextafter(sw, 0.0), np.nextafter(sw, 99.0), sw - 0.01, sw + 0.01])
+    grid = np.arange(1201, 5001) * 0.01
+    first = np.argmax(kern._takes_fit(grid, tol))
+    fitted = np.concatenate([grid[[first - 1, first]], grid[first:first + 800:20]])
+    right = np.concatenate([edge, switch, fitted])
+    return np.concatenate([joints, right, -right])
 
 
 class TestArrayCallsMatchScalarCalls:
@@ -138,7 +157,7 @@ class TestArrayCallsMatchScalarCalls:
         for fn in (K.eval_kernel, K.eval_kernel_derivative):
             vector = fn(fam, ys)
             scalars = np.array([fn(fam, float(y)) for y in ys])
-            np.testing.assert_allclose(vector, scalars, rtol=0.0, atol=1e-16)
+            np.testing.assert_array_equal(vector, scalars)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
@@ -147,10 +166,33 @@ class TestArrayCallsMatchScalarCalls:
         kern = K.get_kernel(K.parabolic(m))
         vector = kern.deriv(ys, order)
         scalars = np.array([kern.deriv(float(y), order) for y in ys])
-        np.testing.assert_allclose(vector, scalars, rtol=0.0, atol=1e-16)
+        np.testing.assert_array_equal(vector, scalars)
         # a repeated argument gets one value
         for y in np.unique(ys):
             assert np.unique(vector[ys == y]).size == 1
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("order", [0, 1, 2, 3])
+    @pytest.mark.parametrize("tol", [1e-10, 1e-6])
+    def test_route_seams(self, m, order, tol):
+        kern = K.get_kernel(K.parabolic(m))
+        ys = _seams(kern, tol)
+        vector = kern.deriv(ys, order, tol)
+        scalars = np.array([kern.deriv(float(y), order, tol) for y in ys])
+        np.testing.assert_array_equal(vector, scalars)
+        assert np.array_equal(np.signbit(vector), np.signbit(scalars))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_fill_order_does_not_matter(self, m):
+        # a fresh evaluator whose first reads are scalars fills its tables, its
+        # fit and its switch point from the scalar lane; the shared evaluator
+        # has filled them from array reads
+        fresh, shared = K._ParabolicKernel(m), K.get_kernel(K.parabolic(m))
+        ys = np.concatenate([_NEAR, _FAR, [40.0, -40.0]])
+        for order in range(4):
+            scalars = np.array([fresh.deriv(float(y), order) for y in ys])
+            np.testing.assert_array_equal(scalars, shared.deriv(ys, order))
+        assert fresh.switch_point() == shared.switch_point()
 
 
 @settings(max_examples=40, deadline=None)
@@ -168,7 +210,7 @@ def test_each_point_is_independent_of_its_batch(m, order, ys):
     ys = np.array(ys)
     for fn in fns:
         scalars = np.array([fn(float(y)) for y in ys])
-        np.testing.assert_allclose(fn(ys), scalars, rtol=0.0, atol=1e-16)
+        np.testing.assert_array_equal(fn(ys), scalars)
 
 
 # every panel joint of the table on [-12, 12] and a dense grid between them
