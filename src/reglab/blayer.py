@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+import scipy
 
 from reglab import kernels
 from reglab.numcore import BvpError, check_tolerance
@@ -185,7 +185,7 @@ def _collocate(family, rhs, bc, xi, g0, tol, **params):
     guess[0] = g0
     for k in range(1, len(guess)):
         guess[k] = np.gradient(guess[k - 1], xi)
-    sol = integrate.solve_bvp(rhs, bc, xi, guess, tol=tol, max_nodes=200000, **params)
+    sol = scipy.integrate.solve_bvp(rhs, bc, xi, guess, tol=tol, max_nodes=200000, **params)
     if not sol.success:
         raise BvpError(f"layer BVP for {family} did not converge: {sol.message}")
     return sol
@@ -201,10 +201,13 @@ def solve_bl_bvp(family, length=30.0, tol=1e-10):
     growth-killing and plateau-pinning functionals of the linearization,
     so the quality is limited by the solver tolerance, not the domain
     truncation.  The linear layers start from their closed forms on 400
-    even nodes.  ``tol`` must be positive and finite (``ValueError``); a
+    even nodes.  ``length`` and ``tol`` must be positive and finite
+    (``ValueError``), and ``length`` for pme4 past its wall offset; a
     solve that does not converge raises ``numcore.BvpError``.
     """
     check_tolerance(tol)
+    if not (math.isfinite(length) and length > 0):
+        raise ValueError(f"layer length must be positive and finite, got {length!r}")
     if family not in _LAYERS:
         raise ValueError(f"no boundary-value layer for family {family!r}")
     if family == "pme4":
@@ -242,6 +245,8 @@ def _solve_pme4_layer(length, tol, xi0=1e-3):
     xi0).  Far-field conditions kill the growing mode of the plateau
     linearization and pin the plateau to one.
     """
+    if length <= xi0:
+        raise ValueError(f"pme4 layer length must exceed the wall offset {xi0}, got {length!r}")
     _, c, _ = _LAYERS["pme4"]
     floor = 1e-14
 

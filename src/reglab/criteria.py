@@ -22,7 +22,7 @@ from dataclasses import astuple, dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy import integrate
+import scipy
 
 from reglab import blayer, kernels, numcore
 
@@ -381,6 +381,11 @@ def _hermite(t, p0, m0, p1, m1):
             + p1 * (t * t * (3.0 - 2.0 * t)) + m1 * (t * t * (t - 1.0)))
 
 
+def _check_window(eps_s):
+    if not (math.isfinite(eps_s) and eps_s > 0):
+        raise ValueError(f"cut-off window eps_s must be positive and finite, got {eps_s!r}")
+
+
 @dataclass(frozen=True)
 class CutoffBoundary(BoundaryFunction):
     """Boundary modified so the criterion integrand stays nonpositive.
@@ -406,6 +411,7 @@ class CutoffBoundary(BoundaryFunction):
                              "non-oscillatory boundaries pass through unchanged")
         if not self.base.monotone:
             raise ValueError("cut-off requires a nondecreasing base boundary")
+        _check_window(self.eps_s)
 
     # ramp shape: monotone piecewise-cubic from (0, slope delta) through
     # (S_BREAK, R_BREAK) to (1, slope 0); the early crossing keeps the
@@ -490,8 +496,10 @@ def apply_cutoff(phi, family_or_spec, eps_s=math.pi / 20.0):
     ``family_or_spec`` is an :class:`~reglab.kernels.EquationFamily`
     (whose fitted oscillation constants are used) or an explicit
     :class:`OscillationSpec`.  Non-oscillatory families
-    (zero oscillation rate) return the boundary unchanged.
+    (zero oscillation rate) return the boundary unchanged.  ``eps_s`` must
+    be positive and finite either way (``ValueError``).
     """
+    _check_window(eps_s)
     spec = family_or_spec if isinstance(family_or_spec, OscillationSpec) \
         else oscillation_spec(family_or_spec)
     if spec.osc_rate == 0.0:
@@ -569,8 +577,11 @@ def diagnose_tail(spec, phi, u_max=None):
     for a sum it cannot certify.  Sums that decay geometrically (fitted
     ratio < 0.9) mark convergence; growing one-signed sums mark genuine
     divergence; growing or stagnating sums of alternating sign mark
-    oscillatory divergence.
+    oscillatory divergence.  ``u_max`` (None or +inf: no cap) must not be
+    nan (``ValueError``).
     """
+    if u_max is not None and math.isnan(u_max):
+        raise ValueError(f"u_max must be a number or None, got {u_max!r}")
     f, exponent = criterion_integrand_logtime(spec, phi)
     edges = np.array([u for u in _WINDOW_EXPONENTS if u_max is None or u <= u_max])
     with np.errstate(over="ignore", invalid="ignore"):  # phi past the float range
@@ -956,9 +967,9 @@ def integrate_a0(family, phi, *, lntau_span, a0_init=1.0, n_out=400):
         warnings.simplefilter("ignore")
         # tcrit: LSODA never steps past the end of the span; mxstep: no cap on
         # the steps between two outputs
-        y, info = integrate.odeint(rhs_u, [y0], u_eval, Dfun=jac_u, tfirst=True,
-                                   tcrit=[u_eval[-1]], h0=h0, rtol=_RTOL, atol=atol,
-                                   mxstep=2**31 - 1, full_output=True)
+        y, info = scipy.integrate.odeint(rhs_u, [y0], u_eval, Dfun=jac_u, tfirst=True,
+                                         tcrit=[u_eval[-1]], h0=h0, rtol=_RTOL, atol=atol,
+                                         mxstep=2**31 - 1, full_output=True)
     if info["message"] != "Integration successful.":
         # tcur holds where each output's call stopped; the failed call is the
         # first that stopped short of its output, and the rows after it are unset

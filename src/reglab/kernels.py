@@ -27,9 +27,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy import integrate, optimize, special
+import scipy
 
-from reglab.numcore import Polynomial, QuadratureError, alternating_series_sum
+from reglab.numcore import Polynomial, QuadratureError, alternating_series_sum, check_tolerance
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +466,7 @@ class _DispersionKernel:
     def deriv(self, y, order=0, tol=None):
         _check_order(self.constants.family, order, 1)
         y = np.asarray(y, dtype=float)
-        ai, aip = special.airy(-self.scale * y)[:2]
+        ai, aip = scipy.special.airy(-self.scale * y)[:2]
         out = self.scale * ai if order == 0 else -self.scale**2 * aip
         return float(out) if out.ndim == 0 else out
 
@@ -501,7 +501,7 @@ class _BeamKernel:
         panels = []
         f = lambda w: math.sin(w * w + sign * w * y) / (2.0 * w * w)
         for lo, hi in zip(crossings[:-1], crossings[1:]):
-            v, _ = integrate.quad(f, lo, hi, epsabs=tol / 20, limit=80)
+            v, _ = scipy.integrate.quad(f, lo, hi, epsabs=tol / 20, limit=80)
             panels.append(v)
         return alternating_series_sum(panels, tol / 4)
 
@@ -511,7 +511,7 @@ class _BeamKernel:
         out = np.empty_like(y_arr)
         for i, yi in enumerate(np.abs(y_arr)):  # even kernel
             w_mid = 0.5 * yi + 6.0
-            head, _ = integrate.quad(
+            head, _ = scipy.integrate.quad(
                 lambda w: (np.sinc(w * w / math.pi) * w * w if w < 1e-8 else math.sin(w * w)) / max(w * w, 1e-300) * math.cos(w * yi),
                 0.0, w_mid, epsabs=tol / 10, limit=max(200, int(20 * w_mid * (w_mid + yi))),
             )
@@ -545,11 +545,13 @@ def get_kernel(family):
 
 def eval_kernel(family, y, tol=1e-10):
     """Rescaled kernel F(y) with absolute error below ``tol``."""
+    check_tolerance(tol)
     return get_kernel(family).deriv(y, 0, tol)
 
 
 def eval_kernel_derivative(family, y, tol=1e-10):
     """F'(y), needed by the eigenvalue matching and the criterion ODEs."""
+    check_tolerance(tol)
     return get_kernel(family).deriv(y, 1, tol)
 
 
@@ -650,7 +652,7 @@ def kernel_asymptotics_fit(family, window):
         def misfit(q):
             return _fit_linear(ys, fs, q, 0.0, k.b0, k.alpha)[2]
 
-        qbest = optimize.minimize_scalar(misfit, bounds=(0.3, 3.0), method="bounded").x
+        qbest = scipy.optimize.minimize_scalar(misfit, bounds=(0.3, 3.0), method="bounded").x
         model = (float(qbest), 0.0, k.b0, k.alpha)
     c1, c2, resid = _fit_linear(ys, fs, *model)
     return AsymptoticFit(family, (lo, hi), c1, c2, resid, *model)
@@ -909,15 +911,16 @@ def majorant_deficiency(family, tol=1e-8):
         if vals[i] == 0.0:
             zeros.append(float(grid[i]))
         elif vals[i] * vals[i + 1] < 0.0:
-            z = optimize.brentq(lambda y: kern.deriv(float(y), 0, tol * 1e-2),
-                                grid[i], grid[i + 1], xtol=1e-12)
+            z = scipy.optimize.brentq(lambda y: kern.deriv(float(y), 0, tol * 1e-2),
+                                      grid[i], grid[i + 1], xtol=1e-12)
             zeros.append(float(z))
 
     pts = [0.0] + zeros + [y_hi]
     total = 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
-        v, _ = integrate.quad(lambda y: kern.deriv(float(y), 0, tol * 1e-2), lo, hi,
-                              epsabs=tol / (4 * len(pts)), limit=200)
+        v, _ = scipy.integrate.quad(lambda y: kern.deriv(float(y), 0, tol * 1e-2), lo, hi,
+                                    epsabs=tol / (4 * len(pts)), limit=200)
         total += abs(v)
-    tail = abs(integrate.quad(lambda y: env(y), y_hi, y_hi + 40.0, epsabs=tol / 10, limit=100)[0])
+    tail = abs(scipy.integrate.quad(lambda y: env(y), y_hi, y_hi + 40.0, epsabs=tol / 10,
+                                    limit=100)[0])
     return MajorantResult(family=family, d_star=2.0 * total, zeros=tuple(zeros), tail_bound=tail)

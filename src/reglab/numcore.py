@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
+import scipy
 
 
 class NumericsError(Exception):
@@ -180,8 +180,8 @@ def find_root(f, bracket, tol=1e-12, maxiter=200, f_ends=None):
         return known[x] if x in known else f(x)
 
     try:
-        return optimize.brentq(memo_f, lo, hi, xtol=tol, rtol=4 * np.finfo(float).eps,
-                               maxiter=maxiter)
+        return scipy.optimize.brentq(memo_f, lo, hi, xtol=tol, rtol=4 * np.finfo(float).eps,
+                                     maxiter=maxiter)
     except RuntimeError as exc:  # brentq's non-convergence signal
         raise RootConvergenceError(str(exc)) from exc
 

@@ -32,7 +32,7 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbsv, dgbtrf, dgbtrs, dgtsv
+import scipy
 
 from reglab import blayer, criteria, kernels
 
@@ -199,9 +199,9 @@ def _band_solve(ab, kl, x):
     and its finiteness pass over the matrix.  ``ab`` is overwritten.
     """
     if kl == 1:
-        *_, x, info = dgtsv(ab[3, :-1], ab[2], ab[1, 1:], x, 1, 1, 1)
+        *_, x, info = scipy.linalg.lapack.dgtsv(ab[3, :-1], ab[2], ab[1, 1:], x, 1, 1, 1)
     else:
-        *_, x, info = dgbsv(kl, kl, ab, x, overwrite_ab=1)
+        *_, x, info = scipy.linalg.lapack.dgbsv(kl, kl, ab, x, overwrite_ab=1)
     if info > 0:
         raise np.linalg.LinAlgError("singular matrix")
     return x
@@ -272,7 +272,7 @@ def simulate(cfg):
         return _a0_weights(kl, z, kernels.eval_kernel(fam_kernel, pv * z) * pv)
 
     if isinstance(phi, criteria.Constant):
-        lu, piv, info = dgbtrf(step_matrix(tau0, phi0, 0.0), kl, kl)
+        lu, piv, info = scipy.linalg.lapack.dgbtrf(step_matrix(tau0, phi0, 0.0), kl, kl)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
         weights, prop = weights_at(phi0), None
@@ -281,7 +281,7 @@ def simulate(cfg):
             if prop is not None and s_to - s_from == r:
                 return np.dot(prop, x)
             for _ in range(s_to - s_from):
-                x, _ = dgbtrs(lu, kl, kl, x, piv)
+                x, _ = scipy.linalg.lapack.dgbtrs(lu, kl, kl, x, piv)
             return x
 
         def a0_weights(record_steps):

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from scipy import integrate
+import scipy
 
 from reglab import blayer, kernels
 from reglab.numcore import (BracketError, OdeError, RootConvergenceError, check_tolerance,
@@ -353,9 +353,9 @@ class ClampedEndDeterminant:
         that zero is not returned.
         """
         g0, g1, target = self._g0, self._g1, self._target
-        sol = integrate.solve_ivp(lambda y, u: (g0 + y * g1) @ u, (0.0, self.l), self._u0,
-                                  method="DOP853", rtol=self.tol, atol=self.tol * 1e-2,
-                                  events=lambda y, u: u[target])
+        sol = scipy.integrate.solve_ivp(lambda y, u: (g0 + y * g1) @ u, (0.0, self.l), self._u0,
+                                        method="DOP853", rtol=self.tol, atol=self.tol * 1e-2,
+                                        events=lambda y, u: u[target])
         if not sol.success:
             raise OdeError(f"shooting failed at lambda=0: {sol.message}", float(sol.t[-1]))
         zs = sol.t_events[0]
@@ -375,8 +375,8 @@ def _shooting_eigenfunction(l, m, parity, lam, tol):
         return ((a0 + y * a1 + lam * a2) @ zm).ravel()
 
     ys = np.linspace(0.0, l, 401)
-    sol = integrate.solve_ivp(rhs, (0.0, l), z0.ravel(), t_eval=ys,
-                              method="DOP853", rtol=tol, atol=tol * 1e-2)
+    sol = scipy.integrate.solve_ivp(rhs, (0.0, l), z0.ravel(), t_eval=ys,
+                                    method="DOP853", rtol=tol, atol=tol * 1e-2)
     z = sol.y.reshape(2 * m, m, -1)
     bnd = z[:m, :, -1]
     _, _, vt = np.linalg.svd(bnd)
@@ -514,10 +514,10 @@ def _clamped_bilaplacian_min(n=96):
 def poincare_lambda(l):
     """First eigenvalue of D^4 on the clamped interval of half-length l.
 
-    Computed once at l = 1 and scaled by 1/l^4.
+    Computed once at l = 1 and scaled by 1/l^4.  Raises ``ValueError``
+    unless ``l`` is positive and finite.
     """
-    if l <= 0:
-        raise ValueError("l must be positive")
+    _check_half_length(l)
     return _clamped_bilaplacian_min() / l**4
 
 

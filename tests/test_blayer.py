@@ -3,6 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from reglab import blayer, kernels
 from reglab.numcore import BvpError, NumericsError
@@ -106,13 +107,23 @@ class TestBoundaryValueRoute:
         with pytest.raises(ValueError, match="tol must be positive and finite"):
             blayer.solve_bl_bvp(family, 30.0, tol=tol)
 
+    @pytest.mark.parametrize("family", ["biharmonic", "dispersion3", "pme4"])
+    @pytest.mark.parametrize("length", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_length_rejected(self, family, length):
+        # length = 0 or nan used to reach scipy's "x must be strictly increasing"
+        with pytest.raises(ValueError, match="layer length must be positive and finite"):
+            blayer.solve_bl_bvp(family, length)
+
+    def test_pme4_length_inside_the_wall_offset_rejected(self):
+        with pytest.raises(ValueError, match="pme4 layer length must exceed the wall offset"):
+            blayer.solve_bl_bvp("pme4", 1e-4)
+
     @pytest.mark.parametrize("family", ["biharmonic", "pme4"])
     def test_failed_collocation_is_a_numerics_error(self, family, monkeypatch):
         # a real non-converging solve needs seconds of mesh refinement; the
         # failure report of scipy's solver is stubbed instead
         failed = SimpleNamespace(success=False, message="The maximum number of mesh nodes is exceeded.")
-        monkeypatch.setattr(blayer, "integrate",
-                            SimpleNamespace(solve_bvp=lambda *args, **kwargs: failed))
+        monkeypatch.setattr(scipy.integrate, "solve_bvp", lambda *args, **kwargs: failed)
         with pytest.raises(BvpError, match=f"layer BVP for {family} did not converge") as info:
             blayer.solve_bl_bvp(family, 30.0)
         assert isinstance(info.value, NumericsError)

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import reglab
 from reglab import blayer, cli, criteria, kernels, spectral
 from reglab.numcore import BvpError, OdeError
 
@@ -12,6 +16,19 @@ def run_cli(tmp_path, *argv):
     out = tmp_path / "artifact.txt"
     code = cli.main([*argv, "--out", str(out)])
     return code, out.read_text()
+
+
+class TestImportFootprint:
+    def test_fresh_import_loads_no_scipy_subpackage(self):
+        # each layer reads scipy.<subpackage> at its call sites, so scipy
+        # imports a subpackage on first use, not when reglab is imported
+        src = os.path.dirname(os.path.dirname(reglab.__file__))
+        probe = ("import sys, reglab.cli; print(*sorted({m.split('.')[1] for m in sys.modules "
+                 "if m.startswith('scipy.')} & {'integrate', 'optimize', 'special', 'linalg', "
+                 "'sparse'}))")
+        run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                             env=os.environ | {"PYTHONPATH": src}, check=True)
+        assert run.stdout.split() == []
 
 
 class TestKernelCommand:
@@ -206,6 +223,18 @@ class TestCriterionCommand:
                              "--phi", "powertau:C=1,g=1.3", "--cutoff")
         data = json.loads(text)
         assert data["cutoff"] is True and data["boundary"].startswith("Cutoff(")
+
+    @pytest.mark.parametrize("eps", ["nan", "0", "-1"])
+    def test_bad_cutoff_window_is_one_line_exit_two(self, tmp_path, capsys, eps):
+        # these used to print "verdict": "regular" and exit 0
+        out = tmp_path / "x.txt"
+        code = cli.main(["criterion", "--family", "biharmonic", "--phi", "powerlog:C=2,g=0.75",
+                         "--cutoff", f"--eps-s={eps}", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert not out.exists()
+        assert err.startswith("criterion: cut-off window eps_s must be positive and finite")
+        assert err.count("\n") == 1
 
     def test_unknown_boundary_key_is_one_line_exit_two(self, tmp_path, capsys):
         out = tmp_path / "x.txt"

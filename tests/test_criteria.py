@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from reglab import criteria as cr
 from reglab import blayer, kernels, numcore
@@ -132,6 +133,17 @@ class TestCutoff:
             cr.Constant(2.0), cr.PowerLog(2.0, 0.0), cr.PowerLog(2.0, 0.75),
             cr.PetrovskiiSqrtLog(1.0), cr.PowerOfTau(1.0, 0.5),
             cr.Tabulated((3.0, 10.0, 100.0, 1e3), (3.0, 3.0, 3.5, 5.0))))
+
+    @pytest.mark.parametrize("eps", [math.nan, 0.0, -1.0, math.inf])
+    def test_bad_window_rejected(self, eps):
+        # eps_s = nan, 0 and -1 used to be cut off and classified regular
+        phi = cr.PowerLog(2.0, 0.75)
+        with pytest.raises(ValueError, match="eps_s must be positive and finite"):
+            cr.apply_cutoff(phi, kernels.biharmonic(), eps_s=eps)
+        with pytest.raises(ValueError, match="eps_s must be positive and finite"):
+            cr.CutoffBoundary(phi, cr.oscillation_spec(kernels.biharmonic()), eps)
+        with pytest.raises(ValueError, match="eps_s must be positive and finite"):
+            cr.apply_cutoff(phi, kernels.heat(), eps_s=eps)
 
     def test_non_oscillatory_family_passes_through(self):
         phi = cr.PowerLog(1.0, 0.5)
@@ -356,6 +368,11 @@ class TestClassifyRejectsBadInput:
 
 
 class TestNumericTail:
+    def test_nan_cap_rejected(self):
+        # u_max = nan used to return "inconclusive" with no windows
+        with pytest.raises(ValueError, match="u_max"):
+            cr.diagnose_tail(cr.oscillation_spec(BIH), cr.PowerLog(2.0, 0.75), u_max=math.nan)
+
     def test_analytic_numeric_agreement_near_threshold(self):
         # five percent away from the critical constant the dyadic-tail
         # diagnosis must agree with the analytic verdict
@@ -633,7 +650,7 @@ class TestFullCubicModel:
             return np.ones((t.size, 1)), {"message": "Unexpected istate in LSODA.",
                                           "tcur": tcur, "nfe": np.full(t.size - 1, 10)}
 
-        monkeypatch.setattr(cr.integrate, "odeint", failed_run)
+        monkeypatch.setattr(scipy.integrate, "odeint", failed_run)
         with pytest.raises(numcore.OdeError, match=r"'pme4'.*ln tau = 3 of 100: .*istate") as err:
             cr.integrate_a0("pme4", cr.Constant(1.0), lntau_span=(1.0, 100.0), n_out=100)
         assert err.value.last_abscissa == 3.0

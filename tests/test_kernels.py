@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -57,6 +58,16 @@ class TestKernelConstants:
 
 
 class TestKernelEvaluation:
+    @pytest.mark.parametrize("family", [K.heat(), K.biharmonic(), K.dispersion3(), K.beam4()],
+                             ids=str)
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_tolerance_rejected(self, family, tol):
+        # eval_kernel(biharmonic(), 20.0, tol=nan) used to return -3.45e-7
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            K.eval_kernel(family, 20.0, tol=tol)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            K.eval_kernel_derivative(family, 20.0, tol=tol)
+
     def test_heat_value_at_origin(self):
         assert K.eval_kernel(K.heat(), 0.0) == pytest.approx(1.0 / (2.0 * math.sqrt(math.pi)),
                                                              abs=1e-12)
@@ -304,7 +315,7 @@ class TestSaddleLineRule:
         def refuse(*args, **kwargs):
             raise AssertionError("integrate.quad called")
 
-        monkeypatch.setattr(K.integrate, "quad", refuse)
+        monkeypatch.setattr(scipy.integrate, "quad", refuse)
         ys = np.array([-30.0, -12.5, -3.0, 0.0, 7.0, 12.0, 12.5, 20.0, 45.0, 1e4])
         for m in (1, 2, 3):
             kern = K._ParabolicKernel(m)

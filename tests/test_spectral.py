@@ -133,6 +133,8 @@ class TestHalfLengthValidation:
             spectral.ClampedEndDeterminant(l, 2, "even")
         with pytest.raises(ValueError):
             spectral.IntervalEigenProblem(l)
+        with pytest.raises(ValueError, match="half-length l must be positive and finite"):
+            spectral.poincare_lambda(l)
 
     @pytest.mark.parametrize("l_range", [(-1.0, 2.0), (0.0, 2.0), (math.nan, 2.0),
                                          (1.0, math.inf), (1.0, math.nan)])
