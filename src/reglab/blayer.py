@@ -24,7 +24,7 @@ import numpy as np
 import scipy
 
 from reglab import kernels
-from reglab.numcore import BvpError, check_tolerance
+from reglab.numcore import BvpError, check_positive
 
 
 @dataclass(frozen=True)
@@ -75,6 +75,7 @@ def _closed_form(family, xi):
 
 
 def _closed_profile(family, xi_max):
+    check_positive("xi_max", xi_max)
     xi = np.linspace(0.0, xi_max, 601)
     return BoundaryLayerProfile(
         family=family, xi=xi, values=_closed_form(family, xi),
@@ -205,9 +206,8 @@ def solve_bl_bvp(family, length=30.0, tol=1e-10):
     (``ValueError``), and ``length`` for pme4 past its wall offset; a
     solve that does not converge raises ``numcore.BvpError``.
     """
-    check_tolerance(tol)
-    if not (math.isfinite(length) and length > 0):
-        raise ValueError(f"layer length must be positive and finite, got {length!r}")
+    check_positive("tol", tol)
+    check_positive("layer length", length)
     if family not in _LAYERS:
         raise ValueError(f"no boundary-value layer for family {family!r}")
     if family == "pme4":

@@ -23,7 +23,7 @@ import warnings
 import numpy as np
 
 from reglab import blayer, criteria, kernels, pdesim, spectral
-from reglab.numcore import NumericsError, check_tolerance
+from reglab.numcore import NumericsError, check_positive
 
 # reference eigenvalues of the fundamental-parabola benchmark (half-width -> rate)
 BENCHMARK_LAMBDA0 = {
@@ -129,7 +129,7 @@ def _constants_header(family):
 
 
 def cmd_kernel(args):
-    check_tolerance(args.tol)
+    check_positive("tol", args.tol)
     family = _family_from(args)
     lo, hi, step = args.range
     ys = np.arange(lo, hi + 0.5 * step, step)

@@ -381,11 +381,6 @@ def _hermite(t, p0, m0, p1, m1):
             + p1 * (t * t * (3.0 - 2.0 * t)) + m1 * (t * t * (t - 1.0)))
 
 
-def _check_window(eps_s):
-    if not (math.isfinite(eps_s) and eps_s > 0):
-        raise ValueError(f"cut-off window eps_s must be positive and finite, got {eps_s!r}")
-
-
 @dataclass(frozen=True)
 class CutoffBoundary(BoundaryFunction):
     """Boundary modified so the criterion integrand stays nonpositive.
@@ -411,7 +406,7 @@ class CutoffBoundary(BoundaryFunction):
                              "non-oscillatory boundaries pass through unchanged")
         if not self.base.monotone:
             raise ValueError("cut-off requires a nondecreasing base boundary")
-        _check_window(self.eps_s)
+        numcore.check_positive("cut-off window eps_s", self.eps_s)
 
     # ramp shape: monotone piecewise-cubic from (0, slope delta) through
     # (S_BREAK, R_BREAK) to (1, slope 0); the early crossing keeps the
@@ -499,7 +494,7 @@ def apply_cutoff(phi, family_or_spec, eps_s=math.pi / 20.0):
     (zero oscillation rate) return the boundary unchanged.  ``eps_s`` must
     be positive and finite either way (``ValueError``).
     """
-    _check_window(eps_s)
+    numcore.check_positive("cut-off window eps_s", eps_s)
     spec = family_or_spec if isinstance(family_or_spec, OscillationSpec) \
         else oscillation_spec(family_or_spec)
     if spec.osc_rate == 0.0:
@@ -929,8 +924,7 @@ def integrate_a0(family, phi, *, lntau_span, a0_init=1.0, n_out=400):
                          f"got {tuple(lntau_span)!r}")
     if n_out < 2:
         raise ValueError(f"n_out must be at least 2, got {n_out!r}")
-    if not (math.isfinite(a0_init) and a0_init > 0):
-        raise ValueError(f"a0_init must be positive and finite, got {a0_init!r}")
+    numcore.check_positive("a0_init", a0_init)
     phi_u = phi.at_logtime
     u_eval = np.linspace(lntau_span[0], lntau_span[1], n_out)
 

@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 import scipy
 
-from reglab.numcore import Polynomial, QuadratureError, alternating_series_sum, check_tolerance
+from reglab.numcore import Polynomial, QuadratureError, alternating_series_sum, check_positive
 
 
 # ---------------------------------------------------------------------------
@@ -545,13 +545,13 @@ def get_kernel(family):
 
 def eval_kernel(family, y, tol=1e-10):
     """Rescaled kernel F(y) with absolute error below ``tol``."""
-    check_tolerance(tol)
+    check_positive("tol", tol)
     return get_kernel(family).deriv(y, 0, tol)
 
 
 def eval_kernel_derivative(family, y, tol=1e-10):
     """F'(y), needed by the eigenvalue matching and the criterion ODEs."""
-    check_tolerance(tol)
+    check_positive("tol", tol)
     return get_kernel(family).deriv(y, 1, tol)
 
 
@@ -893,8 +893,10 @@ def majorant_deficiency(family, tol=1e-8):
     """D* = int |F| over the line, by quadrature with zero-splitting.
 
     Equals 1 exactly when the kernel is positive (order 2, i.e. m=1) and
-    exceeds 1 for every oscillatory kernel.
+    exceeds 1 for every oscillatory kernel.  ``tol`` must be positive and
+    finite (``ValueError``).
     """
+    check_positive("tol", tol)
     if family.kind != "parabolic":
         raise ValueError("majorant deficiency is computed for the parabolic family")
     kern = get_kernel(family)

@@ -57,10 +57,10 @@ class EigenError(NumericsError):
     """Eigenvalue iteration failed; names the offending index."""
 
 
-def check_tolerance(tol):
-    """Raise ``ValueError`` unless ``tol`` is positive and finite."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+def check_positive(name, value):
+    """Raise ``ValueError`` naming ``name`` unless ``value`` is positive and finite."""
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -35,6 +35,7 @@ import numpy as np
 import scipy
 
 from reglab import blayer, criteria, kernels
+from reglab.numcore import check_positive
 
 # Largest interior size at which a constant wall advances by the dense
 # propagator.  Measured on 2 vCPU, one band solve against one product with
@@ -80,8 +81,8 @@ class SimConfig:
             raise ValueError(f"tau_span must be two finite numbers, got {span!r}")
         if span[1] <= span[0]:
             raise ValueError("tau span must be increasing")
-        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"time step dt must be positive and finite, got {self.dt!r}")
+        if self.dt is not None:
+            check_positive("time step dt", self.dt)
         if self.initial not in ("bump", "poly", "random-smooth"):
             raise ValueError(f"initial must be bump, poly or random-smooth, "
                              f"got {self.initial!r}")

@@ -20,17 +20,12 @@ import numpy as np
 import scipy
 
 from reglab import blayer, kernels
-from reglab.numcore import (BracketError, OdeError, RootConvergenceError, check_tolerance,
+from reglab.numcore import (BracketError, OdeError, RootConvergenceError, check_positive,
                             dense_eigenvalues, find_root, find_roots)
 
 
 # ---------------------------------------------------------------------------
 # problem description
-
-
-def _check_half_length(l):
-    if not (math.isfinite(l) and l > 0):
-        raise ValueError(f"half-length l must be positive and finite, got {l!r}")
 
 
 @dataclass(frozen=True)
@@ -45,8 +40,8 @@ class IntervalEigenProblem:
     tol: float = 1e-12
 
     def __post_init__(self):
-        _check_half_length(self.l)
-        check_tolerance(self.tol)
+        check_positive("half-length l", self.l)
+        check_positive("tol", self.tol)
         if self.family.kind != "parabolic":
             raise ValueError("interval eigenproblem is posed for the parabolic family")
         if self.parity not in ("even", "odd", "full"):
@@ -282,8 +277,8 @@ class ClampedEndDeterminant:
     """
 
     def __init__(self, l, m, parity, tol=1e-12):
-        _check_half_length(l)
-        check_tolerance(tol)
+        check_positive("half-length l", l)
+        check_positive("tol", tol)
         self.l, self.m, self.parity, self.tol = l, m, parity, tol
         self._g0, self._g1, self._g2, self._u0, self._target = _compound_setup(m, parity)
 
@@ -517,7 +512,7 @@ def poincare_lambda(l):
     Computed once at l = 1 and scaled by 1/l^4.  Raises ``ValueError``
     unless ``l`` is positive and finite.
     """
-    _check_half_length(l)
+    check_positive("half-length l", l)
     return _clamped_bilaplacian_min() / l**4
 
 

@@ -71,6 +71,14 @@ class TestClosedForms:
         g1h, _ = blayer.wall_constants(blayer.heat_profile())
         assert g1h == 0.5
 
+    @pytest.mark.parametrize("profile", [blayer.biharmonic_profile, blayer.dispersion_profile,
+                                         blayer.heat_profile])
+    @pytest.mark.parametrize("xi_max", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_length_rejected(self, profile, xi_max):
+        # nan used to give a profile of nan, 0 one of 601 zeros
+        with pytest.raises(ValueError, match="xi_max must be positive and finite"):
+            profile(xi_max)
+
 
 class TestBoundaryValueRoute:
     def test_biharmonic_matches_closed_form(self):

@@ -167,6 +167,18 @@ class TestBlayerCommand:
         assert not out.exists()
         assert err.startswith("blayer: tol must be positive and finite") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("solver", ["closed", "bvp"])
+    @pytest.mark.parametrize("length", ["nan", "0"])
+    def test_bad_length_is_one_line_exit_two(self, tmp_path, capsys, solver, length):
+        # the closed-form route used to print a profile of nan or of zeros
+        out = tmp_path / "x.txt"
+        code = cli.main(["blayer", "--family", "biharmonic", "--solver", solver,
+                         f"--length={length}", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert not out.exists()
+        assert "must be positive and finite" in err and err.count("\n") == 1
+
     def test_failed_solve_is_one_line_exit_two(self, tmp_path, capsys, monkeypatch):
         def failing(family, *args, **kwargs):
             raise BvpError(f"layer BVP for {family} did not converge: node limit")

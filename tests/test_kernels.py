@@ -671,6 +671,12 @@ class TestPencil:
 
 
 class TestMajorant:
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_bad_tolerance_rejected(self, tol):
+        # tol = nan used to return d_star = 1.1745 with one zero
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            K.majorant_deficiency(K.parabolic(2), tol)
+
     def test_positive_kernel_has_unit_deficiency(self):
         res = K.majorant_deficiency(K.heat(), 1e-8)
         assert res.d_star == pytest.approx(1.0, abs=1e-8)
