@@ -626,8 +626,8 @@ def kernel_asymptotics_fit(family, window):
     Returns the sin/cos amplitudes (for heat, which does not oscillate,
     the sin one is zero) and the relative RMS misfit of the fit against
     direct kernel values (heat: its closed form, which the form matches
-    exactly; higher parabolic orders: quadrature alone).  A window holding
-    less than a half oscillation raises ``ValueError``.
+    exactly; higher parabolic orders: quadrature alone).  A window outside
+    0 <= lo < hi < inf or under a half oscillation raises ``ValueError``.
 
     For the beam kernel the algebraic decay exponent is itself fitted
     (reported in ``exponent``) rather than assumed.  The fit is returned,
@@ -635,6 +635,8 @@ def kernel_asymptotics_fit(family, window):
     default window, so a custom window cannot change later kernel values.
     """
     lo, hi = window
+    if not 0 <= lo < hi < math.inf:
+        raise ValueError(f"window must satisfy 0 <= lo < hi < inf, got {window!r}")
     ys = np.linspace(lo, hi, 48)
     kern = get_kernel(family)
     k = kern.constants
@@ -656,7 +658,6 @@ def kernel_asymptotics_fit(family, window):
         model = (float(qbest), 0.0, k.b0, k.alpha)
     c1, c2, resid = _fit_linear(ys, fs, *model)
     return AsymptoticFit(family, (lo, hi), c1, c2, resid, *model)
-
 
 
 # ---------------------------------------------------------------------------

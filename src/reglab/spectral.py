@@ -17,7 +17,6 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-import scipy
 
 from reglab import blayer, kernels
 from reglab.numcore import (BracketError, OdeError, RootConvergenceError, check_positive,
@@ -193,19 +192,14 @@ def _compound_generator(a, idx, pos):
 
 
 def _parity_seed_indices(m, parity):
-    if parity == "even":
-        return tuple(range(0, 2 * m, 2))
-    return tuple(range(1, 2 * m, 2))
+    return tuple(range(0 if parity == "even" else 1, 2 * m, 2))
 
 
 @lru_cache(maxsize=16)
 def _compound_setup(m, parity):
     idx = list(combinations(range(2 * m), m))
     pos = {c: i for i, c in enumerate(idx)}
-    a0, a1, a2 = _companion_parts(m)
-    g0 = _compound_generator(a0, idx, pos)
-    g1 = _compound_generator(a1, idx, pos)
-    g2 = _compound_generator(a2, idx, pos)
+    g0, g1, g2 = (_compound_generator(a, idx, pos) for a in _companion_parts(m))
     u0 = np.zeros(len(idx))
     u0[pos[tuple(sorted(_parity_seed_indices(m, parity)))]] = 1.0
     target = pos[tuple(range(m))]
@@ -219,7 +213,7 @@ _TAYLOR_ORDER = 30
 
 
 def _taylor_coefficients(gen, lam, u, n_ord):
-    """Taylor coefficients c_0 = u, ..., c_n_ord about y0 of the stacked minor ODE.
+    """Taylor coefficients c_0 = u, ..., c_n_ord about y0 of the stacked ODE.
 
     ``gen`` stacks G0 + y0 G1, G2 and G1, so one product per order gives
     all three terms of (n+1) c_{n+1} = (G0 + y0 G1) c_n + (G2 c_n) diag(lam)
@@ -244,6 +238,47 @@ def _horner(c, t):
     return v
 
 
+def _taylor_steps(g0, g1, g2, u, lams, ends, tol):
+    """Order-30 Taylor steps of U' = (G0 + y G1) U + (G2 U) diag(lam) from y = 0.
+
+    The coefficients are linear in y, so the Taylor coefficients follow the
+    recurrence of ``_taylor_coefficients`` (Jorba & Zou, Experimental
+    Math. 14, 2005).  Each step is 0.9 times the shortest length at which,
+    for some column u_j, the last two terms reach eps |u_j|_inf (eps =
+    tol / 100), so every column is held to its own tolerance.  Yields
+    ``(y, h, c, cols, read)`` per step: its start and length, the
+    coefficients (order x rows x columns) of the columns ``cols`` still in
+    the stack, and the mask of those whose ``ends`` lie within the step,
+    which leave the stack after it.  A non-finite coefficient, or a step
+    below 1e-12 max(ends) or too short to reach the last end in a million
+    more, raises :class:`~reglab.numcore.OdeError`.
+    """
+    n_ord, eps, min_step = _TAYLOR_ORDER, tol * 1e-2, 1e-12 * ends.max()
+    cols = np.arange(len(lams))  # the columns still in the stack
+    y = 0.0
+    while True:
+        with np.errstate(all="ignore"):  # a non-finite result raises below
+            c = _taylor_coefficients(np.vstack([g0 + y * g1, g2, g1]), lams[cols], u, n_ord)
+            size_u = eps * np.max(np.abs(u), axis=0)
+            h = 0.9 * min(np.min((size_u / np.max(np.abs(c[-1]), axis=0)) ** (1 / n_ord)),
+                          np.min((size_u / np.max(np.abs(c[-2]), axis=0)) ** (1 / (n_ord - 1))))
+        if not np.all(np.isfinite(c)):
+            raise OdeError(f"shooting failed at lambda={lams[cols]}: "
+                           "Taylor coefficient not finite", y)
+        # a step a million times shorter than the way left asks for a
+        # tolerance that no sum in double precision meets
+        if not h >= max(min_step, 1e-6 * (ends[cols].max() - y)):
+            raise OdeError(f"shooting failed at lambda={lams[cols]}: step {h:.3g} too short", y)
+        read = ends[cols] <= y + h
+        yield y, h, c, cols, read
+        if read.any():
+            cols, c = cols[~read], c[:, :, ~read]
+            if not cols.size:
+                return
+        u = _horner(c, h)
+        y += h
+
+
 class ClampedEndDeterminant:
     """Normalized clamped-end determinant d(lambda) for one parity class.
 
@@ -256,24 +291,15 @@ class ClampedEndDeterminant:
     A scalar ``lam`` returns a float.  A 1-D array of lambdas returns an
     array of the same length: the minor ODE is linear in lambda, so all k
     of them are integrated as one stacked system U' = (G0 + y G1) U
-    + (G2 U) diag(lam).  Its coefficients are linear in y, so the Taylor
-    coefficients of U about y0 follow a three-term recurrence,
-    (n+1) c_{n+1} = (G0 + y0 G1) c_n + (G2 c_n) diag(lam) + G1 c_{n-1},
-    and the stack advances by Taylor steps of order 30 (Jorba & Zou,
-    Experimental Math. 14, 2005).  Each step is 0.9 times the shortest
-    length at which, for some column u_j, the last two terms reach
-    eps |u_j|_inf (eps = tol / 100), so every column is held to its own
-    tolerance.
+    + (G2 U) diag(lam) by :func:`_taylor_steps`.
 
     The ODE does not depend on the half-width either, so ``l`` (one
     half-width per lambda, of the shape of ``lam``) reads each lambda's
-    determinant at its own half-width instead of ``self.l``: each column is
-    read by Horner's rule inside the step that holds its l, and leaves the
-    stack.  More than 256 pairs are solved in chunks of consecutive l.  A
-    non-finite coefficient, or a step below 1e-12 l or too short to reach
-    the end in a million more, raises :class:`~reglab.numcore.OdeError`;
-    every lambda must be finite, and every half-width and ``tol`` positive
-    and finite (``ValueError`` otherwise).
+    determinant at its own half-width instead of ``self.l``, by Horner's
+    rule inside the step that holds it.  More than 256 pairs are solved in
+    chunks of consecutive l.  A failed step raises ``OdeError``; every
+    lambda must be real and finite, and every half-width and ``tol``
+    positive and finite (``ValueError`` otherwise).
     """
 
     def __init__(self, l, m, parity, tol=1e-12):
@@ -283,6 +309,8 @@ class ClampedEndDeterminant:
         self._g0, self._g1, self._g2, self._u0, self._target = _compound_setup(m, parity)
 
     def __call__(self, lam, l=None):
+        if np.iscomplexobj(lam):
+            raise ValueError(f"lambda must be real, got {lam!r}")
         lams = np.atleast_1d(np.asarray(lam, dtype=float))
         if lams.ndim != 1 or not lams.size:
             raise ValueError("lambda must be a scalar or a non-empty 1-D array")
@@ -307,34 +335,12 @@ class ClampedEndDeterminant:
     def _stacked(self, lams, ls):
         """One stacked solve: d at ``self.l``, or at ``ls`` column by column."""
         ends = np.full(len(lams), float(self.l)) if ls is None else ls
-        n_ord, eps, min_step = _TAYLOR_ORDER, self.tol * 1e-2, 1e-12 * ends.max()
-        g0, g1, g2 = self._g0, self._g1, self._g2
         out = np.empty((len(self._u0), len(lams)))
-        cols = np.arange(len(lams))  # the columns still in the stack
         u = np.repeat(self._u0[:, None], len(lams), axis=1)
-        y = 0.0
-        while True:
-            with np.errstate(all="ignore"):  # a non-finite result raises below
-                c = _taylor_coefficients(np.vstack([g0 + y * g1, g2, g1]), lams[cols], u, n_ord)
-                size_u = eps * np.max(np.abs(u), axis=0)
-                h = 0.9 * min(np.min((size_u / np.max(np.abs(c[-1]), axis=0)) ** (1 / n_ord)),
-                              np.min((size_u / np.max(np.abs(c[-2]), axis=0))
-                                     ** (1 / (n_ord - 1))))
-            if not np.all(np.isfinite(c)):
-                raise OdeError(f"shooting failed at lambda={lams[cols]}: "
-                               "Taylor coefficient not finite", y)
-            # a step a million times shorter than the way left asks for a
-            # tolerance that no sum in double precision meets
-            if not h >= max(min_step, 1e-6 * (ends[cols].max() - y)):
-                raise OdeError(f"shooting failed at lambda={lams[cols]}: step {h:.3g} too short", y)
-            read = ends[cols] <= y + h
+        for y, _, c, cols, read in _taylor_steps(self._g0, self._g1, self._g2, u, lams, ends,
+                                                 self.tol):
             if read.any():
                 out[:, cols[read]] = _horner(c[:, :, read], ends[cols[read]] - y)
-                cols, c = cols[~read], c[:, :, ~read]
-                if not cols.size:
-                    break
-            u = _horner(c, h)
-            y += h
         norms = np.linalg.norm(out, axis=0)
         return np.divide(out[self._target], norms, out=np.zeros(len(lams)), where=norms > 0)
 
@@ -342,44 +348,37 @@ class ClampedEndDeterminant:
         """Half-widths in (0, l] at which 0 is an eigenvalue.
 
         These are the zeros in y of the lambda = 0 target minor, which do
-        not depend on where the integration stops: one integration to
-        ``self.l`` finds them all, located on its dense output by
-        ``solve_ivp``'s event search.  The minor also vanishes at y = 0;
-        that zero is not returned.
+        not depend on where the integration stops.  On each Taylor step up
+        to ``self.l`` the minor is a polynomial; ``find_root`` refines each
+        sign change over a step on it.  The zero at y = 0 is not returned.
         """
-        g0, g1, target = self._g0, self._g1, self._target
-        sol = scipy.integrate.solve_ivp(lambda y, u: (g0 + y * g1) @ u, (0.0, self.l), self._u0,
-                                        method="DOP853", rtol=self.tol, atol=self.tol * 1e-2,
-                                        events=lambda y, u: u[target])
-        if not sol.success:
-            raise OdeError(f"shooting failed at lambda=0: {sol.message}", float(sol.t[-1]))
-        zs = sol.t_events[0]
-        return zs[zs > 0]
+        zeros = []
+        for y, h, c, _, _ in _taylor_steps(self._g0, self._g1, self._g2, self._u0[:, None],
+                                           np.zeros(1), np.array([float(self.l)]), self.tol):
+            p, t = c[:, self._target, 0], min(h, self.l - y)
+            f_ends = p[0], _horner(p, t)
+            if f_ends[0] * f_ends[1] < 0:
+                zeros.append(y + find_root(lambda s: _horner(p, s), (0.0, t), tol=1e-15,
+                                           f_ends=f_ends))
+        return np.array(zeros)
 
 
 def _shooting_eigenfunction(l, m, parity, lam, tol):
     """Eigenfunction of a located real eigenvalue on 401 points of [0, l], mirrored by parity."""
-    seeds = _parity_seed_indices(m, parity)
     z0 = np.zeros((2 * m, m))
-    for col, s in enumerate(seeds):
-        z0[s, col] = 1.0
-    a0, a1, a2 = _companion_parts(m)
-
-    def rhs(y, z):
-        zm = z.reshape(2 * m, m)
-        return ((a0 + y * a1 + lam * a2) @ zm).ravel()
-
+    z0[_parity_seed_indices(m, parity), range(m)] = 1.0
     ys = np.linspace(0.0, l, 401)
-    sol = scipy.integrate.solve_ivp(rhs, (0.0, l), z0.ravel(), t_eval=ys,
-                                    method="DOP853", rtol=tol, atol=tol * 1e-2)
-    z = sol.y.reshape(2 * m, m, -1)
-    bnd = z[:m, :, -1]
-    _, _, vt = np.linalg.svd(bnd)
-    coef = vt[-1]
-    state_scale = np.linalg.norm(z[:, :, -1] @ coef)
-    resid = float(np.linalg.norm(bnd @ coef) / max(state_scale, 1e-300))
+    z = np.empty((len(ys), 2 * m, m))
+    # Z' = (A0 + y A1 + lam A2) Z, read by Horner at the points of each Taylor step
+    for y, h, c, _, _ in _taylor_steps(*_companion_parts(m), z0, np.full(m, float(lam)),
+                                       np.full(m, float(l)), tol):
+        at = (ys >= y) & (ys <= y + h)
+        z[at] = _horner(c, (ys[at] - y)[:, None, None])
+    bnd = z[-1, :m]
+    coef = np.linalg.svd(bnd)[2][-1]
+    resid = float(np.linalg.norm(bnd @ coef) / max(np.linalg.norm(z[-1] @ coef), 1e-300))
 
-    vhalf = np.tensordot(z[0], coef, axes=(0, 0))
+    vhalf = z[:, 0] @ coef
     sign = 1.0 if parity == "even" else -1.0
     ys_full = np.concatenate([-ys[::-1], ys[1:]])
     v_full = np.concatenate([sign * vhalf[::-1], vhalf[1:]])
@@ -543,8 +542,8 @@ def branch_trace(l_range, step=0.05, tol=1e-12):
     sample agrees with ``top_eigenvalue(l)`` to about 1e-13.
 
     A root is a half-width at which lambda = 0 is an eigenvalue: a zero in
-    l of the lambda = 0 target minor.  One event-located integration to
-    the largest l finds them all (``zero_eigenvalue_half_widths``).  Each
+    l of the lambda = 0 target minor.  One Taylor integration to the
+    largest l finds them all (``zero_eigenvalue_half_widths``).  Each
     sample interval over which lambda_0 changes sign must hold exactly one
     of them, else ``RootConvergenceError``; a sample equal to 0 is a root
     itself.  Raises ``BracketError`` if a sample's scan finds no sign

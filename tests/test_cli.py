@@ -19,16 +19,26 @@ def run_cli(tmp_path, *argv):
 
 
 class TestImportFootprint:
+    @staticmethod
+    def fresh(probe):
+        src = os.path.dirname(os.path.dirname(reglab.__file__))
+        return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env=os.environ | {"PYTHONPATH": src}, check=True).stdout.split()
+
     def test_fresh_import_loads_no_scipy_subpackage(self):
         # each layer reads scipy.<subpackage> at its call sites, so scipy
         # imports a subpackage on first use, not when reglab is imported
-        src = os.path.dirname(os.path.dirname(reglab.__file__))
         probe = ("import sys, reglab.cli; print(*sorted({m.split('.')[1] for m in sys.modules "
                  "if m.startswith('scipy.')} & {'integrate', 'optimize', 'special', 'linalg', "
                  "'sparse'}))")
-        run = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
-                             env=os.environ | {"PYTHONPATH": src}, check=True)
-        assert run.stdout.split() == []
+        assert self.fresh(probe) == []
+
+    def test_shooting_loads_no_scipy_integrate(self):
+        # determinants, zero half-widths and eigenfunctions share one Taylor stepper
+        probe = ("import sys; from reglab import spectral; spectral.branch_trace((3.9, 4.3)); "
+                 "spectral.interval_spectrum(spectral.IntervalEigenProblem(4.0)); "
+                 "print('scipy.integrate' in sys.modules)")
+        assert self.fresh(probe) == ["False"]
 
 
 class TestKernelCommand:

@@ -541,6 +541,19 @@ class TestAsymptoticFit:
         with pytest.raises(ValueError):
             K.kernel_asymptotics_fit(K.parabolic(2), (5.0, 5.4))
 
+    # an unbounded window reached LAPACK (DLASCL lines on stderr, then
+    # LinAlgError), a negative end a complex power, a reversed one the
+    # half-oscillation rule
+    @pytest.mark.parametrize("family", [K.parabolic(2), K.dispersion3(), K.beam4()],
+                             ids=["biharmonic", "dispersion3", "beam4"])
+    @pytest.mark.parametrize("window", [(8.0, math.inf), (-5.0, 12.0), (12.0, 8.0),
+                                        (math.nan, 12.0), (8.0, math.nan), (8.0, 8.0)],
+                             ids=["inf", "negative", "reversed", "nan-lo", "nan-hi", "empty"])
+    def test_bad_window_rejected_with_nothing_on_stderr(self, family, window, capfd):
+        with pytest.raises(ValueError, match=r"window must satisfy 0 <= lo < hi < inf"):
+            K.kernel_asymptotics_fit(family, window)
+        assert capfd.readouterr().err == ""
+
     def test_custom_window_fit_leaves_cached_kernel_unchanged(self):
         fam = K.biharmonic()
         before = K.eval_kernel(fam, 25.0)

@@ -200,11 +200,19 @@ class TestShootingDeterminant:
         zeros = spectral.ClampedEndDeterminant(13.5, 2, "even").zero_eigenvalue_half_widths()
         np.testing.assert_allclose(zeros, [4.0774, 7.2864, 10.0839, 12.6436], atol=1e-4)
         det_at_zero = [spectral.ClampedEndDeterminant(z, 2, "even")(0.0) for z in zeros]
-        assert np.max(np.abs(det_at_zero)) < 1e-9
+        assert np.max(np.abs(det_at_zero)) < 1e-13
 
     @pytest.mark.parametrize("lam", [np.zeros((2, 2)), np.zeros(0)])
     def test_rejects_lambda_shapes(self, lam):
         with pytest.raises(ValueError):
+            spectral.ClampedEndDeterminant(4.0, 2, "even")(lam)
+
+    # a complex array used to lose its imaginary part with a ComplexWarning only
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("lam", [-0.1 + 0.01j, 1j, np.array([-0.1 + 0.01j, -0.2]),
+                                     np.array([-0.1, -0.2], dtype=complex)])
+    def test_rejects_non_real_lambda(self, lam):
+        with pytest.raises(ValueError, match="lambda must be real"):
             spectral.ClampedEndDeterminant(4.0, 2, "even")(lam)
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, np.array([-0.1, math.nan])])
@@ -229,6 +237,27 @@ class TestShootingDeterminant:
             ref.append(sol.y[target, -1] / np.linalg.norm(sol.y[:, -1]))
         det = spectral.ClampedEndDeterminant(l, 2, "even")
         assert np.max(np.abs(det(lams) - np.array(ref))) <= 1e-12
+
+    # every parity at the half-widths of the shooting tests and branch traces
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    @pytest.mark.parametrize("l", [1.0, 4.0, 8.0, 13.0])
+    def test_eigenfunction_matches_tight_dop853(self, l, parity):
+        pair = spectral.interval_spectrum(spectral.IntervalEigenProblem(l, parity=parity))[0]
+        lam, ys = pair.lam.real, np.linspace(0.0, l, 401)
+        a0, a1, a2 = spectral._companion_parts(2)
+        z0 = np.zeros((4, 2))
+        z0[spectral._parity_seed_indices(2, parity), [0, 1]] = 1.0
+        sol = integrate.solve_ivp(lambda y, z: ((a0 + y * a1 + lam * a2) @ z.reshape(4, 2)).ravel(),
+                                  (0.0, l), z0.ravel(), t_eval=ys, method="DOP853",
+                                  rtol=1e-13, atol=1e-15)
+        assert sol.success
+        z = sol.y.reshape(4, 2, -1)
+        half = np.linalg.svd(z[:2, :, -1])[2][-1] @ z[0]
+        ref = np.concatenate([(1.0 if parity == "even" else -1.0) * half[::-1], half[1:]])
+        ref /= ref[np.argmax(np.abs(ref))]
+        assert np.max(np.abs(pair.values - ref)) <= 1e-10
+        assert pair.residual < 1e-8
+        assert pair.zero_count == spectral._count_zeros(ref)
 
     @pytest.mark.filterwarnings("error")
     def test_failed_shooting_raises_numerics_error(self):
