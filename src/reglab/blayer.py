@@ -12,7 +12,7 @@ that kill the growing mode and pin the plateau exactly, so the finite
 truncation length does not limit the accuracy; the cubic diffusion layer
 brings its own coefficient and wall conditions.  ``wall_flux`` is the
 matched flux g2 v F + g1 v^(2/3) F' of a fourth-order layer, which drives
-the first coefficient and the large-l eigenvalue estimate.
+the first coefficient.
 """
 
 from __future__ import annotations
@@ -156,12 +156,6 @@ def _layer_roots(family):
         decaying = [r * complex(-0.5, 0.5 * math.sqrt(3.0)),
                     r * complex(-0.5, -0.5 * math.sqrt(3.0))]
     return [complex(0.0, 0.0), complex(r, 0.0)] + decaying
-
-
-def biharmonic_characteristic_roots():
-    """Roots of the layer operator -g'''' + g'/4: 0 and the decaying pair."""
-    _, _, pair, conj = _layer_roots("biharmonic")
-    return 0.0, pair, conj
 
 
 def _far_field_functionals(family):

@@ -63,6 +63,8 @@ def _parse_range(text):
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("range must be start:stop:step")
     start, stop, step = (float(p) for p in parts)
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise argparse.ArgumentTypeError(f"range {text!r} needs a finite start, stop and step")
     if step <= 0 or stop < start:
         raise argparse.ArgumentTypeError("range needs stop >= start and step > 0")
     return start, stop, step
@@ -287,18 +289,6 @@ def cmd_reproduce(args):
 # parser plumbing
 
 
-_CONFIG_KEYS = {
-    "kernel": {"family", "m", "range", "tol", "out", "json"},
-    "spectrum": {"l", "l_range", "branch", "method", "grid_size", "reproduce", "out", "json"},
-    "branch": {"range", "out", "json"},
-    "blayer": {"family", "length", "solver", "tol", "out", "json"},
-    "criterion": {"family", "m", "side", "phi", "cutoff", "eps_s", "out", "json"},
-    "simulate": {"family", "phi", "n", "dt", "tau_start", "tau_end", "initial", "seed",
-                 "verify_P2", "out", "json"},
-    "reproduce": {"target", "out", "json"},
-}
-
-
 def _apply_config(args, parser):
     path = getattr(args, "config", None)
     if not path:
@@ -307,7 +297,7 @@ def _apply_config(args, parser):
         data = json.load(fh)
     if not isinstance(data, dict):
         parser.error("config file must hold a JSON object")
-    allowed = _CONFIG_KEYS.get(args.command, set())
+    allowed = set(vars(args)) - {"command", "func", "config"}  # the command's flag dests
     for key, value in data.items():
         if key == "command":
             if value != args.command:
@@ -316,7 +306,10 @@ def _apply_config(args, parser):
         if key not in allowed:
             parser.error(f"unknown config key {key!r} for command {args.command!r}")
         if key in ("range", "l_range", "branch") and isinstance(value, str):
-            value = _parse_range(value)
+            try:
+                value = _parse_range(value)
+            except argparse.ArgumentTypeError as exc:
+                parser.error(f"config key {key!r}: {exc}")
         setattr(args, key, value)
     return args
 

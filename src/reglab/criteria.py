@@ -18,7 +18,7 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -180,8 +180,8 @@ class PowerOfTau(BoundaryFunction):
     In original variables this boundary reads
     R(t) = C (-t)^(scaling) |ln(-t)|^gamma; it is the natural family for
     the dispersion equation's right boundary, where the criterion keeps
-    no log-log factor.  Power growth fails the slow-growth test, which
-    is intentional.  C must be positive.
+    no log-log factor.  Its growth is a power, not slow, which is
+    intentional.  C must be positive.
     """
 
     c: float
@@ -252,54 +252,6 @@ class Tabulated(BoundaryFunction):
 
     def describe(self):
         return f"Tabulated(n={len(self.tau_grid)}, tau<= {self.tau_max:g})"
-
-
-# ---------------------------------------------------------------------------
-# slow-growth validation
-
-
-@dataclass(frozen=True)
-class SlowGrowthReport:
-    grows_to_infinity: bool
-    derivative_vanishes: bool
-    log_derivative_vanishes: bool
-    inverse_log_derivative_diverges: bool
-    below_any_power: bool
-
-    @property
-    def all_pass(self):
-        return all(astuple(self))
-
-
-def validate_slow_growth(phi):
-    """Numeric check of the slow-growth conditions on 200 log-spaced points of [10, 1e8].
-
-    Tests that phi grows without bound, phi' and phi'/phi vanish, that
-    (phi/phi')' diverges (the slow-growth hallmark separating logs from
-    powers), and that phi is eventually dominated by every small power.
-    """
-    if isinstance(phi, Constant):
-        raise ValueError("slow-growth validation applies to non-constant families")
-    tau = np.geomspace(10.0, 1e8, 200)
-    v = phi(tau)
-    dv = phi.derivative(tau)
-
-    tail, head = slice(150, None), slice(0, 50)
-    grows = bool(v[-1] > 1.5 * v[0] and v[-1] > 3.0)
-    d_vanish = bool(abs(dv[-1]) < 0.5 * abs(dv[0]) and abs(dv[-1]) < 1e-3)
-    logd_vanish = bool(abs(dv[-1] / v[-1]) < 1e-6)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = v / dv
-    dr = np.gradient(ratio, tau)
-    inv_diverges = bool(np.nanmedian(dr[tail]) > 3.0 * max(np.nanmedian(dr[head]), 1e-12))
-
-    # power domination: the log-log slope must decay toward zero, which is
-    # the finite-range signature of phi << tau^a for every positive a
-    slope = np.gradient(np.log(v), np.log(tau))
-    below_power = bool(np.median(slope[tail]) < 0.5 * max(np.median(slope[head]), 1e-12)
-                       and np.median(slope[tail]) < 0.06)
-    return SlowGrowthReport(grows, d_vanish, logd_vanish, inv_diverges, below_power)
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,7 @@ class EquationFamily:
     """Tag for the evolution equation whose kernel is being studied.
 
     ``kind`` is one of ``parabolic`` (order ``2m``, m an integer >= 1; a
-    bool is refused), ``dispersion3`` or ``beam4``.  The boundary
-    rescaling exponent is ``1/(2m)``, ``1/3`` and ``1/2`` respectively.
+    bool is refused), ``dispersion3`` or ``beam4``.
     """
 
     kind: str
@@ -57,12 +56,6 @@ class EquationFamily:
                 raise ValueError(f"{self.kind} takes no order parameter")
         else:
             raise ValueError(f"unknown family kind {self.kind!r}")
-
-    @property
-    def rescale_exponent(self):
-        if self.kind == "parabolic":
-            return 1.0 / (2 * self.m)
-        return 1.0 / 3.0 if self.kind == "dispersion3" else 0.5
 
     def __str__(self):
         return f"parabolic(m={self.m})" if self.kind == "parabolic" else self.kind
@@ -436,12 +429,12 @@ class _ParabolicKernel:
         window = {1: (3.0, 6.0), 2: (5.0, 9.0)}.get(self.m, (4.0, 9.0))
         return _fill_once(self, "_fit", lambda: kernel_asymptotics_fit(parabolic(self.m), window))
 
-    def switch_point(self, tol=1e-6):
-        """First grid point from which on quadrature and the fitted form agree within tol."""
+    def switch_point(self):
+        """First grid point from which on quadrature and the fitted form agree within 1e-6."""
         def find():
             fit = self.ensure_fit()
             ys = np.arange(3.0, 30.0, 0.25)
-            ok = np.abs(self._quad(ys) - fit(ys)) < tol
+            ok = np.abs(self._quad(ys) - fit(ys)) < 1e-6
             idx = next((i for i in range(len(ys)) if ok[i:].all()), len(ys) - 1)
             return float(ys[idx])
 
@@ -779,24 +772,6 @@ def orthonormality_matrix(family, k_max, tol=1e-8):
                 g[k, l] = 2.0 * np.dot(ws, psi_vals[k] * star_vals[l])
     dev = float(np.max(np.abs(g - np.eye(size))))
     return OrthonormalityResult(matrix=g, max_deviation=dev)
-
-
-def kernel_moment(m, n):
-    """Exact n-th moment of F for the order-2m family (Fraction).
-
-    Derived from the kernel ODE: odd moments vanish, mu_0 = 1, and
-    mu_n = (-1)^(m+1) (2m/n) n!/(n-2m)! mu_(n-2m) for n >= 2m.
-    """
-    if n < 0:
-        raise ValueError("moment order must be nonnegative")
-    if n % 2 == 1:
-        return Fraction(0)
-    if n == 0:
-        return Fraction(1)
-    if n < 2 * m:
-        return Fraction(0)
-    fall = Fraction(math.factorial(n), math.factorial(n - 2 * m))
-    return Fraction((-1) ** (m + 1) * 2 * m, n) * fall * kernel_moment(m, n - 2 * m)
 
 
 # ---------------------------------------------------------------------------

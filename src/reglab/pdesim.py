@@ -8,15 +8,14 @@ After mapping the shrinking domain to z in [-1, 1] the equation reads
 with clamped (w = w_z = 0) or Dirichlet (w = 0) walls.  A family enters
 only as its half-order m (heat 1, biharmonic 2), looked up once from its
 name: m sets the band count, the interior unknowns w[m..n-m], the clamp
-(1 - z^2)^m of the initial data, the kernel ``parabolic(m)`` and the
-layer stretch phi^(2m/(2m-1)), and for m = 2 the one-sided wall slope
-w1 = w2/4 is folded into the first and last rows.  The stiff
-spatial operator is advanced implicitly by backward Euler on the full
-operator.  The pentadiagonal/tridiagonal step matrix is built straight
-into the LAPACK band layout.  Every wall runs through one driver, which
-records the state on one schedule, checks it for finiteness and reduces
-it to sup norms and a0 in blocks, and takes snapshots.  Walls differ only
-in how a state advances between two steps: a constant wall reuses one
+(1 - z^2)^m of the initial data and the kernel ``parabolic(m)``, and for
+m = 2 the one-sided wall slope w1 = w2/4 is folded into the first and
+last rows.  The stiff spatial operator is advanced implicitly by backward
+Euler on the full operator.  One builder gives the step matrix of either
+order straight in the LAPACK band layout.  Every wall runs through one
+driver, which records the state on one schedule, checks it for finiteness
+and reduces it to sup norms and a0 in blocks, and takes snapshots.  Walls
+differ only in how a state advances between two steps: a constant wall reuses one
 banded LU, and on a long enough run over at most 256 interior unknowns
 the precomputed propagator (I - dt A)^-r, r the record stride; a moving
 wall rebuilds the matrix on every step and factors and solves it with
@@ -30,11 +29,12 @@ import bisect
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy
 
-from reglab import blayer, criteria, kernels
+from reglab import criteria, kernels
 from reglab.numcore import check_positive
 
 # Largest interior size at which a constant wall advances by the dense
@@ -101,10 +101,6 @@ class SimResult:
     snapshots_tau: np.ndarray
     snapshots: np.ndarray  # rows match snapshots_tau
 
-    def snapshot_near(self, tau_star):
-        idx = int(np.argmin(np.abs(self.snapshots_tau - tau_star)))
-        return self.snapshots_tau[idx], self.snapshots[idx]
-
 
 def _initial_data(cfg, z):
     clamp = (1.0 - z * z) ** _HALF_ORDER[cfg.family]
@@ -123,54 +119,38 @@ def _initial_data(cfg, z):
     return data / peak if peak else clamp
 
 
-def _biharmonic_operator(n, h, phi_val, phi_slope):
-    """Banded interior operator with clamped walls folded in.
+@lru_cache(maxsize=8)
+def _stencil(m, size):
+    """Weights (-1)^(m+k) C(2m, m+k) of the central difference D^(2m) on
+    ``size`` interior unknowns, in the (3m+1, size) LAPACK band layout."""
+    w = np.zeros((3 * m + 1, size))
+    for k in range(-m, m + 1):
+        w[2 * m - k, max(k, 0):size + min(k, 0)] = (-1) ** (m + k) * math.comb(2 * m, m + k)
+    return w
 
-    Unknowns are w[2..n-2]; the wall rows use w0 = wn = 0 and the
+
+def _operator(m, n, h, phi_val, phi_slope):
+    """Banded interior operator -(-D^2)^m / phi^(2m) + (phi'/phi - 1/(2m)) z D
+    of the half-order m, with the walls folded in.
+
+    Unknowns are w[m..n-m]; the walls are w = 0 and, for m = 2, the
     second-order one-sided slope conditions w1 = w2/4, w(n-1) = w(n-2)/4.
-    Returns the (7, m) LAPACK band layout of ``gbtrf``/``gbsv``: two zero
-    rows for the pivoting fill-in, then two upper diagonals, the main one
-    and two lower ones (rows 2: are the ``solve_banded`` layout).
+    Returns the (3m+1, n+1-2m) LAPACK band layout of ``gbtrf``/``gbsv``: m
+    zero rows for the pivoting fill-in, then the m upper diagonals, the
+    main one and the m lower ones (rows m: are the ``solve_banded`` layout).
     """
-    m = n - 3
-    idx = np.arange(2, n - 1)
-    zc = -1.0 + idx * h
-    c4 = -1.0 / phi_val**4 / h**4
-    drift = (phi_slope / phi_val - 0.25) * zc / (2.0 * h)
-
-    ab = np.zeros((7, m))
-    off2_up, off1_up, main, off1_lo, off2_lo = ab[2:]
-    off2_up[2:] = 1.0 * c4
-    off1_up[1:] = -4.0 * c4 + drift[:-1]
-    main[:] = 6.0 * c4
-    off1_lo[:-1] = -4.0 * c4 - drift[1:]
-    off2_lo[:-2] = 1.0 * c4
-
-    # fold in w1 = w2/4 at the left (row i=2 sees w1 and w0; row i=3 sees w1)
-    main[0] += 0.25 * (-4.0 * c4) + 0.25 * (-drift[0])
-    off1_lo[0] += 0.25 * c4
-    main[-1] += 0.25 * (-4.0 * c4) + 0.25 * drift[-1]
-    off1_up[-1] += 0.25 * c4
-    return ab
-
-
-def _heat_operator(n, h, phi_val, phi_slope):
-    """Banded interior operator with Dirichlet walls; unknowns w[1..n-1].
-
-    Returns the (4, m) LAPACK band layout: one zero fill-in row, then the
-    upper, main and lower diagonals (rows 1: are the ``solve_banded`` layout).
-    """
-    m = n - 1
-    idx = np.arange(1, n)
-    zc = -1.0 + idx * h
-    c2 = 1.0 / phi_val**2 / h**2
-    drift = (phi_slope / phi_val - 0.5) * zc / (2.0 * h)
-
-    ab = np.zeros((4, m))
-    off_up, main, off_lo = ab[1:]
-    off_up[1:] = c2 + drift[:-1]
-    main[:] = -2.0 * c2
-    off_lo[:-1] = c2 - drift[1:]
+    zc = -1.0 + np.arange(m, n + 1 - m) * h
+    c = -(-1) ** m / phi_val ** (2 * m) / h ** (2 * m)
+    drift = (phi_slope / phi_val - 1 / (2 * m)) * zc / (2.0 * h)
+    ab = _stencil(m, zc.size) * c
+    ab[2 * m - 1, 1:] += drift[:-1]
+    ab[2 * m + 1, :-1] -= drift[1:]
+    if m == 2:
+        # fold in w1 = w2/4 at the left (row i=2 sees w1 and w0; row i=3 sees w1)
+        ab[4, 0] += 0.25 * (-4.0 * c) + 0.25 * (-drift[0])
+        ab[5, 0] += 0.25 * c
+        ab[4, -1] += 0.25 * (-4.0 * c) + 0.25 * drift[-1]
+        ab[3, -1] += 0.25 * c
     return ab
 
 
@@ -257,14 +237,13 @@ def simulate(cfg):
 
     x = _initial_data(cfg, z)[kl:n + 1 - kl].copy()
     m = x.size
-    build = (_heat_operator, _biharmonic_operator)[kl - 1]
 
     def step_matrix(tau, pv, ps):
         # I - dt A for the wall (pv, ps) at tau, in the LAPACK band layout
         if not (math.isfinite(pv) and math.isfinite(ps)):
             raise ValueError(f"boundary is not finite at tau={tau:.6g}: "
                              f"phi={pv!r}, phi'={ps!r}")
-        ab = build(n, h, pv, ps)
+        ab = _operator(kl, n, h, pv, ps)
         ab[kl:] *= -dt
         ab[2 * kl] += 1.0
         return ab
@@ -429,33 +408,6 @@ def fit_rate(result, window):
     return float(slope)
 
 
-def bl_snapshot_check(result, tau_star):
-    """Deviation of the late-time wall region from the layer prediction.
-
-    Rescales the snapshot nearest ``tau_star`` into the wall variable
-    xi = phi^(4/3) (1 - z) (or phi^2 (1 - z) for the heat family) and
-    compares with a0 * g0(xi) on 0 <= xi <= 10; returns the maximum
-    deviation relative to the plateau.  Requires first-coefficient dominance
-    |a0| >= 0.9 sup-norm, else the check is inconclusive.
-    """
-    cfg = result.config
-    t_snap, w = result.snapshot_near(tau_star)
-    i = int(np.argmin(np.abs(result.tau - t_snap)))
-    a0, sup = result.a0[i], result.sup_norm[i]
-    if abs(a0) < 0.9 * sup:
-        return {"conclusive": False, "dominance": abs(a0) / sup, "deviation": math.inf}
-
-    m = _HALF_ORDER[cfg.family]
-    # layer width in z is phi^(-2m/(2m-1)): 4/3 for the fourth-order family, 2 for heat
-    xi = cfg.phi(t_snap) ** (2 * m / (2 * m - 1)) * (1.0 - result.z)
-    sel = (xi >= 0.0) & (xi <= 10.0)
-    profile = (blayer.heat_profile, blayer.biharmonic_profile)[m - 1]()
-    predicted = a0 * profile(xi[sel])
-    deviation = float(np.max(np.abs(w[sel] - predicted)) / abs(a0))
-    return {"conclusive": True, "dominance": abs(a0) / sup, "deviation": deviation,
-            "tau": t_snap}
-
-
 @dataclass(frozen=True)
 class P2Report:
     """Decay/growth verification for the two benchmark half-widths."""
@@ -469,7 +421,7 @@ class P2Report:
         return self.all_decay_at_4 and self.all_grow_at_5
 
 
-def verify_P2(seeds=(1, 2, 3), tau_end=400.0, n=128):
+def verify_P2(seeds=(1, 2, 3)):
     """Run the fixed two-case suite: decay at l = 4, growth at l = 5.
 
     Three independent random-smooth initial data per case; the report
@@ -481,11 +433,11 @@ def verify_P2(seeds=(1, 2, 3), tau_end=400.0, n=128):
     rates = {}
     for l in (4.0, 5.0):
         for seed in seeds:
-            cfg = SimConfig(family="biharmonic", phi=criteria.Constant(l), n=n,
-                            dt=0.02, tau_span=(0.0, tau_end),
+            cfg = SimConfig(family="biharmonic", phi=criteria.Constant(l), n=128,
+                            dt=0.02, tau_span=(0.0, 400.0),
                             initial="random-smooth", seed=seed)
             res = simulate(cfg)
-            rates[(l, seed)] = fit_rate(res, (0.25 * tau_end, tau_end))
+            rates[(l, seed)] = fit_rate(res, (100.0, 400.0))
     return P2Report(
         rates=rates,
         all_decay_at_4=all(r < 0 for (l, _), r in rates.items() if l == 4.0),

@@ -4,9 +4,9 @@ The operator is B* v = (-1)^(m+1) v^(2m) - (1/2m) y v' on (-l, l) with
 clamped conditions v = v' = ... = v^(m-1) = 0 at both ends (m = 2 is the
 main case).  Two independent routes are provided: compound-matrix
 shooting for real eigenvalues, and Chebyshev collocation for the full
-(possibly complex) spectrum.  On top of these sit the Poincare bound,
+(possibly complex) spectrum.  On top of these sit the Poincare bound and
 the top branch lambda_0(l) sampled over a range of l with its sign-change
-roots, and the large-l boundary-layer approximation of lambda_0.
+roots.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from itertools import combinations
 
 import numpy as np
 
-from reglab import blayer, kernels
+from reglab import kernels
 from reglab.numcore import (BracketError, OdeError, RootConvergenceError, check_positive,
                             dense_eigenvalues, find_root, find_roots)
 
@@ -36,11 +36,9 @@ class IntervalEigenProblem:
     parity: str = "full"  # even | odd | full
     method: str = "shooting"  # shooting | collocation
     grid_size: int = 96
-    tol: float = 1e-12
 
     def __post_init__(self):
         check_positive("half-length l", self.l)
-        check_positive("tol", self.tol)
         if self.family.kind != "parabolic":
             raise ValueError("interval eigenproblem is posed for the parabolic family")
         if self.parity not in ("even", "odd", "full"):
@@ -57,10 +55,6 @@ class Eigenpair:
     residual: float
     zero_count: int
     parity: str
-
-    @property
-    def is_real(self):
-        return abs(self.lam.imag) < 1e-9
 
 
 @dataclass(frozen=True)
@@ -363,7 +357,7 @@ class ClampedEndDeterminant:
         return np.array(zeros)
 
 
-def _shooting_eigenfunction(l, m, parity, lam, tol):
+def _shooting_eigenfunction(l, m, parity, lam):
     """Eigenfunction of a located real eigenvalue on 401 points of [0, l], mirrored by parity."""
     z0 = np.zeros((2 * m, m))
     z0[_parity_seed_indices(m, parity), range(m)] = 1.0
@@ -371,7 +365,7 @@ def _shooting_eigenfunction(l, m, parity, lam, tol):
     z = np.empty((len(ys), 2 * m, m))
     # Z' = (A0 + y A1 + lam A2) Z, read by Horner at the points of each Taylor step
     for y, h, c, _, _ in _taylor_steps(*_companion_parts(m), z0, np.full(m, float(lam)),
-                                       np.full(m, float(l)), tol):
+                                       np.full(m, float(l)), 1e-12):
         at = (ys >= y) & (ys <= y + h)
         z[at] = _horner(c, (ys[at] - y)[:, None, None])
     bnd = z[-1, :m]
@@ -463,9 +457,9 @@ def interval_spectrum(problem, count=1):
     parities = [problem.parity] if problem.parity != "full" else ["even", "odd"]
     found = []
     for par in parities:
-        det = ClampedEndDeterminant(problem.l, m, par, problem.tol)
+        det = ClampedEndDeterminant(problem.l, m, par)
         for lam in _scan_parity_eigenvalues(det, problem.l, par, count):
-            ys, v, resid = _shooting_eigenfunction(problem.l, m, par, lam, problem.tol)
+            ys, v, resid = _shooting_eigenfunction(problem.l, m, par, lam)
             found.append(Eigenpair(lam=complex(lam), ys=ys, values=v,
                                    residual=resid, zero_count=_count_zeros(v), parity=par))
     if not found:
@@ -474,7 +468,7 @@ def interval_spectrum(problem, count=1):
     return found[:count]
 
 
-def top_eigenvalue(l, tol=1e-12):
+def top_eigenvalue(l):
     """Real top eigenvalue lambda_0(l) of the fourth-order (m = 2) operator,
     even parity, by shooting.
 
@@ -484,7 +478,7 @@ def top_eigenvalue(l, tol=1e-12):
     ``l`` is positive and finite, and ``BracketError`` if no window holds
     a sign change.
     """
-    det = ClampedEndDeterminant(l, 2, "even", tol)
+    det = ClampedEndDeterminant(l, 2, "even")
     vals = _scan_parity_eigenvalues(det, l, "even", 1)
     if not vals:
         raise BracketError(f"lambda_0({l}) not bracketed by the scan")
@@ -495,11 +489,11 @@ def top_eigenvalue(l, tol=1e-12):
 # Poincare bound and the guaranteed-regularity radius
 
 
-@lru_cache(maxsize=8)
-def _clamped_bilaplacian_min(n=96):
-    """Smallest eigenvalue of D^4 on H_0^2(-1, 1) by collocation."""
-    x, a, p = _substituted_operator(1.0, 2, n, with_drift=False)
-    _, _, mat, _ = _eliminate_endpoints(-a, p, n)  # flip sign: D^4 is positive
+@lru_cache(maxsize=1)
+def _clamped_bilaplacian_min():
+    """Smallest eigenvalue of D^4 on H_0^2(-1, 1) by collocation at grid size 96."""
+    x, a, p = _substituted_operator(1.0, 2, 96, with_drift=False)
+    _, _, mat, _ = _eliminate_endpoints(-a, p, 96)  # flip sign: D^4 is positive
     vals = dense_eigenvalues(mat)
     real = np.array([v.real for v in vals if abs(v.imag) < 1e-8 and v.real > 0])
     return float(np.min(real))
@@ -528,7 +522,7 @@ def regularity_bound():
 # branch tracing
 
 
-def branch_trace(l_range, step=0.05, tol=1e-12):
+def branch_trace(l_range, step=0.05):
     """lambda_0(l) of the fourth-order (m = 2) operator sampled every
     ``step`` over ``l_range``, with its roots.
 
@@ -553,7 +547,7 @@ def branch_trace(l_range, step=0.05, tol=1e-12):
     if not (0 < l_min < l_max < math.inf) or not step > 0:
         raise ValueError("need 0 < l_min < l_max < inf and step > 0")
     ls = np.arange(l_min, l_max + 0.5 * step, step)
-    det = ClampedEndDeterminant(ls[-1], 2, "even", tol)
+    det = ClampedEndDeterminant(ls[-1], 2, "even")
 
     lo, hi, f_lo, f_hi = (np.empty(len(ls)) for _ in range(4))
     todo = np.arange(len(ls))
@@ -587,72 +581,3 @@ def branch_trace(l_range, step=0.05, tol=1e-12):
                     f"is an eigenvalue at {len(inside)} half-widths")
             roots.append(float(inside[0]))
     return EigenBranch(samples=samples, roots=tuple(roots))
-
-
-# ---------------------------------------------------------------------------
-# boundary-layer eigenvalue approximation
-
-
-@dataclass(frozen=True)
-class BlEigenApprox:
-    """Large-l approximation of lambda_0 from boundary-layer matching.
-
-    ``v`` is the explicit layer profile on (0, l^(4/3)) with v(0) = 1 and
-    clamped far end.  ``lam0_matched`` couples the kernel and its
-    derivative at l to the wall curvatures of the stationary layer
-    profile normalized to the interior plateau, the matching that
-    localizes the branch roots.  ``d_hat``/``b_hat`` are the predicted
-    envelope and oscillation rates of lambda_0(l).
-    """
-
-    l: float
-    c1: float
-    c2: float
-    c3: float
-    lam0_matched: float
-    d_hat: float
-    b_hat: float
-
-    _B = 2.0 ** (-5.0 / 3.0)
-
-    def v(self, z):
-        b = self._B
-        a = math.sqrt(3.0) * b
-        z = np.asarray(z, dtype=float)
-        out = self.c3 - np.exp(-b * z) * (self.c1 * np.cos(a * z) + self.c2 * np.sin(a * z))
-        return out if out.shape else float(out)
-
-    def v_deriv(self, z, order=1):
-        b = self._B
-        a = math.sqrt(3.0) * b
-        r = complex(-b, a)
-        z = np.asarray(z, dtype=float)
-        w = (self.c1 - 1j * self.c2) * np.exp(r * z) * r**order
-        out = -np.real(w)
-        return out if out.shape else float(out)
-
-
-def bl_eigenvalue_approx(l):
-    """Boundary-layer profile V and the matched estimate of lambda_0(l).
-
-    Posed for the fourth-order (m = 2) operator only.  Requires l >= 8
-    (asymptotic regime).  The estimate is the layer flux
-    ``blayer.wall_flux`` g2 l F(l) + g1 l^(2/3) F'(l), with F the
-    biharmonic kernel and (g1, g2) the wall constants of the stationary
-    layer profile; V lives on (0, L), L = l^(4/3).
-    """
-    if l < 8.0:
-        raise ValueError("the boundary-layer approximation needs l >= 8")
-    kc = kernels.kernel_constants(kernels.biharmonic())
-    b = 2.0 ** (-5.0 / 3.0)
-    a = math.sqrt(3.0) * b
-    big_l = l ** (4.0 / 3.0)
-    cosl, sinl, el = math.cos(a * big_l), math.sin(a * big_l), math.exp(b * big_l)
-    den = 1.0 - el * (cosl - sinl / math.sqrt(3.0))
-    c1 = el * (cosl - sinl / math.sqrt(3.0)) / den
-    c2 = el * (sinl + cosl / math.sqrt(3.0)) / den
-    c3 = 1.0 / den
-
-    lam0_matched = blayer.wall_flux(*blayer.wall_constants(blayer.biharmonic_profile()))(l)
-    return BlEigenApprox(l=l, c1=c1, c2=c2, c3=c3, lam0_matched=float(lam0_matched),
-                         d_hat=kc.d0 + b, b_hat=0.5 * (kc.b0 + a))

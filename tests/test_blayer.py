@@ -37,12 +37,6 @@ class TestClosedForms:
                                                    [-2, -1, 0, 1, 2])) / h**4
         assert np.max(np.abs(-g4 + 0.25 * g1)) < 1e-5
 
-    def test_biharmonic_characteristic_roots(self):
-        r0, rp, rm = blayer.biharmonic_characteristic_roots()
-        assert r0 == 0.0
-        assert rp == pytest.approx(4.0 ** (-1.0 / 3.0) * complex(-0.5, 0.5 * math.sqrt(3.0)))
-        assert rm == rp.conjugate()
-
     def test_biharmonic_envelope_bound(self):
         p = blayer.biharmonic_profile()
         xi = np.linspace(0.0, 30.0, 800)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -90,6 +91,30 @@ class TestKernelCommand:
             cli.build_parser().parse_args(["kernel", "--range", "nonsense"])
         with pytest.raises(SystemExit):
             cli.build_parser().parse_args(["kernel", "--range", "5:1:0.1"])
+
+
+class TestRangeFlags:
+    # numpy used to fail on these inside the command, with "arange: cannot
+    # compute length" or "Maximum allowed size exceeded"
+    @pytest.mark.parametrize("argv", [["kernel", "--range", "0:nan:0.5"],
+                                      ["kernel", "--range", "0:1:nan"],
+                                      ["spectrum", "--l-range", "1:inf:0.5"]])
+    def test_non_finite_range_exits_two_naming_it(self, tmp_path, capsys, argv):
+        out = tmp_path / "x.txt"
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, "--out", str(out)])
+        assert info.value.code == 2
+        assert not out.exists()
+        assert f"range {argv[-1]!r} needs a finite start, stop and step" in capsys.readouterr().err
+
+    def test_non_finite_config_range_exits_two(self, tmp_path, capsys):
+        # a bad range string in a config file used to escape as a traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"range": "0:nan:0.5"}))
+        with pytest.raises(SystemExit) as info:
+            cli.main(["kernel", "--range", "0:1:0.5", "--config", str(cfg)])
+        assert info.value.code == 2
+        assert "range '0:nan:0.5' needs a finite" in capsys.readouterr().err
 
 
 class TestSpectrumCommand:
@@ -371,6 +396,23 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"command": "spectrum", "l": 2.0, "bogus": 1}))
         with pytest.raises(SystemExit):
             cli.main(["spectrum", "--config", str(cfg)])
+
+    # the least each command needs on its command line
+    REQUIRED = {"kernel": ["--range", "0:1:0.5"], "spectrum": [], "branch": ["--range", "4:5:1"],
+                "blayer": [], "criterion": ["--family", "heat", "--phi", "sqrtlog:C=2"],
+                "simulate": [], "reproduce": ["table1"]}
+
+    @pytest.mark.parametrize("command", sorted(REQUIRED))
+    def test_every_flag_is_a_config_key(self, tmp_path, command):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        assert set(sub.choices) == set(self.REQUIRED)
+        dests = {a.dest for a in sub.choices[command]._actions} - {"help", "config"}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict.fromkeys(dests)))
+        args = parser.parse_args([command, *self.REQUIRED[command], "--config", str(cfg)])
+        args = cli._apply_config(args, parser)
+        assert all(getattr(args, dest) is None for dest in dests)
 
     def test_command_mismatch_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -13,30 +13,6 @@ C_STAR_DISP_LEFT = (1.5 * math.sqrt(3.0)) ** (2.0 / 3.0)
 BIH, HEAT, DISP = kernels.biharmonic(), kernels.heat(), kernels.dispersion3()
 
 
-class TestSlowGrowth:
-    def test_log_power_family_passes(self):
-        assert cr.validate_slow_growth(cr.PowerLog(1.0, 0.75)).all_pass
-
-    def test_sqrt_log_family_passes(self):
-        assert cr.validate_slow_growth(cr.PetrovskiiSqrtLog(2.0)).all_pass
-
-    def test_power_growth_fails_the_sharp_tests(self):
-        report = cr.validate_slow_growth(cr.PowerOfTau(1.0, 0.1))
-        assert not report.all_pass
-        assert not report.inverse_log_derivative_diverges
-        assert not report.below_any_power
-
-    def test_tabulated_power_fails(self):
-        taus = np.geomspace(10.0, 1e8, 60)
-        phi = cr.Tabulated(tuple(taus), tuple(taus**0.1))
-        report = cr.validate_slow_growth(phi)
-        assert not report.below_any_power
-
-    def test_constant_rejected(self):
-        with pytest.raises(ValueError):
-            cr.validate_slow_growth(cr.Constant(2.0))
-
-
 class TestBoundaryConstants:
     """A constant that is not positive and finite, or an exponent that is not
     finite, gives no boundary: each family refuses it when built."""

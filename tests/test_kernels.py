@@ -40,11 +40,6 @@ class TestKernelConstants:
         kc = K.kernel_constants(K.parabolic(2))
         assert kc.d0 ** (-0.75) == pytest.approx(3.0 ** (-0.75) * 2.0**2.75, rel=1e-14)
 
-    def test_rescale_exponents(self):
-        assert K.parabolic(2).rescale_exponent == 0.25
-        assert K.dispersion3().rescale_exponent == pytest.approx(1.0 / 3.0)
-        assert K.beam4().rescale_exponent == 0.5
-
     @pytest.mark.parametrize("m", [2.5, 2.0, True, False, 0, -1, None, "2", math.nan])
     def test_parabolic_order_must_be_an_integer_at_least_one(self, m):
         # parabolic(2.5) used to evaluate a kernel of an order-5 equation, and
@@ -634,15 +629,6 @@ class TestOrthonormality:
         res = K.orthonormality_matrix(K.parabolic(2), 1, tol=1e-10)
         assert res.matrix[0, 0] == pytest.approx(1.0, abs=1e-9)
         assert abs(res.matrix[1, 0]) < 1e-9  # exact derivative of a decaying function
-
-    def test_moment_recursion_oracle(self):
-        # independent integration-by-parts route: <psi_0, psi*_4> is a
-        # moment combination that vanishes exactly
-        mu4 = K.kernel_moment(2, 4)
-        assert mu4 == Fraction(-24)
-        assert K.kernel_moment(2, 4) + 24 == 0
-        assert K.kernel_moment(1, 2) == 2  # Gaussian of variance 2
-        assert K.kernel_moment(2, 3) == 0
 
 
 class TestPencil:

@@ -26,6 +26,42 @@ def spoil_initial_data(monkeypatch):
     return spoil
 
 
+class TestOperator:
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n,phi_val,phi_slope", [(64, 1.0, 0.0), (96, 3.7, 0.2),
+                                                     (128, 0.4, -1.3)])
+    def test_band_matches_dense_operator(self, m, n, phi_val, phi_slope):
+        # dense -(-D2)^m / phi^(2m) + (phi'/phi - 1/(2m)) z D1 on the full grid,
+        # with D2 and D1 the central differences at the nodes 1..n-1, taken on
+        # the interior rows through the embedding of the unknowns w[m..n-m]
+        # (w = 0 at the walls and, for m = 2, w1 = w2/4 and w(n-1) = w(n-2)/4)
+        h = 2.0 / n
+        z = -1.0 + h * np.arange(n + 1)
+        d2, d1 = np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1))
+        for i in range(1, n):
+            d2[i, i - 1:i + 2] = np.array([1.0, -2.0, 1.0]) / h**2
+            d1[i, [i - 1, i + 1]] = np.array([-1.0, 1.0]) / (2.0 * h)
+        full = (-(np.linalg.matrix_power(-d2, m)) / phi_val ** (2 * m)
+                + (phi_slope / phi_val - 1.0 / (2 * m)) * z[:, None] * d1)
+        size = n + 1 - 2 * m
+        embed = np.zeros((n + 1, size))
+        embed[m:n + 1 - m] = np.eye(size)
+        if m == 2:
+            embed[1, 0] = embed[n - 1, -1] = 0.25
+        dense = (full @ embed)[m:n + 1 - m]
+
+        ab = pdesim._operator(m, n, h, phi_val, phi_slope)
+        assert ab.shape == (3 * m + 1, size)
+        assert not ab[:m].any()  # the fill-in rows
+        band = np.zeros((size, size))
+        for i in range(size):
+            for j in range(max(0, i - m), min(size, i + m + 1)):
+                band[i, j] = ab[2 * m + i - j, j]
+        scale = np.max(np.abs(dense))
+        np.testing.assert_allclose(band, dense, rtol=0.0, atol=1e-13 * scale)
+        assert np.array_equal(band != 0.0, dense != 0.0)
+
+
 class TestFitRate:
     def test_synthetic_exponential(self):
         tau = np.linspace(0.0, 10.0, 400)
@@ -63,10 +99,10 @@ class TestConstantWallFactors:
         # snapshotted on the schedule of the moving-wall loop
         h, z = 2.0 / n, res.z
         if family == "biharmonic":
-            ab, bands, inner = pdesim._biharmonic_operator(n, h, l, 0.0)[2:], (2, 2), slice(2, n - 1)
+            ab, bands, inner = pdesim._operator(2, n, h, l, 0.0)[2:], (2, 2), slice(2, n - 1)
             fk = kernels.eval_kernel(kernels.biharmonic(), l * z)
         else:
-            ab, bands, inner = pdesim._heat_operator(n, h, l, 0.0)[1:], (1, 1), slice(1, n)
+            ab, bands, inner = pdesim._operator(1, n, h, l, 0.0)[1:], (1, 1), slice(1, n)
             fk = kernels.eval_kernel(kernels.heat(), l * z)
         ab = -dt * ab
         ab[bands[0], :] += 1.0
@@ -102,7 +138,7 @@ class TestConstantWallFactors:
         cfg = pdesim.SimConfig(family="biharmonic", phi=criteria.Constant(l), n=n, dt=dt,
                                tau_span=(0.0, 1.0))
         res = pdesim.simulate(cfg)
-        ab = pdesim._biharmonic_operator(n, 2.0 / n, l, 0.0)
+        ab = pdesim._operator(2, n, 2.0 / n, l, 0.0)
         ab[2:] *= -dt
         ab[4] += 1.0
         lu, piv, _ = dgbtrf(ab, 2, 2)
@@ -186,10 +222,9 @@ class TestMovingWallDirectSolves:
         # solve_banded on every step, recorded and snapshotted on the schedule
         h, z = 2.0 / n, res.z
         if family == "biharmonic":
-            build, bands, inner, fam = pdesim._biharmonic_operator, (2, 2), slice(2, n - 1), \
-                kernels.biharmonic()
+            bands, inner, fam = (2, 2), slice(2, n - 1), kernels.biharmonic()
         else:
-            build, bands, inner, fam = pdesim._heat_operator, (1, 1), slice(1, n), kernels.heat()
+            bands, inner, fam = (1, 1), slice(1, n), kernels.heat()
         x = pdesim._initial_data(cfg, z)[inner]
         steps = math.ceil((tau1 - tau0) / dt)
         every = max(1, steps // 4000)
@@ -198,7 +233,7 @@ class TestMovingWallDirectSolves:
         for k in range(steps):
             tau = tau0 + (k + 1) * dt
             pv, ps = phi(tau), phi.derivative(tau)
-            ab = -dt * build(n, h, pv, ps)[bands[0]:]
+            ab = -dt * pdesim._operator(bands[0], n, h, pv, ps)[bands[0]:]
             ab[bands[0], :] += 1.0
             x = solve_banded(bands, ab, x)
             w = pdesim._full_state(bands[0], x, n)
@@ -460,38 +495,9 @@ class TestExpansionConsistency:
         assert abs(res.a0[i]) > 0.7 * res.sup_norm[i]
 
 
-class TestBoundaryLayerSnapshot:
-    def test_heat_wall_profile(self):
-        cfg = pdesim.SimConfig(family="heat", phi=criteria.PetrovskiiSqrtLog(2.0),
-                               n=192, dt=0.01, tau_span=(criteria.TAU0, 60.0),
-                               initial="bump")
-        res = pdesim.simulate(cfg)
-        chk = pdesim.bl_snapshot_check(res, 55.0)
-        assert chk["conclusive"]
-        assert chk["dominance"] >= 0.9
-        assert chk["deviation"] <= 0.1
-
-    def test_fourth_order_wall_profile_moderate_width(self):
-        # the coefficient dominates at l = 6, but the layer asymptotics have
-        # an order-one coefficient there: the measured gap is ~0.3 and only
-        # reaches the first-omitted-term scale for l >= 10
-        res = run("biharmonic", 6.0, 100.0, n=192, dt=0.02)
-        chk = pdesim.bl_snapshot_check(res, 100.0)
-        assert chk["conclusive"]
-        assert chk["deviation"] <= 0.35
-
-    def test_dominance_precondition_reported(self):
-        res = run("biharmonic", 10.0, 120.0, n=256, dt=0.02)
-        chk = pdesim.bl_snapshot_check(res, 120.0)
-        # the wall overshoot carries the sup-norm at this width, so the
-        # strict dominance precondition fails and the check says so
-        assert not chk["conclusive"]
-        assert chk["deviation"] == math.inf
-
-
 class TestVerifyP2:
     def test_fixed_two_case_suite(self):
-        report = pdesim.verify_P2(seeds=(1, 2, 3), tau_end=400.0)
+        report = pdesim.verify_P2(seeds=(1, 2, 3))
         assert report.passed
         assert report.all_decay_at_4 and report.all_grow_at_5
         growth = [r for (l, _), r in report.rates.items() if l == 5.0]
