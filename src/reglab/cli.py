@@ -297,19 +297,22 @@ def _apply_config(args, parser):
         data = json.load(fh)
     if not isinstance(data, dict):
         parser.error("config file must hold a JSON object")
-    allowed = set(vars(args)) - {"command", "func", "config"}  # the command's flag dests
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.dest: a for a in sub.choices[args.command]._actions
+             if a.dest not in ("help", "config")}
     for key, value in data.items():
         if key == "command":
             if value != args.command:
                 parser.error(f"config command {value!r} does not match {args.command!r}")
             continue
-        if key not in allowed:
+        if key not in flags:
             parser.error(f"unknown config key {key!r} for command {args.command!r}")
-        if key in ("range", "l_range", "branch") and isinstance(value, str):
+        # a string is converted by its flag's type, as on the command line
+        if isinstance(value, str) and flags[key].type is not None:
             try:
-                value = _parse_range(value)
-            except argparse.ArgumentTypeError as exc:
-                parser.error(f"config key {key!r}: {exc}")
+                value = flags[key].type(value)
+            except (argparse.ArgumentTypeError, ValueError) as exc:
+                parser.exit(2, f"{args.command}: config key {key!r}: {exc}\n")
         setattr(args, key, value)
     return args
 

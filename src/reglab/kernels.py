@@ -29,7 +29,8 @@ from functools import lru_cache
 import numpy as np
 import scipy
 
-from reglab.numcore import Polynomial, QuadratureError, alternating_series_sum, check_positive
+from reglab.numcore import (Polynomial, QuadratureError, alternating_series_sum, check_positive,
+                            find_roots)
 
 
 # ---------------------------------------------------------------------------
@@ -869,8 +870,12 @@ def majorant_deficiency(family, tol=1e-8):
     """D* = int |F| over the line, by quadrature with zero-splitting.
 
     Equals 1 exactly when the kernel is positive (order 2, i.e. m=1) and
-    exceeds 1 for every oscillatory kernel.  ``tol`` must be positive and
-    finite (``ValueError``).
+    exceeds 1 for every oscillatory kernel.  The sign changes of F on a
+    grid of [0, y_hi] are refined together by one ``find_roots`` call
+    (xtol 1e-12); each arc between them is integrated by ``quad``, since
+    the composite Gauss-Legendre rule fails its order doubling at the
+    fitted-form seam near |y| = 23.5.  ``tol`` must be positive and finite
+    (``ValueError``).
     """
     check_positive("tol", tol)
     if family.kind != "parabolic":
@@ -884,14 +889,10 @@ def majorant_deficiency(family, tol=1e-8):
 
     grid = np.linspace(0.0, y_hi, max(400, int(40 * y_hi)))
     vals = kern.deriv(grid, 0, tol * 1e-2)
-    zeros = []
-    for i in range(len(grid) - 1):
-        if vals[i] == 0.0:
-            zeros.append(float(grid[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            z = scipy.optimize.brentq(lambda y: kern.deriv(float(y), 0, tol * 1e-2),
-                                      grid[i], grid[i + 1], xtol=1e-12)
-            zeros.append(float(z))
+    i = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    roots = find_roots(lambda y, idx: kern.deriv(y, 0, tol * 1e-2), grid[i], grid[i + 1],
+                       (vals[i], vals[i + 1]), tol=1e-12)
+    zeros = np.sort(np.concatenate([grid[:-1][vals[:-1] == 0.0], roots])).tolist()
 
     pts = [0.0] + zeros + [y_hi]
     total = 0.0

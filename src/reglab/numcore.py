@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-import scipy
 
 
 class NumericsError(Exception):
@@ -154,13 +153,15 @@ def gauss_legendre_windows(f, edges, breakpoints=()):
 # root finding
 
 
-def find_root(f, bracket, tol=1e-12, maxiter=200, f_ends=None):
-    """Locate a root of ``f`` inside ``bracket = (lo, hi)``.
+def find_root(f, bracket, tol=1e-12, f_ends=None):
+    """Locate a root of ``f`` inside ``bracket = (lo, hi)``: one bracket of
+    :func:`find_roots`, with ``f`` called on one float at a time.
 
     Requires an explicit sign change; callers tracing branches must
     supply brackets from grid scans.  Raises :class:`BracketError` when
-    the endpoints do not straddle zero (distinct from non-convergence,
-    which raises :class:`RootConvergenceError`).
+    the endpoints do not straddle zero or an end or end value is not
+    finite (distinct from non-convergence or a non-finite value inside
+    the bracket, which raise :class:`RootConvergenceError`).
 
     ``f_ends = (f(lo), f(hi))`` passes end values the caller already
     holds (for example from a grid scan); ``f`` is then never evaluated
@@ -168,26 +169,13 @@ def find_root(f, bracket, tol=1e-12, maxiter=200, f_ends=None):
     """
     lo, hi = bracket
     flo, fhi = (f(lo), f(hi)) if f_ends is None else f_ends
-    if flo == 0.0:
-        return lo
-    if fhi == 0.0:
-        return hi
-    if flo * fhi > 0:
-        raise BracketError(f"no sign change on [{lo}, {hi}]: f ends {flo:g}, {fhi:g}")
-    known = {lo: flo, hi: fhi}  # brentq starts by evaluating both ends again
-
-    def memo_f(x):
-        return known[x] if x in known else f(x)
-
-    try:
-        return scipy.optimize.brentq(memo_f, lo, hi, xtol=tol, rtol=4 * np.finfo(float).eps,
-                                     maxiter=maxiter)
-    except RuntimeError as exc:  # brentq's non-convergence signal
-        raise RootConvergenceError(str(exc)) from exc
+    return float(find_roots(lambda x, idx: [f(float(x[0]))], [lo], [hi], ([flo], [fhi]),
+                            tol=tol)[0])
 
 
 def find_roots(f, lo, hi, f_ends, tol=1e-12, maxiter=200):
-    """Roots of k bracketed problems at once, by Chandrupatla's iteration.
+    """Roots of k bracketed problems at once, by Chandrupatla's iteration:
+    reglab's one root-finding algorithm (``find_root`` is its one-bracket form).
 
     ``f(x, idx)`` returns the value of problem ``idx[j]`` at ``x[j]``; each
     round calls it once, for the brackets still open.  ``lo``/``hi`` are
@@ -196,16 +184,18 @@ def find_roots(f, lo, hi, f_ends, tol=1e-12, maxiter=200):
     Rounds bisect or, where Chandrupatla's test allows, interpolate
     inverse-quadratically.  A root is returned, as the bracket end with the
     smaller |f|, once its bracket is narrower than ``tol`` plus 4 ulps.
-    Raises :class:`BracketError` if any bracket lacks a sign change and
-    :class:`RootConvergenceError` on a non-finite value or after
-    ``maxiter`` rounds.
+    Raises :class:`BracketError` if any bracket lacks a sign change or has
+    a non-finite end or end value, and :class:`RootConvergenceError` on a
+    non-finite value inside a bracket or after ``maxiter`` rounds.
     """
     x1, x2 = np.array(lo, dtype=float), np.array(hi, dtype=float)
     f1, f2 = (np.array(v, dtype=float) for v in f_ends)
-    bad = np.flatnonzero(f1 * f2 > 0)
+    finite = np.isfinite([x1, x2, f1, f2]).all(axis=0)
+    bad = np.flatnonzero(~finite | (f1 * f2 > 0))
     if bad.size:
         i = bad[0]
-        raise BracketError(f"no sign change on [{x1[i]}, {x2[i]}]: f ends {f1[i]:g}, {f2[i]:g}")
+        why = "no sign change" if finite[i] else "not finite"
+        raise BracketError(f"{why} on [{x1[i]}, {x2[i]}]: f ends {f1[i]:g}, {f2[i]:g}")
     x3, f3 = x2.copy(), f2.copy()  # the end dropped last; unused in the first round
     for it in range(maxiter + 1):
         small = np.abs(f1) < np.abs(f2)

@@ -474,7 +474,8 @@ def top_eigenvalue(l):
 
     The determinant is scanned over the near-zero sweep and then, until a
     sign change turns up, over the fallback windows; the top sign change
-    is refined by ``find_root`` to 1e-13.  Raises ``ValueError`` unless
+    is refined by ``find_root`` (Chandrupatla's iteration, as in
+    ``branch_trace``) to 1e-13.  Raises ``ValueError`` unless
     ``l`` is positive and finite, and ``BracketError`` if no window holds
     a sign change.
     """

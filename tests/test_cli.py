@@ -35,11 +35,16 @@ class TestImportFootprint:
         assert self.fresh(probe) == []
 
     def test_shooting_loads_no_scipy_integrate(self):
-        # determinants, zero half-widths and eigenfunctions share one Taylor stepper
-        probe = ("import sys; from reglab import spectral; spectral.branch_trace((3.9, 4.3)); "
+        # determinants, zero half-widths and eigenfunctions share one Taylor
+        # stepper, numcore.find_roots refines every root, and a constant wall
+        # needs neither
+        probe = ("import sys; from reglab import criteria, pdesim, spectral; "
+                 "spectral.branch_trace((3.9, 4.3)); spectral.top_eigenvalue(4.0); "
                  "spectral.interval_spectrum(spectral.IntervalEigenProblem(4.0)); "
-                 "print('scipy.integrate' in sys.modules)")
-        assert self.fresh(probe) == ["False"]
+                 "pdesim.simulate(pdesim.SimConfig('biharmonic', criteria.Constant(4.0), "
+                 "tau_span=(0.0, 5.0), dt=0.05)); "
+                 "print(*(f'scipy.{p}' in sys.modules for p in ('integrate', 'optimize')))")
+        assert self.fresh(probe) == ["False", "False"]
 
 
 class TestKernelCommand:
@@ -413,6 +418,33 @@ class TestConfigFile:
         args = parser.parse_args([command, *self.REQUIRED[command], "--config", str(cfg)])
         args = cli._apply_config(args, parser)
         assert all(getattr(args, dest) is None for dest in dests)
+
+    @pytest.mark.parametrize("argv, config", [
+        (["kernel", "--family", "heat", "--range", "0:1:0.5"], {"tol": "1e-8", "m": "1"}),
+        (["simulate", "--family", "heat", "--n", "64", "--tau-end", "20"], {"dt": "0.05"}),
+        (["spectrum"], {"l": "2", "grid_size": "64"}),
+    ], ids=["kernel", "simulate", "spectrum"])
+    def test_string_values_take_their_flag_type(self, tmp_path, argv, config):
+        # a string used to reach the command as it was: "1e-8" ended in a TypeError
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code, text = run_cli(tmp_path, *argv, "--config", str(cfg))
+        flags = [f"--{k.replace('_', '-')}={v}" for k, v in config.items()]
+        assert code == 0 and text == run_cli(tmp_path, *argv, *flags)[1]
+
+    @pytest.mark.parametrize("config, message", [
+        ({"tol": "abc"}, "kernel: config key 'tol': could not convert string to float: 'abc'"),
+        ({"m": "2.5"}, "kernel: config key 'm': invalid literal for int() with base 10: '2.5'"),
+    ], ids=["tol", "m"])
+    def test_unconvertible_value_exits_two_naming_the_key(self, tmp_path, capsys, config,
+                                                           message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "x.txt"
+        with pytest.raises(SystemExit) as info:
+            cli.main(["kernel", "--range", "0:1:0.5", "--config", str(cfg), "--out", str(out)])
+        assert info.value.code == 2 and not out.exists()
+        assert capsys.readouterr().err == message + "\n"
 
     def test_command_mismatch_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -687,6 +687,19 @@ class TestMajorant:
         # frozen golden value computed by sign-split quadrature
         assert res.d_star == pytest.approx(1.2372934, abs=5e-6)
 
+    def test_zeros_match_brent(self):
+        # the sign changes of F are refined together by find_roots
+        from scipy.optimize import brentq
+
+        kern = K.get_kernel(K.parabolic(2))
+        ys = np.linspace(0.0, 30.0, 601)
+        vals = kern.deriv(ys, 0, 1e-10)
+        ref = [brentq(lambda y: kern.deriv(float(y), 0, 1e-10), ys[i], ys[i + 1], xtol=1e-14)
+               for i in np.flatnonzero(vals[:-1] * vals[1:] < 0)]
+        res = K.majorant_deficiency(K.parabolic(2), 1e-8)
+        assert len(res.zeros) == len(ref) == 12
+        np.testing.assert_allclose(res.zeros, ref, rtol=0.0, atol=1e-12)
+
     def test_pointwise_majorant_bound(self):
         res = K.majorant_deficiency(K.parabolic(2), 1e-8)
         ys = np.linspace(-12.0, 12.0, 1000)

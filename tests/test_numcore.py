@@ -128,6 +128,40 @@ class TestFindRoot:
             nc.find_root(f, (0.0, 1.0), f_ends=(1.0, 2.0))
         assert calls == []
 
+    # the cubic problems of TestFindRoots: x^3 - target on each bracket
+    CUBICS = [(0.5, 0.0, 1.0), (2.0, 1.0, 2.0), (7.0, 1.0, 2.5), (30.0, 2.0, 4.0),
+              (-3.0, -2.0, 0.0)]
+
+    @pytest.mark.parametrize("target, lo, hi", CUBICS)
+    def test_is_the_one_bracket_find_roots(self, target, lo, hi):
+        root = nc.find_root(lambda x: x**3 - target, (lo, hi), tol=1e-13)
+        many = nc.find_roots(lambda x, idx: x**3 - target, [lo], [hi],
+                             ([lo**3 - target], [hi**3 - target]), tol=1e-13)
+        assert type(root) is float and root == many[0]  # bit for bit
+
+    @pytest.mark.parametrize("target, lo, hi", CUBICS)
+    def test_within_tol_of_brent(self, target, lo, hi):
+        f = lambda x: x**3 - target
+        for tol in (1e-8, 1e-13):
+            ref = brentq(f, lo, hi, xtol=tol, rtol=4 * np.finfo(float).eps)
+            assert abs(nc.find_root(f, (lo, hi), tol=tol) - ref) <= tol + 4 * math.ulp(ref)
+
+    def test_nan_inside_the_bracket_is_a_convergence_error(self):
+        with pytest.raises(nc.RootConvergenceError, match="non-finite value"):
+            nc.find_root(lambda x: math.nan if 1.2 < x < 1.8 else x - 1.5, (1.0, 2.0))
+
+    @pytest.mark.parametrize("bracket", [(math.nan, 2.0), (0.0, math.inf), (-math.inf, 2.0)])
+    def test_non_finite_end_is_a_bracket_error(self, bracket):
+        # a nan end used to pass the sign test, and a nan root came back
+        with pytest.raises(nc.BracketError, match="not finite"):
+            nc.find_root(lambda x: x - 1.0, bracket)
+
+    def test_non_finite_end_value_is_a_bracket_error(self):
+        f, calls = self.counting(lambda x: x - 1.0)
+        with pytest.raises(nc.BracketError, match=r"not finite on \[0.0, 2.0\]"):
+            nc.find_root(f, (0.0, 2.0), f_ends=(math.nan, 1.0))
+        assert calls == []
+
 
 class TestFindRoots:
     @staticmethod
@@ -170,6 +204,18 @@ class TestFindRoots:
         f, _ = self.problems(np.array([2.0]))
         with pytest.raises(nc.RootConvergenceError):
             nc.find_roots(f, [1.0], [2.0], ([-1.0], [6.0]), tol=1e-15, maxiter=3)
+
+    @pytest.mark.parametrize("lo, hi, f_ends", [
+        ([math.nan], [2.0], ([-1.0], [1.0])),  # returned 2.0
+        ([0.0], [math.inf], ([-1.0], [1.0])),
+        ([0.0], [2.0], ([-1.0], [math.nan])),
+        ([0.0, 0.0], [2.0, 2.0], ([-1.0, -math.inf], [1.0, 1.0])),
+    ])
+    def test_non_finite_bracket_is_a_bracket_error(self, lo, hi, f_ends):
+        f, calls = self.problems(np.array([1.0, 1.0]))
+        with pytest.raises(nc.BracketError, match="not finite"):
+            nc.find_roots(f, lo, hi, f_ends)
+        assert calls == []
 
     def test_non_finite_value_is_a_convergence_error(self):
         with pytest.raises(nc.RootConvergenceError):
