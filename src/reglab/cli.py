@@ -313,6 +313,10 @@ def _apply_config(args, parser):
                 value = flags[key].type(value)
             except (argparse.ArgumentTypeError, ValueError) as exc:
                 parser.exit(2, f"{args.command}: config key {key!r}: {exc}\n")
+        choices = flags[key].choices
+        if value is not None and choices is not None and value not in choices:
+            parser.exit(2, f"{args.command}: config key {key!r}: {value!r} is not one of "
+                           f"{', '.join(map(str, choices))}\n")
         setattr(args, key, value)
     return args
 

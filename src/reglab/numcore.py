@@ -1,7 +1,7 @@
 """Shared numerical primitives: the failure classes of the numerical
 layers, alternating-series summation, the certified composite
-Gauss-Legendre rule, bracketed root finding, dense eigenvalue
-extraction, and exact-rational polynomial arithmetic.
+Gauss-Legendre rule, bracketed root finding, and exact-rational
+polynomial arithmetic.
 
 Everything here is a pure function of its inputs; returned objects are
 immutable and safe to share across threads.
@@ -50,10 +50,6 @@ class OdeError(NumericsError):
 
 class BvpError(NumericsError):
     """Boundary-value collocation did not converge."""
-
-
-class EigenError(NumericsError):
-    """Eigenvalue iteration failed; names the offending index."""
 
 
 def check_positive(name, value):
@@ -227,38 +223,6 @@ def find_roots(f, lo, hi, f_ends, tol=1e-12, maxiter=200):
         x3[live], f3[live] = np.where(same, a, b), np.where(same, fa, fb)
         x2[live], f2[live] = np.where(same, b, a), np.where(same, fb, fa)
         x1[live], f1[live] = x, fx
-
-
-# ---------------------------------------------------------------------------
-# dense eigenvalues
-
-
-def dense_eigenvalues(matrix, vectors=False):
-    """All eigenvalues of a dense square matrix, descending by real part.
-
-    With ``vectors=True`` returns ``(values, vectors)`` where column ``j``
-    of ``vectors`` pairs with ``values[j]``.  Each residual
-    |M v - lambda v| / |v| must be at most 1e-8 max(|M|_inf, 1), else
-    ``EigenError`` names the offending index.  Near-degenerate clusters
-    are reported as-is, never resolved artificially.
-    """
-    m = np.asarray(matrix)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
-    vals, vecs = np.linalg.eig(m)
-    order = np.lexsort((-vals.imag, -vals.real))
-    vals, vecs = vals[order], vecs[:, order]
-    scale = max(np.linalg.norm(m, ord=np.inf), 1.0)
-    for j, lam in enumerate(vals):
-        v = vecs[:, j]
-        res = np.linalg.norm(m @ v - lam * v) / np.linalg.norm(v)
-        if res > 1e-8 * scale:
-            raise EigenError(f"eigenpair {j} residual {res:.3e} exceeds tolerance")
-    if vectors:
-        return vals, vecs
-    return vals
 
 
 # ---------------------------------------------------------------------------

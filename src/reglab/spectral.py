@@ -3,7 +3,8 @@
 The operator is B* v = (-1)^(m+1) v^(2m) - (1/2m) y v' on (-l, l) with
 clamped conditions v = v' = ... = v^(m-1) = 0 at both ends (m = 2 is the
 main case).  Two independent routes are provided: compound-matrix
-shooting for real eigenvalues, and Chebyshev collocation for the full
+shooting for real eigenvalues, and the ultraspherical spectral method
+(Chebyshev coefficients, a banded pencil solved by dense QZ) for the full
 (possibly complex) spectrum.  On top of these sit the Poincare bound and
 the top branch lambda_0(l) sampled over a range of l with its sign-change
 roots.
@@ -17,10 +18,11 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
+import scipy
 
 from reglab import kernels
 from reglab.numcore import (BracketError, OdeError, RootConvergenceError, check_positive,
-                            dense_eigenvalues, find_root, find_roots)
+                            find_root, find_roots)
 
 
 # ---------------------------------------------------------------------------
@@ -35,7 +37,7 @@ class IntervalEigenProblem:
     family: kernels.EquationFamily = field(default_factory=kernels.biharmonic)
     parity: str = "full"  # even | odd | full
     method: str = "shooting"  # shooting | collocation
-    grid_size: int = 96
+    grid_size: int = 96  # Chebyshev coefficients of the collocation pencil, at least 8m
 
     def __post_init__(self):
         check_positive("half-length l", self.l)
@@ -45,6 +47,9 @@ class IntervalEigenProblem:
             raise ValueError("parity must be even, odd or full")
         if self.method not in ("shooting", "collocation"):
             raise ValueError("method must be shooting or collocation")
+        n, least = self.grid_size, 8 * self.family.m
+        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < least:
+            raise ValueError(f"grid_size must be an integer of at least {least} (8m), got {n!r}")
 
 
 @dataclass(frozen=True)
@@ -64,7 +69,7 @@ class EigenBranch:
 
 
 # ---------------------------------------------------------------------------
-# Chebyshev collocation
+# ultraspherical pencil
 
 
 @lru_cache(maxsize=64)
@@ -82,68 +87,88 @@ def chebyshev_diff(n):
     return x, d
 
 
-def _substituted_operator(l, m, n, with_drift=True):
-    """Collocation matrices for B* acting on v = (1 - x^2)^m q.
+def _conversion(lam, n):
+    """S_lam: n coefficients in C^(lam) to C^(lam+1); lam = 0 starts from T."""
+    k = np.arange(n)
+    d = np.where(k == 0, 1.0, 0.5) if lam == 0 else lam / (k + lam)
+    return np.diag(d) - np.diag(d[2:], 2)
 
-    Returns the Chebyshev points, the full operator matrix in q-values,
-    and the weight p(x); endpoint rows are constraints (p vanishes there)
-    to be eliminated by the caller.
+
+@lru_cache(maxsize=16)
+def _pencil_parts(m, n):
+    """The l-free pieces of the pencil of B* on n Chebyshev coefficients.
+
+    Returns the 2m clamped rows T_k^(j)(+-1), j < m, the first n - 2m rows
+    of (-1)^(m+1) D_2m and of (1/2m) S_{2m-1}...S_1 M_x D_1, the matrix B
+    (2m zero rows over the first n - 2m rows of S_{2m-1}...S_0) and
+    T_k(x_j) at the n + 1 Chebyshev points x_j = cos(pi j / n).
     """
-    x, d = chebyshev_diff(n)
-    dpow = [np.eye(n + 1)]
-    for _ in range(2 * m):
-        dpow.append(d @ dpow[-1])
-
-    pc = np.array([1.0])
-    for _ in range(m):  # (1 - x^2)^m, ascending coefficients
-        pc = np.convolve(pc, np.array([1.0, 0.0, -1.0]))
-    pder = []
-    cur = np.polynomial.polynomial.Polynomial(pc)
-    for _ in range(2 * m + 1):
-        pder.append(cur(x))
-        cur = cur.deriv()
-
-    sign = (-1.0) ** (m + 1)
-    a = np.zeros((n + 1, n + 1))
-    for j in range(2 * m + 1):
-        a += math.comb(2 * m, j) * (pder[j][:, None] * dpow[2 * m - j])
-    a *= sign / l ** (2 * m)
-    if with_drift:
-        drift = pder[1][:, None] * dpow[0] + pder[0][:, None] * dpow[1]
-        a -= (x[:, None] / (2 * m)) * drift
-    return x, a, pder[0]
+    k = np.arange(n)
+    conv = np.eye(n)  # S_{2m-1}...S_1: C^(1) to C^(2m)
+    for lam in range(1, 2 * m):
+        conv = _conversion(lam, n) @ conv
+    d2m = np.diag(2.0 ** (2 * m - 1) * math.factorial(2 * m - 1) * k[2 * m:], 2 * m)
+    d1 = np.diag(k[1:].astype(float), 1)
+    mult_x = np.diag(np.full(n - 1, 0.5), 1) + np.diag(np.full(n - 1, 0.5), -1)
+    rows, dj = [], np.ones(n)
+    for j in range(m):
+        rows += [dj, (-1.0) ** (k + j) * dj]  # T_k^(j) has the parity of k + j
+        dj = dj * (k**2 - j**2) / (2 * j + 1)
+    keep = n - 2 * m
+    b = np.zeros((n, n))
+    b[2 * m:] = (conv @ _conversion(0, n))[:keep]
+    return (np.array(rows), (-1.0) ** (m + 1) * d2m[:keep],
+            (conv @ mult_x @ d1)[:keep] / (2 * m), b,
+            np.cos(math.pi * np.outer(np.arange(n + 1), k) / n))
 
 
-def _eliminate_endpoints(a, p, n):
-    interior = np.arange(1, n)
-    ends = np.array([0, n])
-    a_ee = a[np.ix_(ends, ends)]
-    a_ei = a[np.ix_(ends, interior)]
-    a_ie = a[np.ix_(interior, ends)]
-    a_ii = a[np.ix_(interior, interior)]
-    shur = a_ii - a_ie @ np.linalg.solve(a_ee, a_ei)
-    mat = shur / p[interior][:, None]
-    recover = lambda q_i: -np.linalg.solve(a_ee, a_ei @ q_i)
-    return interior, ends, mat, recover
+def _pencil_spectrum(l, m, n, vectors):
+    """Eigenvalues of the pencil inside the energy box, descending by real part.
+
+    The pencil is A - lam B with A = [clamped rows; (-1)^(m+1) l^(-2m) D_2m
+    - (1/2m) S_{2m-1}...S_1 M_x D_1] (see ``_pencil_parts``), solved by
+    dense QZ.  Infinite eigenvalues are dropped, and so is every finite
+    one outside the box that holds each eigenvalue of B*: on (-l, l) the
+    energy identity Re lam |v|^2 = |v|^2 / 4m - |v^(m)|^2 and, for
+    clamped v, |v'| <= |v|^(1-1/m) |v^(m)|^(1/m) give Re lam <= 1/4m and
+    |Im lam| <= (l/2m) (1/4m - Re lam)^(1/2m).  The spurious modes of the
+    pencil (moduli 6e5 to 3e10 for m = 3, n = 48) fall outside it.  With
+    ``vectors`` the Chebyshev coefficients of the kept modes come too, one
+    column each.
+    """
+    top, d2m, drift, b, _ = _pencil_parts(m, n)
+    a = np.vstack([top, d2m / l ** (2 * m) - drift])
+    if vectors:
+        lam, coef = scipy.linalg.eig(a, b)
+    else:
+        lam, coef = scipy.linalg.eig(a, b, right=False), None
+    gap = 1.0 / (4 * m) - lam.real
+    with np.errstate(invalid="ignore"):
+        keep = (np.isfinite(lam) & (gap >= 0)
+                & (np.abs(lam.imag) <= l / (2 * m) * gap ** (1 / (2 * m))))
+    order = np.flatnonzero(keep)[np.lexsort((-lam.imag[keep], -lam.real[keep]))]
+    return lam[order], None if coef is None else coef[:, order]
 
 
 def _collocation_spectrum(l, m, n, count):
-    x, a, p = _substituted_operator(l, m, n)
-    interior, ends, mat, recover = _eliminate_endpoints(a, p, n)
-    vals, vecs = dense_eigenvalues(mat, vectors=True)
+    """The top ``count`` eigenpairs of the pencil on n coefficients.
 
+    Each residual is |lam_n - lam_(n+16)|, from a second pencil solved
+    without eigenvectors; each eigenfunction is read at the n + 1
+    Chebyshev points.
+    """
+    lams, coef = _pencil_spectrum(l, m, n, vectors=True)
+    check, _ = _pencil_spectrum(l, m, n + 16, vectors=False)
+    cheb = _pencil_parts(m, n)[4]
     out = []
-    for j in range(min(count, len(vals))):
-        q = np.empty(n + 1, dtype=complex)
-        q[interior] = vecs[:, j]
-        q[ends] = recover(vecs[:, j])
-        v = p * q
+    for lam, c, lam_check in zip(lams[:count], coef.T, check):
+        v = cheb @ c
         v = v / v[np.argmax(np.abs(v))]
         if np.max(np.abs(v.imag)) < 1e-9:
             v = v.real
-        out.append(Eigenpair(lam=complex(vals[j]), ys=x * l, values=v,
-                             residual=float("nan"), zero_count=_count_zeros(np.real(v)),
-                             parity="full"))
+        out.append(Eigenpair(lam=complex(lam), ys=l * cheb[:, 1], values=v,
+                             residual=float(abs(lam - lam_check)),
+                             zero_count=_count_zeros(np.real(v)), parity="full"))
     return out
 
 
@@ -436,20 +461,14 @@ def interval_spectrum(problem, count=1):
     """Leading eigenpairs of B* on (-l, l), ordered by descending real part.
 
     Shooting mode locates real eigenvalues by bracketing the clamped-end
-    determinant per parity class; collocation mode extracts the discrete
-    spectrum of the substituted Chebyshev matrix, with a doubled-grid
-    agreement check reported as the residual.
+    determinant per parity class.  Collocation mode takes the spectrum of
+    the ultraspherical pencil on ``grid_size`` Chebyshev coefficients
+    (Olver & Townsend, SIAM Rev. 55, 2013), complex eigenvalues included,
+    and reports |lam_n - lam_(n+16)| as the residual; its eigenfunctions
+    are read at the n + 1 Chebyshev points.
     """
     if problem.method == "collocation":
-        m, n = problem.family.m, problem.grid_size
-        pairs = _collocation_spectrum(problem.l, m, n, count)
-        refined = _collocation_spectrum(problem.l, m, 2 * n, count)
-        out = []
-        for p, pr in zip(pairs, refined):
-            out.append(Eigenpair(lam=pr.lam, ys=pr.ys, values=pr.values,
-                                 residual=float(abs(p.lam - pr.lam)),
-                                 zero_count=pr.zero_count, parity="full"))
-        return out
+        return _collocation_spectrum(problem.l, problem.family.m, problem.grid_size, count)
 
     m = problem.family.m
     if m != 2:
@@ -490,24 +509,19 @@ def top_eigenvalue(l):
 # Poincare bound and the guaranteed-regularity radius
 
 
-@lru_cache(maxsize=1)
-def _clamped_bilaplacian_min():
-    """Smallest eigenvalue of D^4 on H_0^2(-1, 1) by collocation at grid size 96."""
-    x, a, p = _substituted_operator(1.0, 2, 96, with_drift=False)
-    _, _, mat, _ = _eliminate_endpoints(-a, p, 96)  # flip sign: D^4 is positive
-    vals = dense_eigenvalues(mat)
-    real = np.array([v.real for v in vals if abs(v.imag) < 1e-8 and v.real > 0])
-    return float(np.min(real))
+# smallest eigenvalue of D^4 on H_0^2(-1, 1): the clamped beam of length 2,
+# cosh(2 mu) cos(2 mu) = 1 at 2 mu = x_1
+_CLAMPED_BILAPLACIAN_MIN = (_CLAMPED_BEAM_X[0] / 2) ** 4
 
 
 def poincare_lambda(l):
     """First eigenvalue of D^4 on the clamped interval of half-length l.
 
-    Computed once at l = 1 and scaled by 1/l^4.  Raises ``ValueError``
+    (x_1 / 2l)^4, with x_1 the first clamped-beam root.  Raises ``ValueError``
     unless ``l`` is positive and finite.
     """
     check_positive("half-length l", l)
-    return _clamped_bilaplacian_min() / l**4
+    return _CLAMPED_BILAPLACIAN_MIN / l**4
 
 
 def regularity_bound():
@@ -516,7 +530,7 @@ def regularity_bound():
     The energy identity with the Poincare inequality forces every
     eigenvalue to have negative real part for l < (8 Lambda_0(1))^(1/4).
     """
-    return (8.0 * _clamped_bilaplacian_min()) ** 0.25
+    return (8.0 * _CLAMPED_BILAPLACIAN_MIN) ** 0.25
 
 
 # ---------------------------------------------------------------------------

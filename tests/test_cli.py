@@ -185,6 +185,26 @@ class TestSpectrumCommand:
         assert not out.exists()
         assert "half-length" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("size", ["3", "0", "-1"])
+    def test_bad_grid_size_is_one_line_exit_two(self, tmp_path, capsys, size):
+        # grid size 3 used to print a plausible lambda_0 and 0 "Singular matrix"
+        out = tmp_path / "x.txt"
+        code = cli.main(["spectrum", "--l", "2", "--method", "collocation", "--grid-size", size,
+                         "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert err == f"spectrum: grid_size must be an integer of at least 16 (8m), got {size}\n"
+
+    def test_non_integer_config_grid_size_is_one_line_exit_two(self, tmp_path, capsys):
+        # a float grid size used to end in a TypeError traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"l": 2, "method": "collocation", "grid_size": 2.5}))
+        out = tmp_path / "x.txt"
+        code = cli.main(["spectrum", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert err.startswith("spectrum: grid_size must be an integer") and err.count("\n") == 1
+
     def test_numerics_error_is_one_line_exit_two(self, tmp_path, capsys, monkeypatch):
         def failing(l, *args, **kwargs):
             raise OdeError("shooting failed at lambda=-0.1: step size underflow", 0.0)
@@ -443,6 +463,24 @@ class TestConfigFile:
         out = tmp_path / "x.txt"
         with pytest.raises(SystemExit) as info:
             cli.main(["kernel", "--range", "0:1:0.5", "--config", str(cfg), "--out", str(out)])
+        assert info.value.code == 2 and not out.exists()
+        assert capsys.readouterr().err == message + "\n"
+
+    @pytest.mark.parametrize("argv, config, message", [
+        (["spectrum"], {"method": "bogus", "l": 2},
+         "spectrum: config key 'method': 'bogus' is not one of shooting, collocation"),
+        (["kernel", "--range", "0:1:0.5"], {"family": "bogus"},
+         "kernel: config key 'family': 'bogus' is not one of parabolic, heat, biharmonic, "
+         "dispersion3, beam4"),
+    ], ids=["spectrum", "kernel"])
+    def test_value_outside_choices_exits_two_naming_the_key(self, tmp_path, capsys, argv,
+                                                             config, message):
+        # a bad method used to run as shooting, with "bogus" in the header and rows
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "x.txt"
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, "--config", str(cfg), "--out", str(out)])
         assert info.value.code == 2 and not out.exists()
         assert capsys.readouterr().err == message + "\n"
 

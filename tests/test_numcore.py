@@ -223,26 +223,6 @@ class TestFindRoots:
 
 
 class TestDenseEigenvalues:
-    def test_identity(self):
-        vals = nc.dense_eigenvalues(np.eye(3))
-        assert np.allclose(vals, 1.0)
-
-    def test_rotation_pair(self):
-        vals = nc.dense_eigenvalues(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        assert sorted(np.round(v.imag, 12) for v in vals) == [-1.0, 1.0]
-        assert np.allclose([v.real for v in vals], 0.0)
-
-    def test_descending_real_order(self):
-        vals = nc.dense_eigenvalues(np.diag([1.0, 5.0, -3.0]))
-        assert [v.real for v in vals] == sorted([v.real for v in vals], reverse=True)
-
-    def test_symmetric_matrix_real_spectrum(self):
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((12, 12))
-        sym = 0.5 * (a + a.T)
-        vals = nc.dense_eigenvalues(sym)
-        assert max(abs(v.imag) for v in vals) < 1e-10
-
     def test_clamped_plate_smallest_eigenvalue(self):
         # beam frequency oracle: smallest eigenvalue of D^4 on [-1,1] clamped
         # is mu^4 with cosh(2 mu) cos(2 mu) = 1
@@ -251,14 +231,6 @@ class TestDenseEigenvalues:
         mu = brentq(lambda x: math.cosh(x) * math.cos(x) - 1.0, 4.0, 5.0, xtol=1e-13) / 2.0
         assert poincare_lambda(1.0) == pytest.approx(mu**4, abs=5e-4)
         assert mu == pytest.approx(2.3650, abs=2e-4)
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            nc.dense_eigenvalues(np.ones((2, 3)))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            nc.dense_eigenvalues(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
 class TestPolynomial:

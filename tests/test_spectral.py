@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.special
 from scipy import integrate
 
 from reglab import blayer, kernels, spectral
@@ -65,7 +67,7 @@ class TestIntervalSpectrum:
     def test_collocation_two_grid_residual(self):
         prob = spectral.IntervalEigenProblem(3.0, method="collocation", grid_size=96)
         pair = spectral.interval_spectrum(prob, 1)[0]
-        assert pair.residual < 1e-6
+        assert pair.residual < 1e-9
 
     def test_drift_negligible_for_small_interval(self):
         # the measured drift shift grows like l^4: 0.4% at l=1, 0.8% at 1.2,
@@ -122,6 +124,18 @@ class TestIntervalSpectrum:
             spectral.IntervalEigenProblem(-1.0)
         with pytest.raises(ValueError):
             spectral.IntervalEigenProblem(1.0, parity="sideways")
+
+    @pytest.mark.parametrize("grid_size", [0, 3, 15, -96, 2.5, 96.0, "96", True, None])
+    def test_bad_grid_size_rejected(self, grid_size):
+        with pytest.raises(ValueError, match="grid_size must be an integer of at least 16"):
+            spectral.IntervalEigenProblem(2.0, method="collocation", grid_size=grid_size)
+
+    def test_least_grid_size_is_eight_m(self):
+        spectral.IntervalEigenProblem(2.0, method="collocation", grid_size=np.int64(16))
+        spectral.IntervalEigenProblem(2.0, family=kernels.heat(), method="collocation",
+                                      grid_size=8)
+        with pytest.raises(ValueError, match="at least 24"):
+            spectral.IntervalEigenProblem(2.0, family=kernels.parabolic(3), grid_size=23)
 
 
 class TestHalfLengthValidation:
@@ -379,3 +393,50 @@ class TestHeatInterval:
         pair = spectral.interval_spectrum(prob, 1)[0]
         assert pair.lam.real < 0.0
         assert abs(pair.lam.imag) < 1e-9
+
+    @pytest.mark.parametrize("l", [0.5, 1.0, 2.0, 6.0])
+    def test_top_eigenvalue_is_a_kummer_root(self, l):
+        # the even solution of v'' - (y/2) v' = lam v is M(lam, 1/2, y^2/4),
+        # so the clamped top eigenvalue is a zero of M(., 1/2, l^2/4)
+        prob = spectral.IntervalEigenProblem(l, family=kernels.heat(), method="collocation",
+                                             grid_size=64)
+        lam = spectral.interval_spectrum(prob, 1)[0].lam.real
+        assert abs(scipy.special.hyp1f1(lam, 0.5, l * l / 4)) <= 1e-11
+
+
+class TestUltrasphericalPencil:
+    def test_top_eigenvalue_matches_shooting_on_the_sweep(self):
+        for l in np.arange(0.5, 14.01, 0.5):
+            prob = spectral.IntervalEigenProblem(l, method="collocation", grid_size=96)
+            pair = spectral.interval_spectrum(prob, 1)[0]
+            ref = spectral.top_eigenvalue(l)
+            assert abs(pair.lam - ref) <= 1e-9 * max(1.0, abs(ref)), l
+            assert pair.residual <= 1e-8, l
+
+    def test_modes_outside_the_energy_box_are_dropped(self):
+        # m = 3, l = 12, n = 48: the finite top of the raw pencil is a spurious
+        # 1.4e5 + 6.1e5i, far above the true top 0.017088
+        l, m, n = 12.0, 3, 48
+        top, d2m, drift, b, _ = spectral._pencil_parts(m, n)
+        raw = scipy.linalg.eig(np.vstack([top, d2m / l ** (2 * m) - drift]), b, right=False)
+        assert np.max(raw[np.isfinite(raw)].real) > 1e5
+        prob = spectral.IntervalEigenProblem(l, family=kernels.parabolic(m),
+                                             method="collocation", grid_size=n)
+        pairs = spectral.interval_spectrum(prob, 4)
+        assert [p.lam.real for p in pairs] == sorted((p.lam.real for p in pairs), reverse=True)
+        assert pairs[0].lam == pytest.approx(0.017088, abs=1e-6)
+        assert pairs[0].residual <= 1e-9
+        for pair in pairs:
+            gap = 1 / (4 * m) - pair.lam.real
+            assert gap >= 0 and abs(pair.lam.imag) <= l / (2 * m) * gap ** (1 / (2 * m))
+
+    def test_eigenfunction_on_the_chebyshev_points(self):
+        prob = spectral.IntervalEigenProblem(2.0, method="collocation", grid_size=64)
+        pair = spectral.interval_spectrum(prob, 1)[0]
+        assert np.allclose(pair.ys, 2.0 * np.cos(np.pi * np.arange(65) / 64), rtol=0, atol=1e-15)
+        assert np.isrealobj(pair.values) and np.max(np.abs(pair.values)) == 1.0
+        assert abs(pair.values[0]) < 1e-12 and abs(pair.values[-1]) < 1e-12
+        shot = spectral.interval_spectrum(spectral.IntervalEigenProblem(2.0, parity="even"), 1)[0]
+        # linear interpolation on the 801 shooting points is good to about 1e-5
+        ref = np.interp(pair.ys, shot.ys, shot.values)
+        assert np.max(np.abs(pair.values - ref)) <= 2e-5
