@@ -6,11 +6,14 @@ value 1.  A layer is an entry of two tables: ``_CLOSED`` holds the closed
 form g0 and its exact wall derivatives (heat, fourth-order (biharmonic)
 and third-order dispersion layers), ``_LAYERS`` the order, coefficient c
 and growing root of the linear operator g^(order) = g'/c (for the cubic
-diffusion layer, of its linearization at the plateau).  One collocation
-solves the layers as boundary-value problems with far-field conditions
-that kill the growing mode and pin the plateau exactly, so the finite
-truncation length does not limit the accuracy; the cubic diffusion layer
-brings its own coefficient and wall conditions.  ``wall_flux`` is the
+diffusion layer, of its linearization at the plateau).  The layers are
+solved as boundary-value problems with far-field conditions that kill
+the growing mode and pin the plateau exactly, so the finite truncation
+length does not limit the accuracy.  The linear layers use the
+ultraspherical method (Olver & Townsend, SIAM Rev. 55, 2013): one dense
+solve on Chebyshev coefficients, whose trailing quarter ``tol`` bounds;
+the cubic diffusion layer brings its own coefficient and wall conditions
+and is collocated by ``scipy.integrate.solve_bvp``.  ``wall_flux`` is the
 matched flux g2 v F + g1 v^(2/3) F' of a fourth-order layer, which drives
 the first coefficient.
 """
@@ -19,12 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy
 
 from reglab import kernels
-from reglab.numcore import BvpError, check_positive
+from reglab.numcore import (BvpError, chebyshev_end_rows, check_positive,
+                            ultraspherical_conversion, ultraspherical_diff)
 
 
 @dataclass(frozen=True)
@@ -174,31 +179,84 @@ def _far_field_functionals(family):
     return np.real(inv[1]), np.real(inv[0])
 
 
-def _collocate(family, rhs, bc, xi, g0, tol, **params):
-    """``solve_bvp`` on the mesh xi, started from g0 and its successive gradients."""
-    guess = np.zeros((_LAYERS[family][0], xi.size))
-    guess[0] = g0
-    for k in range(1, len(guess)):
-        guess[k] = np.gradient(guess[k - 1], xi)
-    sol = scipy.integrate.solve_bvp(rhs, bc, xi, guess, tol=tol, max_nodes=200000, **params)
-    if not sol.success:
-        raise BvpError(f"layer BVP for {family} did not converge: {sol.message}")
-    return sol
+# the linear layers by the ultraspherical method: n Chebyshev coefficients
+# on (0, length), n doubled from the first size up to the cap
+_FIRST_COEFFS = 32
+_MAX_COEFFS = 1024
+
+
+@lru_cache(maxsize=16)
+def _linear_parts(family, n):
+    """The length-free pieces of a linear layer on n Chebyshev coefficients.
+
+    Returns the first n - order rows of D_order and of S_(order-1)...S_1 D_1
+    / c, and the rows T_k^(j)(+1) and T_k^(j)(-1), j <= 3, on [-1, 1].
+    """
+    order, c, _ = _LAYERS[family]
+    keep = n - order
+    return (ultraspherical_diff(order, n)[:keep],
+            (ultraspherical_conversion(1, order, n) @ ultraspherical_diff(1, n))[:keep] / c,
+            *chebyshev_end_rows(n, 4))
+
+
+def _solve_linear_layer(family, length, tol):
+    """Chebyshev coefficients of a linear layer in x = 2 xi / length - 1.
+
+    One dense solve of the rows, top to bottom: g = 0 (and g' = 0 in
+    fourth order) at the wall; the growth-killing and plateau-pinning
+    functionals applied to the state (g, g', ...) at xi = length; the
+    first n - order rows of (2/L)^order D_order - (2/L)/c S_(order-1)...S_1
+    D_1.  n starts at 32 and doubles until the trailing quarter of the
+    coefficients is below ``tol``, up to 1024.  Returns the coefficients,
+    the wall derivatives (g'(0), g''(0), g'''(0)) and the plateau value.
+    """
+    order, _, _ = _LAYERS[family]
+    far = np.array(_far_field_functionals(family))
+    n = _FIRST_COEFFS
+    while True:
+        d_order, drift, plus, minus = _linear_parts(family, n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = (2.0 / length) ** np.arange(order + 1.0)[:, None]  # d/dxi = (2/L) d/dx
+            plus, minus = scale[:order] * plus[:order], scale[:4] * minus
+            a = np.vstack([minus[:order - 2], far @ plus, scale[order] * d_order - scale[1] * drift])
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(minus))):
+            raise BvpError(f"layer BVP for {family} did not converge: length {length!r} "
+                           "takes the rows of the xi-derivatives past the float range")
+        coef = np.linalg.solve(a, np.eye(n)[order - 1])
+        tail = np.max(np.abs(coef[3 * n // 4:]))
+        if tail <= tol:
+            return coef, tuple(float(d) for d in minus[1:] @ coef), float(far[1] @ plus @ coef)
+        if n >= _MAX_COEFFS:
+            raise BvpError(f"layer BVP for {family} did not converge: trailing Chebyshev "
+                           f"coefficients {tail:.2g} above tol {tol:g} at the cap of {n}")
+        n *= 2
+
+
+def _in_layer(q, length):
+    """``q`` as a float array; ``ValueError`` if any of it leaves [0, length]."""
+    q = np.asarray(q, dtype=float)
+    if not np.all((q >= 0.0) & (q <= length)):
+        raise ValueError(f"layer profile read outside [0, {length!r}]")
+    return q
 
 
 def solve_bl_bvp(family, length=30.0, tol=1e-10):
-    """Layer profile by collocation on (0, length) for the named family.
+    """Layer profile on (0, length) for the named family.
 
     ``family`` is ``biharmonic``, ``dispersion3`` (linear layers, the
     closed forms are the oracles) or ``pme4`` for the cubic diffusion
     layer solved in semilinear form: -G'''' + |G|^(-2/3) G'/12 = 0 with
     G = G' = 0 at the wall and plateau 1.  Far-field conditions are the
     growth-killing and plateau-pinning functionals of the linearization,
-    so the quality is limited by the solver tolerance, not the domain
-    truncation.  The linear layers start from their closed forms on 400
-    even nodes.  ``length`` and ``tol`` must be positive and finite
+    so the domain truncation does not limit the accuracy.  The linear
+    layers are solved by the ultraspherical method, one dense solve on
+    Chebyshev coefficients, and ``tol`` bounds the trailing quarter of
+    those coefficients; pme4 is solved by collocation
+    (``scipy.integrate.solve_bvp``), and ``tol`` is its residual
+    tolerance.  ``length`` and ``tol`` must be positive and finite
     (``ValueError``), and ``length`` for pme4 past its wall offset; a
-    solve that does not converge raises ``numcore.BvpError``.
+    solve that does not converge raises ``numcore.BvpError``.  The
+    profile reads xi in [0, length] only (``ValueError``).
     """
     check_positive("tol", tol)
     check_positive("layer length", length)
@@ -206,27 +264,15 @@ def solve_bl_bvp(family, length=30.0, tol=1e-10):
         raise ValueError(f"no boundary-value layer for family {family!r}")
     if family == "pme4":
         return _solve_pme4_layer(length, tol)
-    order, c, _ = _LAYERS[family]
-    row_grow, row_plateau = _far_field_functionals(family)
+    coef, wall, far = _solve_linear_layer(family, length, tol)
 
-    def rhs(xi, y):
-        return np.vstack([*y[1:], y[1] / c])
+    def evaluate(q):
+        out = np.polynomial.chebyshev.chebval(2.0 * _in_layer(q, length) / length - 1.0, coef)
+        return out if out.shape else float(out)
 
-    def bc(ya, yb):
-        # g = 0 at the wall, and g' = 0 too in fourth order
-        return np.array([*ya[:order - 2], row_grow @ yb, row_plateau @ yb - 1.0])
-
-    xi = np.linspace(0.0, length, 400)
-    sol = _collocate(family, rhs, bc, xi, _CLOSED[family][0](xi), tol)
-    xi_out = np.linspace(0.0, length, 1201)
-    state0 = sol.sol(0.0)
-    return BoundaryLayerProfile(
-        family=family, xi=xi_out, values=sol.sol(xi_out)[0],
-        wall_derivatives=(float(state0[1]), float(state0[2]),
-                          float(state0[3]) if order > 3 else 0.0),
-        far_value=float(row_plateau @ sol.sol(length)),
-        provenance="bvp", evaluate=lambda q: sol.sol(np.asarray(q, dtype=float))[0],
-    )
+    xi = np.linspace(0.0, length, 1201)
+    return BoundaryLayerProfile(family=family, xi=xi, values=evaluate(xi), wall_derivatives=wall,
+                                far_value=far, provenance="bvp", evaluate=evaluate)
 
 
 def _solve_pme4_layer(length, tol, xi0=1e-3):
@@ -262,8 +308,13 @@ def _solve_pme4_layer(length, tol, xi0=1e-3):
         ])
 
     xi = np.geomspace(xi0, length, 900)
-    g0 = np.clip(_CLOSED["biharmonic"][0](xi), 1e-8, None) ** 3
-    sol = _collocate("pme4", rhs, bc, xi, g0, tol, p=[0.3, 0.3])
+    guess = np.zeros((4, xi.size))  # a cubed biharmonic layer and its successive gradients
+    guess[0] = np.clip(_CLOSED["biharmonic"][0](xi), 1e-8, None) ** 3
+    for k in range(1, 4):
+        guess[k] = np.gradient(guess[k - 1], xi)
+    sol = scipy.integrate.solve_bvp(rhs, bc, xi, guess, tol=tol, max_nodes=200000, p=[0.3, 0.3])
+    if not sol.success:
+        raise BvpError(f"layer BVP for pme4 did not converge: {sol.message}")
 
     s2, s3 = sol.p
     xi_out = np.linspace(0.0, length, 1201)
@@ -272,7 +323,7 @@ def _solve_pme4_layer(length, tol, xi0=1e-3):
     far = float(row_plateau @ sol.sol(length))
 
     def evaluate(q, _s=sol, _s2=s2, _s3=s3):
-        q = np.asarray(q, dtype=float)
+        q = _in_layer(q, length)
         inner = q < xi0
         out = _s.sol(np.clip(q, xi0, None))[0]
         if np.any(inner):

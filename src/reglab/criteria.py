@@ -633,13 +633,19 @@ def _spectral_verdict(family, l):
     from reglab import spectral
 
     if family.m == 1:
+        # v'' - (y/2) v' = lam v is Sturm-Liouville with weight w = e^(-y^2/4),
+        # so lam0 = -int w v'^2 / int w v^2 < 0 for every l; the pencil's lam0,
+        # below rounding past l ~ 14, is kept as a diagnostic only
         prob = spectral.IntervalEigenProblem(l, family=family, method="collocation",
                                              grid_size=64)
-        lam, band = spectral.interval_spectrum(prob, 1)[0].lam.real, 0.0
-    elif family.m == 2:
-        lam, band = spectral.top_eigenvalue(l), TOL_ZERO
-    else:
+        top = spectral.interval_spectrum(prob, 1)[0]
+        return CriterionVerdict(REGULAR, "delegated-spectral", {
+            "lambda0": top.lam.real, "residual": top.residual, "l": l,
+            "note": "sign from the weighted energy identity lambda0 = "
+                    "-int w v'^2 / int w v^2, w = exp(-y^2/4)"})
+    if family.m != 2:
         raise ValueError("spectral delegation is wired for the fourth-order case")
+    lam, band = spectral.top_eigenvalue(l), TOL_ZERO
     info = {"lambda0": lam, "l": l}
     if lam < -band:
         return CriterionVerdict(REGULAR, "delegated-spectral", info)

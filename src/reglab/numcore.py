@@ -1,7 +1,7 @@
 """Shared numerical primitives: the failure classes of the numerical
 layers, alternating-series summation, the certified composite
-Gauss-Legendre rule, bracketed root finding, and exact-rational
-polynomial arithmetic.
+Gauss-Legendre rule, bracketed root finding, the ultraspherical operators
+on Chebyshev coefficients, and exact-rational polynomial arithmetic.
 
 Everything here is a pure function of its inputs; returned objects are
 immutable and safe to share across threads.
@@ -49,7 +49,7 @@ class OdeError(NumericsError):
 
 
 class BvpError(NumericsError):
-    """Boundary-value collocation did not converge."""
+    """A boundary-value solve did not converge."""
 
 
 def check_positive(name, value):
@@ -223,6 +223,43 @@ def find_roots(f, lo, hi, f_ends, tol=1e-12, maxiter=200):
         x3[live], f3[live] = np.where(same, a, b), np.where(same, fa, fb)
         x2[live], f2[live] = np.where(same, b, a), np.where(same, fb, fa)
         x1[live], f1[live] = x, fx
+
+
+# ---------------------------------------------------------------------------
+# ultraspherical operators on Chebyshev coefficients (Olver & Townsend,
+# SIAM Rev. 55, 2013): dense n x n matrices acting on the first n
+# coefficients of a series in T_k or in C^(lam)_k on [-1, 1]
+
+
+def ultraspherical_conversion(lo, hi, n):
+    """S_(hi-1)...S_lo: n coefficients in C^(lo) to C^(hi), where C^(0) stands for T."""
+    k, out = np.arange(n), np.eye(n)
+    for lam in range(lo, hi):
+        d = np.where(k == 0, 1.0, 0.5) if lam == 0 else lam / (k + lam)
+        out = (np.diag(d) - np.diag(d[2:], 2)) @ out
+    return out
+
+
+def ultraspherical_diff(order, n):
+    """D_order: n coefficients in T to those of the order-th derivative in C^(order)."""
+    k = np.arange(n)
+    return np.diag(2.0 ** (order - 1) * math.factorial(order - 1) * k[order:], order)
+
+
+def chebyshev_end_rows(n, count):
+    """Rows T_k^(j)(1) and T_k^(j)(-1), j < count, of the first n T_k.
+
+    Returns two (count, n) arrays; a row applied to a coefficient vector
+    gives the j-th derivative of its series at that end.  T_k^(j) has the
+    parity of k + j.
+    """
+    k = np.arange(n)
+    rows, dj = [], np.ones(n)
+    for j in range(count):
+        rows.append(dj)
+        dj = dj * (k**2 - j**2) / (2 * j + 1)
+    plus = np.array(rows)
+    return plus, (-1.0) ** (k + np.arange(count)[:, None]) * plus
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ import scipy
 
 from reglab import kernels
 from reglab.numcore import (BracketError, OdeError, RootConvergenceError, check_positive,
-                            find_root, find_roots)
+                            chebyshev_end_rows, find_root, find_roots, ultraspherical_conversion,
+                            ultraspherical_diff)
 
 
 # ---------------------------------------------------------------------------
@@ -87,13 +88,6 @@ def chebyshev_diff(n):
     return x, d
 
 
-def _conversion(lam, n):
-    """S_lam: n coefficients in C^(lam) to C^(lam+1); lam = 0 starts from T."""
-    k = np.arange(n)
-    d = np.where(k == 0, 1.0, 0.5) if lam == 0 else lam / (k + lam)
-    return np.diag(d) - np.diag(d[2:], 2)
-
-
 @lru_cache(maxsize=16)
 def _pencil_parts(m, n):
     """The l-free pieces of the pencil of B* on n Chebyshev coefficients.
@@ -103,23 +97,16 @@ def _pencil_parts(m, n):
     (2m zero rows over the first n - 2m rows of S_{2m-1}...S_0) and
     T_k(x_j) at the n + 1 Chebyshev points x_j = cos(pi j / n).
     """
-    k = np.arange(n)
-    conv = np.eye(n)  # S_{2m-1}...S_1: C^(1) to C^(2m)
-    for lam in range(1, 2 * m):
-        conv = _conversion(lam, n) @ conv
-    d2m = np.diag(2.0 ** (2 * m - 1) * math.factorial(2 * m - 1) * k[2 * m:], 2 * m)
-    d1 = np.diag(k[1:].astype(float), 1)
+    conv = ultraspherical_conversion(1, 2 * m, n)
     mult_x = np.diag(np.full(n - 1, 0.5), 1) + np.diag(np.full(n - 1, 0.5), -1)
-    rows, dj = [], np.ones(n)
-    for j in range(m):
-        rows += [dj, (-1.0) ** (k + j) * dj]  # T_k^(j) has the parity of k + j
-        dj = dj * (k**2 - j**2) / (2 * j + 1)
+    plus, minus = chebyshev_end_rows(n, m)
     keep = n - 2 * m
     b = np.zeros((n, n))
-    b[2 * m:] = (conv @ _conversion(0, n))[:keep]
-    return (np.array(rows), (-1.0) ** (m + 1) * d2m[:keep],
-            (conv @ mult_x @ d1)[:keep] / (2 * m), b,
-            np.cos(math.pi * np.outer(np.arange(n + 1), k) / n))
+    b[2 * m:] = (conv @ ultraspherical_conversion(0, 1, n))[:keep]
+    return (np.stack([plus, minus], axis=1).reshape(2 * m, n),  # the +1 and -1 rows of each j
+            (-1.0) ** (m + 1) * ultraspherical_diff(2 * m, n)[:keep],
+            (conv @ mult_x @ ultraspherical_diff(1, n))[:keep] / (2 * m), b,
+            np.cos(math.pi * np.outer(np.arange(n + 1), np.arange(n)) / n))
 
 
 def _pencil_spectrum(l, m, n, vectors):

@@ -87,11 +87,42 @@ class TestBoundaryValueRoute:
         solved = blayer.solve_bl_bvp("dispersion3", 30.0, tol=1e-10)
         assert np.max(np.abs(solved.values - closed(solved.xi))) <= 1e-6
 
+    @pytest.mark.parametrize("family", ["biharmonic", "dispersion3"])
+    @pytest.mark.parametrize("length", [20.0, 30.0, 60.0, 120.0])
+    def test_linear_layer_exact_to_rounding(self, family, length):
+        # the ultraspherical solve against the closed form, values on the
+        # output grid and between its points, wall derivatives and plateau
+        solved = blayer.solve_bl_bvp(family, length)
+        profile, wall = blayer._CLOSED[family]
+        assert np.max(np.abs(solved.values - profile(solved.xi))) <= 1e-13
+        xi = np.linspace(0.0, length, 997)
+        assert np.max(np.abs(solved(xi) - profile(xi))) <= 1e-13
+        assert np.max(np.abs(np.subtract(solved.wall_derivatives, wall))) <= 1e-13
+        assert solved.far_value == pytest.approx(1.0, abs=1e-13)
+
     def test_wall_constants_truncation_insensitive(self):
         a = blayer.solve_bl_bvp("biharmonic", 30.0, tol=1e-11)
         b = blayer.solve_bl_bvp("biharmonic", 60.0, tol=1e-11)
-        assert abs(a.wall_derivatives[1] - b.wall_derivatives[1]) < 1e-8
-        assert abs(a.wall_derivatives[2] - b.wall_derivatives[2]) < 1e-8
+        assert abs(a.wall_derivatives[1] - b.wall_derivatives[1]) < 1e-13
+        assert abs(a.wall_derivatives[2] - b.wall_derivatives[2]) < 1e-13
+
+    @pytest.mark.parametrize("family", ["biharmonic", "dispersion3", "pme4"])
+    @pytest.mark.parametrize("xi", [-1e-9, 30.000001, math.nan, [1.0, 31.0]])
+    def test_read_outside_the_layer_rejected(self, family, xi):
+        # the collocation route used to extrapolate its polynomial silently
+        with pytest.raises(ValueError, match=r"layer profile read outside \[0, 30.0\]"):
+            blayer.solve_bl_bvp(family, 30.0)(xi)
+
+    def test_pme4_route_unchanged(self, profile):
+        # the cubic layer's collocation, pinned bit for bit (digits recorded
+        # with numpy 2.4 and scipy 1.17)
+        assert np.array_equal(profile.wall_derivatives,
+                              (0.0, float.fromhex("0x1.2d548fc8cb24cp-2"),
+                               float.fromhex("-0x1.fd4c1aea77f0ep-3")))
+        assert np.array_equal(profile.values[[100, 400, 800, 1200]],
+                              [0.8782389973519966, 0.970531002527611,
+                               0.9992199574063536, 0.9999794021726501])
+        assert profile.far_value == 1.0
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
@@ -120,15 +151,26 @@ class TestBoundaryValueRoute:
         with pytest.raises(ValueError, match="pme4 layer length must exceed the wall offset"):
             blayer.solve_bl_bvp("pme4", 1e-4)
 
-    @pytest.mark.parametrize("family", ["biharmonic", "pme4"])
+    @pytest.mark.parametrize("family", ["biharmonic", "dispersion3", "pme4"])
     def test_failed_collocation_is_a_numerics_error(self, family, monkeypatch):
-        # a real non-converging solve needs seconds of mesh refinement; the
-        # failure report of scipy's solver is stubbed instead
-        failed = SimpleNamespace(success=False, message="The maximum number of mesh nodes is exceeded.")
-        monkeypatch.setattr(scipy.integrate, "solve_bvp", lambda *args, **kwargs: failed)
+        # a linear layer 1e6 long is a wall step that 1024 Chebyshev
+        # coefficients do not resolve; a real non-converging pme4 solve needs
+        # seconds of mesh refinement, so its solver's failure report is stubbed
+        length = 1e6
+        if family == "pme4":
+            failed = SimpleNamespace(success=False,
+                                     message="The maximum number of mesh nodes is exceeded.")
+            monkeypatch.setattr(scipy.integrate, "solve_bvp", lambda *args, **kwargs: failed)
+            length = 30.0
         with pytest.raises(BvpError, match=f"layer BVP for {family} did not converge") as info:
-            blayer.solve_bl_bvp(family, 30.0)
+            blayer.solve_bl_bvp(family, length)
         assert isinstance(info.value, NumericsError)
+
+    @pytest.mark.parametrize("family", ["biharmonic", "dispersion3"])
+    def test_length_past_the_float_range_is_a_numerics_error(self, family):
+        # (2/length)^j overflows: an error, not a profile of nan
+        with pytest.raises(BvpError, match="past the float range"):
+            blayer.solve_bl_bvp(family, 1e-100)
 
 
 class TestWallFlux:

@@ -46,6 +46,14 @@ class TestImportFootprint:
                  "print(*(f'scipy.{p}' in sys.modules for p in ('integrate', 'optimize')))")
         assert self.fresh(probe) == ["False", "False"]
 
+    def test_linear_layers_load_no_scipy_integrate(self):
+        # the linear layers are one numpy solve on Chebyshev coefficients;
+        # only the cubic pme4 layer collocates with scipy.integrate.solve_bvp
+        probe = ("import sys; from reglab import blayer; "
+                 "[blayer.solve_bl_bvp(f) for f in ('biharmonic', 'dispersion3')]; "
+                 "print('scipy.integrate' in sys.modules)")
+        assert self.fresh(probe) == ["False"]
+
 
 class TestKernelCommand:
     def test_row_count_and_header(self, tmp_path):

@@ -216,6 +216,16 @@ class TestHeatClassification:
     def test_constant_interval_always_regular(self):
         assert cr.classify(HEAT, cr.Constant(3.0)).verdict == cr.REGULAR
 
+    @pytest.mark.parametrize("l", [12.0, 14.0, 20.0, 30.0])
+    def test_wide_constant_interval_regular(self, l):
+        # lambda_0 < 0 for every l by the weighted energy identity; past
+        # l ~ 14 it is below rounding and the pencil reads it as +2e-16 (l = 14)
+        # to +1.4e-4 (l = 30), which once gave irregular-singular
+        v = cr.classify(HEAT, cr.Constant(l))
+        assert v.verdict == cr.REGULAR and v.rationale == "delegated-spectral"
+        assert all(math.isfinite(v.diagnostics[k]) for k in ("lambda0", "residual"))
+        assert "weighted energy identity" in v.diagnostics["note"]
+
     def test_density_form_agrees_on_sweep(self):
         # 20-case family sweep: the phi-form verdict matches the density form.
         # With rho(h) = exp(-phi(-ln h)^2 / 4) the density integrand

@@ -222,6 +222,33 @@ class TestFindRoots:
             nc.find_roots(lambda x, idx: np.full(x.shape, np.nan), [1.0], [2.0], ([-1.0], [1.0]))
 
 
+class TestUltrasphericalOperators:
+    """Each operator against numpy's Chebyshev series arithmetic."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 6])
+    def test_diff_is_the_converted_derivative(self, order):
+        # D_k c, in C^(k), equals the T coefficients of the k-th derivative
+        # converted up by S_(k-1)...S_0; chebder's recurrence cancels about
+        # 1e-11 of the largest value at order 6
+        n = 24
+        c = np.random.default_rng(order).standard_normal(n)
+        der = np.zeros(n)
+        der[:n - order] = np.polynomial.chebyshev.chebder(c, order)
+        diff = nc.ultraspherical_diff(order, n) @ c
+        converted = nc.ultraspherical_conversion(0, order, n) @ der
+        assert np.max(np.abs(diff - converted)) <= 1e-10 * np.max(np.abs(diff))
+
+    def test_end_rows_are_derivatives_at_the_ends(self):
+        n, count = 20, 5
+        plus, minus = nc.chebyshev_end_rows(n, count)
+        for k in range(n):
+            t = np.eye(n)[k]
+            for j in range(count):
+                ends = np.polynomial.chebyshev.chebval([1.0, -1.0],
+                                                       np.polynomial.chebyshev.chebder(t, j))
+                assert (plus[j, k], minus[j, k]) == pytest.approx(tuple(ends), rel=1e-13)
+
+
 class TestDenseEigenvalues:
     def test_clamped_plate_smallest_eigenvalue(self):
         # beam frequency oracle: smallest eigenvalue of D^4 on [-1,1] clamped
