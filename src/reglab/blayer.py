@@ -11,9 +11,10 @@ solved as boundary-value problems with far-field conditions that kill
 the growing mode and pin the plateau exactly, so the finite truncation
 length does not limit the accuracy.  The linear layers use the
 ultraspherical method (Olver & Townsend, SIAM Rev. 55, 2013): one dense
-solve on Chebyshev coefficients, whose trailing quarter ``tol`` bounds;
-the cubic diffusion layer brings its own coefficient and wall conditions
-and is collocated by ``scipy.integrate.solve_bvp``.  ``wall_flux`` is the
+solve on Chebyshev coefficients, grown until the trailing quarter moves
+the profile and each wall derivative by at most ``tol``; the cubic
+diffusion layer brings its own coefficient and wall conditions and is
+collocated by ``scipy.integrate.solve_bvp``.  ``wall_flux`` is the
 matched flux g2 v F + g1 v^(2/3) F' of a fourth-order layer, which drives
 the first coefficient.
 """
@@ -206,9 +207,11 @@ def _solve_linear_layer(family, length, tol):
     fourth order) at the wall; the growth-killing and plateau-pinning
     functionals applied to the state (g, g', ...) at xi = length; the
     first n - order rows of (2/L)^order D_order - (2/L)/c S_(order-1)...S_1
-    D_1.  n starts at 32 and doubles until the trailing quarter of the
-    coefficients is below ``tol``, up to 1024.  Returns the coefficients,
-    the wall derivatives (g'(0), g''(0), g'''(0)) and the plateau value.
+    D_1.  n starts at 32 and doubles, up to 1024, until the trailing
+    quarter of the coefficients moves the profile (by at most the sum of
+    their sizes) and each wall-derivative row by at most ``tol``.  Returns
+    the coefficients, the wall derivatives (g'(0), g''(0), g'''(0)) and
+    the plateau value.
     """
     order, _, _ = _LAYERS[family]
     far = np.array(_far_field_functionals(family))
@@ -223,12 +226,16 @@ def _solve_linear_layer(family, length, tol):
             raise BvpError(f"layer BVP for {family} did not converge: length {length!r} "
                            "takes the rows of the xi-derivatives past the float range")
         coef = np.linalg.solve(a, np.eye(n)[order - 1])
-        tail = np.max(np.abs(coef[3 * n // 4:]))
+        # the most the trailing quarter moves the profile (|T_k| <= 1) or a
+        # wall derivative, whose rows weigh coefficient k by up to k^6
+        size = np.abs(coef[3 * n // 4:])
+        tail = max(size.sum(), np.max(np.abs(minus[1:, 3 * n // 4:]) @ size))
         if tail <= tol:
             return coef, tuple(float(d) for d in minus[1:] @ coef), float(far[1] @ plus @ coef)
         if n >= _MAX_COEFFS:
             raise BvpError(f"layer BVP for {family} did not converge: trailing Chebyshev "
-                           f"coefficients {tail:.2g} above tol {tol:g} at the cap of {n}")
+                           f"coefficients move it by {tail:.2g}, above tol {tol:g}, at the "
+                           f"cap of {n}")
         n *= 2
 
 
@@ -250,8 +257,9 @@ def solve_bl_bvp(family, length=30.0, tol=1e-10):
     growth-killing and plateau-pinning functionals of the linearization,
     so the domain truncation does not limit the accuracy.  The linear
     layers are solved by the ultraspherical method, one dense solve on
-    Chebyshev coefficients, and ``tol`` bounds the trailing quarter of
-    those coefficients; pme4 is solved by collocation
+    Chebyshev coefficients, and ``tol`` bounds what the trailing quarter
+    of those coefficients adds to the profile and to each wall
+    derivative; pme4 is solved by collocation
     (``scipy.integrate.solve_bvp``), and ``tol`` is its residual
     tolerance.  ``length`` and ``tol`` must be positive and finite
     (``ValueError``), and ``length`` for pme4 past its wall offset; a

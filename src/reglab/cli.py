@@ -38,16 +38,29 @@ def _fmt(x):
     return str(x)
 
 
+def _strict(value):
+    """``value`` with every non-finite float, at any depth, replaced by None."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict(v) for v in value]
+    return value
+
+
 def _emit(args, header, rows=None, columns=()):
     """Write a record, or a table as CSV under a JSON header line.
 
     A record (no ``rows``) is always one JSON object; ``--json`` turns a
-    table into one JSON object holding header, columns and rows.
+    table into one JSON object holding header, columns and rows.  The JSON
+    is strict (RFC 8259): a non-finite float is written as null, while a
+    CSV row keeps ``nan``.
     """
     if rows is not None and args.json:
         header, rows = {"header": header, "columns": columns, "rows": rows}, None
-    text = json.dumps(header, sort_keys=True, indent=2 if rows is None else None,
-                      default=_fmt) + "\n"
+    text = json.dumps(_strict(header), sort_keys=True, indent=2 if rows is None else None,
+                      default=_fmt, allow_nan=False) + "\n"
     if rows is not None:
         text = "# " + text + "\n".join([",".join(columns)]
                                        + [",".join(_fmt(v) for v in row) for row in rows]) + "\n"

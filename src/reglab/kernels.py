@@ -14,7 +14,7 @@ higher orders read a piecewise-Chebyshev table per derivative order for
 certified against it between its nodes), and beyond take quadrature on a
 line through the saddle point of the Fourier integral or, far out, the
 self-evaluating ``AsymptoticFit``; dispersion is an Airy function, beam a
-summed integral.
+Fresnel integral, and both far forms are closed-form.
 """
 
 from __future__ import annotations
@@ -29,8 +29,7 @@ from functools import lru_cache
 import numpy as np
 import scipy
 
-from reglab.numcore import (Polynomial, QuadratureError, alternating_series_sum, check_positive,
-                            find_roots)
+from reglab.numcore import Polynomial, QuadratureError, check_positive, find_roots
 
 
 # ---------------------------------------------------------------------------
@@ -93,9 +92,8 @@ class KernelConstants:
     The large-argument form is
     ``F(y) ~ y**(-delta0) * exp(-d0*y**alpha) * (C1 sin(b0*y**alpha) + C2 cos(b0*y**alpha))``.
     For the dispersion kernel the decay (``d0``) applies on the left
-    half-line and the oscillation (rate ``b0 = d0``) on the right; for
-    the beam kernel there is no exponential envelope and the algebraic
-    exponent is a fitted quantity, so ``delta0`` is ``nan`` there.
+    half-line and the oscillation (rate ``b0 = d0``) on the right; the
+    beam kernel has no exponential envelope and decays like y**-2.
     """
 
     family: EquationFamily
@@ -110,8 +108,9 @@ class KernelConstants:
 def kernel_constants(family):
     """Closed-form decay/oscillation constants for the given family.
 
-    The fitted amplitudes C1, C2 are not closed-form; they come from
-    :func:`kernel_asymptotics_fit` (cached per kernel by ``ensure_fit``).
+    The amplitudes C1, C2 come from :func:`kernel_asymptotics_fit` (cached
+    per kernel by ``ensure_fit``): in closed form for the dispersion and
+    beam kernels, fitted for the parabolic ones.
     """
     if family.kind == "parabolic":
         m = family.m
@@ -124,8 +123,17 @@ def kernel_constants(family):
     if family.kind == "dispersion3":
         d0 = 2.0 * math.sqrt(3.0) / 9.0
         return KernelConstants(family, None, 1.5, d0, d0, 0.25, 1.0)
-    # beam: pure oscillation cos(y^2/4 + phase) with a fitted algebraic decay
-    return KernelConstants(beam4(), None, 2.0, 0.0, 0.25, float("nan"), 1.0)
+    # beam: pure oscillation cos(y^2/4 + pi/4) under the algebraic decay y^-2
+    return KernelConstants(beam4(), None, 2.0, 0.0, 0.25, 2.0, 1.0)
+
+
+# far-field amplitudes (C1, C2) in closed form: F(y) = s Ai(-s y), s = 3^(-1/3),
+# has C1 = C2 = s^(3/4) / sqrt(2 pi) on the right (DLMF 9.7.9), and the beam
+# kernel F ~ sqrt(2/pi) (cos(y^2/4) - sin(y^2/4)) / y^2 (DLMF 7.12)
+_FAR_AMPLITUDES = {
+    "dispersion3": (3.0 ** -0.25 / math.sqrt(2.0 * math.pi),) * 2,
+    "beam4": (-math.sqrt(2.0 / math.pi), math.sqrt(2.0 / math.pi)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -471,47 +479,38 @@ class _DispersionKernel:
 class _BeamKernel:
     """Kernel of the beam equation: F(y) = (1/pi) int_0^inf sin(w^2) cos(w y) / w^2 dw.
 
-    The substitution z -> w^2 applied to the half-line Fourier form has
-    already removed the endpoint singularity; the slowly decaying
-    oscillatory tail is summed over half-waves of the combined phases
-    w^2 +- w y with alternating-series acceleration.
+    Two y-derivatives give a Fresnel integral (DLMF 7.2), so with
+    z = |y|/sqrt(2 pi) and t = y^2/4
+
+        F(y) = -(|y|/2) (C(z) - S(z)) + (sin t + cos t) / sqrt(2 pi).
+
+    The two terms cancel to O(y^-2), and past |y| = 12 the phases that
+    ``scipy.special.fresnel`` and t carry part by rounding (4.7e-12 at
+    |y| = 1e3); there F = -(P (sin t + cos t) + Q (sin t - cos t)) / sqrt(2 pi)
+    instead, with P + iQ = sum_{k>=1} (1/2)_k (i/t)^k the asymptotic series
+    of the auxiliary functions (DLMF 7.12.2-3).  Its terms fall while
+    k < t, so 36 of them stop at e^-36 at t = 36.
     """
 
     def __init__(self):
         self.constants = kernel_constants(beam4())
         self._fit = None
 
-    @staticmethod
-    def _tail_term(y, sign, w_start, tol):
-        # integral over [w_start, inf) of sin(w^2 + sign*w*y) / (2 w^2)
-        phase0 = w_start**2 + sign * w_start * y
-        k0 = math.ceil(phase0 / math.pi)
-        crossings = [w_start]
-        for k in range(k0, k0 + 60):
-            disc = (0.5 * sign * y) ** 2 + k * math.pi
-            w = -0.5 * sign * y + math.sqrt(disc)
-            if w > w_start:
-                crossings.append(w)
-        panels = []
-        f = lambda w: math.sin(w * w + sign * w * y) / (2.0 * w * w)
-        for lo, hi in zip(crossings[:-1], crossings[1:]):
-            v, _ = scipy.integrate.quad(f, lo, hi, epsabs=tol / 20, limit=80)
-            panels.append(v)
-        return alternating_series_sum(panels, tol / 4)
-
-    def deriv(self, y, order=0, tol=1e-10):
+    def deriv(self, y, order=0, tol=None):
         _check_order(self.constants.family, order, 0)
-        y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.empty_like(y_arr)
-        for i, yi in enumerate(np.abs(y_arr)):  # even kernel
-            w_mid = 0.5 * yi + 6.0
-            head, _ = scipy.integrate.quad(
-                lambda w: (np.sinc(w * w / math.pi) * w * w if w < 1e-8 else math.sin(w * w)) / max(w * w, 1e-300) * math.cos(w * yi),
-                0.0, w_mid, epsabs=tol / 10, limit=max(200, int(20 * w_mid * (w_mid + yi))),
-            )
-            tail = self._tail_term(yi, +1.0, w_mid, tol) + self._tail_term(yi, -1.0, w_mid, tol)
-            out[i] = (head + tail) / math.pi
-        return float(out[0]) if np.isscalar(y) else out
+        ay = np.abs(np.asarray(y, dtype=float))
+        t = 0.25 * ay * ay
+        sin_t, cos_t = np.sin(t), np.cos(t)
+        fs, fc = scipy.special.fresnel(ay / math.sqrt(2.0 * math.pi))
+        i_over_t = 1j / np.maximum(t, 36.0)
+        term, series = np.ones_like(i_over_t), 0.0
+        for k in range(1, 37):
+            term = term * (k - 0.5) * i_over_t
+            series = series + term
+        out = np.where(t <= 36.0, (sin_t + cos_t) - math.sqrt(0.5 * math.pi) * ay * (fc - fs),
+                       -(series.real * (sin_t + cos_t) + series.imag * (sin_t - cos_t)))
+        out = out / math.sqrt(2.0 * math.pi)
+        return float(out) if out.ndim == 0 else out
 
     def ensure_fit(self):
         return _fill_once(self, "_fit", lambda: kernel_asymptotics_fit(beam4(), (6.0, 14.0)))
@@ -555,7 +554,7 @@ def eval_kernel_derivative(family, y, tol=1e-10):
 
 @dataclass(frozen=True)
 class AsymptoticFit:
-    """Least-squares amplitudes of the double-scale large-y form.
+    """Amplitudes of the double-scale large-y form, with its misfit on a window.
 
     One model for every family: ``y**-exponent * exp(-decay * y**alpha)
     * (c1 sin(rate * y**alpha) + c2 cos(rate * y**alpha))``.
@@ -566,7 +565,7 @@ class AsymptoticFit:
     c1: float
     c2: float
     residual: float
-    exponent: float  # algebraic decay exponent actually used by the model
+    exponent: float  # algebraic decay exponent of the model
     decay: float
     rate: float
     alpha: float
@@ -596,37 +595,22 @@ class AsymptoticFit:
         return out
 
 
-def _fit_linear(ys, fs, delta, d_env, b_osc, kappa):
-    # least squares in the envelope-normalized space: the reported residual
-    # is the RMS misfit relative to the local envelope scale, which keeps
-    # the decay across the window from dominating the fit
-    u = ys**kappa
-    env = ys ** (-delta) * np.exp(-d_env * u)
-    basis = np.column_stack([np.sin(b_osc * u), np.cos(b_osc * u)])
-    fn = fs / env
-    if b_osc == 0.0:
-        # the sin column vanishes and least squares is the mean, without the
-        # few ulps an SVD would add to an exact form
-        coef = np.array([0.0, np.mean(fn)])
-    else:
-        coef, *_ = np.linalg.lstsq(basis, fn, rcond=None)
-    resid = float(np.sqrt(np.mean((fn - basis @ coef) ** 2)))
-    return float(coef[0]), float(coef[1]), resid
-
-
 def kernel_asymptotics_fit(family, window):
-    """Fit the oscillatory large-argument form of the kernel at 48 even points of ``window``.
+    """The large-argument form of the kernel, measured at 48 even points of ``window``.
 
-    Returns the sin/cos amplitudes (for heat, which does not oscillate,
-    the sin one is zero) and the relative RMS misfit of the fit against
-    direct kernel values (heat: its closed form, which the form matches
-    exactly; higher parabolic orders: quadrature alone).  A window outside
-    0 <= lo < hi < inf or under a half oscillation raises ``ValueError``.
+    Returns the sin/cos amplitudes and the RMS misfit of the form against
+    direct kernel values, both divided by the envelope, so the decay
+    across the window does not dominate.  The dispersion and beam
+    amplitudes are closed-form, and the window only measures their misfit.
+    The parabolic ones are least-squares fits to the Gaussian for heat
+    (which the form matches exactly; the sin amplitude is zero) and to
+    quadrature alone for higher orders.  A window outside
+    0 <= lo < hi < inf, or a parabolic one under a half oscillation,
+    raises ``ValueError``.
 
-    For the beam kernel the algebraic decay exponent is itself fitted
-    (reported in ``exponent``) rather than assumed.  The fit is returned,
-    never cached: only the evaluator's ``ensure_fit`` stores the fit on its
-    default window, so a custom window cannot change later kernel values.
+    The fit is returned, never cached: only the evaluator's ``ensure_fit``
+    stores the fit on its default window, so a custom window cannot change
+    later kernel values.
     """
     lo, hi = window
     if not 0 <= lo < hi < math.inf:
@@ -638,20 +622,24 @@ def kernel_asymptotics_fit(family, window):
         if k.b0 != 0.0 and k.b0 * (hi**k.alpha - lo**k.alpha) < math.pi:
             raise ValueError("window samples less than a half oscillation; widen it")
         fs = kern.deriv(ys) if family.m == 1 else kern._quad(ys, 1e-12)
-        model = (k.delta0, k.d0, k.b0, k.alpha)
-    elif family.kind == "dispersion3":
-        fs = kern.deriv(ys)
-        model = (k.delta0, 0.0, k.d0, k.alpha)
+        decay = k.d0
     else:
-        fs = kern.deriv(ys, 0, 1e-9)
-
-        def misfit(q):
-            return _fit_linear(ys, fs, q, 0.0, k.b0, k.alpha)[2]
-
-        qbest = scipy.optimize.minimize_scalar(misfit, bounds=(0.3, 3.0), method="bounded").x
-        model = (float(qbest), 0.0, k.b0, k.alpha)
-    c1, c2, resid = _fit_linear(ys, fs, *model)
-    return AsymptoticFit(family, (lo, hi), c1, c2, resid, *model)
+        fs = kern.deriv(ys)
+        decay = 0.0  # the oscillating side
+    u = ys**k.alpha
+    basis = np.column_stack([np.sin(k.b0 * u), np.cos(k.b0 * u)])
+    fn = fs / (ys ** (-k.delta0) * np.exp(-decay * u))
+    if family.kind != "parabolic":
+        coef = np.array(_FAR_AMPLITUDES[family.kind])
+    elif k.b0 == 0.0:
+        # the sin column vanishes and least squares is the mean, without the
+        # few ulps an SVD would add to an exact form
+        coef = np.array([0.0, np.mean(fn)])
+    else:
+        coef, *_ = np.linalg.lstsq(basis, fn, rcond=None)
+    resid = float(np.sqrt(np.mean((fn - basis @ coef) ** 2)))
+    return AsymptoticFit(family, (lo, hi), float(coef[0]), float(coef[1]), resid,
+                         k.delta0, decay, k.b0, k.alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Shared numerical primitives: the failure classes of the numerical
-layers, alternating-series summation, the certified composite
-Gauss-Legendre rule, bracketed root finding, the ultraspherical operators
-on Chebyshev coefficients, and exact-rational polynomial arithmetic.
+layers, the certified composite Gauss-Legendre rule, bracketed root
+finding, the ultraspherical operators on Chebyshev coefficients, and
+exact-rational polynomial arithmetic.
 
 Everything here is a pure function of its inputs; returned objects are
 immutable and safe to share across threads.
@@ -56,26 +56,6 @@ def check_positive(name, value):
     """Raise ``ValueError`` naming ``name`` unless ``value`` is positive and finite."""
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
-
-
-# ---------------------------------------------------------------------------
-# series summation
-
-
-def alternating_series_sum(terms, tol):
-    """Sum an eventually alternating sequence with iterated Euler averaging.
-
-    ``terms`` is a finite sequence of partial contributions (one per
-    half-wave).  Returns the accelerated sum; works well when magnitudes
-    decay slowly but signs alternate.
-    """
-    s = np.cumsum(np.asarray(terms, dtype=float))
-    while len(s) > 1:
-        s_next = 0.5 * (s[1:] + s[:-1])
-        if len(s_next) >= 2 and abs(s_next[-1] - s_next[-2]) < tol:
-            return float(s_next[-1])
-        s = s_next
-    return float(s[-1])
 
 
 # ---------------------------------------------------------------------------

@@ -100,6 +100,19 @@ class TestBoundaryValueRoute:
         assert np.max(np.abs(np.subtract(solved.wall_derivatives, wall))) <= 1e-13
         assert solved.far_value == pytest.approx(1.0, abs=1e-13)
 
+    @pytest.mark.parametrize("family", ["biharmonic", "dispersion3"])
+    @pytest.mark.parametrize("tol", [1e-4, 1e-6, 1e-10])
+    def test_tol_bounds_every_output(self, family, tol):
+        # the wall-derivative rows weigh coefficient k by up to k^6; a stop
+        # on the size of the trailing coefficients alone left the biharmonic
+        # wall derivatives 91 x tol off at tol = 1e-4
+        profile, wall = blayer._CLOSED[family]
+        for length in np.geomspace(0.5, 2000.0, 30):
+            solved = blayer.solve_bl_bvp(family, float(length), tol)
+            assert np.max(np.abs(solved.values - profile(solved.xi))) <= tol
+            assert np.max(np.abs(np.subtract(solved.wall_derivatives, wall))) <= tol
+            assert abs(solved.far_value - 1.0) <= tol
+
     def test_wall_constants_truncation_insensitive(self):
         a = blayer.solve_bl_bvp("biharmonic", 30.0, tol=1e-11)
         b = blayer.solve_bl_bvp("biharmonic", 60.0, tol=1e-11)

@@ -46,6 +46,13 @@ class TestImportFootprint:
                  "print(*(f'scipy.{p}' in sys.modules for p in ('integrate', 'optimize')))")
         assert self.fresh(probe) == ["False", "False"]
 
+    def test_beam_kernel_loads_neither_optimize_nor_integrate(self):
+        # the beam kernel and both far forms are closed-form
+        probe = ("import os, sys; from reglab import cli; "
+                 "cli.main(['kernel', '--family', 'beam4', '--range', '0:40:1', '--out', os.devnull]); "
+                 "print(*(f'scipy.{p}' in sys.modules for p in ('integrate', 'optimize')))")
+        assert self.fresh(probe) == ["False", "False"]
+
     def test_linear_layers_load_no_scipy_integrate(self):
         # the linear layers are one numpy solve on Chebyshev coefficients;
         # only the cubic pme4 layer collocates with scipy.integrate.solve_bvp
@@ -97,6 +104,18 @@ class TestKernelCommand:
                 assert math.isnan(asym) and math.isnan(diff)
             elif y >= 1:
                 assert math.isfinite(asym)
+
+    @pytest.mark.parametrize("family", ["heat", "biharmonic", "dispersion3", "beam4"])
+    def test_json_output_is_strict(self, tmp_path, family):
+        # the asymptotic column is nan at |y| < 1 (and on the dispersion left
+        # side); bare NaN tokens are not JSON, so --json writes null there
+        def refuse(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        code, text = run_cli(tmp_path, "kernel", "--family", family, "--range=-3:3:0.5", "--json")
+        data = json.loads(text, parse_constant=refuse)
+        assert code == 0 and data["rows"][6][2] is None and data["rows"][6][3] is None
+        assert all(isinstance(v, float) for v in data["header"].values() if not isinstance(v, str))
 
     def test_bad_range_exits_nonzero(self):
         # argparse raises SystemExit for flag-validation failures

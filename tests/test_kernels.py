@@ -107,24 +107,49 @@ class TestKernelEvaluation:
             assert sol.sol(y)[0] == pytest.approx(f(y), abs=1e-7)
 
     def test_dispersion_unit_mass(self):
+        # the kernel by quadrature on [-14, 20]; the right tail, which decays
+        # like y^(-3/4) only, from the Airy integral: with x = s y it is
+        # int_(20 s)^inf Ai(-x) dx = 2/3 - int_0^(20 s) Ai(-x) dx (DLMF §9.10)
         from scipy.integrate import quad
+        from scipy.special import itairy
 
-        v1, _ = quad(lambda y: K.eval_kernel(K.dispersion3(), float(y)), -14.0, 0.0, limit=200)
-        # oscillatory right tail summed over lobes of the phase
-        kc = K.kernel_constants(K.dispersion3())
-        pts = [0.0] + [(k * math.pi / kc.d0) ** (2.0 / 3.0) for k in range(1, 60)]
-        from reglab.numcore import alternating_series_sum
-
-        panels = [quad(lambda y: K.eval_kernel(K.dispersion3(), float(y)), lo, hi,
-                       epsabs=1e-9, epsrel=1e-12, limit=200)[0]
-                  for lo, hi in zip(pts[:-1], pts[1:])]
-        v2 = alternating_series_sum(panels, 1e-8)
-        assert v1 + v2 == pytest.approx(1.0, abs=1e-4)
+        body, _ = quad(lambda y: K.eval_kernel(K.dispersion3(), float(y)), -14.0, 20.0,
+                       epsabs=1e-12, epsrel=1e-12, limit=400)
+        tail = 2.0 / 3.0 - itairy(20.0 * 3.0 ** (-1.0 / 3.0))[2]
+        assert body + tail == pytest.approx(1.0, abs=1e-8)
 
     def test_beam_value_at_origin(self):
         # Fresnel-type closed value: F(0) = 1/sqrt(2 pi)
         assert K.eval_kernel(K.beam4(), 0.0, 1e-9) == pytest.approx(
             1.0 / math.sqrt(2.0 * math.pi), abs=1e-8)
+
+    def test_beam_matches_its_taylor_integral(self):
+        # independent route: F(0) = 1/sqrt(2 pi), F'(0) = 0 and
+        # F''(s) = -(cos(s^2/4) - sin(s^2/4)) / (2 sqrt(2 pi)), so
+        # F(y) = F(0) + int_0^|y| (|y| - s) F''(s) ds, by quad on the arcs
+        # between the zeros s = sqrt(pi (4k + 1)) of F''; the grid crosses the
+        # seam at |y| = 12 between the Fresnel form and the far series
+        from scipy.integrate import quad
+
+        root = math.sqrt(2.0 * math.pi)
+        f2 = lambda s: -(math.cos(0.25 * s * s) - math.sin(0.25 * s * s)) / (2.0 * root)
+        zeros = np.sqrt(math.pi * (4.0 * np.arange(130) + 1.0))
+        ys = np.linspace(-7.0, 40.0, 48)
+        vals = K.eval_kernel(K.beam4(), ys)
+        for y, v in zip(ys, vals):
+            ay = abs(float(y))
+            edges = [0.0, *zeros[zeros < ay], ay]
+            ref = 1.0 / root + math.fsum(quad(lambda s: (ay - s) * f2(s), a, b, epsabs=0.0)[0]
+                                         for a, b in zip(edges[:-1], edges[1:]))
+            assert v == pytest.approx(ref, rel=0.0, abs=1e-12)
+            assert K.eval_kernel(K.beam4(), float(y)) == v
+
+    @pytest.mark.parametrize("y", [100.0, 1e3, 1e4])
+    def test_beam_far_remainder_is_order_y_to_the_minus_four(self, y):
+        # F = sqrt(2/pi) (cos(y^2/4) - sin(y^2/4)) / y^2 + O(y^-4); the next
+        # term of the Fresnel series has amplitude 12/sqrt(pi) = 6.77
+        far = math.sqrt(2.0 / math.pi) * (math.cos(0.25 * y * y) - math.sin(0.25 * y * y)) / y**2
+        assert abs(y**4 * (K.eval_kernel(K.beam4(), y) - far)) <= 7.0
 
 
 # Mirrored and repeated arguments.  Every point takes its own route, so the
@@ -557,9 +582,19 @@ class TestAsymptoticFit:
         assert K.get_kernel(fam).ensure_fit().window == (5.0, 9.0)
         assert K.eval_kernel(fam, 25.0) == before
 
-    def test_beam_exponent_is_reported_free(self):
-        fit = K.get_kernel(K.beam4()).ensure_fit()
-        assert fit.exponent == pytest.approx(2.0, abs=0.35)
+    @pytest.mark.parametrize("family, c1, c2, exponent", [
+        (K.dispersion3(), 3.0 ** -0.25 / math.sqrt(2.0 * math.pi),
+         3.0 ** -0.25 / math.sqrt(2.0 * math.pi), 0.25),
+        (K.beam4(), -math.sqrt(2.0 / math.pi), math.sqrt(2.0 / math.pi), 2.0),
+    ], ids=["dispersion3", "beam4"])
+    def test_far_forms_are_closed_form(self, family, c1, c2, exponent):
+        # F = s Ai(-s y) (DLMF 9.7.9) and the Fresnel form of the beam kernel
+        fit = K.get_kernel(family).ensure_fit()
+        assert abs(fit.c1 - c1) <= 1e-15 and abs(fit.c2 - c2) <= 1e-15
+        assert fit.exponent == exponent == K.kernel_constants(family).delta0
+        # the window only measures the misfit
+        other = K.kernel_asymptotics_fit(family, (20.0, 30.0))
+        assert (other.c1, other.c2) == (fit.c1, fit.c2) and other.residual < fit.residual
 
 
 class TestHermitePairs:

@@ -8,20 +8,6 @@ from scipy.optimize import brentq
 from reglab import numcore as nc
 
 
-class TestAlternatingSeriesSum:
-    def test_slowly_decaying_alternating_tail(self):
-        # int_1^inf sin(pi x)/x dx = pi/2 - Si(pi), conditionally convergent:
-        # one quadrature panel per half-wave, panels summed with acceleration
-        from scipy.integrate import quad
-        from scipy.special import sici
-
-        f = lambda x: math.sin(math.pi * x) / x
-        panels = [quad(f, 1.0 + k, 2.0 + k, epsabs=1e-11, epsrel=1e-12)[0] for k in range(79)]
-        val = nc.alternating_series_sum(panels, 1e-10)
-        ref = math.pi / 2 - sici(math.pi)[0]
-        assert val == pytest.approx(ref, abs=1e-6)
-
-
 class TestGaussLegendreWindows:
     def test_smooth_windows(self):
         # exp over dyadic windows: exact to rounding, one array call
