@@ -132,9 +132,8 @@ def wall_flux(g1, g2):
 
     def flux(v, a0=1.0):
         y = v / math.sqrt(a0)
-        return (g2 * math.sqrt(a0) * v * kernels.eval_kernel(fam, y)
-                + g1 * a0 ** (2.0 / 3.0) * v ** (2.0 / 3.0)
-                * kernels.eval_kernel_derivative(fam, y))
+        f0, f1 = kernels.eval_kernel(fam, y, order=(0, 1))
+        return g2 * math.sqrt(a0) * v * f0 + g1 * a0 ** (2.0 / 3.0) * v ** (2.0 / 3.0) * f1
 
     return flux
 

@@ -820,7 +820,7 @@ def _a0_direct_rhs(family, phi_u, floor):
             # LSODA's step count, or its failure, hinge on the last bits of F
             v = phi_u(u)
             arg = v / math.sqrt(a0)
-            f0, f1, f2 = (kern.deriv(arg, k) for k in range(3))
+            f0, f1, f2 = kern.deriv(arg, (0, 1, 2))
             d_density = (0.5 * g2 * v / math.sqrt(a0) * (f0 - arg * f1)
                          + g1 * v ** (2.0 / 3.0) * a0 ** (-1.0 / 3.0)
                          * (2.0 / 3.0 * f1 - 0.5 * arg * f2))
