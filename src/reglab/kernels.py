@@ -12,11 +12,15 @@ the batch it is asked in, and which reads one order or a tuple of them:
 the heat kernel is the Gaussian in closed form; higher orders read a
 piecewise-Chebyshev table per derivative order for |y| <= 12 (built once
 from the quadrature, which stays the reference, and certified against it
-between its nodes), and beyond take quadrature on a line through the
-saddle point of the Fourier integral, one pass for all the orders asked;
-dispersion is an Airy function, beam a Fresnel integral, and both far
-forms are closed-form.  The fitted ``AsymptoticFit`` serves the far-field
-constants and the CLI's comparison column, never a kernel read.
+between its nodes); beyond, out to where the kernel falls below about
+e^-700, a second table of the kernel scaled by its decay, in the variable
+w = |y|^alpha, filled panel by panel on first use from quadrature on a line
+through the saddle point of the Fourier integral and certified against it;
+past that table a read takes that saddle-line quadrature itself, one pass
+for all the orders asked; dispersion is an Airy function, beam a Fresnel
+integral, and both far forms are closed-form.  The fitted ``AsymptoticFit``
+serves the far-field constants and the CLI's comparison column, never a
+kernel read.
 """
 
 from __future__ import annotations
@@ -202,8 +206,16 @@ def _fill_once(owner, name, compute):
 
 
 def _orders(family, order, highest=math.inf):
-    """``order``, an int or a tuple of them, as a non-empty tuple of orders in 0..highest."""
+    """``order``, an int or a tuple of them, as a non-empty tuple of orders in 0..highest.
+
+    An order that is not an integer (a float, even 1.0, or a bool) raises
+    ``ValueError``: a non-integer derivative has no value here to give.
+    """
     orders = order if isinstance(order, tuple) else (order,)
+    for k in orders:
+        # an int passes before the slower abstract-class check
+        if type(k) is not int and (isinstance(k, bool) or not isinstance(k, numbers.Integral)):
+            raise ValueError(f"{family} kernel: derivative order {k!r} is not an integer")
     if not orders or not all(0 <= k <= highest for k in orders):
         raise ValueError(f"{family} kernel: derivative order {order} is outside 0..{highest}")
     return orders
@@ -242,6 +254,22 @@ def _clenshaw(coef, t):
     return t * b1 - b2 + coef[0]
 
 
+@lru_cache(maxsize=4)
+def _chebyshev_panel(degree):
+    """For a degree-``degree`` Chebyshev series on [-1, 1]: the map from values
+    at the first-kind Chebyshev points to coefficients, those points, and the
+    Chebyshev-Lobatto points (between them, both ends included) that certify
+    it.  The arrays are shared between callers and therefore read-only."""
+    n = degree + 1
+    theta = math.pi * (np.arange(n) + 0.5) / n
+    to_coef = np.cos(np.outer(np.arange(n), theta)) * (2.0 / n)
+    to_coef[0] *= 0.5
+    nodes, checks = np.cos(theta), np.cos(math.pi * np.arange(n + 1) / n)
+    for a in (to_coef, nodes, checks):
+        a.flags.writeable = False
+    return to_coef, nodes, checks
+
+
 class _ParabolicKernel:
     """Evaluator for the order-2m kernel F and its derivatives.
 
@@ -249,8 +277,13 @@ class _ParabolicKernel:
     the kernel integrates to one over the line.  For m = 1 this is the
     Gaussian, evaluated in closed form.  For m >= 2 a point with |y| <= 12
     reads a piecewise-Chebyshev table of D^order F, built once from
-    quadrature and certified against it, and every point farther out takes
-    quadrature on the saddle line, one pass for all the orders it is asked.
+    quadrature and certified against it.  Farther out, up to where
+    d0 |y|^alpha reaches ``_FAR_END``, a point reads a second table, of the
+    scaled kernel e^(d0 w) D^order F(w^(1/alpha)) in w = |y|^alpha, where
+    the far oscillation has the constant rate b0: panels uniform in w, each
+    filled on first use from the saddle-line rule and certified against it.
+    Past the table's end a point takes the saddle-line rule itself, one pass
+    for all the orders it is asked.
     """
 
     def __init__(self, m):
@@ -258,6 +291,16 @@ class _ParabolicKernel:
         self.constants = kernel_constants(parabolic(m))
         self._fit = None
         self._switch = None
+        if m > 1:
+            # far panels of equal width in w, about _FAR_PHASE radians of the
+            # oscillation each, from w0 = 12^alpha to d0 w = _FAR_END
+            kc = self.constants
+            self._w0 = self._FAR_Y ** kc.alpha
+            w_end = self._FAR_END / kc.d0
+            self._far_panels = math.ceil((w_end - self._w0) * kc.b0 / self._FAR_PHASE)
+            self._far_width = (w_end - self._w0) / self._far_panels
+            self._far_y_end = w_end ** (1.0 / kc.alpha)
+            self._far = {}  # (order, panel) -> that panel's Chebyshev coefficients
 
     _FAR_Y = 12.0  # beyond this, plain node sums hit their cancellation floor
     _NODES = 128  # near-field rule size; checked against twice as many nodes
@@ -266,15 +309,23 @@ class _ParabolicKernel:
     _DEGREE = 12  # Chebyshev degree on each panel
     _TABLE_TOL = 1e-14  # certified table error, scaled by the bound on |D^order F| where above 1
     _DROP = 46.0  # the saddle line ends where its integrand is e^-_DROP below its peak
+    _FAR_PHASE = 4.0  # radians of the far oscillation b0 w across one far panel
+    _FAR_DEGREE = 24  # Chebyshev degree on each far panel
+    _FAR_TOL = 1e-14  # certified far-table error, relative to the panel's largest scaled value
+    _FAR_END = 700.0  # the far table ends where d0 |y|^alpha passes this
 
     def deriv(self, y, order=0, tol=1e-10):
         """(d/dy)^order F(y) for scalar or array y, point by point.
 
         A tuple of orders gives a tuple of values, one per order, each equal
-        bit for bit to its single-order read.  For m >= 2 a scalar y takes
-        the scalar lane: the route and the route function its element of an
-        array read takes, without the masks, the de-duplication and the
-        blocks, so its value is that element's, bit for bit.
+        bit for bit to its single-order read.  For m >= 2 the route goes by
+        |y|: the near table up to 12, the far table up to its end, the
+        saddle-line rule past it (and for nan, which stays nan; +-inf give
+        0.0).  ``tol`` reaches only that last route: both tables are
+        certified far below any tolerance.  A scalar y takes the scalar
+        lane: the route and the route function its element of an array read
+        takes, without the masks, the de-duplication and the blocks, so its
+        value is that element's, bit for bit.
         """
         orders = _orders(self.constants.family, order)
         if self.m > 1 and np.isscalar(y):
@@ -284,23 +335,36 @@ class _ParabolicKernel:
             out = [_gaussian_deriv(y_arr, k) for k in orders]
         else:
             out = [np.empty_like(y_arr) for _ in orders]
-            near = np.abs(y_arr) <= self._FAR_Y
+            ay = np.abs(y_arr)
+            near = ay <= self._FAR_Y
             if near.any():
                 for k, o in zip(orders, out):
                     o[near] = self._tabulated(y_arr[near], k)
             if not near.all():
-                for o, v in zip(out, self._quad(y_arr[~near], tol, orders)):
-                    o[~near] = v
+                far = ~near & (ay <= self._far_y_end)
+                rest = ~(near | far)
+                if far.any():
+                    neg = y_arr[far] < 0
+                    for k, o, v in zip(orders, out, self._far_tabulated(ay[far], orders)):
+                        o[far] = np.where(neg, -v, v) if k % 2 else v
+                if rest.any():
+                    for o, v in zip(out, self._quad(y_arr[rest], tol, orders)):
+                        o[rest] = v
         return _one_or_all(order, [float(o[0]) for o in out] if np.isscalar(y) else out)
 
     def _deriv_point(self, y, orders, tol):
         """``deriv`` at one float y, m >= 2, as a list with one value per order."""
-        if abs(y) <= self._FAR_Y:
+        ay = abs(y)
+        if ay <= self._FAR_Y:
             return [float(self._tabulated(y, k)) for k in orders]
-        # a far point runs as a one-element array: numpy's scalar arithmetic
-        # can round differently from its array loops
-        vals = self._doubled(self._saddle_line, np.array([abs(y)]), orders, tol)
-        return [-float(v[0]) if k % 2 and y < 0 else float(v[0]) for k, v in zip(orders, vals)]
+        if ay <= self._far_y_end:
+            vals = self._far_tabulated(ay, orders)
+        else:
+            # a point past the table runs as a one-element array: numpy's
+            # scalar arithmetic can round differently from its array loops
+            vals = [float(v[0]) for v in
+                    self._doubled(self._saddle_line, np.array([ay]), orders, tol)]
+        return [-v if k % 2 and y < 0 else v for k, v in zip(orders, vals)]
 
     def _tabulated(self, y, order):
         """D^order F at |y| <= 12 from the certified table of that order, y a float or an array."""
@@ -326,11 +390,8 @@ class _ParabolicKernel:
         joints; a panel off by more than ``_TABLE_TOL`` raises
         ``QuadratureError``.  Panel by panel, no temporary array is large.
         """
-        n = self._DEGREE + 1
-        theta = math.pi * (np.arange(n) + 0.5) / n
-        to_coef = np.cos(np.outer(np.arange(n), theta)) * (2.0 / n)
-        to_coef[0] *= 0.5
-        nodes, checks = np.cos(theta), np.cos(math.pi * np.arange(n + 1) / n)
+        to_coef, nodes, checks = _chebyshev_panel(self._DEGREE)
+        n = nodes.size
         # the weights' mass bounds |D^order F|
         scale = max(1.0, float(_gl_rule(self.m, 2 * self._NODES, order)[1].sum()) / math.pi)
         half = 0.5 * self._PANEL
@@ -348,6 +409,76 @@ class _ParabolicKernel:
         coef.flags.writeable = False
         return coef
 
+    def _far_tabulated(self, ay, orders):
+        """D^k F for each k in ``orders`` from the far table, at 12 < ay up to
+        its end; ay a float (giving floats) or an array.
+
+        The read is one Clenshaw sum of the scaled kernel times e^(-d0 w).
+        w = ay^alpha and the envelope come from the same numpy loops for a
+        float as for an array (the float runs as a one-element array), and
+        the panel index and the Clenshaw sum use the same float operations,
+        so a float's values equal its element of an array read bit for bit.
+        """
+        kc, h, scalar = self.constants, self._far_width, isinstance(ay, float)
+        w = (np.array([ay]) if scalar else ay) ** kc.alpha
+        env = np.exp(w * -kc.d0)
+        if scalar:
+            w, env = float(w[0]), float(env[0])
+            panel = min(int((w - self._w0) / h), self._far_panels - 1)
+            coefs = self._far_coefs(panel, orders)
+        else:
+            panel = np.minimum(((w - self._w0) / h).astype(np.intp), self._far_panels - 1)
+            panels, inverse = np.unique(panel, return_inverse=True)
+            columns = [self._far_coefs(int(p), orders) for p in panels]
+            coefs = [np.array([c[i] for c in columns]).T[:, inverse] for i in range(len(orders))]
+        t = (w - (self._w0 + (panel + 0.5) * h)) * (2.0 / h)
+        return [_clenshaw(c, t) * env for c in coefs]
+
+    def _far_coefs(self, panel, orders):
+        """The far table's coefficients on ``panel``, one tuple per order in
+        ``orders``; every order still missing there is built in one pass."""
+        coefs = [self._far.get((k, panel)) for k in orders]
+        if None in coefs:
+            with _FILL_LOCK:
+                missing = [k for k in dict.fromkeys(orders) if (k, panel) not in self._far]
+                if missing:
+                    self._far.update(self._build_far_panel(panel, missing))
+            coefs = [self._far[k, panel] for k in orders]
+        return coefs
+
+    def _build_far_panel(self, panel, orders):
+        """Chebyshev coefficients of the scaled kernel e^(d0 w) D^k F(w^(1/alpha))
+        on far panel ``panel``, as {(k, panel): tuple} for each k in ``orders``.
+
+        The panel interpolates one ``_saddle_line`` pass for all the orders
+        (doubling-checked to 1e-13) at the Chebyshev points of the first kind
+        in w, and is certified against that pass at the Chebyshev-Lobatto
+        points, joints included.  The bound is ``_FAR_TOL`` times
+        max(1, d0 w) at the panel's right end times the largest scaled sample:
+        the reference itself rounds like eps d0 w, as its exponent does.  A
+        panel that fails raises ``QuadratureError``, and nothing is stored.
+        """
+        kc = self.constants
+        to_coef, nodes, checks = _chebyshev_panel(self._FAR_DEGREE)
+        n, half = nodes.size, 0.5 * self._far_width
+        mid = self._w0 + (panel + 0.5) * self._far_width
+        w = mid + half * np.concatenate([nodes, checks])
+        scale = np.exp(kc.d0 * w)
+        bound = self._FAR_TOL * max(1.0, kc.d0 * (mid + half))
+        vals = self._doubled(self._saddle_line, w ** (1.0 / kc.alpha), orders, 1e-13)
+        out = {}
+        for k, v in zip(orders, vals):
+            phi = v * scale
+            coef = (to_coef * phi[:n]).sum(axis=1)
+            err = np.abs(_clenshaw(coef[:, None], checks) - phi[n:])
+            if err.max() > bound * np.abs(phi).max():
+                raise QuadratureError(
+                    f"{kc.family} kernel far table of order {k} failed its certification "
+                    f"on w in [{mid - half}, {mid + half}]",
+                    float(phi[n + err.argmax()]), float(err.max()))
+            out[k, panel] = tuple(coef.tolist())
+        return out
+
     def _quad(self, y, tol=1e-10, order=0):
         """D^order F by quadrature alone, for scalar or array y and an order or a tuple of them.
 
@@ -356,9 +487,11 @@ class _ParabolicKernel:
         integral is a fixed Gauss-Legendre sum on the real axis; farther
         out, where such a sum would cancel down to its ~1e-15 floor, it is
         taken on the line through the dominant saddle (``_saddle_line``),
-        where the integrand has no cancellation.  Each rule runs at two
-        node counts, n and 2n, and a gap above max(tol, 1e-13) between the
-        two raises ``QuadratureError``.  The sums run once per distinct |y|,
+        where the integrand has no cancellation.  These rules are the
+        reference both tables are certified against; ``deriv`` reads them
+        only past the far table.  Each rule runs at two node counts, n and
+        2n, and a gap above max(tol, 1e-13) between the two raises
+        ``QuadratureError``.  The sums run once per distinct |y|,
         row by row (a point's value never depends on its batch), and in
         blocks of ``_BLOCK`` points, so no temporary grows with the batch.
         """
@@ -409,6 +542,10 @@ class _ParabolicKernel:
 
     def _saddle_line(self, y, orders):
         """The 64m- and 128m-node sums for each D^order F on a line through the saddle, y > 12.
+
+        This is the reference rule: the far table's panels are fitted to it
+        and certified against it, and ``deriv`` reads it directly only past
+        the table's end, where d0 y^alpha > ``_FAR_END``.
 
         The phase -s^(2m) + i s y has its dominant saddle at s* = r e^(i theta),
         r = (y/2m)^(1/(2m-1)), theta = pi/(2(2m-1)).  The contour runs up the

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -210,7 +211,8 @@ class TestArrayCallsMatchScalarCalls:
         # a fresh evaluator whose first reads are scalars fills its tables from
         # the scalar lane; the shared evaluator has filled them from array reads
         fresh, shared = K._ParabolicKernel(m), K.get_kernel(K.parabolic(m))
-        ys = np.concatenate([_NEAR, _FAR, [40.0, -40.0]])
+        # far-table panels at +-150 and +-350, and a point past the table's end
+        ys = np.concatenate([_NEAR, _FAR, [40.0, -40.0, 150.0, -150.0, 350.0, -350.0, 1000.0]])
         for order in range(4):
             scalars = np.array([fresh.deriv(float(y), order) for y in ys])
             np.testing.assert_array_equal(scalars, shared.deriv(ys, order))
@@ -264,6 +266,78 @@ class TestKernelTable:
                 kern.deriv(1.0, 1)
         assert getattr(kern, "_table1", None) is None
         assert kern.deriv(20.0, 1) == K.get_kernel(K.biharmonic()).deriv(20.0, 1)
+
+
+def _far_joints(kern, y_max):
+    """|y| at every joint of the far table's panels in (12, y_max]."""
+    w = kern._w0 + np.arange(kern._far_panels + 1) * kern._far_width
+    y = w ** (1.0 / kern.constants.alpha)
+    return y[(y > 12.0) & (y <= y_max)]
+
+
+def _far_grid(kern, n=1553):
+    """Every far-table joint up to |y| = 400 and a dense grid between them."""
+    return np.unique(np.concatenate([_far_joints(kern, 400.0), np.linspace(12.0, 400.0, n)[1:]]))
+
+
+class TestFarTable:
+    """For m >= 2, points with |y| > 12, up to d0 |y|^alpha = 700, read a second
+    table: the scaled kernel e^(d0 w) D^k F in w = |y|^alpha, certified
+    against the saddle-line rule."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_matches_the_saddle_line_rule(self, m):
+        kern = K.get_kernel(K.parabolic(m))
+        kc = kern.constants
+        ay = _far_grid(kern)
+        ys = np.concatenate([ay, -ay])
+        w = np.abs(ys) ** kc.alpha
+        orders = (0, 1, 2, 3)
+        for k, v, ref in zip(orders, kern.deriv(ys, orders), kern._quad(ys, 1e-13, orders)):
+            envelope = np.abs(ys) ** (k * (kc.alpha - 1) - kc.delta0) * np.exp(-kc.d0 * w)
+            assert (np.abs(v - ref) <= 2e-15 * np.maximum(1.0, kc.d0 * w) * envelope).all()
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_odd_orders_are_odd_and_scalars_match(self, m):
+        kern = K.get_kernel(K.parabolic(m))
+        ay = _far_grid(kern, 389)
+        ys = np.concatenate([ay[::5], -ay[2::5]])
+        for k in range(4):
+            right, left = kern.deriv(ay, k), kern.deriv(-ay, k)
+            assert np.array_equal(left, -right if k % 2 else right)
+            scalars = [kern.deriv(float(y), k) for y in ys]
+            np.testing.assert_array_equal(kern.deriv(ys, k), scalars)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_nan_stays_nan_and_infinities_give_zero(self, m):
+        kern = K.get_kernel(K.parabolic(m))
+        ys = np.array([np.nan, np.inf, -np.inf, 1e300, -1e300])
+        for k in range(4):
+            for v in (kern.deriv(ys, k), np.array([kern.deriv(float(y), k) for y in ys])):
+                assert np.isnan(v[0]) and v[1:].tolist() == [0.0] * 4
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_past_the_end_reads_the_saddle_line_rule(self, m):
+        kern = K.get_kernel(K.parabolic(m))
+        kc, end = kern.constants, kern._far_y_end
+        assert kc.d0 * end ** kc.alpha == pytest.approx(kern._FAR_END, rel=1e-14)
+        ys = np.array([np.nextafter(end, np.inf), 1.001 * end, -1.2 * end, 1.5 * end, 1e4])
+        for tol in (1e-10, 1e-6):
+            for k in range(4):
+                ref = kern._quad(ys, tol, k)
+                np.testing.assert_array_equal(kern.deriv(ys, k, tol), ref)
+                np.testing.assert_array_equal([kern.deriv(float(y), k, tol) for y in ys], ref)
+
+    def test_failed_certification_raises_and_stores_nothing(self):
+        kern = K._ParabolicKernel(2)
+        kern._FAR_TOL = 1e-20  # below the rounding of the rule it is checked against
+        for _ in range(2):
+            with pytest.raises(QuadratureError, match="far table of order 1"):
+                kern.deriv(20.0, 1)
+        with pytest.raises(QuadratureError, match="far table"):
+            kern.deriv(np.array([15.0, -300.0]), (0, 1))
+        assert kern._far == {}
+        assert kern.deriv(1.0, 1) == K.get_kernel(K.biharmonic()).deriv(1.0, 1)
 
 
 def _qawo(m, y, order):
@@ -410,6 +484,29 @@ class TestMultiOrderReads:
             with pytest.raises(ValueError, match="derivative order"):
                 K.eval_kernel(fam, 1.0, order=order)
 
+    @pytest.mark.parametrize("fam", [K.heat(), K.biharmonic(), K.parabolic(3), K.dispersion3(),
+                                     K.beam4()], ids=str)
+    @pytest.mark.parametrize("order", [1.5, 0.0, 1.0, True, False, np.float64(1.0), "1", None,
+                                       (0, 1.5), (True,), (0, 0.0)], ids=repr)
+    def test_non_integer_orders_rejected(self, fam, order):
+        # once read as 1.5 -> 7.78e-7 at y = 20, True as 1 and 0.0 as 0
+        bad = next(k for k in (order if isinstance(order, tuple) else (order,))
+                   if type(k) is not int)
+        message = re.escape(f"derivative order {bad!r} is not an integer")
+        for y in (1.0, 20.0, np.array([1.0, 20.0])):
+            with pytest.raises(ValueError, match=message):
+                K.eval_kernel(fam, y, order=order)
+            with pytest.raises(ValueError, match="not an integer") as err:
+                K.get_kernel(fam).deriv(y, order)
+            assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("fam", [K.heat(), K.biharmonic(), K.dispersion3(), K.beam4()],
+                             ids=str)
+    def test_numpy_integer_orders_read_as_ints(self, fam):
+        ys = np.array([-20.0, 1.0, 20.0])
+        assert np.array_equal(K.eval_kernel(fam, ys, order=np.int64(0)), K.eval_kernel(fam, ys))
+        assert K.eval_kernel(fam, 20.0, order=(np.int32(0),)) == (K.eval_kernel(fam, 20.0),)
+
 
 class TestValuesThatMustNotMove:
     """The near-field table, the fit and the switch point never reach the far rule."""
@@ -551,6 +648,40 @@ class TestLazyFillUnderThreads:
         assert sorted(built) == [0, 1, 2, 3]
         values = {k: v for r in results for k, v in r}
         assert all(dict(r) == values for r in results)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_each_far_panel_is_built_once(self, m):
+        kern = K._ParabolicKernel(m)
+        passes = []
+        rule = kern._saddle_line
+
+        def counted(y, orders):
+            # a panel's pass starts at its first Chebyshev node
+            passes.append((float(y[0]), orders))
+            threading.Event().wait(0.001)
+            return rule(y, orders)
+
+        kern._saddle_line = counted
+        ys = np.array([12.5, -20.0, 20.3, 150.0, -150.0, 350.0])
+        starts = itertools.count()
+
+        def read():
+            # each thread reads the orders one by one from a different start,
+            # then all four at once as an array
+            s = next(starts)
+            out = {k: tuple(kern.deriv(float(y), k) for y in ys)
+                   for k in ((s + j) % 4 for j in range(4))}
+            out["array"] = tuple(tuple(v) for v in kern.deriv(ys, (0, 1, 2, 3)))
+            return out
+
+        results = self._race(read)
+        built = [(y0, k) for y0, orders in passes for k in orders]
+        panels = {y0 for y0, _ in passes}
+        assert len(panels) == 4  # -20.0 and 20.3 share a panel, as do +-150
+        assert sorted(built) == sorted(itertools.product(panels, range(4)))
+        assert all(r == results[0] for r in results)
+        shared = K.get_kernel(K.parabolic(m))
+        assert results[0]["array"] == tuple(tuple(v) for v in shared.deriv(ys, (0, 1, 2, 3)))
 
     def test_switch_point_is_computed_once(self, monkeypatch):
         kern = K._ParabolicKernel(2)
