@@ -168,6 +168,11 @@ def _lambda_row(l, method, grid_size):
 
 
 def cmd_spectrum(args):
+    given = [f"--{key.replace('_', '-')}" for key in ("l", "l_range", "branch", "reproduce")
+             if getattr(args, key) is not None]
+    if len(given) != 1:
+        raise ValueError("need one of --l, --l-range, --branch or --reproduce table1"
+                         + (f", not {' and '.join(given)}" if given else ""))
     header = {"command": "spectrum", "method": args.method}
     if args.reproduce == "table1":
         rows = [_lambda_row(l, args.method, args.grid_size) + (ref,)
@@ -183,13 +188,10 @@ def cmd_spectrum(args):
                         "roots": list(br.roots)}
         _emit(args, hdr, list(br.samples), ["l", "lambda0"])
         return 0
-    ls = [args.l] if args.l is not None else []
+    ls = [args.l]
     if args.l_range:
         lo, hi, step = args.l_range
         ls = list(np.arange(lo, hi + 0.5 * step, step))
-    if not ls:
-        print("spectrum: need --l, --l-range, --branch or --reproduce table1", file=sys.stderr)
-        return 2
     rows = [_lambda_row(float(l), args.method, args.grid_size) for l in ls]
     _emit(args, header, rows, ["l", "re_lambda0", "im_lambda0", "residual", "method"])
     return 0

@@ -701,8 +701,9 @@ def classify(family, phi, side="right"):
     ``family`` is a parabolic family of order 2m or the dispersion
     equation, whose two lateral boundaries differ (``side``).  The route:
 
-    * a constant boundary (order 2 and 4) delegates to the interval
-      spectrum;
+    * a boundary constant in tau (order 2 and 4), in any spelling
+      (``Constant``, C (ln tau)^0, C tau^0, or a cut-off of one), delegates
+      to the interval spectrum at the value phi takes;
     * on the dispersion right side the kernel oscillates without decay
       and the natural family is the single-log boundary C tau^gamma
       (``PowerOfTau``; ``PowerLog`` input is read as the same (C, gamma)):
@@ -712,7 +713,7 @@ def classify(family, phi, side="right"):
       C* = :func:`threshold` on the critical line gamma = 1/exponent
       (C (ln tau)^((2m-1)/2m) for order 2m, sqrt(log) with C* = 2 for
       heat, (ln tau)^(2/3) on the dispersion left side);
-    * a parabolic power of tau converges analytically;
+    * a parabolic growing power of tau (gamma > 0) converges analytically;
     * anything else goes through the dyadic-tail diagnosis, except a
       tabulated order >= 4 boundary too short for the tail windows.
 
@@ -724,13 +725,14 @@ def classify(family, phi, side="right"):
     base = phi.uncut
     parabolic = family.kind == "parabolic"
     single_log = spec.env_rate == 0.0  # the kernel oscillates without decay
-    if parabolic and isinstance(base, Constant):
-        return _spectral_verdict(family, base.l)
+    if parabolic and (isinstance(base, Constant)
+                      or isinstance(base, (PowerLog, PowerOfTau)) and base.gamma == 0.0):
+        return _spectral_verdict(family, phi(TAU0))
     if single_log and isinstance(base, (PowerLog, PowerOfTau)):
         return _single_log_verdict(spec, base.gamma, phi.cutoff)
     if base.log_power and not single_log:
         return _analytic_powerlog_verdict(spec, *base.log_power, phi.cutoff)
-    if parabolic and isinstance(base, PowerOfTau):
+    if parabolic and isinstance(base, PowerOfTau) and base.gamma > 0.0:
         note = ("Gaussian envelope of a power boundary converges" if family.m == 1
                 else "power growth in the log-time: envelope decays superpolynomially")
         return CriterionVerdict(IRREGULAR_NONSINGULAR, "analytic-family", {"note": note})

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reglab import criteria as cr
@@ -152,3 +152,16 @@ def test_verdicts_monotone_in_the_constant(case):
     if exact:
         assert all(r == (x > critical) for x, r in zip(xs, rank)
                    if abs(x / critical - 1.0) > 1e-9), verdicts
+
+
+@settings(max_examples=24, deadline=None)
+@given(st.sampled_from(["heat", "biharmonic"]), st.floats(0.5, 12.0))
+@example("heat", 1.0)
+@example("biharmonic", 5.0)
+def test_every_spelling_of_a_constant_wall_gets_the_constant_verdict(name, c):
+    family = getattr(kernels, name)()
+    for base in (cr.Constant(c), cr.PowerLog(c, 0.0), cr.PowerOfTau(c, 0.0)):
+        for phi in (base, cr.apply_cutoff(base, family)):
+            verdict = cr.classify(family, phi)
+            assert verdict == cr.classify(family, cr.Constant(phi(cr.TAU0)))
+            assert verdict.rationale == "delegated-spectral"

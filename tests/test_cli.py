@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import json
 import math
 import os
@@ -199,6 +200,24 @@ class TestSpectrumCommand:
             cli.main(["branch", "--range", "3.9:4.3:0.05", "--config", str(config)])
         assert info.value.code == 2
 
+    SELECTORS = {"--l": "4", "--l-range": "1:2:1", "--branch": "3.9:4.3:0.05",
+                 "--reproduce": "table1"}
+
+    @pytest.mark.parametrize("from_config", [False, True], ids=["flags", "config"])
+    @pytest.mark.parametrize("first, second", itertools.combinations(SELECTORS, 2))
+    def test_two_selectors_exit_two(self, tmp_path, capsys, first, second, from_config):
+        # --l 4 --l-range 1:2:1 used to print rows for l = 1 and 2 alone
+        argv = ["spectrum", first, self.SELECTORS[first], second, self.SELECTORS[second]]
+        if from_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({second[2:].replace("-", "_"): self.SELECTORS[second]}))
+            argv[3:] = ["--config", str(cfg)]
+        out = tmp_path / "x.txt"
+        code = cli.main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and not out.exists()
+        assert err.endswith(f"not {first} and {second}\n") and err.count("\n") == 1
+
     def test_missing_selection_is_an_error(self, tmp_path):
         out = tmp_path / "x.txt"
         code = cli.main(["spectrum", "--out", str(out)])
@@ -296,6 +315,15 @@ class TestCriterionCommand:
         code, text = run_cli(tmp_path, "criterion", "--family", "dispersion3",
                              "--side", "right", "--phi", "powerlog:C=1,g=1.5")
         assert json.loads(text)["verdict"] == "irregular-nonsingular"
+
+    def test_cut_off_constant_reads_its_cut_value(self, tmp_path):
+        # the cut wall is 7.7125, not 5: it used to report l = 5, irregular-singular
+        code, text = run_cli(tmp_path, "criterion", "--family", "biharmonic",
+                             "--phi", "const:5", "--cutoff")
+        data = json.loads(text)
+        assert code == 0 and data["verdict"] == "regular"
+        assert data["diagnostics"]["l"] == pytest.approx(7.7125, abs=1e-4)
+        assert data["diagnostics"]["lambda0"] < 0.0
 
     def test_indeterminate_still_exit_zero(self, tmp_path):
         code, text = run_cli(tmp_path, "criterion", "--family", "biharmonic",

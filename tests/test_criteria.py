@@ -189,6 +189,36 @@ class TestBiharmonicClassification:
         assert v.verdict == cr.IRREGULAR_NONSINGULAR
 
 
+class TestConstantWallSpellings:
+    """A wall constant in tau reads the interval spectrum at the value phi takes."""
+
+    @pytest.mark.parametrize("family", [HEAT, BIH], ids=["heat", "biharmonic"])
+    def test_power_of_tau_to_the_zero_is_the_constant(self, family):
+        # C tau^0 used to read irregular-nonsingular as a power growth
+        v = cr.classify(family, cr.PowerOfTau(1.0, 0.0))
+        assert v == cr.classify(family, cr.Constant(1.0))
+        assert (v.verdict, v.rationale) == (cr.REGULAR, "delegated-spectral")
+
+    def test_log_power_to_the_zero_is_the_constant(self):
+        # C (ln tau)^0 on biharmonic used to read indeterminate
+        v = cr.classify(BIH, cr.PowerLog(5.0, 0.0))
+        assert v == cr.classify(BIH, cr.Constant(5.0))
+        assert v.verdict == cr.IRREGULAR_SINGULAR
+
+    def test_cut_off_constant_is_read_at_its_cut_value(self):
+        # the cut-off lifts const:5 to 7.7125, where lambda_0 < 0; the verdict
+        # used to be that of l = 5 (lambda_0 = 0.048, irregular-singular)
+        phi = cr.apply_cutoff(cr.Constant(5.0), BIH)
+        v = cr.classify(BIH, phi)
+        assert v.diagnostics["l"] == phi(cr.TAU0) == pytest.approx(7.7125, abs=1e-4)
+        assert v.diagnostics["lambda0"] < 0.0 and v.verdict == cr.REGULAR
+
+    def test_falling_power_of_tau_takes_the_numeric_tail(self):
+        # C tau^gamma with gamma < 0 shrinks: not the power-growth branch
+        v = cr.classify(HEAT, cr.PowerOfTau(1.0, -0.5))
+        assert (v.verdict, v.rationale) == (cr.REGULAR, "numeric-tail")
+
+
 class TestHeatClassification:
     def test_classic_threshold(self):
         assert cr.classify(HEAT, cr.PetrovskiiSqrtLog(2.0)).verdict == cr.REGULAR

@@ -155,9 +155,9 @@ class TestKernelEvaluation:
 
 
 # Mirrored and repeated arguments.  Every point takes its own route, so the
-# split is for coverage only: for m >= 2, |y| <= 7.5 takes the certified
-# Chebyshev table and |y| >= 12.5 the saddle-line quadrature (m = 1 is
-# closed form throughout).  Mixed batches are the property test below.
+# split is for coverage only: for m >= 2, |y| <= 7.5 takes the near table and
+# |y| >= 12.5 the far table (m = 1 is closed form throughout).  Mixed batches
+# are the property test below.
 # Far values run from 1e-20 down to 1e-300, so every comparison is exact: a
 # scalar read takes the route and the route function of its element of an
 # array read, and must give its value bit for bit.
@@ -240,7 +240,7 @@ _TABLE_GRID = np.unique(np.concatenate([np.arange(-48, 49) * 0.25, np.linspace(-
 
 
 class TestKernelTable:
-    """For m >= 2, points with |y| <= 12 come from a piecewise-Chebyshev table."""
+    """For m >= 2, points with |y| <= 12 come from the near instance of the panel table."""
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
@@ -260,17 +260,81 @@ class TestKernelTable:
 
     def test_failed_certification_raises_and_stores_nothing(self):
         kern = K._ParabolicKernel(2)
-        kern._TABLE_TOL = 1e-20  # below the rounding of the quadrature it is checked against
+        kern._near.tol = 1e-20  # below the rounding of the quadrature it is checked against
         for _ in range(2):
-            with pytest.raises(QuadratureError, match="table of order 1"):
+            with pytest.raises(QuadratureError, match="near table of order 1"):
                 kern.deriv(1.0, 1)
-        assert getattr(kern, "_table1", None) is None
+        with pytest.raises(QuadratureError, match="near table"):
+            kern.deriv(np.array([0.3, -7.0]), (0, 1))
+        assert kern._near._coefs == {}
         assert kern.deriv(20.0, 1) == K.get_kernel(K.biharmonic()).deriv(20.0, 1)
+
+
+def _filled(table, order):
+    """The panels of ``table`` filled for ``order``."""
+    coefs = table._coefs.get(order)
+    return [] if coefs is None else np.flatnonzero(~np.isnan(coefs[:, 0])).tolist()
+
+
+def _panels_of(table, ys):
+    """The panels of ``table`` that the points ``ys`` read."""
+    w = np.abs(ys) ** table.power
+    return sorted(set(np.minimum(((w - table.start) / table.width).astype(int),
+                                 table.panels - 1).tolist()))
+
+
+class TestOneTable:
+    """The near and far tables are two instances of one lazily filled panel table."""
+
+    @pytest.mark.parametrize("regime, ys", [
+        ("_near", np.array([0.1, -0.2, 3.3, 11.9, -12.0])),
+        ("_far", np.array([12.5, -20.0, 20.3, 150.0, -350.0])),
+    ])
+    def test_a_read_fills_only_the_panels_it_touches(self, regime, ys):
+        kern = K._ParabolicKernel(2)
+        table = getattr(kern, regime)
+        panels = _panels_of(table, ys)
+        kern.deriv(ys, (0, 2))
+        assert _filled(table, 0) == _filled(table, 2) == panels
+        assert _filled(table, 1) == []
+        kern.deriv(float(ys[0]), 1)
+        assert _filled(table, 1) == _panels_of(table, ys[:1])
+        assert all(_filled(other, k) == [] for other in (kern._near, kern._far)
+                   if other is not table for k in range(4))
+
+    @pytest.mark.parametrize("regime, ys", [
+        ("_near", np.linspace(-5.9, 5.9, 40)),
+        ("_far", np.linspace(13.0, 30.0, 40)),
+    ])
+    def test_a_read_missing_n_panels_makes_one_blocked_pass(self, regime, ys):
+        kern = K._ParabolicKernel(3)
+        table = getattr(kern, regime)
+        calls, rule = [], table.rule
+
+        def counted(ay, orders):
+            calls.append((ay.size, orders))
+            return rule(ay, orders)
+
+        table.rule = counted
+        n = len(_panels_of(table, ys))
+        points = n * (2 * table.degree + 3)  # first-kind nodes and Lobatto checks
+        kern.deriv(ys, (0, 1))
+        block = K._ParabolicKernel._BLOCK
+        assert n > 3 and points > block
+        assert calls == [(min(block, points - i), (0, 1)) for i in range(0, points, block)]
+        calls.clear()
+        kern.deriv(ys, (1, 2, 0))  # only order 2 is missing, on the same panels
+        assert sum(size for size, _ in calls) == points
+        assert {orders for _, orders in calls} == {(2,)}
+        calls.clear()
+        kern.deriv(ys[::-1], (2, 0))
+        assert calls == []
 
 
 def _far_joints(kern, y_max):
     """|y| at every joint of the far table's panels in (12, y_max]."""
-    w = kern._w0 + np.arange(kern._far_panels + 1) * kern._far_width
+    table = kern._far
+    w = table.start + np.arange(table.panels + 1) * table.width
     y = w ** (1.0 / kern.constants.alpha)
     return y[(y > 12.0) & (y <= y_max)]
 
@@ -281,9 +345,9 @@ def _far_grid(kern, n=1553):
 
 
 class TestFarTable:
-    """For m >= 2, points with |y| > 12, up to d0 |y|^alpha = 700, read a second
-    table: the scaled kernel e^(d0 w) D^k F in w = |y|^alpha, certified
-    against the saddle-line rule."""
+    """For m >= 2, points with |y| > 12, up to d0 |y|^alpha = 700, read the far
+    instance of the panel table: the scaled kernel e^(d0 w) D^k F in
+    w = |y|^alpha, certified against the saddle-line rule."""
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_matches_the_saddle_line_rule(self, m):
@@ -319,7 +383,7 @@ class TestFarTable:
     @pytest.mark.parametrize("m", [2, 3])
     def test_past_the_end_reads_the_saddle_line_rule(self, m):
         kern = K.get_kernel(K.parabolic(m))
-        kc, end = kern.constants, kern._far_y_end
+        kc, end = kern.constants, kern._far.y_end
         assert kc.d0 * end ** kc.alpha == pytest.approx(kern._FAR_END, rel=1e-14)
         ys = np.array([np.nextafter(end, np.inf), 1.001 * end, -1.2 * end, 1.5 * end, 1e4])
         for tol in (1e-10, 1e-6):
@@ -330,13 +394,13 @@ class TestFarTable:
 
     def test_failed_certification_raises_and_stores_nothing(self):
         kern = K._ParabolicKernel(2)
-        kern._FAR_TOL = 1e-20  # below the rounding of the rule it is checked against
+        kern._far.tol = 1e-20  # below the rounding of the rule it is checked against
         for _ in range(2):
             with pytest.raises(QuadratureError, match="far table of order 1"):
                 kern.deriv(20.0, 1)
         with pytest.raises(QuadratureError, match="far table"):
             kern.deriv(np.array([15.0, -300.0]), (0, 1))
-        assert kern._far == {}
+        assert kern._far._coefs == {}
         assert kern.deriv(1.0, 1) == K.get_kernel(K.biharmonic()).deriv(1.0, 1)
 
 
@@ -625,44 +689,20 @@ class TestLazyFillUnderThreads:
         assert all(r is results[0] for r in results)
         assert K._KERNELS == {K.parabolic(3): results[0]}
 
-    @pytest.mark.parametrize("m", [2, 3])
-    def test_each_table_is_built_once(self, m):
+    def _race_fills(self, m, regime, ys):
+        """Threads read ``ys`` order by order, then all four orders at once, on
+        a fresh evaluator; returns the (order, panel) pairs its ``regime``
+        table built and the panels ``ys`` read."""
         kern = K._ParabolicKernel(m)
-        built = []
-        build = kern._build_table
+        table = getattr(kern, regime)
+        built, build = [], table._build
 
-        def counted(order):
-            built.append(order)
-            threading.Event().wait(0.01)
-            return build(order)
-
-        kern._build_table = counted
-        starts = itertools.count()
-
-        def ask_all_orders():
-            # each thread asks for all four orders, starting from a different one
-            s = next(starts)
-            return [(k, kern.deriv(1.3, k)) for k in ((s + j) % 4 for j in range(4))]
-
-        results = self._race(ask_all_orders)
-        assert sorted(built) == [0, 1, 2, 3]
-        values = {k: v for r in results for k, v in r}
-        assert all(dict(r) == values for r in results)
-
-    @pytest.mark.parametrize("m", [2, 3])
-    def test_each_far_panel_is_built_once(self, m):
-        kern = K._ParabolicKernel(m)
-        passes = []
-        rule = kern._saddle_line
-
-        def counted(y, orders):
-            # a panel's pass starts at its first Chebyshev node
-            passes.append((float(y[0]), orders))
+        def counted(panels, orders):
+            built.extend(itertools.product(orders, panels))
             threading.Event().wait(0.001)
-            return rule(y, orders)
+            return build(panels, orders)
 
-        kern._saddle_line = counted
-        ys = np.array([12.5, -20.0, 20.3, 150.0, -150.0, 350.0])
+        table._build = counted
         starts = itertools.count()
 
         def read():
@@ -675,13 +715,23 @@ class TestLazyFillUnderThreads:
             return out
 
         results = self._race(read)
-        built = [(y0, k) for y0, orders in passes for k in orders]
-        panels = {y0 for y0, _ in passes}
-        assert len(panels) == 4  # -20.0 and 20.3 share a panel, as do +-150
-        assert sorted(built) == sorted(itertools.product(panels, range(4)))
         assert all(r == results[0] for r in results)
         shared = K.get_kernel(K.parabolic(m))
         assert results[0]["array"] == tuple(tuple(v) for v in shared.deriv(ys, (0, 1, 2, 3)))
+        return built, _panels_of(table, ys)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_each_table_is_built_once(self, m):
+        built, panels = self._race_fills(m, "_near", np.array([1.3, -1.3, 0.1, 5.0, -11.99]))
+        assert len(panels) == 4
+        assert sorted(built) == sorted(itertools.product(range(4), panels))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_each_far_panel_is_built_once(self, m):
+        ys = np.array([12.5, -20.0, 20.3, 150.0, -150.0, 350.0])
+        built, panels = self._race_fills(m, "_far", ys)
+        assert len(panels) == 4  # -20.0 and 20.3 share a panel, as do +-150
+        assert sorted(built) == sorted(itertools.product(range(4), panels))
 
     def test_switch_point_is_computed_once(self, monkeypatch):
         kern = K._ParabolicKernel(2)
