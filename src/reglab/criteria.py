@@ -702,8 +702,9 @@ def classify(family, phi, side="right"):
     equation, whose two lateral boundaries differ (``side``).  The route:
 
     * a boundary constant in tau (order 2 and 4), in any spelling
-      (``Constant``, C (ln tau)^0, C tau^0, or a cut-off of one), delegates
-      to the interval spectrum at the value phi takes;
+      (``Constant``, C (ln tau)^0, C tau^0, a table of one value, or a
+      cut-off of one), delegates to the interval spectrum at the value phi
+      takes;
     * on the dispersion right side the kernel oscillates without decay
       and the natural family is the single-log boundary C tau^gamma
       (``PowerOfTau``; ``PowerLog`` input is read as the same (C, gamma)):
@@ -726,7 +727,8 @@ def classify(family, phi, side="right"):
     parabolic = family.kind == "parabolic"
     single_log = spec.env_rate == 0.0  # the kernel oscillates without decay
     if parabolic and (isinstance(base, Constant)
-                      or isinstance(base, (PowerLog, PowerOfTau)) and base.gamma == 0.0):
+                      or isinstance(base, (PowerLog, PowerOfTau)) and base.gamma == 0.0
+                      or isinstance(base, Tabulated) and len(set(base.values)) == 1):
         return _spectral_verdict(family, phi(TAU0))
     if single_log and isinstance(base, (PowerLog, PowerOfTau)):
         return _single_log_verdict(spec, base.gamma, phi.cutoff)

@@ -189,7 +189,8 @@ def _saddle_nodes(m):
 # The evaluators are shared per family (``get_kernel``), also between a
 # caller's threads; their lazy state is filled under one re-entrant lock (a
 # fill may run another one: the switch point needs the fit, the fit needs
-# the evaluator), and read without it once set.
+# the evaluator), and read without it once set.  A panel table fills under
+# a lock of its own, so a long fill of one table holds up no other.
 _FILL_LOCK = threading.RLock()
 
 
@@ -279,8 +280,8 @@ class _PanelTable:
     series per order k, filled on first use.
 
     A read fills every (order, panel) it misses in one pass of the reference
-    ``rule(|y|, orders)``, in blocks of ``_BLOCK`` points, under
-    ``_FILL_LOCK`` with a double check.  A panel interpolates the rule at
+    ``rule(|y|, orders)``, in blocks of ``_BLOCK`` points, under the table's
+    own lock with a double check.  A panel interpolates the rule at
     the first-kind Chebyshev points and is certified at the Chebyshev-Lobatto
     points, joints included, to tol max(1, rate w_hi) max(floor(k), max
     |Phi_k|): the reference rounds like eps rate w, as its exponent does.
@@ -300,6 +301,7 @@ class _PanelTable:
         self.y_end = end ** (1.0 / power)
         self.mids = start + (np.arange(panels) + 0.5) * self.width
         self._coefs = {}  # order -> its (panels, degree + 1) coefficients
+        self._lock = threading.Lock()
         self._empty = np.broadcast_to(np.nan, (panels, degree + 1))  # an order not yet asked
 
     def read(self, ay, orders):
@@ -336,7 +338,7 @@ class _PanelTable:
         """Build each (order, panel) still empty: one pass per set of orders
         that panels miss together, one pass in all unless earlier reads
         filled some of the orders there."""
-        with _FILL_LOCK:
+        with self._lock:
             passes = {}
             for p in panels:
                 missing = tuple(k for k in dict.fromkeys(orders)

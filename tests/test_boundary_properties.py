@@ -160,7 +160,8 @@ def test_verdicts_monotone_in_the_constant(case):
 @example("biharmonic", 5.0)
 def test_every_spelling_of_a_constant_wall_gets_the_constant_verdict(name, c):
     family = getattr(kernels, name)()
-    for base in (cr.Constant(c), cr.PowerLog(c, 0.0), cr.PowerOfTau(c, 0.0)):
+    table = cr.Tabulated(tuple(np.geomspace(cr.TAU0, 1e12, 40)), (c,) * 40)
+    for base in (cr.Constant(c), cr.PowerLog(c, 0.0), cr.PowerOfTau(c, 0.0), table):
         for phi in (base, cr.apply_cutoff(base, family)):
             verdict = cr.classify(family, phi)
             assert verdict == cr.classify(family, cr.Constant(phi(cr.TAU0)))

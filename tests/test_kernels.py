@@ -733,6 +733,29 @@ class TestLazyFillUnderThreads:
         assert len(panels) == 4  # -20.0 and 20.3 share a panel, as do +-150
         assert sorted(built) == sorted(itertools.product(range(4), panels))
 
+    def test_a_fill_holds_up_no_other_table(self):
+        # one thread's first far read waits inside its fill; first reads of
+        # the near table of the same evaluator and of the far table of
+        # another one still finish, and then the held fill does too
+        held, other = K._ParabolicKernel(2), K._ParabolicKernel(3)
+        entered, release, build = threading.Event(), threading.Event(), held._far._build
+
+        def waiting(panels, orders):
+            entered.set()
+            release.wait(60)
+            return build(panels, orders)
+
+        held._far._build = waiting
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            try:
+                blocked = pool.submit(held.deriv, 40.0)
+                assert entered.wait(30)
+                assert pool.submit(lambda: (held.deriv(1.0), other.deriv(40.0))).result(timeout=30)
+                assert not blocked.done()
+            finally:
+                release.set()
+            assert blocked.result(timeout=60) == K.get_kernel(K.biharmonic()).deriv(40.0)
+
     def test_switch_point_is_computed_once(self, monkeypatch):
         kern = K._ParabolicKernel(2)
         kern._fit = K.get_kernel(K.biharmonic()).ensure_fit()

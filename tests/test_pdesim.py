@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from reglab import criteria, kernels, pdesim, spectral
+from reglab import cli, criteria, kernels, pdesim, spectral
 
 
 def run(family, l, tau_end, n=160, dt=None, initial="bump", seed=0, tau0=0.0):
@@ -297,13 +297,136 @@ class TestMovingWallDirectSolves:
             pdesim._band_solve(ab, kl, np.ones(8))
 
 
+def per_record_oracle(cfg):
+    """``simulate`` on a moving wall read point by point: phi and phi' read
+    as scalars on every step and the kernel once per record."""
+    n, m, (tau0, tau1), phi = cfg.n, pdesim._HALF_ORDER[cfg.family], cfg.tau_span, cfg.phi
+    h = 2.0 / n
+    z = -1.0 + h * np.arange(n + 1)
+    dt = cfg.dt if cfg.dt is not None else pdesim._auto_dt(m, phi(tau0))
+    steps = math.ceil((tau1 - tau0) / dt)
+
+    def advance(x, s_from, s_to, s_end):
+        for s in range(s_from + 1, s_to + 1):
+            t = tau0 + s * dt
+            pv, ps = float(phi(t)), float(phi.derivative(t))
+            if not (math.isfinite(pv) and math.isfinite(ps)):
+                raise ValueError(f"boundary is not finite at tau={t:.6g}: phi={pv!r}, phi'={ps!r}")
+            ab = pdesim._operator(m, n, h, pv, ps)
+            ab[m:] *= -dt
+            ab[2 * m] += 1.0
+            x = pdesim._band_solve(ab, m, x)
+        return x
+
+    def a0_weights(record_steps):
+        walls = [float(phi(tau0 + s * dt)) for s in record_steps]
+        return np.array([pdesim._a0_weights(m, z, kernels.eval_kernel(
+            kernels.parabolic(m), pv * z) * pv) for pv in walls])
+
+    x = pdesim._initial_data(cfg, z)[m:n + 1 - m].copy()
+    out = pdesim._record_run(x, advance, a0_weights, max(1, steps // 4000),
+                             np.linspace(tau0, tau1, 60), tau0, dt, steps, m, n)
+    return dict(zip(["tau", "sup_norm", "a0", "snapshots_tau", "snapshots"], out), z=z)
+
+
+def outcome(cfg, run):
+    """Every field of a run, or the type and message of the error it raises."""
+    try:
+        res = run(cfg)
+    except (ValueError, FloatingPointError) as exc:
+        return type(exc), str(exc)
+    return res if isinstance(res, dict) else {
+        f: getattr(res, f) for f in ("tau", "sup_norm", "a0", "z", "snapshots_tau", "snapshots")}
+
+
+def assert_same_run(cfg):
+    got, want = outcome(cfg, pdesim.simulate), outcome(cfg, per_record_oracle)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert got.keys() == want.keys()
+        for field, value in want.items():
+            assert np.array_equal(got[field], value), field
+
+
+MOVING_WALLS = [("biharmonic", criteria.PowerLog(2.0, 0.75)),
+                ("heat", criteria.PetrovskiiSqrtLog(2.0))]
+
+
+class TestBlockReads:
+    """A moving wall reads phi, phi' and the kernel once per block of records,
+    bit for bit as it read them point by point."""
+
+    @pytest.mark.parametrize("family,phi", MOVING_WALLS)
+    def test_blocks_match_point_reads_across_block_edges(self, family, phi):
+        # 750 records, blocks of 256: two block edges and a short last block
+        assert_same_run(pdesim.SimConfig(family=family, phi=phi, n=64, dt=0.02,
+                                         tau_span=(criteria.TAU0, criteria.TAU0 + 15.0)))
+
+    @pytest.mark.parametrize("family,phi", MOVING_WALLS)
+    def test_blocks_match_point_reads_at_stride_two(self, family, phi):
+        # 8004 steps: records every second step, so each block of records
+        # spans 512 steps, with snapshots between records
+        cfg = pdesim.SimConfig(family=family, phi=phi, n=64, dt=0.001,
+                               tau_span=(criteria.TAU0, criteria.TAU0 + 8.0035))
+        assert_same_run(cfg)
+
+    @pytest.mark.parametrize("family", ["biharmonic", "heat"])
+    def test_blocks_match_point_reads_on_the_cli_run(self, family):
+        # simulate --phi powerlog:C=3,g=0.75 --tau-end 20, automatic step
+        phi = cli._parse_phi("powerlog:C=3,g=0.75")
+        assert_same_run(pdesim.SimConfig(family=family, phi=phi,
+                                         tau_span=(phi.tau_min, 20.0)))
+
+    @staticmethod
+    def wall(nan_after=math.inf, raise_after=math.inf, steep=(math.inf, math.inf)):
+        """A wall 2.0 that turns nan past tau = ``nan_after``, whose reads raise
+        once they hold a tau past ``raise_after``, and whose phi' is 1e308,
+        so that the state is lost, on the tau interval ``steep``."""
+        class Breaks(criteria.BoundaryFunction):
+            def _phi_u(self, u):
+                if np.any(u > math.log(raise_after)):
+                    raise ValueError("no wall past the end of its table")
+                return np.where(u > math.log(nan_after), np.nan, 2.0 + 0.0 * u)
+
+            def _dphi(self, tau):
+                return np.where((tau > steep[0]) & (tau < steep[1]), 1e308, 0.0)
+
+        return Breaks()
+
+    @pytest.mark.parametrize("family", ["biharmonic", "heat"])
+    @pytest.mark.parametrize("breaks", [
+        # the wall is nan from a step in the third block of records on
+        dict(nan_after=14.0),
+        # the state is lost in the second block, the wall is nan in the third
+        dict(nan_after=14.0, steep=(9.0, 9.5)),
+        # a read holding a tau past 11.0 raises, late in the second block
+        dict(raise_after=11.0),
+        # the state is lost in the second block, before the read that raises
+        dict(raise_after=11.0, steep=(9.0, 9.5)),
+        # ... and in the block before
+        dict(raise_after=11.0, steep=(7.0, 7.5)),
+    ], ids=["nan-wall", "lost-then-nan", "raises", "lost-then-raises", "lost-block-before"])
+    def test_errors_name_the_step_of_the_point_reads(self, family, breaks):
+        cfg = pdesim.SimConfig(family=family, phi=self.wall(**breaks), n=64, dt=0.02,
+                               tau_span=(criteria.TAU0, 16.0))
+        got = outcome(cfg, pdesim.simulate)
+        assert got == outcome(cfg, per_record_oracle)
+        if "steep" in breaks:
+            assert got[0] is FloatingPointError
+        else:
+            assert got[0] is ValueError
+            assert got[1].startswith("boundary is not finite at tau=14.0" if "nan_after"
+                                     in breaks else "no wall past")
+
+
 class TestKernelEvaluations:
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
         calls, original = [], kernels.eval_kernel
 
         def counted(family, y):
-            calls.append(len(y))
+            calls.append(np.size(y))
             return original(family, y)
 
         monkeypatch.setattr(kernels, "eval_kernel", counted)
@@ -316,12 +439,27 @@ class TestKernelEvaluations:
 
     @pytest.mark.parametrize("family,phi", [("biharmonic", criteria.PowerLog(2.0, 0.75)),
                                             ("heat", criteria.PetrovskiiSqrtLog(2.0))])
-    def test_moving_wall_evaluates_once_per_record(self, kernel_calls, family, phi):
-        cfg = pdesim.SimConfig(family=family, phi=phi, n=64, dt=0.02,
-                               tau_span=(criteria.TAU0, criteria.TAU0 + 1.0))
+    def test_moving_wall_reads_once_per_block(self, kernel_calls, family, phi):
+        # 600 records: blocks of 256, 256 and 88, each one read of phi, one
+        # of phi' and one of the kernel on its rows x (n + 1) grid
+        reads = []
+
+        class Counted(type(phi)):
+            def _phi_u(self, u):
+                reads.append(("phi", u.size))
+                return super()._phi_u(u)
+
+            def _dphi(self, tau):
+                reads.append(("dphi", tau.size))
+                return super()._dphi(tau)
+
+        cfg = pdesim.SimConfig(family=family, phi=Counted(*dataclasses.astuple(phi)), n=64,
+                               dt=0.02, tau_span=(criteria.TAU0, criteria.TAU0 + 12.0))
         res = pdesim.simulate(cfg)
-        assert len(res.tau) == 50
-        assert kernel_calls == [65] * len(res.tau)
+        assert len(res.tau) == 600
+        assert kernel_calls == [256 * 65, 256 * 65, 88 * 65]
+        assert reads == [("phi", 1)] + [(f, rows) for rows in (256, 256, 88)
+                                        for f in ("phi", "dphi")]
 
 
 class TestRateSpectrumAgreement:
