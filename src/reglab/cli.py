@@ -132,11 +132,9 @@ def _constants_header(family):
     kc = kernels.kernel_constants(family)
     head = {"family": str(family), "alpha": kc.alpha, "d0": kc.d0, "b0": kc.b0,
             "delta0": kc.delta0, "alpha0": kc.alpha0}
-    kern = kernels.get_kernel(family)
-    if kern._fit is not None:
-        head |= {"c1": kern._fit.c1, "c2": kern._fit.c2,
-                 "fit_residual": kern._fit.residual, "fit_exponent": kern._fit.exponent}
-    return head
+    fit = kernels.get_kernel(family).ensure_fit()
+    return head | {"c1": fit.c1, "c2": fit.c2, "fit_residual": fit.residual,
+                   "fit_exponent": fit.exponent}
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +207,7 @@ def cmd_blayer(args):
                 "dispersion3": blayer.dispersion_profile,
                 "heat": blayer.heat_profile}.get(args.family)
         if prof is None:
-            print(f"blayer: no closed form for {args.family}; use --solver bvp", file=sys.stderr)
-            return 2
+            raise ValueError(f"no closed form for {args.family}; use --solver bvp")
         profile = prof(xi_max=args.length)
     else:
         profile = blayer.solve_bl_bvp(args.family, args.length, tol=args.tol)
@@ -283,7 +280,7 @@ def cmd_reproduce(args):
                  for c in (1.6, 1.8, 2.0, 2.2, 2.4)}
         payload = {"command": "reproduce", "target": "petrovskii-heat",
                    "threshold": criteria.threshold(heat), "sweep": sweep}
-    elif args.target == "critical-constants":
+    else:  # critical-constants
         payload = {
             "command": "reproduce", "target": "critical-constants",
             "biharmonic_c_star": criteria.threshold(kernels.biharmonic()),
@@ -293,9 +290,6 @@ def cmd_reproduce(args):
             "dispersion_d0": kernels.kernel_constants(kernels.dispersion3()).d0,
             "heat_threshold": criteria.threshold(kernels.heat()),
         }
-    else:
-        print(f"reproduce: unknown target {args.target}", file=sys.stderr)
-        return 2
     _emit(args, payload)
     return 0
 

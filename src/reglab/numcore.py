@@ -151,7 +151,8 @@ def find_root(f, bracket, tol=1e-12, f_ends=None):
 
 def find_roots(f, lo, hi, f_ends, tol=1e-12, maxiter=200):
     """Roots of k bracketed problems at once, by Chandrupatla's iteration:
-    reglab's one root-finding algorithm (``find_root`` is its one-bracket form).
+    reglab's one root-finding algorithm (``find_root`` is its one-bracket
+    form).  The shooting scan refines all its brackets in one call.
 
     ``f(x, idx)`` returns the value of problem ``idx[j]`` at ``x[j]``; each
     round calls it once, for the brackets still open.  ``lo``/``hi`` are

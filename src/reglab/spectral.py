@@ -3,11 +3,11 @@
 The operator is B* v = (-1)^(m+1) v^(2m) - (1/2m) y v' on (-l, l) with
 clamped conditions v = v' = ... = v^(m-1) = 0 at both ends (m = 2 is the
 main case).  Two independent routes are provided: compound-matrix
-shooting for real eigenvalues, and the ultraspherical spectral method
-(Chebyshev coefficients, a banded pencil solved by dense QZ) for the full
-(possibly complex) spectrum.  On top of these sit the Poincare bound and
-the top branch lambda_0(l) sampled over a range of l with its sign-change
-roots.
+shooting for real eigenvalues, found by one scan for every caller, and the
+ultraspherical spectral method (Chebyshev coefficients, a banded pencil
+solved by dense QZ) for the full (possibly complex) spectrum.  On top of
+these sit the Poincare bound and the top branch lambda_0(l) sampled over
+a range of l with its sign-change roots.
 """
 
 from __future__ import annotations
@@ -356,16 +356,22 @@ class ClampedEndDeterminant:
         These are the zeros in y of the lambda = 0 target minor, which do
         not depend on where the integration stops.  On each Taylor step up
         to ``self.l`` the minor is a polynomial; ``find_root`` refines each
-        sign change over a step on it.  The zero at y = 0 is not returned.
+        sign change between 9 equally spaced points of the step (over the
+        whole step where its ends hold the only one), so a step may hold
+        several zeros.  The zero at y = 0 is not returned.
         """
         zeros = []
         for y, h, c, _, _ in _taylor_steps(self._g0, self._g1, self._g2, self._u0[:, None],
                                            np.zeros(1), np.array([float(self.l)]), self.tol):
             p, t = c[:, self._target, 0], min(h, self.l - y)
-            f_ends = p[0], _horner(p, t)
-            if f_ends[0] * f_ends[1] < 0:
-                zeros.append(y + find_root(lambda s: _horner(p, s), (0.0, t), tol=1e-15,
-                                           f_ends=f_ends))
+            ts = np.linspace(0.0, t, 9)
+            vs = _horner(p, ts)
+            cuts = [(i, i + 1) for i in np.flatnonzero(vs[:-1] * vs[1:] < 0)]
+            if vs[0] * vs[-1] < 0 and len(cuts) <= 1:
+                cuts = [(0, 8)]
+            for i, j in cuts:
+                zeros.append(y + find_root(lambda s: _horner(p, s), (ts[i], ts[j]), tol=1e-15,
+                                           f_ends=(vs[i], vs[j])))
         return np.array(zeros)
 
 
@@ -424,24 +430,43 @@ def _scan_grids(l, parity, count):
         yield grid
 
 
-def _scan_parity_eigenvalues(det, l, parity, count):
-    """Real eigenvalues of one parity class, descending, via windowed scans.
+def _scan_eigenvalues(det, ls, parity, count):
+    """The top ``count`` real eigenvalues of ``det``'s parity class at each
+    half-width of ``ls``: a descending list per half-width, shorter where
+    the scan finds fewer sign changes.
 
-    The grids run downward one after the other, so sign changes turn up in
-    descending order and only the first ``count`` distinct ones are refined.
+    Each round is one stacked ``det`` call holding the next ``_scan_grids``
+    grid of every half-width still short of ``count`` sign changes.  The
+    grids run downward, so the sign changes come in descending lambda.
+    One ``find_roots`` call refines every bracket to 1e-13.
     """
-    found = []
-    for grid in _scan_grids(l, parity, count):
-        if len(found) >= count:
+    ls = np.asarray(ls, dtype=float)
+    brackets = [[] for _ in ls]  # (lo, hi, f(lo), f(hi)) per half-width
+    todo = np.arange(len(ls))
+    for grids in zip(*(_scan_grids(l, parity, count) for l in ls)):
+        g = np.stack([grids[j] for j in todo])
+        vals = det(g.ravel(), np.repeat(ls[todo], g.shape[1])).reshape(g.shape)
+        for j, x, v in zip(todo, g, vals):
+            for i in np.flatnonzero(v[:-1] * v[1:] < 0)[:count - len(brackets[j])]:
+                brackets[j].append((x[i + 1], x[i], v[i + 1], v[i]))
+        todo = todo[[len(brackets[j]) < count for j in todo]]
+        if not todo.size:
             break
-        vals = det(grid)
-        for i in np.flatnonzero(vals[:-1] * vals[1:] < 0):
-            if len(found) >= count:
-                break
-            r = find_root(det, (grid[i + 1], grid[i]), tol=1e-13, f_ends=(vals[i + 1], vals[i]))
-            if not any(abs(r - f) < 1e-9 * max(1, abs(r)) for f in found):
-                found.append(r)
-    return found
+    owner = np.repeat(np.arange(len(ls)), [len(b) for b in brackets])
+    rank = np.concatenate([np.arange(len(b)) for b in brackets])
+
+    def det_by_rank(x, idx):
+        # stacked columns share Taylor steps, so two brackets of one
+        # half-width never share a call: no eigenvalue depends on ``count``
+        out = np.empty(len(idx))
+        for k in np.unique(rank[idx]):
+            at = rank[idx] == k
+            out[at] = det(x[at], ls[owner[idx[at]]])
+        return out
+
+    lo, hi, f_lo, f_hi = np.reshape([b for bs in brackets for b in bs], (-1, 4)).T
+    lams = find_roots(det_by_rank, lo, hi, (f_lo, f_hi), tol=1e-13)
+    return [[float(lam) for lam in lams[owner == j]] for j in range(len(ls))]
 
 
 def interval_spectrum(problem, count=1):
@@ -464,7 +489,7 @@ def interval_spectrum(problem, count=1):
     found = []
     for par in parities:
         det = ClampedEndDeterminant(problem.l, m, par)
-        for lam in _scan_parity_eigenvalues(det, problem.l, par, count):
+        for lam in _scan_eigenvalues(det, [problem.l], par, count)[0]:
             ys, v, resid = _shooting_eigenfunction(problem.l, m, par, lam)
             found.append(Eigenpair(lam=complex(lam), ys=ys, values=v,
                                    residual=resid, zero_count=_count_zeros(v), parity=par))
@@ -476,20 +501,15 @@ def interval_spectrum(problem, count=1):
 
 def top_eigenvalue(l):
     """Real top eigenvalue lambda_0(l) of the fourth-order (m = 2) operator,
-    even parity, by shooting.
+    even parity, by shooting: ``_scan_eigenvalues`` at the one half-width.
 
-    The determinant is scanned over the near-zero sweep and then, until a
-    sign change turns up, over the fallback windows; the top sign change
-    is refined by ``find_root`` (Chandrupatla's iteration, as in
-    ``branch_trace``) to 1e-13.  Raises ``ValueError`` unless
-    ``l`` is positive and finite, and ``BracketError`` if no window holds
-    a sign change.
+    Raises ``ValueError`` unless ``l`` is positive and finite, and
+    ``BracketError`` if no scan window holds a sign change.
     """
-    det = ClampedEndDeterminant(l, 2, "even")
-    vals = _scan_parity_eigenvalues(det, l, "even", 1)
-    if not vals:
+    found = _scan_eigenvalues(ClampedEndDeterminant(l, 2, "even"), [l], "even", 1)[0]
+    if not found:
         raise BracketError(f"lambda_0({l}) not bracketed by the scan")
-    return vals[0]
+    return found[0]
 
 
 # ---------------------------------------------------------------------------
@@ -528,14 +548,9 @@ def branch_trace(l_range, step=0.05):
     """lambda_0(l) of the fourth-order (m = 2) operator sampled every
     ``step`` over ``l_range``, with its roots.
 
-    The minor ODE does not depend on l, so one stacked determinant call
-    serves any set of (lambda, l) pairs (``ClampedEndDeterminant`` with
-    ``l``): all samples are computed together.  Each scan round is one
-    call holding the next grid of ``top_eigenvalue``'s scan for every
-    sample still without a sign change (the near-zero sweep, then the
-    fallback windows), and the top brackets of all samples are refined
-    together by ``find_roots`` (one call per round, xtol 1e-13).  Every
-    sample agrees with ``top_eigenvalue(l)`` to about 1e-13.
+    The samples run from l_min by ``step``, with l_max added when the last
+    falls short of it.  The minor ODE does not depend on l, so the scan of
+    ``top_eigenvalue`` reads them all together, to about 1e-13 of it.
 
     A root is a half-width at which lambda = 0 is an eigenvalue: a zero in
     l of the lambda = 0 target minor.  One Taylor integration to the
@@ -546,28 +561,16 @@ def branch_trace(l_range, step=0.05):
     change.
     """
     l_min, l_max = l_range
-    if not (0 < l_min < l_max < math.inf) or not step > 0:
-        raise ValueError("need 0 < l_min < l_max < inf and step > 0")
+    if not (0 < l_min < l_max < math.inf) or not 0 < step < math.inf:
+        raise ValueError("need 0 < l_min < l_max < inf and 0 < step < inf")
     ls = np.arange(l_min, l_max + 0.5 * step, step)
+    if l_max - ls[-1] > 1e-9 * step:
+        ls = np.append(ls, l_max)
     det = ClampedEndDeterminant(ls[-1], 2, "even")
-
-    lo, hi, f_lo, f_hi = (np.empty(len(ls)) for _ in range(4))
-    todo = np.arange(len(ls))
-    for grids in zip(*(_scan_grids(l, "even", 1) for l in ls)):
-        g = np.stack([grids[j] for j in todo])
-        vals = det(g.ravel(), np.repeat(ls[todo], g.shape[1])).reshape(g.shape)
-        change = vals[:, :-1] * vals[:, 1:] < 0
-        hit = np.flatnonzero(change.any(axis=1))
-        i = np.argmax(change[hit], axis=1)  # the top sign change
-        j = todo[hit]
-        lo[j], hi[j], f_lo[j], f_hi[j] = (g[hit, i + 1], g[hit, i],
-                                          vals[hit, i + 1], vals[hit, i])
-        todo = np.delete(todo, hit)
-        if not todo.size:
-            break
-    else:
-        raise BracketError(f"lambda_0({ls[todo[0]]}) not bracketed by the scan")
-    lams = find_roots(lambda x, idx: det(x, ls[idx]), lo, hi, (f_lo, f_hi), tol=1e-13)
+    found = _scan_eigenvalues(det, ls, "even", 1)
+    if not all(found):
+        raise BracketError(f"lambda_0({ls[found.index([])]}) not bracketed by the scan")
+    lams = np.array([lam for lam, in found])
 
     samples = tuple((float(l), float(lam)) for l, lam in zip(ls, lams))
     zeros = det.zero_eigenvalue_half_widths() if np.any(lams[:-1] * lams[1:] < 0) else ()

@@ -173,6 +173,12 @@ class TestSpectrumCommand:
         assert code == 0 and header["method"] == "shooting"
         assert header["roots"] == [pytest.approx(4.0775, abs=3e-3)]
 
+    def test_branch_reads_the_end_of_its_range(self, tmp_path):
+        code, text = run_cli(tmp_path, "branch", "--range", "4.0:4.3:1", "--json")
+        table = json.loads(text)
+        assert code == 0 and [row[0] for row in table["rows"]] == [4.0, 4.3]
+        assert table["header"]["roots"] == [pytest.approx(4.0775, abs=1e-3)]
+
     def test_branch_header_names_the_route_that_ran(self, tmp_path):
         # branch_trace always shoots, so --method collocation must not show
         code, text = run_cli(tmp_path, "spectrum", "--branch", "3.9:4.0:0.05",
@@ -284,6 +290,13 @@ class TestBlayerCommand:
         assert code == 2
         assert not out.exists()
         assert "must be positive and finite" in err and err.count("\n") == 1
+
+    def test_no_closed_form_is_one_line_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        code = cli.main(["blayer", "--family", "pme4", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == "blayer: no closed form for pme4; use --solver bvp\n"
 
     def test_failed_solve_is_one_line_exit_two(self, tmp_path, capsys, monkeypatch):
         def failing(family, *args, **kwargs):

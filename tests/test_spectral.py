@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from reglab import blayer, kernels, spectral
-from reglab.numcore import NumericsError, OdeError, RootConvergenceError, find_root
+from reglab.numcore import (BracketError, NumericsError, OdeError, RootConvergenceError, find_root,
+                            find_roots)
 
 
 class TestPoincare:
@@ -86,6 +89,18 @@ class TestIntervalSpectrum:
             assert pair.zero_count == k
             assert abs(pair.lam.imag) < 1e-9
 
+    @staticmethod
+    def count_brackets(monkeypatch):
+        """The number of brackets of each ``find_roots`` call the scan makes."""
+        calls = []
+
+        def counted(f, lo, hi, f_ends, **kwargs):
+            calls.append(len(lo))
+            return find_roots(f, lo, hi, f_ends, **kwargs)
+
+        monkeypatch.setattr(spectral, "find_roots", counted)
+        return calls
+
     def test_scan_refines_only_the_sign_changes_it_needs(self, monkeypatch):
         # at l = 8 the near-zero sweep holds no sign change and the first
         # fallback window two
@@ -93,18 +108,45 @@ class TestIntervalSpectrum:
         changes = [np.count_nonzero(v[:-1] * v[1:] < 0)
                    for v in map(det, spectral._scan_grids(8.0, "even", 1))]
         assert changes[:2] == [0, 2]
-        brackets = []
-
-        def counted(f, bracket, **kwargs):
-            brackets.append(bracket)
-            return find_root(f, bracket, **kwargs)
-
-        monkeypatch.setattr(spectral, "find_root", counted)
-        lam = spectral.top_eigenvalue(8.0)
-        assert len(brackets) == 1 and brackets[0][0] < lam < brackets[0][1]
+        calls = self.count_brackets(monkeypatch)
+        spectral.top_eigenvalue(8.0)
+        assert calls == [1]
         assert len(spectral.interval_spectrum(spectral.IntervalEigenProblem(8.0, parity="even"),
                                               2)) == 2
-        assert len(brackets) == 3
+        assert calls == [1, 2]
+
+    def test_one_refinement_call_per_parity(self, monkeypatch):
+        calls = self.count_brackets(monkeypatch)
+        pairs = spectral.interval_spectrum(spectral.IntervalEigenProblem(1.0), 5)
+        assert len(calls) == 2 and sum(calls) >= len(pairs) == 5
+
+    @pytest.mark.parametrize("count", [2, 3])
+    @pytest.mark.parametrize("l", [4.0, 9.5, 12.0])
+    def test_an_eigenvalue_does_not_depend_on_count(self, l, count):
+        # brackets of one half-width never share a stacked determinant call
+        prob = spectral.IntervalEigenProblem(l, parity="even")
+        lams = [p.lam.real for p in spectral.interval_spectrum(prob, count)]
+        assert lams[0] == spectral.top_eigenvalue(l)
+        assert lams[:2] == [p.lam.real for p in spectral.interval_spectrum(prob, 2)]
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: spectral.top_eigenvalue(4.0), r"lambda_0\(4.0\) not bracketed by the scan"),
+        (lambda: spectral.branch_trace((3.9, 4.3)), r"lambda_0\(3.9\) not bracketed by the scan"),
+        (lambda: spectral.interval_spectrum(spectral.IntervalEigenProblem(4.0), 2),
+         "no real eigenvalue bracketed"),
+    ])
+    def test_scan_without_sign_change_raises(self, call, message, monkeypatch):
+        # every eigenvalue has Re lambda <= 1/8, so no grid above it changes sign
+        monkeypatch.setattr(spectral, "_scan_grids",
+                            lambda l, parity, count: iter([np.linspace(2.0, 1.0, 24)] * 3))
+        with pytest.raises(BracketError, match=message):
+            call()
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.floats(0.5, 14.0))
+    def test_top_eigenvalue_is_the_top_of_the_even_spectrum(self, l):
+        prob = spectral.IntervalEigenProblem(l, parity="even")
+        assert spectral.top_eigenvalue(l) == spectral.interval_spectrum(prob, 1)[0].lam.real
 
     def test_top_eigenvalue_real_at_sampled_widths(self):
         for l, n in ((1.0, 96), (5.0, 96), (9.0, 128), (13.0, 160)):
@@ -212,6 +254,14 @@ class TestShootingDeterminant:
         det_at_zero = [spectral.ClampedEndDeterminant(z, 2, "even")(0.0) for z in zeros]
         assert np.max(np.abs(det_at_zero)) < 1e-13
 
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-3, 1e-2])
+    def test_long_steps_keep_every_zero_half_width(self, tol):
+        # from tol 1e-6 on, the first Taylor step at lambda = 0, which starts
+        # at the zero y = 0, holds l_1; at 1e-3 the second holds l_2 and l_3
+        det = spectral.ClampedEndDeterminant(14.0, 2, "even", tol=tol)
+        np.testing.assert_allclose(det.zero_eigenvalue_half_widths(),
+                                   [4.0774, 7.2864, 10.0839, 12.6436], atol=1e-4)
+
     @pytest.mark.parametrize("lam", [np.zeros((2, 2)), np.zeros(0)])
     def test_rejects_lambda_shapes(self, lam):
         with pytest.raises(ValueError):
@@ -296,6 +346,19 @@ class TestBranchTrace:
         br = spectral.branch_trace((7.0, 7.6), step=0.05)
         assert len(br.roots) == 1
         assert br.roots[0] == pytest.approx(7.25, abs=0.05)
+
+    def test_samples_reach_the_end_of_the_range(self):
+        # one step of 1.0 from 4.0 alone would leave [4.0, 4.3], which holds l_1, unread
+        br = spectral.branch_trace((4.0, 4.3), 1.0)
+        assert [l for l, _ in br.samples] == [4.0, 4.3]
+        assert br.roots == pytest.approx((4.0775,), abs=1e-3)
+        # a range that the steps reach gets no extra sample
+        assert len(spectral.branch_trace((3.9, 4.3), 0.05).samples) == 9
+
+    @pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -0.05])
+    def test_rejects_step(self, step):
+        with pytest.raises(ValueError, match="0 < step < inf"):
+            spectral.branch_trace((3.9, 4.3), step)
 
     def test_branch_continuity(self):
         br = spectral.branch_trace((3.5, 5.0), step=0.05)
