@@ -23,7 +23,7 @@ import warnings
 import numpy as np
 
 from reglab import blayer, criteria, kernels, pdesim, spectral
-from reglab.numcore import NumericsError, check_positive
+from reglab.numcore import NumericsError, check_positive, range_samples
 
 # reference eigenvalues of the fundamental-parabola benchmark (half-width -> rate)
 BENCHMARK_LAMBDA0 = {
@@ -145,7 +145,7 @@ def cmd_kernel(args):
     check_positive("tol", args.tol)
     family = _family_from(args)
     lo, hi, step = args.range
-    ys = np.arange(lo, hi + 0.5 * step, step)
+    ys = range_samples(lo, hi, step)
     vals = kernels.eval_kernel(family, ys, args.tol)
     big = np.abs(ys) >= 1.0  # the large-argument form only
     asym = np.full_like(ys, np.nan)
@@ -189,7 +189,7 @@ def cmd_spectrum(args):
     ls = [args.l]
     if args.l_range:
         lo, hi, step = args.l_range
-        ls = list(np.arange(lo, hi + 0.5 * step, step))
+        ls = list(range_samples(lo, hi, step))
     rows = [_lambda_row(float(l), args.method, args.grid_size) for l in ls]
     _emit(args, header, rows, ["l", "re_lambda0", "im_lambda0", "residual", "method"])
     return 0

@@ -112,6 +112,14 @@ class Constant(BoundaryFunction):
     def __post_init__(self):
         _check_shape(self.l, 0.0)
 
+    def at_logtime(self, u):
+        # a float (np.float64 too, as __call__ passes on) reads l as a float:
+        # np.full_like writes exactly l for every u, nan and +-inf included,
+        # so this is the element an array read gives, without its array
+        if isinstance(u, float):
+            return float(self.l)
+        return super().at_logtime(u)
+
     def _phi_u(self, u):
         return np.full_like(u, self.l)
 

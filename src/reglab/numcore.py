@@ -1,7 +1,7 @@
 """Shared numerical primitives: the failure classes of the numerical
-layers, the certified composite Gauss-Legendre rule, bracketed root
-finding, the ultraspherical operators on Chebyshev coefficients, and
-exact-rational polynomial arithmetic.
+layers, the samples of a range, the certified composite Gauss-Legendre
+rule, bracketed root finding, the ultraspherical operators on Chebyshev
+coefficients, and exact-rational polynomial arithmetic.
 
 Everything here is a pure function of its inputs; returned objects are
 immutable and safe to share across threads.
@@ -56,6 +56,15 @@ def check_positive(name, value):
     """Raise ``ValueError`` naming ``name`` unless ``value`` is positive and finite."""
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def range_samples(lo, hi, step):
+    """lo, lo + step, ... as ``np.arange`` lays them out, none past ``hi``,
+    and ``hi`` itself appended when the last falls short of it by more than
+    1e-9 of a step; needs lo <= hi and 0 < step < inf."""
+    xs = np.arange(lo, hi + 0.5 * step, step)
+    xs = xs[xs <= hi]
+    return np.append(xs, hi) if hi - xs[-1] > 1e-9 * step else xs
 
 
 # ---------------------------------------------------------------------------

@@ -11,14 +11,15 @@ name: m sets the band count, the interior unknowns w[m..n-m], the clamp
 (1 - z^2)^m of the initial data and the kernel ``parabolic(m)``, and for
 m = 2 the one-sided wall slope w1 = w2/4 is folded into the first and
 last rows.  The stiff spatial operator is advanced implicitly by backward
-Euler on the full operator.  One builder gives the step matrix of either
-order straight in the LAPACK band layout.  Every wall runs through one
+Euler on the full operator.  One builder, made once per run from the
+wall-free pieces of the band, gives the step matrix of either order
+straight in the LAPACK band layout.  Every wall runs through one
 driver, which records the state on one schedule, checks it for finiteness
 and reduces it to sup norms and a0 in blocks, and takes snapshots.  Walls
 differ only in how a state advances between two steps: a constant wall reuses one
 banded LU, and on a long enough run over at most 256 interior unknowns
 the precomputed propagator (I - dt A)^-r, r the record stride; a moving
-wall reads phi, phi' and the kernel once per block of records, rebuilds
+wall reads phi, phi' and the kernel once per block of records, forms
 the matrix on every step and factors and solves it with one LAPACK call
 (``gbsv``, or ``gtsv`` for the tridiagonal heat matrix).
 The recorded sup-norm and first-coefficient traces provide the empirical
@@ -131,29 +132,42 @@ def _stencil(m, size):
     return w
 
 
-def _operator(m, n, h, phi_val, phi_slope):
-    """Banded interior operator -(-D^2)^m / phi^(2m) + (phi'/phi - 1/(2m)) z D
-    of the half-order m, with the walls folded in.
+def _operator(m, n, h):
+    """Builder of the banded interior operator
+    -(-D^2)^m / phi^(2m) + (phi'/phi - 1/(2m)) z D of the half-order m, with
+    the walls folded in: ``band(phi_val, phi_slope)`` gives it for one wall.
 
     Unknowns are w[m..n-m]; the walls are w = 0 and, for m = 2, the
     second-order one-sided slope conditions w1 = w2/4, w(n-1) = w(n-2)/4.
-    Returns the (3m+1, n+1-2m) LAPACK band layout of ``gbtrf``/``gbsv``: m
+    A band is the (3m+1, n+1-2m) LAPACK band layout of ``gbtrf``/``gbsv``: m
     zero rows for the pivoting fill-in, then the m upper diagonals, the
     main one and the m lower ones (rows m: are the ``solve_banded`` layout).
+    The wall-free pieces (stencil S, the nodes z of the drift's two
+    diagonals, z at the ends for the folds) are made here once; a band is
+    S c, plus (coef z) / (2h) on the drift's diagonals, plus the folds.
     """
     zc = -1.0 + np.arange(m, n + 1 - m) * h
-    c = -(-1) ** m / phi_val ** (2 * m) / h ** (2 * m)
-    drift = (phi_slope / phi_val - 1 / (2 * m)) * zc / (2.0 * h)
-    ab = _stencil(m, zc.size) * c
-    ab[2 * m - 1, 1:] += drift[:-1]
-    ab[2 * m + 1, :-1] -= drift[1:]
-    if m == 2:
-        # fold in w1 = w2/4 at the left (row i=2 sees w1 and w0; row i=3 sees w1)
-        ab[4, 0] += 0.25 * (-4.0 * c) + 0.25 * (-drift[0])
-        ab[5, 0] += 0.25 * c
-        ab[4, -1] += 0.25 * (-4.0 * c) + 0.25 * drift[-1]
-        ab[3, -1] += 0.25 * c
-    return ab
+    stencil = _stencil(m, zc.size)
+    drift_z = np.stack([zc[:-1], -zc[1:]])  # the upper drift diagonal, and minus the lower
+    z_first, z_last = float(zc[0]), float(zc[-1])
+    sign, h_2m, two_h = -(-1) ** m, h ** (2 * m), 2.0 * h
+
+    def band(phi_val, phi_slope):
+        c = sign / phi_val ** (2 * m) / h_2m
+        coef = phi_slope / phi_val - 1 / (2 * m)
+        drift = coef * drift_z / two_h
+        ab = stencil * c
+        ab[2 * m - 1, 1:] += drift[0]
+        ab[2 * m + 1, :-1] += drift[1]
+        if m == 2:
+            # fold in w1 = w2/4 at the left (row i=2 sees w1 and w0; row i=3 sees w1)
+            ab[4, 0] += 0.25 * (-4.0 * c) + 0.25 * (-(coef * z_first / two_h))
+            ab[5, 0] += 0.25 * c
+            ab[4, -1] += 0.25 * (-4.0 * c) + 0.25 * (coef * z_last / two_h)
+            ab[3, -1] += 0.25 * c
+        return ab
+
+    return band
 
 
 def _full_state(m, x, n):
@@ -213,9 +227,11 @@ def simulate(cfg):
     identity give the propagator (I - dt A)^-r, and a full stride is one
     product with it; its overflow shows later than that of band solves
     (data of size 1e305 at l = 5: tau = 154.9 against 2.76).  Any other wall
-    rebuilds the band from phi and phi' on every step and solves it by
-    ``gbsv`` (``gtsv`` for heat), as ``solve_banded`` would; a non-finite
-    phi or phi' raises ``ValueError``, a singular matrix ``LinAlgError``.
+    forms the band from phi and phi' on every step, by scaling the run's
+    wall-free pieces with the operations, in their order, of a band formed
+    from scratch (so bit for bit), and solves it by ``gbsv`` (``gtsv`` for
+    heat), as ``solve_banded`` would; a non-finite phi or phi' raises
+    ``ValueError``, a singular matrix ``LinAlgError``.
     It reads phi and phi' for all the steps of a block of records by one
     array read each, and the kernel for the block's records by one read on
     the (rows, n + 1) grid: the values of a read per step and per record,
@@ -249,12 +265,14 @@ def simulate(cfg):
     x = _initial_data(cfg, z)[kl:n + 1 - kl].copy()
     m = x.size
 
+    band = _operator(kl, n, h)
+
     def step_matrix(tau, pv, ps):
         # I - dt A for the wall (pv, ps) at tau, in the LAPACK band layout
         if not (math.isfinite(pv) and math.isfinite(ps)):
             raise ValueError(f"boundary is not finite at tau={tau:.6g}: "
                              f"phi={pv!r}, phi'={ps!r}")
-        ab = _operator(kl, n, h, pv, ps)
+        ab = band(pv, ps)
         ab[kl:] *= -dt
         ab[2 * kl] += 1.0
         return ab

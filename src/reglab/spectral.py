@@ -22,8 +22,8 @@ import scipy
 
 from reglab import kernels
 from reglab.numcore import (BracketError, OdeError, RootConvergenceError, check_positive,
-                            chebyshev_end_rows, find_root, find_roots, ultraspherical_conversion,
-                            ultraspherical_diff)
+                            chebyshev_end_rows, find_root, find_roots, range_samples,
+                            ultraspherical_conversion, ultraspherical_diff)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +477,9 @@ def interval_spectrum(problem, count=1):
     the ultraspherical pencil on ``grid_size`` Chebyshev coefficients
     (Olver & Townsend, SIAM Rev. 55, 2013), complex eigenvalues included,
     and reports |lam_n - lam_(n+16)| as the residual; its eigenfunctions
-    are read at the n + 1 Chebyshev points.
+    are read at the n + 1 Chebyshev points.  Shooting scans one window per
+    clamped-beam mode, so it gives at most 4 eigenvalues per parity class;
+    a larger ``count`` raises ``ValueError``.
     """
     if problem.method == "collocation":
         return _collocation_spectrum(problem.l, problem.family.m, problem.grid_size, count)
@@ -486,6 +488,11 @@ def interval_spectrum(problem, count=1):
     if m != 2:
         raise NotImplementedError("shooting is implemented for the fourth-order case")
     parities = [problem.parity] if problem.parity != "full" else ["even", "odd"]
+    # the scan has one window per clamped-beam mode of the parity
+    limit = len(_CLAMPED_BEAM_X) // 2 * len(parities)
+    if count > limit:
+        raise ValueError(f"shooting finds at most {limit} eigenvalues with parity "
+                         f"{problem.parity!r}, got count={count}; use collocation for more")
     found = []
     for par in parities:
         det = ClampedEndDeterminant(problem.l, m, par)
@@ -548,9 +555,10 @@ def branch_trace(l_range, step=0.05):
     """lambda_0(l) of the fourth-order (m = 2) operator sampled every
     ``step`` over ``l_range``, with its roots.
 
-    The samples run from l_min by ``step``, with l_max added when the last
-    falls short of it.  The minor ODE does not depend on l, so the scan of
-    ``top_eigenvalue`` reads them all together, to about 1e-13 of it.
+    The samples run from l_min by ``step``, never past l_max, with l_max
+    added when the last falls short of it (``numcore.range_samples``).  The
+    minor ODE does not depend on l, so the scan of ``top_eigenvalue`` reads
+    them all together, to about 1e-13 of it.
 
     A root is a half-width at which lambda = 0 is an eigenvalue: a zero in
     l of the lambda = 0 target minor.  One Taylor integration to the
@@ -563,9 +571,7 @@ def branch_trace(l_range, step=0.05):
     l_min, l_max = l_range
     if not (0 < l_min < l_max < math.inf) or not 0 < step < math.inf:
         raise ValueError("need 0 < l_min < l_max < inf and 0 < step < inf")
-    ls = np.arange(l_min, l_max + 0.5 * step, step)
-    if l_max - ls[-1] > 1e-9 * step:
-        ls = np.append(ls, l_max)
+    ls = range_samples(l_min, l_max, step)
     det = ClampedEndDeterminant(ls[-1], 2, "even")
     found = _scan_eigenvalues(det, ls, "even", 1)
     if not all(found):

@@ -42,16 +42,32 @@ def boundaries(draw):
 taus = st.floats(cr.TAU0, TAU_HI)
 
 
+# the edges of each lane: u = +-0, +-inf, nan and negative u, and tau = 0
+# (u = -inf); int arguments are read as the floats they equal
+EDGE_U = [0.0, -0.0, math.inf, -math.inf, math.nan, -1.0, -7.5]
+EDGE_TAU = [0.0]
+INT_U, INT_TAU = [0, -1, 2, 7], [0, 3, 10]
+
+
 @settings(max_examples=60, deadline=None)
 @given(boundaries(), st.lists(taus, min_size=1, max_size=12))
 def test_array_call_equals_scalar_calls_bit_for_bit(phi, points):
-    arr = np.array(points)
-    for fn, xs in ((phi, arr), (phi.derivative, arr), (phi.at_logtime, np.log(arr))):
-        scalars = [fn(x) for x in xs.tolist()]
-        assert all(type(v) is float for v in scalars)
-        vector = fn(xs)
-        assert isinstance(vector, np.ndarray) and vector.shape == xs.shape
-        np.testing.assert_array_equal(vector, np.array(scalars))
+    # a scalar read, as a float, an np.float64 or an int, has the bits of its
+    # element of the array read (signed zeros and nan included)
+    arr = np.array(points + EDGE_TAU)
+    us = np.concatenate([np.log(np.array(points)), EDGE_U])
+    with np.errstate(all="ignore"):  # the edges give nan or inf in most formulas
+        for fn, xs, ints in ((phi, arr, INT_TAU), (phi.derivative, arr, INT_TAU),
+                             (phi.at_logtime, us, INT_U)):
+            vector = fn(xs)
+            assert isinstance(vector, np.ndarray) and vector.shape == xs.shape
+            for x, want in zip(xs.tolist(), vector):
+                for arg in (x, np.float64(x)):
+                    got = fn(arg)
+                    assert type(got) is float and np.float64(got).tobytes() == want.tobytes()
+            want = fn(np.array(ints, dtype=float))
+            got = np.array([fn(k) for k in ints])
+            assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=60, deadline=None)

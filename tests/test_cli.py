@@ -74,6 +74,14 @@ class TestKernelCommand:
         assert lines[1] == "y,F,asymptotic,abs_diff"
         assert len(lines) - 2 == 201
 
+    def test_samples_never_pass_the_end_of_the_range(self, tmp_path):
+        # arange would give 0, 0.4, 0.8 and 1.2; the end 1.1 is read instead
+        code, text = run_cli(tmp_path, "kernel", "--family", "heat", "--range", "0:1.1:0.4",
+                             "--json")
+        ys = [row[0] for row in json.loads(text)["rows"]]
+        assert code == 0 and ys == pytest.approx([0.0, 0.4, 0.8, 1.1], abs=1e-15)
+        assert ys[-1] == 1.1
+
     def test_heat_asymptotic_form_matches_the_kernel(self, tmp_path):
         code, text = run_cli(tmp_path, "kernel", "--family", "heat", "--range=-6:6:2")
         rows = [line.split(",") for line in text.strip().split("\n")[2:]]
@@ -178,6 +186,10 @@ class TestSpectrumCommand:
         table = json.loads(text)
         assert code == 0 and [row[0] for row in table["rows"]] == [4.0, 4.3]
         assert table["header"]["roots"] == [pytest.approx(4.0775, abs=1e-3)]
+
+    def test_l_range_reads_the_end_of_its_range(self, tmp_path):
+        code, text = run_cli(tmp_path, "spectrum", "--l-range", "1:1.7:0.5", "--json")
+        assert code == 0 and [row[0] for row in json.loads(text)["rows"]] == [1.0, 1.5, 1.7]
 
     def test_branch_header_names_the_route_that_ran(self, tmp_path):
         # branch_trace always shoots, so --method collocation must not show

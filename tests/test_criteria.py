@@ -604,6 +604,21 @@ class TestCoefficientTraces:
                  for n in (2, 57, 400)}
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("family, l, a0_init, span", [
+        ("pme4-reduced", 1.0, 1.0, (1.0, 3000.0)),
+        ("pme4-reduced", 1.3, 0.9, (1.0, 3000.0)),
+        ("pme4", 1.0, 1.0, (1.0, 3000.0)),
+    ])
+    def test_constant_wall_trace_equals_the_array_lane(self, family, l, a0_init, span):
+        # a Constant reads a float u as a float; PowerLog(l, 0) gives l on its
+        # one-element array lane, so every right-hand side, LSODA step and
+        # output of the two traces must agree bit for bit
+        fast, lane = (cr.integrate_a0(family, phi, lntau_span=span, a0_init=a0_init, n_out=400)
+                      for phi in (cr.Constant(l), cr.PowerLog(l, 0.0)))
+        assert fast.ln_tau.tobytes() == lane.ln_tau.tobytes()
+        assert fast.log_a0.tobytes() == lane.log_a0.tobytes()
+        assert (fast.hit_zero, fast.rhs_calls) == (lane.hit_zero, lane.rhs_calls)
+
     def test_beam_trace_swings_both_ways(self):
         tr = cr.integrate_a0("beam4", cr.PowerLog(1.0, 0.5), lntau_span=(1.0, math.log(1e8)))
         assert tr.log_a0.max() > 1.0 and tr.log_a0.min() < -1.0

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from reglab import numcore as nc
@@ -206,6 +208,37 @@ class TestFindRoots:
     def test_non_finite_value_is_a_convergence_error(self):
         with pytest.raises(nc.RootConvergenceError):
             nc.find_roots(lambda x, idx: np.full(x.shape, np.nan), [1.0], [2.0], ([-1.0], [1.0]))
+
+
+class TestRangeSamples:
+    # the ranges of the benchmark, the acceptance gate, `reproduce branch-roots`
+    # and the CI sweeps, whose arange samples all lie inside them
+    @pytest.mark.parametrize("lo,hi,step", [
+        (3.9, 4.3, 0.05), (7.0, 7.5, 0.05), (7.0, 7.6, 0.05), (9.5, 10.5, 0.125),
+        (12.5, 13.5, 0.125), (0.5, 14.0, 0.5), (9.8, 13.2, 0.1), (0.0, 40.0, 1.0),
+        (-400.0, 400.0, 0.25)])
+    def test_samples_inside_the_range_keep_their_bits(self, lo, hi, step):
+        xs = np.arange(lo, hi + 0.5 * step, step)
+        assert xs.tobytes() == nc.range_samples(lo, hi, step).tobytes()
+
+    @pytest.mark.parametrize("lo,hi,step,want", [
+        (7.0, 7.28, 0.3, [7.0, 7.28]),  # arange's 7.3 is past the end
+        (0.0, 1.1, 0.4, [0.0, 0.4, 0.8, 1.1]),  # and its 1.2
+        (4.0, 4.3, 1.0, [4.0, 4.3]),  # the end is more than a step from 4.0
+        (1.0, 1.0, 0.5, [1.0]),
+    ])
+    def test_never_past_the_end_and_the_end_read(self, lo, hi, step, want):
+        xs = nc.range_samples(lo, hi, step)
+        assert xs.tolist() == pytest.approx(want, abs=1e-15) and xs[-1] == hi
+        assert np.all(np.diff(xs) > 0) and xs.max() <= hi
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-50.0, 50.0), st.floats(0.0, 20.0), st.floats(1e-3, 5.0))
+    def test_property(self, lo, width, step):
+        hi = lo + width
+        xs = nc.range_samples(lo, hi, step)
+        assert xs[0] == lo and xs.max() <= hi and np.all(np.diff(xs) > 0)
+        assert hi - xs[-1] <= 1e-9 * step
 
 
 class TestUltrasphericalOperators:

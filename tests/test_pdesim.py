@@ -50,7 +50,7 @@ class TestOperator:
             embed[1, 0] = embed[n - 1, -1] = 0.25
         dense = (full @ embed)[m:n + 1 - m]
 
-        ab = pdesim._operator(m, n, h, phi_val, phi_slope)
+        ab = pdesim._operator(m, n, h)(phi_val, phi_slope)
         assert ab.shape == (3 * m + 1, size)
         assert not ab[:m].any()  # the fill-in rows
         band = np.zeros((size, size))
@@ -60,6 +60,42 @@ class TestOperator:
         scale = np.max(np.abs(dense))
         np.testing.assert_allclose(band, dense, rtol=0.0, atol=1e-13 * scale)
         assert np.array_equal(band != 0.0, dense != 0.0)
+
+    @staticmethod
+    def direct_band(m, n, h, phi_val, phi_slope):
+        # the band formed from scratch for one wall: the stencil scaled by c,
+        # the drift vector added to the upper and taken from the lower
+        # diagonal, then the m = 2 wall folds
+        zc = -1.0 + np.arange(m, n + 1 - m) * h
+        c = -(-1) ** m / phi_val ** (2 * m) / h ** (2 * m)
+        drift = (phi_slope / phi_val - 1 / (2 * m)) * zc / (2.0 * h)
+        ab = pdesim._stencil(m, zc.size) * c
+        ab[2 * m - 1, 1:] += drift[:-1]
+        ab[2 * m + 1, :-1] -= drift[1:]
+        if m == 2:
+            ab[4, 0] += 0.25 * (-4.0 * c) + 0.25 * (-drift[0])
+            ab[5, 0] += 0.25 * c
+            ab[4, -1] += 0.25 * (-4.0 * c) + 0.25 * drift[-1]
+            ab[3, -1] += 0.25 * c
+        return ab
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("n", [64, 96, 128])
+    def test_per_run_band_equals_direct_formula_bit_for_bit(self, m, n):
+        # one builder per run serves every step: at random walls (phi, phi'),
+        # signs of phi' and edge walls included, its band has the bits (signed
+        # zeros too) of the band formed from scratch
+        h = 2.0 / n
+        band = pdesim._operator(m, n, h)
+        rng = np.random.default_rng(29 + 10 * m + n)
+        walls = np.column_stack([np.exp(rng.uniform(-3.0, 4.0, 200)),
+                                 rng.normal(0.0, 3.0, 200)]).tolist()
+        # (2, 1/m) has no drift: its drift diagonals hold signed zeros
+        walls += [(1.0, 0.0), (2.0, -0.0), (2.0, 1.0 / m), (1e-3, 1e3), (1e3, -1e-3)]
+        for pv, ps in walls:
+            ab = band(pv, ps)
+            assert ab.tobytes() == self.direct_band(m, n, h, pv, ps).tobytes(), (pv, ps)
+            assert ab.tobytes() == band(pv, ps).tobytes()  # no state kept between steps
 
 
 class TestFitRate:
@@ -99,10 +135,10 @@ class TestConstantWallFactors:
         # snapshotted on the schedule of the moving-wall loop
         h, z = 2.0 / n, res.z
         if family == "biharmonic":
-            ab, bands, inner = pdesim._operator(2, n, h, l, 0.0)[2:], (2, 2), slice(2, n - 1)
+            ab, bands, inner = pdesim._operator(2, n, h)(l, 0.0)[2:], (2, 2), slice(2, n - 1)
             fk = kernels.eval_kernel(kernels.biharmonic(), l * z)
         else:
-            ab, bands, inner = pdesim._operator(1, n, h, l, 0.0)[1:], (1, 1), slice(1, n)
+            ab, bands, inner = pdesim._operator(1, n, h)(l, 0.0)[1:], (1, 1), slice(1, n)
             fk = kernels.eval_kernel(kernels.heat(), l * z)
         ab = -dt * ab
         ab[bands[0], :] += 1.0
@@ -138,7 +174,7 @@ class TestConstantWallFactors:
         cfg = pdesim.SimConfig(family="biharmonic", phi=criteria.Constant(l), n=n, dt=dt,
                                tau_span=(0.0, 1.0))
         res = pdesim.simulate(cfg)
-        ab = pdesim._operator(2, n, 2.0 / n, l, 0.0)
+        ab = pdesim._operator(2, n, 2.0 / n)(l, 0.0)
         ab[2:] *= -dt
         ab[4] += 1.0
         lu, piv, _ = dgbtrf(ab, 2, 2)
@@ -233,7 +269,7 @@ class TestMovingWallDirectSolves:
         for k in range(steps):
             tau = tau0 + (k + 1) * dt
             pv, ps = phi(tau), phi.derivative(tau)
-            ab = -dt * pdesim._operator(bands[0], n, h, pv, ps)[bands[0]:]
+            ab = -dt * pdesim._operator(bands[0], n, h)(pv, ps)[bands[0]:]
             ab[bands[0], :] += 1.0
             x = solve_banded(bands, ab, x)
             w = pdesim._full_state(bands[0], x, n)
@@ -312,7 +348,7 @@ def per_record_oracle(cfg):
             pv, ps = float(phi(t)), float(phi.derivative(t))
             if not (math.isfinite(pv) and math.isfinite(ps)):
                 raise ValueError(f"boundary is not finite at tau={t:.6g}: phi={pv!r}, phi'={ps!r}")
-            ab = pdesim._operator(m, n, h, pv, ps)
+            ab = pdesim._operator(m, n, h)(pv, ps)
             ab[m:] *= -dt
             ab[2 * m] += 1.0
             x = pdesim._band_solve(ab, m, x)

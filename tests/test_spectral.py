@@ -115,6 +115,14 @@ class TestIntervalSpectrum:
                                               2)) == 2
         assert calls == [1, 2]
 
+    @pytest.mark.parametrize("parity,limit", [("even", 4), ("odd", 4), ("full", 8)])
+    def test_count_beyond_the_scan_windows_is_refused(self, parity, limit):
+        prob = spectral.IntervalEigenProblem(1.0, parity=parity)
+        assert len(spectral.interval_spectrum(prob, limit)) == limit
+        with pytest.raises(ValueError, match=f"at most {limit} eigenvalues with parity "
+                                             f"'{parity}', got count={limit + 1}"):
+            spectral.interval_spectrum(prob, limit + 1)
+
     def test_one_refinement_call_per_parity(self, monkeypatch):
         calls = self.count_brackets(monkeypatch)
         pairs = spectral.interval_spectrum(spectral.IntervalEigenProblem(1.0), 5)
@@ -354,6 +362,13 @@ class TestBranchTrace:
         assert br.roots == pytest.approx((4.0775,), abs=1e-3)
         # a range that the steps reach gets no extra sample
         assert len(spectral.branch_trace((3.9, 4.3), 0.05).samples) == 9
+
+    def test_samples_never_pass_the_end_of_the_range(self):
+        # arange's samples 7.0 and 7.3 would pass 7.28 and report the root
+        # near 7.2864, outside the range
+        br = spectral.branch_trace((7.0, 7.28), 0.3)
+        assert [l for l, _ in br.samples] == [7.0, 7.28]
+        assert br.roots == ()
 
     @pytest.mark.parametrize("step", [math.inf, math.nan, 0.0, -0.05])
     def test_rejects_step(self, step):
