@@ -91,7 +91,8 @@ _PHI_KINDS = {"const": (criteria.Constant, ("l",)), "powerlog": (criteria.PowerL
 def _parse_phi(text):
     """Boundary spec: const:4 (or l=4) | powerlog:C=2.95,g=0.75 | sqrtlog:C=2 | powertau:C=1,g=1.5.
 
-    Keys are case-insensitive; a key the family does not take is an error.
+    Keys are case-insensitive; a key the family does not take, or one given
+    twice, is an error.
     """
     kind, _, rest = text.partition(":")
     if kind not in _PHI_KINDS:
@@ -106,6 +107,8 @@ def _parse_phi(text):
             key = key.strip().lower()
             if key not in keys:
                 raise ValueError(f"unknown key {key!r} ({kind} takes {', '.join(keys)})")
+            if key in params:
+                raise ValueError(f"key {key!r} given twice")
             params[key] = float(val)
         missing = [key for key in keys if key not in params]
         if missing:

@@ -43,13 +43,29 @@ class BoundaryFunction:
     itself, so log-times far beyond float tau stay finite.  Both return a
     float for scalar input, an array otherwise.  A boundary that is not
     smooth in u names its joints through ``breakpoints``.
+
+    ``closed_form`` states the shape once: ``("log", C, gamma)`` for
+    C (ln tau)^gamma, ``("tau", C, gamma)`` for C tau^gamma, or None.
+    gamma = 0 is the constant, which is of both kinds.  A closed form needs
+    a positive finite C and a finite gamma (``ValueError``).
     """
 
-    monotone = True  # nondecreasing in tau; a cut-off needs a monotone base
     cutoff = False  # True once the oscillatory cut-off has been applied
     tau_min = TAU0
     tau_max = math.inf
-    log_power = None  # (C, gamma) when phi = C (ln tau)^gamma
+    closed_form = None
+
+    def __post_init__(self):
+        if self.closed_form:
+            _, c, gamma = self.closed_form
+            if not (math.isfinite(c) and c > 0 and math.isfinite(gamma)):
+                raise ValueError(f"boundary constant must be positive and finite and gamma "
+                                 f"finite, got C={c!r}, gamma={gamma!r}")
+
+    @property
+    def monotone(self):
+        """Nondecreasing in tau; a cut-off needs a monotone base."""
+        return self.closed_form is None or self.closed_form[2] >= 0.0
 
     def _phi_u(self, u):
         raise NotImplementedError
@@ -93,14 +109,6 @@ class BoundaryFunction:
         return type(self).__name__
 
 
-def _check_shape(c, gamma):
-    # each family is C (ln tau)^gamma (a constant: gamma = 0; sqrt-log: 1/2)
-    # or C tau^gamma, and needs a positive finite C and a finite gamma
-    if not (math.isfinite(c) and c > 0 and math.isfinite(gamma)):
-        raise ValueError(f"boundary constant must be positive and finite and gamma finite, "
-                         f"got C={c!r}, gamma={gamma!r}")
-
-
 @dataclass(frozen=True)
 class Constant(BoundaryFunction):
     """phi(tau) = l: the backward fundamental parabola of half-width l > 0."""
@@ -109,8 +117,9 @@ class Constant(BoundaryFunction):
 
     tau_min = 0.0
 
-    def __post_init__(self):
-        _check_shape(self.l, 0.0)
+    @property
+    def closed_form(self):
+        return "log", self.l, 0.0
 
     def at_logtime(self, u):
         # a float (np.float64 too, as __call__ passes on) reads l as a float:
@@ -137,16 +146,9 @@ class PowerLog(BoundaryFunction):
     c: float
     gamma: float
 
-    def __post_init__(self):
-        _check_shape(self.c, self.gamma)
-
     @property
-    def log_power(self):
-        return self.c, self.gamma
-
-    @property
-    def monotone(self):
-        return self.gamma >= 0.0
+    def closed_form(self):
+        return "log", self.c, self.gamma
 
     def _phi_u(self, u):
         return self.c * u**self.gamma
@@ -164,12 +166,9 @@ class PetrovskiiSqrtLog(BoundaryFunction):
 
     c: float
 
-    def __post_init__(self):
-        _check_shape(self.c, 0.5)
-
     @property
-    def log_power(self):
-        return self.c, 0.5
+    def closed_form(self):
+        return "log", self.c, 0.5
 
     def _phi_u(self, u):
         return self.c * np.sqrt(u)
@@ -195,12 +194,9 @@ class PowerOfTau(BoundaryFunction):
     c: float
     gamma: float
 
-    def __post_init__(self):
-        _check_shape(self.c, self.gamma)
-
     @property
-    def monotone(self):
-        return self.gamma >= 0.0
+    def closed_form(self):
+        return "tau", self.c, self.gamma
 
     def _phi_u(self, u):
         return self.c * np.exp(self.gamma * u)
@@ -214,7 +210,7 @@ class PowerOfTau(BoundaryFunction):
 
 @dataclass(frozen=True)
 class Tabulated(BoundaryFunction):
-    """Boundary sampled on a grid; log-log interpolated in between."""
+    """Boundary sampled on a grid, log-log interpolated; one value is that constant."""
 
     tau_grid: tuple
     values: tuple
@@ -240,6 +236,10 @@ class Tabulated(BoundaryFunction):
         return all(a <= b for a, b in zip(self.values, self.values[1:]))
 
     @cached_property
+    def closed_form(self):
+        return ("log", self.values[0], 0.0) if len(set(self.values)) == 1 else None
+
+    @cached_property
     def _log_grid(self):
         # (ln tau_grid, ln values), made once and shared by every call
         t = np.log(np.asarray(self.tau_grid))
@@ -248,6 +248,8 @@ class Tabulated(BoundaryFunction):
         return t, v
 
     def _phi_u(self, u):
+        if self.closed_form:  # exactly the value, which exp(ln v) can miss by an ulp
+            return np.full_like(u, self.values[0])
         t, v = self._log_grid
         return np.exp(np.interp(u, t, v))
 
@@ -707,22 +709,22 @@ def classify(family, phi, side="right"):
     """Vertex classification of boundary ``phi`` for an equation family.
 
     ``family`` is a parabolic family of order 2m or the dispersion
-    equation, whose two lateral boundaries differ (``side``).  The route:
+    equation, whose two lateral boundaries differ (``side``).  The route
+    is read from ``phi.uncut.closed_form``, so every spelling of one shape
+    takes the same route:
 
-    * a boundary constant in tau (order 2 and 4), in any spelling
-      (``Constant``, C (ln tau)^0, C tau^0, a table of one value, or a
-      cut-off of one), delegates to the interval spectrum at the value phi
-      takes;
-    * on the dispersion right side the kernel oscillates without decay
-      and the natural family is the single-log boundary C tau^gamma
-      (``PowerOfTau``; ``PowerLog`` input is read as the same (C, gamma)):
-      the tail converges iff gamma > 4/3, for every C;
-    * a log-power C (ln tau)^gamma is classified analytically by the
-      envelope exponent env_rate C^exponent, flipping at
-      C* = :func:`threshold` on the critical line gamma = 1/exponent
-      (C (ln tau)^((2m-1)/2m) for order 2m, sqrt(log) with C* = 2 for
-      heat, (ln tau)^(2/3) on the dispersion left side);
-    * a parabolic growing power of tau (gamma > 0) converges analytically;
+    * a constant (gamma = 0, in any spelling) on a parabolic family (order
+      2 and 4) delegates to the interval spectrum at the value phi takes;
+    * C tau^gamma, or a constant, where the kernel oscillates without
+      decay (the dispersion right side) takes the single-log rule: the
+      tail converges iff gamma > 4/3, for every C;
+    * C (ln tau)^gamma, or a constant, under a decaying envelope is
+      classified analytically by the envelope exponent env_rate C^exponent,
+      flipping at C* = :func:`threshold` on the critical line
+      gamma = 1/exponent (C (ln tau)^((2m-1)/2m) for order 2m, sqrt(log)
+      with C* = 2 for heat, (ln tau)^(2/3) on the dispersion left side);
+    * C tau^gamma with gamma > 0 on a parabolic family converges
+      analytically;
     * anything else goes through the dyadic-tail diagnosis, except a
       tabulated order >= 4 boundary too short for the tail windows.
 
@@ -731,18 +733,17 @@ def classify(family, phi, side="right"):
     """
     _check_family(family, side)
     spec = oscillation_spec(family, side)
-    base = phi.uncut
+    kind, c, gamma = phi.uncut.closed_form or (None, None, None)
+    constant = gamma == 0.0
     parabolic = family.kind == "parabolic"
     single_log = spec.env_rate == 0.0  # the kernel oscillates without decay
-    if parabolic and (isinstance(base, Constant)
-                      or isinstance(base, (PowerLog, PowerOfTau)) and base.gamma == 0.0
-                      or isinstance(base, Tabulated) and len(set(base.values)) == 1):
+    if parabolic and constant:
         return _spectral_verdict(family, phi(TAU0))
-    if single_log and isinstance(base, (PowerLog, PowerOfTau)):
-        return _single_log_verdict(spec, base.gamma, phi.cutoff)
-    if base.log_power and not single_log:
-        return _analytic_powerlog_verdict(spec, *base.log_power, phi.cutoff)
-    if parabolic and isinstance(base, PowerOfTau) and base.gamma > 0.0:
+    if single_log and (kind == "tau" or constant):
+        return _single_log_verdict(spec, gamma, phi.cutoff)
+    if not single_log and (kind == "log" or constant):
+        return _analytic_powerlog_verdict(spec, c, gamma, phi.cutoff)
+    if parabolic and kind == "tau" and gamma > 0.0:
         note = ("Gaussian envelope of a power boundary converges" if family.m == 1
                 else "power growth in the log-time: envelope decays superpolynomially")
         return CriterionVerdict(IRREGULAR_NONSINGULAR, "analytic-family", {"note": note})

@@ -16,12 +16,12 @@ wall-free pieces of the band, gives the step matrix of either order
 straight in the LAPACK band layout.  Every wall runs through one
 driver, which records the state on one schedule, checks it for finiteness
 and reduces it to sup norms and a0 in blocks, and takes snapshots.  Walls
-differ only in how a state advances between two steps: a constant wall reuses one
-banded LU, and on a long enough run over at most 256 interior unknowns
-the precomputed propagator (I - dt A)^-r, r the record stride; a moving
-wall reads phi, phi' and the kernel once per block of records, forms
-the matrix on every step and factors and solves it with one LAPACK call
-(``gbsv``, or ``gtsv`` for the tridiagonal heat matrix).
+differ only in how a state advances between two steps: a constant wall, in
+any spelling, reuses one banded LU, and on a long enough run over at most
+256 interior unknowns the precomputed propagator (I - dt A)^-r, r the
+record stride; a moving wall reads phi, phi' and the kernel once per block
+of records, forms the matrix on every step and factors and solves it with
+one LAPACK call (``gbsv``, or ``gtsv`` for the tridiagonal heat matrix).
 The recorded sup-norm and first-coefficient traces provide the empirical
 decay and growth rates that cross-check the interval spectrum."""
 
@@ -220,8 +220,10 @@ def simulate(cfg):
     replayed by single steps from the record before, and the first of a
     non-finite state (``FloatingPointError``) and the error is raised.
 
-    Walls differ only in how a state advances.  A ``criteria.Constant`` wall
-    LU-factors I - dt A once in band form (``gbtrf``) and steps by ``gbtrs``.
+    Walls differ only in how a state advances.  A wall constant in tau in any
+    spelling (``phi.uncut.closed_form`` has gamma = 0) runs as
+    ``Constant(phi(tau0))``: it LU-factors I - dt A once in band form
+    (``gbtrf``) and steps by ``gbtrs``.
     When the interior size m (n - 3, or n - 1 for heat) is at most 256 and
     the run has enough full strides to repay it, r such solves on the
     identity give the propagator (I - dt A)^-r, and a full stride is one
@@ -282,7 +284,8 @@ def simulate(cfg):
         pv = np.asarray(pv)[..., None]
         return _a0_weights(kl, z, kernels.eval_kernel(fam_kernel, pv * z) * pv)
 
-    if isinstance(phi, criteria.Constant):
+    _, _, gamma = phi.uncut.closed_form or (None, None, None)
+    if gamma == 0.0:  # constant in tau, in any spelling, cut off or not
         lu, piv, info = scipy.linalg.lapack.dgbtrf(step_matrix(tau0, phi0, 0.0), kl, kl)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")

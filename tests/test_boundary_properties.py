@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from reglab import criteria as cr
 from reglab import kernels
+from reglab.numcore import NumericsError
 
 TAU_HI = 1e12
 OSCILLATORY = {"biharmonic": kernels.biharmonic(), "dispersion3": kernels.dispersion3()}
@@ -170,15 +171,44 @@ def test_verdicts_monotone_in_the_constant(case):
                    if abs(x / critical - 1.0) > 1e-9), verdicts
 
 
-@settings(max_examples=24, deadline=None)
-@given(st.sampled_from(["heat", "biharmonic"]), st.floats(0.5, 12.0))
+# every (family, side) pair the criterion takes
+FAMILY_SIDES = {"heat": (_HEAT, "right"), "biharmonic": (_BIH, "right"), "order6": (_M3, "right"),
+                "dispersion-right": (_DISP, "right"), "dispersion-left": (_DISP, "left")}
+
+
+def _outcome(family, phi, side):
+    # the verdict, or the type and message of the error classify raises
+    try:
+        return cr.classify(family, phi, side)
+    except (ValueError, NumericsError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(FAMILY_SIDES)), st.floats(0.5, 12.0))
 @example("heat", 1.0)
 @example("biharmonic", 5.0)
+@example("order6", 2.0)
+@example("dispersion-right", 1.0)
+@example("dispersion-left", 2.0)
 def test_every_spelling_of_a_constant_wall_gets_the_constant_verdict(name, c):
-    family = getattr(kernels, name)()
+    # the verdict, rationale and diagnostics depend on phi, not on its class:
+    # C (ln tau)^0, C tau^0 and a table of one value are the constant, and
+    # C (ln tau)^(1/2) is the sqrt-log boundary, bare or cut off by the
+    # side's own oscillation spec
+    family, side = FAMILY_SIDES[name]
+    spec = cr.oscillation_spec(family, side)
     table = cr.Tabulated(tuple(np.geomspace(cr.TAU0, 1e12, 40)), (c,) * 40)
-    for base in (cr.Constant(c), cr.PowerLog(c, 0.0), cr.PowerOfTau(c, 0.0), table):
-        for phi in (base, cr.apply_cutoff(base, family)):
+    spellings = [(cr.Constant(c), cr.PowerLog(c, 0.0), cr.PowerOfTau(c, 0.0), table),
+                 (cr.PetrovskiiSqrtLog(c), cr.PowerLog(c, 0.5))]
+    for reference, *others in spellings:
+        for wrap in (lambda phi: phi, lambda phi: cr.apply_cutoff(phi, spec)):
+            want = _outcome(family, wrap(reference), side)
+            for phi in others:
+                assert _outcome(family, wrap(phi), side) == want, wrap(phi)
+    if family.kind == "parabolic" and family.m <= 2:
+        # the spectrum is read at the value phi takes, the cut value included
+        for phi in (cr.Constant(c), cr.apply_cutoff(cr.Constant(c), spec)):
             verdict = cr.classify(family, phi)
             assert verdict == cr.classify(family, cr.Constant(phi(cr.TAU0)))
             assert verdict.rationale == "delegated-spectral"

@@ -338,8 +338,19 @@ class TestCriterionCommand:
 
     def test_dispersion_right_steep(self, tmp_path):
         code, text = run_cli(tmp_path, "criterion", "--family", "dispersion3",
-                             "--side", "right", "--phi", "powerlog:C=1,g=1.5")
+                             "--side", "right", "--phi", "powertau:C=1,g=1.5")
         assert json.loads(text)["verdict"] == "irregular-nonsingular"
+
+    def test_dispersion_right_steep_log_power_is_one_line_exit_two(self, tmp_path, capsys):
+        # (ln tau)^2 used to be read as tau^2 and reported irregular-nonsingular;
+        # its own window sums cannot be certified
+        out = tmp_path / "x.txt"
+        code = cli.main(["criterion", "--family", "dispersion3", "--side", "right",
+                         "--phi", "powerlog:C=1,g=2", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert not out.exists()
+        assert err.startswith("criterion: ") and err.count("\n") == 1
 
     def test_cut_off_constant_reads_its_cut_value(self, tmp_path):
         # the cut wall is 7.7125, not 5: it used to report l = 5, irregular-singular
@@ -396,6 +407,17 @@ class TestCriterionCommand:
         assert code == 2
         assert not out.exists()
         assert "unknown key 'x'" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("spec", ["sqrtlog:C=1,C=2.5", "powerlog:C=1,g=0.5,c=2",
+                                      "const:l=4,l=5"])
+    def test_repeated_boundary_key_is_one_line_exit_two(self, tmp_path, capsys, spec):
+        # sqrtlog:C=1,C=2.5 used to run PetrovskiiSqrtLog(C=2.5)
+        out = tmp_path / "x.txt"
+        code = cli.main(["criterion", "--family", "heat", "--phi", spec, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert not out.exists()
+        assert "given twice" in err and err.count("\n") == 1
 
     def test_constant_boundary_takes_its_key(self, tmp_path):
         assert cli._parse_phi("const:l=4").describe() == cli._parse_phi("const:4").describe()

@@ -59,7 +59,7 @@ class TestBoundaryConstants:
 
     def test_good_constants_still_build(self):
         assert cr.Constant(4.0).l == 4.0
-        assert cr.PowerLog(2.0, -0.5).log_power == (2.0, -0.5)
+        assert cr.PowerLog(2.0, -0.5).closed_form == ("log", 2.0, -0.5)
         assert cr.PetrovskiiSqrtLog(1e-3).c == 1e-3
         assert cr.PowerOfTau(1.0, 0.0).gamma == 0.0
 
@@ -292,11 +292,12 @@ class TestDispersionClassification:
         v = cr.classify(DISP, cr.PowerOfTau(1.0, 1.0))
         assert v.verdict == cr.INDETERMINATE
 
-    def test_right_accepts_single_log_spelled_as_powerlog(self):
-        # the natural right-boundary family carries a single logarithm in
-        # the original time; (C, gamma) are read off either spelling
-        assert cr.classify(DISP, cr.PowerLog(1.0, 1.5)).verdict == \
-            cr.IRREGULAR_NONSINGULAR
+    def test_right_reads_a_log_power_as_its_own_shape(self):
+        # C (ln tau)^gamma is not the single-log boundary C tau^gamma: it used
+        # to be read as one and called irregular-nonsingular, while its own
+        # window sums diverge; it takes the numeric tail
+        v = cr.classify(DISP, cr.PowerLog(1.0, 1.5))
+        assert (v.verdict, v.rationale) == (cr.INDETERMINATE, "numeric-tail")
 
     def test_left_boundary_threshold(self):
         reg = cr.classify(DISP, cr.PowerLog(C_STAR_DISP_LEFT, 2.0 / 3.0), "left")

@@ -167,6 +167,23 @@ class TestConstantWallFactors:
         assert np.array_equal(res.snapshots_tau, snaps_t)
         np.testing.assert_allclose(res.snapshots, snaps, rtol=1e-9, atol=1e-9 * np.max(sups))
 
+    @pytest.mark.parametrize("family,l", [("biharmonic", 5.0), ("heat", 3.0)])
+    def test_every_spelling_of_a_constant_wall_runs_as_constant(self, family, l):
+        # C (ln tau)^0, C tau^0 and a table of one value used to take the
+        # moving-wall path, 1e-12 off the constant run; a cut-off constant
+        # runs as the constant it is cut to
+        def run_on(phi):
+            return pdesim.simulate(pdesim.SimConfig(family=family, phi=phi, n=128,
+                                                    tau_span=(criteria.TAU0, 200.0)))
+
+        table = criteria.Tabulated(tuple(np.geomspace(criteria.TAU0, 1e3, 8)), (l,) * 8)
+        cut = criteria.apply_cutoff(criteria.Constant(l), kernels.biharmonic())
+        for phi, wall in [(criteria.PowerLog(l, 0.0), l), (criteria.PowerOfTau(l, 0.0), l),
+                          (table, l), (cut, cut(criteria.TAU0))]:
+            got, want = run_on(phi), run_on(criteria.Constant(wall))
+            for key in ("tau", "sup_norm", "a0", "snapshots_tau", "snapshots"):
+                assert np.array_equal(getattr(got, key), getattr(want, key)), (phi, key)
+
     def test_short_run_steps_by_band_solves(self):
         # 50 steps at m = 253 do not repay the propagator: the run is the
         # gbtrf/gbtrs loop bit for bit
