@@ -8,15 +8,17 @@ and third-order dispersion layers), ``_LAYERS`` the order, coefficient c
 and growing root of the linear operator g^(order) = g'/c (for the cubic
 diffusion layer, of its linearization at the plateau).  The layers are
 solved as boundary-value problems with far-field conditions that kill
-the growing mode and pin the plateau exactly, so the finite truncation
-length does not limit the accuracy.  The linear layers use the
-ultraspherical method (Olver & Townsend, SIAM Rev. 55, 2013): one dense
-solve on Chebyshev coefficients, grown until the trailing quarter moves
-the profile and each wall derivative by at most ``tol``; the cubic
-diffusion layer brings its own coefficient and wall conditions and is
-collocated by ``scipy.integrate.solve_bvp``.  ``wall_flux`` is the
-matched flux g2 v F + g1 v^(2/3) F' of a fourth-order layer, which drives
-the first coefficient.
+the growing mode exactly, so the finite truncation length does not limit
+the accuracy.  The linear layers use the ultraspherical method (Olver &
+Townsend, SIAM Rev. 55, 2013): one dense solve on Chebyshev
+coefficients, grown until the trailing quarter moves the profile and
+each wall derivative by at most ``tol``, with the plateau pinned.  The
+cubic diffusion layer is solved through its first integral
+G''' = (G^(1/3) - 1)/4 in s = xi^(1/3), from the wall itself, and
+collocated by ``scipy.integrate.solve_bvp``; its ``far_value`` reads the
+plateau, which no condition pins.  ``wall_flux`` is the matched flux
+g2 v F + g1 v^(2/3) F' of a fourth-order layer, which drives the first
+coefficient.
 """
 
 from __future__ import annotations
@@ -170,8 +172,9 @@ def _far_field_functionals(family):
     operator, the solution state at the truncation point is
     y = V c with V the Vandermonde matrix of the roots.  The returned
     real rows applied to the state give (growing coefficient, plateau
-    constant), so the far boundary conditions (kill growth, plateau = 1)
-    hold exactly rather than up to the truncated tail.
+    constant), so the far boundary conditions (kill growth, and for the
+    linear layers plateau = 1) hold exactly rather than up to the
+    truncated tail.
     """
     roots = _layer_roots(family)
     vand = np.array([[r**k for r in roots] for k in range(len(roots))], dtype=complex)
@@ -251,18 +254,20 @@ def solve_bl_bvp(family, length=30.0, tol=1e-10):
 
     ``family`` is ``biharmonic``, ``dispersion3`` (linear layers, the
     closed forms are the oracles) or ``pme4`` for the cubic diffusion
-    layer solved in semilinear form: -G'''' + |G|^(-2/3) G'/12 = 0 with
-    G = G' = 0 at the wall and plateau 1.  Far-field conditions are the
-    growth-killing and plateau-pinning functionals of the linearization,
-    so the domain truncation does not limit the accuracy.  The linear
-    layers are solved by the ultraspherical method, one dense solve on
-    Chebyshev coefficients, and ``tol`` bounds what the trailing quarter
-    of those coefficients adds to the profile and to each wall
-    derivative; pme4 is solved by collocation
+    layer -G'''' + |G|^(-2/3) G'/12 = 0 with G = G' = 0 at the wall and
+    plateau 1.  Far-field conditions are functionals of the
+    linearization at the plateau, so the domain truncation does not limit
+    the accuracy.  The linear layers are solved by the ultraspherical
+    method, one dense solve on Chebyshev coefficients with the plateau
+    pinned, and ``tol`` bounds what the trailing quarter of those
+    coefficients adds to the profile and to each wall derivative.  pme4 is
+    solved through its first integral G''' = (G^(1/3) - 1)/4, in
+    s = xi^(1/3) from the wall itself, by collocation
     (``scipy.integrate.solve_bvp``), and ``tol`` is its residual
-    tolerance.  ``length`` and ``tol`` must be positive and finite
-    (``ValueError``), and ``length`` for pme4 past its wall offset; a
-    solve that does not converge raises ``numcore.BvpError``.  The
+    tolerance; only the growing mode is killed, so its ``far_value``
+    reads the plateau and shows whether ``length`` is long enough.
+    ``length`` and ``tol`` must be positive and finite (``ValueError``);
+    a solve that does not converge raises ``numcore.BvpError``.  The
     profile reads xi in [0, length] only (``ValueError``).
     """
     check_positive("tol", tol)
@@ -282,68 +287,52 @@ def solve_bl_bvp(family, length=30.0, tol=1e-10):
                                 far_value=far, provenance="bvp", evaluate=evaluate)
 
 
-def _solve_pme4_layer(length, tol, xi0=1e-3):
-    """Cubic diffusion layer G'''' = |G|^(-2/3) G'/12, G = G' = 0 at the wall.
+def _solve_pme4_layer(length, tol):
+    """Cubic diffusion layer from its first integral G''' = (G^(1/3) - 1)/4.
 
-    The wall is a singular point of the coefficient, so the domain starts
-    at ``xi0`` with Taylor conditions G ~ s2 xi^2/2 + s3 xi^3/6 whose
-    coefficients are unknown parameters of the collocation problem (the
-    local corrections enter at order xi^(11/3) and are negligible at
-    xi0).  Far-field conditions kill the growing mode of the plateau
-    linearization and pin the plateau to one.
+    -G'''' + |G|^(-2/3) G'/12 is the derivative of -G''' + G^(1/3)/4, and
+    the plateau (G -> 1, G''' -> 0) fixes the constant, so G'''(0) = -1/4
+    exactly.  In s = xi^(1/3) the layer is a power series in s, so the
+    collocation starts at the wall itself: y = (G, G', G'') with
+    dy/ds = 3 s^2 (G', G'', (cbrt G - 1)/4), G = G' = 0 at s = 0, and the
+    growth-killing row applied to (G, G', G'', G''') at s = length^(1/3).
+    The plateau row of the same state is ``far_value``: no condition pins
+    it, so it shows whether the layer is long enough.  ``solve_bvp`` is the
+    residual-control collocation of Kierzenka & Shampine (ACM TOMS 27,
+    2001).
     """
-    if length <= xi0:
-        raise ValueError(f"pme4 layer length must exceed the wall offset {xi0}, got {length!r}")
-    _, c, _ = _LAYERS["pme4"]
-    floor = 1e-14
-
-    def rhs(xi, y, p):
-        g = np.maximum(np.abs(y[0]), floor)
-        return np.vstack([y[1], y[2], y[3], g ** (-2.0 / 3.0) * y[1] / c])
-
     row_grow, row_plateau = _far_field_functionals("pme4")
 
-    def bc(ya, yb, p):
-        s2, s3 = p
-        return np.array([
-            ya[0] - (0.5 * s2 * xi0**2 + s3 * xi0**3 / 6.0),
-            ya[1] - (s2 * xi0 + 0.5 * s3 * xi0**2),
-            ya[2] - (s2 + s3 * xi0),
-            ya[3] - s3,
-            row_grow @ yb,
-            row_plateau @ yb - 1.0,
-        ])
+    def state(y):  # (G, G', G'') -> (G, G', G'', G''')
+        return np.vstack([y, 0.25 * (np.cbrt(y[0]) - 1.0)])
 
-    xi = np.geomspace(xi0, length, 900)
-    guess = np.zeros((4, xi.size))  # a cubed biharmonic layer and its successive gradients
-    guess[0] = np.clip(_CLOSED["biharmonic"][0](xi), 1e-8, None) ** 3
-    for k in range(1, 4):
+    def rhs(s, y):
+        return 3.0 * s * s * state(y)[1:]
+
+    def bc(ya, yb):
+        return np.array([ya[0], ya[1], row_grow @ state(yb[:, None])[:, 0]])
+
+    end = float(np.cbrt(length))
+    s = np.linspace(0.0, end, 200)
+    xi = s**3
+    guess = np.zeros((3, s.size))  # a cubed biharmonic layer and its successive gradients
+    guess[0] = _CLOSED["biharmonic"][0](xi) ** 3
+    for k in range(1, 3):
         guess[k] = np.gradient(guess[k - 1], xi)
-    sol = scipy.integrate.solve_bvp(rhs, bc, xi, guess, tol=tol, max_nodes=200000, p=[0.3, 0.3])
+    sol = scipy.integrate.solve_bvp(rhs, bc, s, guess, tol=tol, max_nodes=200000)
     if not sol.success:
         raise BvpError(f"layer BVP for pme4 did not converge: {sol.message}")
 
-    s2, s3 = sol.p
-    xi_out = np.linspace(0.0, length, 1201)
-    vals = sol.sol(np.clip(xi_out, xi0, None))[0]
-    vals[0] = 0.0
-    far = float(row_plateau @ sol.sol(length))
+    wall = sol.sol(0.0)[0]  # the collocation's G(0), 1e-28 or less: read back as 0
 
-    def evaluate(q, _s=sol, _s2=s2, _s3=s3):
-        q = _in_layer(q, length)
-        inner = q < xi0
-        out = _s.sol(np.clip(q, xi0, None))[0]
-        if np.any(inner):
-            qt = q[inner] if q.shape else q
-            taylor = 0.5 * _s2 * qt**2 + _s3 * qt**3 / 6.0
-            if q.shape:
-                out[inner] = taylor
-            else:
-                out = taylor
+    def evaluate(q):
+        out = sol.sol(np.cbrt(_in_layer(q, length)))[0] - wall
         return out if out.shape else float(out)
 
+    xi_out = np.linspace(0.0, length, 1201)
     return BoundaryLayerProfile(
-        family="pme4", xi=xi_out, values=vals,
-        wall_derivatives=(0.0, float(s2), float(s3)), far_value=far,
+        family="pme4", xi=xi_out, values=evaluate(xi_out),
+        wall_derivatives=(0.0, float(sol.y[2, 0]), -0.25),
+        far_value=float(row_plateau @ state(sol.sol(end)[:, None])[:, 0]),
         provenance="bvp", evaluate=evaluate,
     )

@@ -798,8 +798,9 @@ class A0Trace:
 
 @lru_cache(maxsize=1)
 def _pme4_wall_constants():
-    """(g1, g2) of the pme4 layer; they do not depend on the boundary, so the
-    layer BVP is solved once per process."""
+    """(g1, g2) = (G''(0), G'''(0)) of the pme4 layer, solved through its first
+    integral G''' = (G^(1/3) - 1)/4 from the wall, so g2 = -1/4 exactly; they
+    do not depend on the boundary, so the layer is solved once per process."""
     g1, g2 = blayer.wall_constants(blayer.solve_bl_bvp("pme4", 50.0, tol=1e-8))
     return float(g1), float(g2)
 

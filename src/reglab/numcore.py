@@ -27,7 +27,8 @@ class QuadratureError(NumericsError):
     """
 
     def __init__(self, message, estimate, error_bound):
-        super().__init__(f"{message} (best estimate {estimate!r}, bound {error_bound!r})")
+        super().__init__(f"{message} (best estimate {float(estimate)!r}, "
+                         f"bound {float(error_bound)!r})")
         self.estimate = estimate
         self.error_bound = error_bound
 
@@ -44,7 +45,7 @@ class OdeError(NumericsError):
     """ODE integration broke down; carries the last reached abscissa."""
 
     def __init__(self, message, last_abscissa):
-        super().__init__(f"{message} (last abscissa {last_abscissa!r})")
+        super().__init__(f"{message} (last abscissa {float(last_abscissa)!r})")
         self.last_abscissa = last_abscissa
 
 

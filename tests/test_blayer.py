@@ -126,17 +126,6 @@ class TestBoundaryValueRoute:
         with pytest.raises(ValueError, match=r"layer profile read outside \[0, 30.0\]"):
             blayer.solve_bl_bvp(family, 30.0)(xi)
 
-    def test_pme4_route_unchanged(self, profile):
-        # the cubic layer's collocation, pinned bit for bit (digits recorded
-        # with numpy 2.4 and scipy 1.17)
-        assert np.array_equal(profile.wall_derivatives,
-                              (0.0, float.fromhex("0x1.2d548fc8cb24cp-2"),
-                               float.fromhex("-0x1.fd4c1aea77f0ep-3")))
-        assert np.array_equal(profile.values[[100, 400, 800, 1200]],
-                              [0.8782389973519966, 0.970531002527611,
-                               0.9992199574063536, 0.9999794021726501])
-        assert profile.far_value == 1.0
-
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             blayer.solve_bl_bvp("beam4")
@@ -159,10 +148,6 @@ class TestBoundaryValueRoute:
         # length = 0 or nan used to reach scipy's "x must be strictly increasing"
         with pytest.raises(ValueError, match="layer length must be positive and finite"):
             blayer.solve_bl_bvp(family, length)
-
-    def test_pme4_length_inside_the_wall_offset_rejected(self):
-        with pytest.raises(ValueError, match="pme4 layer length must exceed the wall offset"):
-            blayer.solve_bl_bvp("pme4", 1e-4)
 
     @pytest.mark.parametrize("family", ["biharmonic", "dispersion3", "pme4"])
     def test_failed_collocation_is_a_numerics_error(self, family, monkeypatch):
@@ -219,6 +204,36 @@ class TestCubicDiffusionLayer:
         assert profile(0.0) == 0.0
         assert profile.wall_derivatives[0] == 0.0  # slope vanishes at the wall
         assert profile.far_value == pytest.approx(1.0, abs=1e-4)
+
+    @pytest.mark.parametrize("length", [2.0, 50.0])
+    def test_wall_is_read_exactly(self, length):
+        # G''' = (G^(1/3) - 1)/4 gives G'''(0) = -1/4; G(0) reads 0 as a
+        # float, in an array and in the stored values
+        prof = blayer.solve_bl_bvp("pme4", length, tol=1e-8)
+        assert prof.wall_derivatives[0] == 0.0 and prof.wall_derivatives[2] == -0.25
+        assert prof(0.0) == 0.0 and prof(np.array([0.0, 1.0]))[0] == 0.0
+        assert prof.values[0] == 0.0
+
+    def test_wall_curvature_does_not_depend_on_length_or_tol(self):
+        # the far row kills the growing mode exactly, so the length does not
+        # limit g1 = G''(0)
+        g1 = [blayer.solve_bl_bvp("pme4", length, tol=1e-10).wall_derivatives[1]
+              for length in (30.0, 45.0, 50.0, 55.0)]
+        assert max(g1) - min(g1) <= 1e-11
+        coarse = blayer.solve_bl_bvp("pme4", 50.0, tol=1e-8).wall_derivatives[1]
+        assert abs(coarse - g1[2]) <= 1e-9
+
+    def test_profile_matches_the_wall_offset_route(self, profile):
+        # the earlier collocation from xi0 = 1e-3, with Taylor conditions
+        # there, at xi = 50/1200 * (100, 400, 800, 1200)
+        assert np.max(np.abs(profile.values[[100, 400, 800, 1200]]
+                             - [0.8782389973519966, 0.970531002527611,
+                                0.9992199574063536, 0.9999794021726501])) <= 5e-9
+
+    def test_far_value_shows_whether_the_layer_is_long_enough(self, profile):
+        # no condition pins the plateau, so a layer 2 long misses it
+        assert abs(profile.far_value - 1.0) <= 1e-8
+        assert abs(blayer.solve_bl_bvp("pme4", 2.0, tol=1e-8).far_value - 1.0) > 0.1
 
     def test_single_dominant_overshoot(self, profile):
         dev = profile.values - 1.0

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import reglab
@@ -271,13 +272,14 @@ class TestSpectrumCommand:
 
     def test_numerics_error_is_one_line_exit_two(self, tmp_path, capsys, monkeypatch):
         def failing(l, *args, **kwargs):
-            raise OdeError("shooting failed at lambda=-0.1: step size underflow", 0.0)
+            raise OdeError("shooting failed at lambda=-0.1: step size underflow", np.float64(0.5))
 
         monkeypatch.setattr(spectral, "top_eigenvalue", failing)
         code = cli.main(["spectrum", "--l", "4", "--out", str(tmp_path / "x.txt")])
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("spectrum: shooting failed") and err.count("\n") == 1
+        assert err.endswith("(last abscissa 0.5)\n")
 
 
 class TestBlayerCommand:
@@ -351,6 +353,15 @@ class TestCriterionCommand:
         assert code == 2
         assert not out.exists()
         assert err.startswith("criterion: ") and err.count("\n") == 1
+
+    def test_quadrature_error_line_prints_plain_floats(self, tmp_path, capsys):
+        # the estimate and bound are numpy floats, whose repr reads
+        # np.float64(5.64...e+53)
+        code = cli.main(["criterion", "--family", "dispersion3", "--phi", "powerlog:C=1,g=2",
+                         "--out", str(tmp_path / "x.txt")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert "(best estimate 5." in err and "np." not in err
 
     def test_cut_off_constant_reads_its_cut_value(self, tmp_path):
         # the cut wall is 7.7125, not 5: it used to report l = 5, irregular-singular
