@@ -6,19 +6,19 @@ value 1.  A layer is an entry of two tables: ``_CLOSED`` holds the closed
 form g0 and its exact wall derivatives (heat, fourth-order (biharmonic)
 and third-order dispersion layers), ``_LAYERS`` the order, coefficient c
 and growing root of the linear operator g^(order) = g'/c (for the cubic
-diffusion layer, of its linearization at the plateau).  The layers are
-solved as boundary-value problems with far-field conditions that kill
-the growing mode exactly, so the finite truncation length does not limit
-the accuracy.  The linear layers use the ultraspherical method (Olver &
-Townsend, SIAM Rev. 55, 2013): one dense solve on Chebyshev
-coefficients, grown until the trailing quarter moves the profile and
-each wall derivative by at most ``tol``, with the plateau pinned.  The
-cubic diffusion layer is solved through its first integral
-G''' = (G^(1/3) - 1)/4 in s = xi^(1/3), from the wall itself, and
-collocated by ``scipy.integrate.solve_bvp``; its ``far_value`` reads the
-plateau, which no condition pins.  ``wall_flux`` is the matched flux
-g2 v F + g1 v^(2/3) F' of a fourth-order layer, which drives the first
-coefficient.
+diffusion layer, of its linearization at the plateau).  Far-field
+conditions kill the growing mode exactly, so the truncation length does
+not limit the accuracy.  Each layer is a Chebyshev series, grown until
+its trailing quarter moves the profile by at most ``tol``.  The linear
+layers are one dense ultraspherical solve (Olver & Townsend, SIAM Rev.
+55, 2013) with the plateau pinned, whose tail also moves each wall
+derivative by at most ``tol``.  The cubic diffusion layer is solved
+through its first integral G''' = (G^(1/3) - 1)/4 in s = xi^(1/3), from
+the wall itself, as one Volterra equation for G'' by Newton's method on
+values at Chebyshev points (Greengard, SIAM J. Numer. Anal. 28, 1991);
+its ``far_value`` reads the plateau, which no condition pins.
+``wall_flux`` is the matched flux g2 v F + g1 v^(2/3) F' of a
+fourth-order layer, which drives the first coefficient.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy
 
 from reglab import kernels
 from reglab.numcore import (BvpError, chebyshev_end_rows, check_positive,
@@ -182,10 +181,34 @@ def _far_field_functionals(family):
     return np.real(inv[1]), np.real(inv[0])
 
 
-# the linear layers by the ultraspherical method: n Chebyshev coefficients
-# on (0, length), n doubled from the first size up to the cap
+# every layer on n Chebyshev coefficients, n doubled from the first size up to
+# the cap until the trailing quarter moves it by at most tol
 _FIRST_COEFFS = 32
 _MAX_COEFFS = 1024
+
+
+def _trailing_quarter(coef, rows=None):
+    """The most the trailing quarter of ``coef`` moves its series (|T_k| <= 1)
+    or, if ``rows`` are given, any functional that they apply to it."""
+    size = np.abs(coef[3 * coef.size // 4:])
+    if rows is None:
+        return size.sum()
+    return max(size.sum(), np.max(np.abs(rows[:, 3 * coef.size // 4:]) @ size))
+
+
+def _grow(family, tol, solve):
+    """The first result of ``(tail, result) = solve(n, last result)``, n = 32, 64, ...,
+    whose tail is at most ``tol``; a larger tail at the cap is a ``BvpError``."""
+    n, last = _FIRST_COEFFS, None
+    while True:
+        tail, last = solve(n, last)
+        if tail <= tol:
+            return last
+        if n >= _MAX_COEFFS:
+            raise BvpError(f"layer BVP for {family} did not converge: trailing Chebyshev "
+                           f"coefficients move it by {tail:.2g}, above tol {tol:g}, at the "
+                           f"cap of {n}")
+        n *= 2
 
 
 @lru_cache(maxsize=16)
@@ -209,16 +232,15 @@ def _solve_linear_layer(family, length, tol):
     fourth order) at the wall; the growth-killing and plateau-pinning
     functionals applied to the state (g, g', ...) at xi = length; the
     first n - order rows of (2/L)^order D_order - (2/L)/c S_(order-1)...S_1
-    D_1.  n starts at 32 and doubles, up to 1024, until the trailing
-    quarter of the coefficients moves the profile (by at most the sum of
-    their sizes) and each wall-derivative row by at most ``tol``.  Returns
-    the coefficients, the wall derivatives (g'(0), g''(0), g'''(0)) and
-    the plateau value.
+    D_1.  n grows until the trailing quarter of the coefficients moves the
+    profile and each wall derivative, whose rows weigh coefficient k by up
+    to k^6, by at most ``tol``.  Returns the coefficients, the wall
+    derivatives (g'(0), g''(0), g'''(0)) and the plateau value.
     """
     order, _, _ = _LAYERS[family]
     far = np.array(_far_field_functionals(family))
-    n = _FIRST_COEFFS
-    while True:
+
+    def solve(n, _):
         d_order, drift, plus, minus = _linear_parts(family, n)
         with np.errstate(over="ignore", invalid="ignore"):
             scale = (2.0 / length) ** np.arange(order + 1.0)[:, None]  # d/dxi = (2/L) d/dx
@@ -228,17 +250,82 @@ def _solve_linear_layer(family, length, tol):
             raise BvpError(f"layer BVP for {family} did not converge: length {length!r} "
                            "takes the rows of the xi-derivatives past the float range")
         coef = np.linalg.solve(a, np.eye(n)[order - 1])
-        # the most the trailing quarter moves the profile (|T_k| <= 1) or a
-        # wall derivative, whose rows weigh coefficient k by up to k^6
-        size = np.abs(coef[3 * n // 4:])
-        tail = max(size.sum(), np.max(np.abs(minus[1:, 3 * n // 4:]) @ size))
-        if tail <= tol:
-            return coef, tuple(float(d) for d in minus[1:] @ coef), float(far[1] @ plus @ coef)
-        if n >= _MAX_COEFFS:
-            raise BvpError(f"layer BVP for {family} did not converge: trailing Chebyshev "
-                           f"coefficients move it by {tail:.2g}, above tol {tol:g}, at the "
-                           f"cap of {n}")
-        n *= 2
+        return _trailing_quarter(coef, minus[1:]), (
+            coef, tuple(float(d) for d in minus[1:] @ coef), float(far[1] @ plus @ coef))
+
+    return _grow(family, tol, solve)
+
+
+_NEWTON_STEPS = 8  # at one size of the pme4 layer
+
+
+@lru_cache(maxsize=16)
+def _pme4_parts(n):
+    """Points sigma_j = (1 + x_j)/2 of [0, 1], x_j = -cos(pi j/(n - 1)), the map
+    from values there to Chebyshev coefficients, and the cumulative
+    integration A v = int_0^sigma 3 t^2 v dt on values, with its square.
+    The ends are exact, so row 0 and column 0 (weight 3 t^2 = 0) of A are 0."""
+    cheb = np.polynomial.chebyshev
+    x = -np.cos(np.pi * np.arange(n) / (n - 1))
+    x[0], x[-1] = -1.0, 1.0
+    to_coef = np.linalg.inv(cheb.chebvander(x, n - 1))
+    a = cheb.chebvander(x, n) @ cheb.chebint(np.eye(n), lbnd=-1.0) @ to_coef \
+        * (1.5 * (0.5 * (x + 1.0))**2)  # d sigma = dx / 2
+    a[0] = 0.0
+    return 0.5 * (x + 1.0), to_coef, a, a @ a
+
+
+def _solve_pme4_layer(length, tol):
+    """Cubic diffusion layer from its first integral G''' = (G^(1/3) - 1)/4.
+
+    -G'''' + |G|^(-2/3) G'/12 is the derivative of -G''' + G^(1/3)/4, and
+    the plateau fixes the constant, so G'''(0) = -1/4 exactly.  G is a power
+    series in s = xi^(1/3), where A v = int_0^s 3 t^2 v dt integrates in xi:
+    the layer is one Volterra equation G2 = g1 + A f(A^2 G2) for G2 = G'',
+    f = (cbrt G - 1)/4, with G1 = A G2, G = A G1 and g1 = G2(0) from the wall
+    itself.  Newton's method solves it on values at n Chebyshev points of
+    s; row 0, which the equation leaves empty, is the growth-killing row
+    applied to (G, G1, G2, f) at s = length^(1/3).  Each size starts from
+    the last one's G2 (the first, or after a size where 8 steps did not
+    bring a step down to ``tol``, from the biharmonic layer's G''), and
+    ``_grow`` doubles n until the trailing quarter of G's coefficients moves
+    it by at most ``tol``.  Returns those coefficients, in
+    x = 2 (xi/length)^(1/3) - 1, the wall derivatives and the plateau row
+    of the same state, which nothing pins.
+    """
+    row_grow, row_plateau = _far_field_functionals("pme4")
+
+    def solve(n, last):
+        sigma, to_coef, a, a2 = _pme4_parts(n)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            a, a2, xi = length * a, length * length * a2, length * sigma**3
+            g2 = (4.0 * _BIH_B**2 * np.exp(-_BIH_B * xi)
+                  * (np.cos(_BIH_A * xi) - _S3 * np.sin(_BIH_A * xi)) if last is None
+                  else np.polynomial.chebyshev.chebval(2.0 * sigma - 1.0, last[-1]))
+            for _ in range(_NEWTON_STEPS):
+                g = a2 @ g2
+                root = np.cbrt(g)
+                f, fp = 0.25 * (root - 1.0), 1.0 / (12.0 * root * root)
+                fp[0] = 0.0  # infinite at the wall, where column 0 of A weighs nothing
+                res = g2 - g2[0] - a @ f
+                res[0] = row_grow @ (g[-1], a[-1] @ g2, g2[-1], f[-1])
+                jac = np.eye(n) - a @ (fp[:, None] * a2)
+                jac[:, 0] -= 1.0
+                jac[0] = (row_grow[0] + row_grow[3] * fp[-1]) * a2[-1] + row_grow[1] * a[-1]
+                jac[0, -1] += row_grow[2]
+                delta = np.linalg.solve(jac, res)
+                g2, step = g2 - delta, np.max(np.abs(delta))
+                if step <= tol:
+                    break
+            g = a2 @ g2
+            far = row_plateau @ (g[-1], a[-1] @ g2, g2[-1], 0.25 * (np.cbrt(g[-1]) - 1.0))
+        coef = to_coef @ g
+        tail = max(_trailing_quarter(coef), step)
+        if not step <= tol:  # unsettled (nan too): the next size starts afresh
+            return (tail if tail > tol else math.inf), None
+        return tail, (coef, (0.0, float(g2[0]), -0.25), float(far), to_coef @ g2)
+
+    return _grow("pme4", tol, solve)[:3]
 
 
 def _in_layer(q, length):
@@ -257,82 +344,36 @@ def solve_bl_bvp(family, length=30.0, tol=1e-10):
     layer -G'''' + |G|^(-2/3) G'/12 = 0 with G = G' = 0 at the wall and
     plateau 1.  Far-field conditions are functionals of the
     linearization at the plateau, so the domain truncation does not limit
-    the accuracy.  The linear layers are solved by the ultraspherical
-    method, one dense solve on Chebyshev coefficients with the plateau
-    pinned, and ``tol`` bounds what the trailing quarter of those
-    coefficients adds to the profile and to each wall derivative.  pme4 is
-    solved through its first integral G''' = (G^(1/3) - 1)/4, in
-    s = xi^(1/3) from the wall itself, by collocation
-    (``scipy.integrate.solve_bvp``), and ``tol`` is its residual
-    tolerance; only the growing mode is killed, so its ``far_value``
-    reads the plateau and shows whether ``length`` is long enough.
-    ``length`` and ``tol`` must be positive and finite (``ValueError``);
-    a solve that does not converge raises ``numcore.BvpError``.  The
-    profile reads xi in [0, length] only (``ValueError``).
+    the accuracy.  Every layer is a Chebyshev series, grown from 32 to at
+    most 1024 coefficients until its trailing quarter moves the profile by
+    at most ``tol`` (and, for the linear layers, each wall derivative).
+    The linear layers are one dense ultraspherical solve with the plateau
+    pinned.  pme4 is solved through its first integral
+    G''' = (G^(1/3) - 1)/4, in s = xi^(1/3) from the wall itself, by
+    Newton's method on values at Chebyshev points; only the growing mode is
+    killed, so its ``far_value`` reads the plateau and shows whether
+    ``length`` is long enough.  ``length`` and ``tol`` must be positive and
+    finite (``ValueError``); a solve that does not converge raises
+    ``numcore.BvpError``.  The profile reads xi in [0, length] only
+    (``ValueError``).
     """
     check_positive("tol", tol)
     check_positive("layer length", length)
     if family not in _LAYERS:
         raise ValueError(f"no boundary-value layer for family {family!r}")
+    cheb = np.polynomial.chebyshev
     if family == "pme4":
-        return _solve_pme4_layer(length, tol)
-    coef, wall, far = _solve_linear_layer(family, length, tol)
+        coef, wall, far = _solve_pme4_layer(length, tol)
+        # the series' own wall value, 1e-16 or less, is read back as 0
+        to_x, offset = (lambda q: 2.0 * np.cbrt(q / length) - 1.0), cheb.chebval(-1.0, coef)
+    else:
+        coef, wall, far = _solve_linear_layer(family, length, tol)
+        to_x, offset = (lambda q: 2.0 * q / length - 1.0), 0.0
 
     def evaluate(q):
-        out = np.polynomial.chebyshev.chebval(2.0 * _in_layer(q, length) / length - 1.0, coef)
+        out = cheb.chebval(to_x(_in_layer(q, length)), coef) - offset
         return out if out.shape else float(out)
 
     xi = np.linspace(0.0, length, 1201)
     return BoundaryLayerProfile(family=family, xi=xi, values=evaluate(xi), wall_derivatives=wall,
                                 far_value=far, provenance="bvp", evaluate=evaluate)
-
-
-def _solve_pme4_layer(length, tol):
-    """Cubic diffusion layer from its first integral G''' = (G^(1/3) - 1)/4.
-
-    -G'''' + |G|^(-2/3) G'/12 is the derivative of -G''' + G^(1/3)/4, and
-    the plateau (G -> 1, G''' -> 0) fixes the constant, so G'''(0) = -1/4
-    exactly.  In s = xi^(1/3) the layer is a power series in s, so the
-    collocation starts at the wall itself: y = (G, G', G'') with
-    dy/ds = 3 s^2 (G', G'', (cbrt G - 1)/4), G = G' = 0 at s = 0, and the
-    growth-killing row applied to (G, G', G'', G''') at s = length^(1/3).
-    The plateau row of the same state is ``far_value``: no condition pins
-    it, so it shows whether the layer is long enough.  ``solve_bvp`` is the
-    residual-control collocation of Kierzenka & Shampine (ACM TOMS 27,
-    2001).
-    """
-    row_grow, row_plateau = _far_field_functionals("pme4")
-
-    def state(y):  # (G, G', G'') -> (G, G', G'', G''')
-        return np.vstack([y, 0.25 * (np.cbrt(y[0]) - 1.0)])
-
-    def rhs(s, y):
-        return 3.0 * s * s * state(y)[1:]
-
-    def bc(ya, yb):
-        return np.array([ya[0], ya[1], row_grow @ state(yb[:, None])[:, 0]])
-
-    end = float(np.cbrt(length))
-    s = np.linspace(0.0, end, 200)
-    xi = s**3
-    guess = np.zeros((3, s.size))  # a cubed biharmonic layer and its successive gradients
-    guess[0] = _CLOSED["biharmonic"][0](xi) ** 3
-    for k in range(1, 3):
-        guess[k] = np.gradient(guess[k - 1], xi)
-    sol = scipy.integrate.solve_bvp(rhs, bc, s, guess, tol=tol, max_nodes=200000)
-    if not sol.success:
-        raise BvpError(f"layer BVP for pme4 did not converge: {sol.message}")
-
-    wall = sol.sol(0.0)[0]  # the collocation's G(0), 1e-28 or less: read back as 0
-
-    def evaluate(q):
-        out = sol.sol(np.cbrt(_in_layer(q, length)))[0] - wall
-        return out if out.shape else float(out)
-
-    xi_out = np.linspace(0.0, length, 1201)
-    return BoundaryLayerProfile(
-        family="pme4", xi=xi_out, values=evaluate(xi_out),
-        wall_derivatives=(0.0, float(sol.y[2, 0]), -0.25),
-        far_value=float(row_plateau @ state(sol.sol(end)[:, None])[:, 0]),
-        provenance="bvp", evaluate=evaluate,
-    )

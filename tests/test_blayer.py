@@ -1,9 +1,7 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.integrate
 
 from reglab import blayer, kernels
 from reglab.numcore import BvpError, NumericsError
@@ -150,18 +148,14 @@ class TestBoundaryValueRoute:
             blayer.solve_bl_bvp(family, length)
 
     @pytest.mark.parametrize("family", ["biharmonic", "dispersion3", "pme4"])
-    def test_failed_collocation_is_a_numerics_error(self, family, monkeypatch):
-        # a linear layer 1e6 long is a wall step that 1024 Chebyshev
-        # coefficients do not resolve; a real non-converging pme4 solve needs
-        # seconds of mesh refinement, so its solver's failure report is stubbed
-        length = 1e6
-        if family == "pme4":
-            failed = SimpleNamespace(success=False,
-                                     message="The maximum number of mesh nodes is exceeded.")
-            monkeypatch.setattr(scipy.integrate, "solve_bvp", lambda *args, **kwargs: failed)
-            length = 30.0
-        with pytest.raises(BvpError, match=f"layer BVP for {family} did not converge") as info:
-            blayer.solve_bl_bvp(family, length)
+    def test_failed_collocation_is_a_numerics_error(self, family):
+        # a layer 1e6 long is a wall step that 1024 Chebyshev coefficients do
+        # not resolve: the linear solve's tail, and pme4's Newton iterates,
+        # still move it by more than tol at the cap
+        with pytest.raises(BvpError, match=f"layer BVP for {family} did not converge: trailing "
+                           r"Chebyshev coefficients move it by \S+, above tol 1e-10, at the "
+                           "cap of 1024") as info:
+            blayer.solve_bl_bvp(family, 1e6)
         assert isinstance(info.value, NumericsError)
 
     @pytest.mark.parametrize("family", ["biharmonic", "dispersion3"])
@@ -219,9 +213,37 @@ class TestCubicDiffusionLayer:
         # limit g1 = G''(0)
         g1 = [blayer.solve_bl_bvp("pme4", length, tol=1e-10).wall_derivatives[1]
               for length in (30.0, 45.0, 50.0, 55.0)]
-        assert max(g1) - min(g1) <= 1e-11
+        assert max(g1) - min(g1) <= 1e-12
+        assert g1[2] == pytest.approx(0.29426841735111, abs=1e-12)
         coarse = blayer.solve_bl_bvp("pme4", 50.0, tol=1e-8).wall_derivatives[1]
         assert abs(coarse - g1[2]) <= 1e-9
+
+    def test_tol_bounds_the_profile(self, profile):
+        # tol means what it means for the linear layers: the stored values
+        # at 1e-8 are within 1e-8 of those at 1e-12
+        fine = blayer.solve_bl_bvp("pme4", 50.0, tol=1e-12)
+        assert np.max(np.abs(profile.values - fine.values)) <= 1e-8
+
+    def test_first_integral_holds_between_the_nodes(self):
+        # G''' from the returned series G(xi) = P(sigma), sigma = (xi/L)^(1/3):
+        # with d/dxi = (3 L sigma^2)^(-1) d/dsigma,
+        # G''' = (P''' sigma^-6 - 6 P'' sigma^-7 + 10 P' sigma^-8) / (3 L)^3
+        length = 50.0
+        coef, _, _ = blayer._solve_pme4_layer(length, 1e-10)
+        series = np.polynomial.Chebyshev(coef, domain=[0.0, 1.0])
+        xi = np.random.default_rng(3).uniform(1.0, length - 1.0, 200)
+        sigma = np.cbrt(xi / length)
+        p1, p2, p3 = (series.deriv(k)(sigma) for k in (1, 2, 3))
+        g3 = (p3 / sigma**6 - 6.0 * p2 / sigma**7 + 10.0 * p1 / sigma**8) / (3.0 * length) ** 3
+        assert np.max(np.abs(g3 - 0.25 * (np.cbrt(series(sigma)) - 1.0))) <= 1e-6
+
+    def test_second_solve_reuses_the_cached_parts(self):
+        blayer._pme4_parts.cache_clear()
+        blayer.solve_bl_bvp("pme4", 50.0, tol=1e-8)
+        built = blayer._pme4_parts.cache_info().misses
+        blayer.solve_bl_bvp("pme4", 47.0, tol=1e-8)
+        info = blayer._pme4_parts.cache_info()
+        assert built == 2 and info.misses == built and info.hits >= 2
 
     def test_profile_matches_the_wall_offset_route(self, profile):
         # the earlier collocation from xi0 = 1e-3, with Taylor conditions

@@ -78,11 +78,34 @@ def test_tabulated_cached_log_grid_keeps_the_formula(c, gamma, points):
     # and a fresh instance's first call all equal the log-log interpolation
     arr = np.array(points)
     phi = _tabulated(c, gamma)
-    direct = np.exp(np.interp(np.log(arr), np.log(np.asarray(phi.tau_grid)),
-                              np.log(np.asarray(phi.values))))
+    u, grid = np.log(arr), np.log(np.asarray(phi.tau_grid))
+    direct = np.exp(np.interp(u, grid, np.log(np.asarray(phi.values))))
+    # a node (tau = TAU0 and TAU_HI are drawn) reads its own value
+    node = np.isin(u, grid)
+    direct[node] = np.asarray(phi.values)[np.searchsorted(grid, u[node])]
     np.testing.assert_array_equal(np.array([phi(t) for t in points]), direct)
     np.testing.assert_array_equal(phi(arr), direct)
     np.testing.assert_array_equal(_tabulated(c, gamma)(arr), direct)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(1.0, 1e6), min_size=4, max_size=12, unique=True),
+       st.lists(st.floats(0.01, 100.0), min_size=12, max_size=12, unique=True))
+@example([2.0, 3.0, 5.0, 7.0], [3.0, 5.0, 7.0, 11.0])
+def test_tabulated_reads_its_own_nodes_exactly(grid, values):
+    # exp(ln v) misses v by an ulp for about 37 % of values; a read at a node,
+    # through __call__ or at_logtime, scalar or array, gives the value itself,
+    # and a read between the nodes keeps the log-log formula's bits
+    taus = np.sort(grid)
+    phi = cr.Tabulated(tuple(taus), tuple(values[:taus.size]))
+    want, us = np.asarray(phi.values), np.log(taus)
+    for read, xs in ((phi, taus), (phi.at_logtime, us)):
+        assert np.array_equal(read(xs), want)
+        assert [read(x) for x in xs.tolist()] == want.tolist()
+    mid = np.sqrt(taus[1:] * taus[:-1])
+    between = np.exp(np.interp(np.log(mid), us, np.log(want)))
+    assert np.array_equal(phi(mid), between)
+    assert [phi(x) for x in mid.tolist()] == between.tolist()
 
 
 @settings(max_examples=60, deadline=None)

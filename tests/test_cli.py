@@ -55,11 +55,11 @@ class TestImportFootprint:
                  "print(*(f'scipy.{p}' in sys.modules for p in ('integrate', 'optimize')))")
         assert self.fresh(probe) == ["False", "False"]
 
-    def test_linear_layers_load_no_scipy_integrate(self):
-        # the linear layers are one numpy solve on Chebyshev coefficients;
-        # only the cubic pme4 layer collocates with scipy.integrate.solve_bvp
+    def test_layers_load_no_scipy_integrate(self):
+        # the linear layers are one numpy solve on Chebyshev coefficients, and
+        # the cubic pme4 layer Newton's method on values at Chebyshev points
         probe = ("import sys; from reglab import blayer; "
-                 "[blayer.solve_bl_bvp(f) for f in ('biharmonic', 'dispersion3')]; "
+                 "[blayer.solve_bl_bvp(f) for f in ('biharmonic', 'dispersion3', 'pme4')]; "
                  "print('scipy.integrate' in sys.modules)")
         assert self.fresh(probe) == ["False"]
 
