@@ -12,16 +12,17 @@ name: m sets the band count, the interior unknowns w[m..n-m], the clamp
 m = 2 the one-sided wall slope w1 = w2/4 is folded into the first and
 last rows.  The stiff spatial operator is advanced implicitly by backward
 Euler on the full operator.  One builder, made once per run from the
-wall-free pieces of the band, gives the step matrix of either order
-straight in the LAPACK band layout.  Every wall runs through one
+wall-free pieces of the band, gives the step matrices I - dt A of a chunk
+of steps of either order in LAPACK band layout.  Every wall runs through one
 driver, which records the state on one schedule, checks it for finiteness
 and reduces it to sup norms and a0 in blocks, and takes snapshots.  Walls
 differ only in how a state advances between two steps: a constant wall, in
 any spelling, reuses one banded LU, and on a long enough run over at most
 256 interior unknowns the precomputed propagator (I - dt A)^-r, r the
 record stride; a moving wall reads phi, phi' and the kernel once per block
-of records, forms the matrix on every step and factors and solves it with
-one LAPACK call (``gbsv``, or ``gtsv`` for the tridiagonal heat matrix).
+of records (the even kernel at the distinct |z| only), forms the matrices
+of its steps a chunk at a time and factors and solves each with one
+LAPACK call (``gbsv``, or ``gtsv`` for the tridiagonal heat matrix).
 The recorded sup-norm and first-coefficient traces provide the empirical
 decay and growth rates that cross-check the interval spectrum."""
 
@@ -46,7 +47,8 @@ from reglab.numcore import check_positive
 _DENSE_MAX = 256
 # Recorded states are checked and reduced in blocks of at most this many
 # rows and values, so a run at any n holds O(n) memory; a block spans at
-# most _BLOCK_VALUES steps, so a moving wall's reads for it stay as small.
+# most _BLOCK_VALUES steps, so a moving wall's reads for it stay as small,
+# and a moving wall forms its step matrices in chunks of as many values.
 _BLOCK_ROWS = 256
 _BLOCK_VALUES = 1 << 16
 # half the spatial order m of each family: the equation has 2m derivatives
@@ -133,18 +135,25 @@ def _stencil(m, size):
 
 
 def _operator(m, n, h):
-    """Builder of the banded interior operator
-    -(-D^2)^m / phi^(2m) + (phi'/phi - 1/(2m)) z D of the half-order m, with
-    the walls folded in: ``band(phi_val, phi_slope)`` gives it for one wall.
+    """Builder of the step matrices I - dt A of the banded interior operator
+    A = -(-D^2)^m / phi^(2m) + (phi'/phi - 1/(2m)) z D of the half-order m,
+    with the walls folded in: ``bands(phi_vals, phi_slopes, dt)`` gives one
+    for each wall (phi, phi') of a chunk of steps.
 
     Unknowns are w[m..n-m]; the walls are w = 0 and, for m = 2, the
     second-order one-sided slope conditions w1 = w2/4, w(n-1) = w(n-2)/4.
     A band is the (3m+1, n+1-2m) LAPACK band layout of ``gbtrf``/``gbsv``: m
     zero rows for the pivoting fill-in, then the m upper diagonals, the
     main one and the m lower ones (rows m: are the ``solve_banded`` layout).
+    A chunk of k steps is one array: for m = 1 a (k, 4, size) array, whose
+    diagonals ``gtsv`` reads as contiguous rows, and for m = 2 a C-order
+    (k, size, 7) array read through transposed views, so each band is
+    Fortran-ordered and ``gbsv`` takes it without a copy.
     The wall-free pieces (stencil S, the nodes z of the drift's two
     diagonals, z at the ends for the folds) are made here once; a band is
-    S c, plus (coef z) / (2h) on the drift's diagonals, plus the folds.
+    S c, plus (coef z) / (2h) on the drift's diagonals, plus the folds, then
+    ``* (-dt)`` and ``+ 1`` on the main diagonal: each element takes the
+    operations, in their order, of a band formed from scratch for its step.
     """
     zc = -1.0 + np.arange(m, n + 1 - m) * h
     stencil = _stencil(m, zc.size)
@@ -152,22 +161,28 @@ def _operator(m, n, h):
     z_first, z_last = float(zc[0]), float(zc[-1])
     sign, h_2m, two_h = -(-1) ** m, h ** (2 * m), 2.0 * h
 
-    def band(phi_val, phi_slope):
-        c = sign / phi_val ** (2 * m) / h_2m
-        coef = phi_slope / phi_val - 1 / (2 * m)
-        drift = coef * drift_z / two_h
-        ab = stencil * c
-        ab[2 * m - 1, 1:] += drift[0]
-        ab[2 * m + 1, :-1] += drift[1]
+    def bands(phi_vals, phi_slopes, dt):
+        # c and coef of each step on floats: numpy's array ** can round
+        # differently from a float's, by SIMD width
+        c = np.array([sign / pv ** (2 * m) / h_2m for pv in phi_vals])
+        coef = np.array([ps / pv - 1 / (2 * m) for pv, ps in zip(phi_vals, phi_slopes)])
+        ab = stencil * c[:, None, None]
+        drift = coef[:, None, None] * drift_z / two_h
+        ab[:, 2 * m - 1, 1:] += drift[:, 0]
+        ab[:, 2 * m + 1, :-1] += drift[:, 1]
         if m == 2:
             # fold in w1 = w2/4 at the left (row i=2 sees w1 and w0; row i=3 sees w1)
-            ab[4, 0] += 0.25 * (-4.0 * c) + 0.25 * (-(coef * z_first / two_h))
-            ab[5, 0] += 0.25 * c
-            ab[4, -1] += 0.25 * (-4.0 * c) + 0.25 * (coef * z_last / two_h)
-            ab[3, -1] += 0.25 * c
+            ab[:, 4, 0] += 0.25 * (-4.0 * c) + 0.25 * (-(coef * z_first / two_h))
+            ab[:, 5, 0] += 0.25 * c
+            ab[:, 4, -1] += 0.25 * (-4.0 * c) + 0.25 * (coef * z_last / two_h)
+            ab[:, 3, -1] += 0.25 * c
+        ab[:, m:] *= -dt
+        ab[:, 2 * m] += 1.0
+        if m == 2:  # one pass into Fortran-ordered bands, which gbsv takes without a copy
+            ab = np.ascontiguousarray(ab.transpose(0, 2, 1)).transpose(0, 2, 1)
         return ab
 
-    return band
+    return bands
 
 
 def _full_state(m, x, n):
@@ -229,20 +244,27 @@ def simulate(cfg):
     identity give the propagator (I - dt A)^-r, and a full stride is one
     product with it; its overflow shows later than that of band solves
     (data of size 1e305 at l = 5: tau = 154.9 against 2.76).  Any other wall
-    forms the band from phi and phi' on every step, by scaling the run's
-    wall-free pieces with the operations, in their order, of a band formed
-    from scratch (so bit for bit), and solves it by ``gbsv`` (``gtsv`` for
-    heat), as ``solve_banded`` would; a non-finite phi or phi' raises
-    ``ValueError``, a singular matrix ``LinAlgError``.
+    forms its step matrices from phi and phi' by the run's one builder, for
+    a chunk of steps of at most _BLOCK_VALUES values at once, with the
+    operations, in their order, of a matrix formed from scratch for each
+    step (so bit for bit), and solves each by ``gbsv`` (``gtsv`` for heat),
+    as ``solve_banded`` would.  A solve overwrites its matrix, so a step
+    replayed for a snapshot or a lost state forms its own.  A non-finite
+    phi or phi' raises ``ValueError`` when its step is reached, a singular
+    matrix ``LinAlgError``.
     It reads phi and phi' for all the steps of a block of records by one
-    array read each, and the kernel for the block's records by one read on
-    the (rows, n + 1) grid: the values of a read per step and per record,
-    bit for bit.  A wall read that raises is narrowed down to the step that
+    array read each, and the kernel for the block's records by one read:
+    F is even and read at |y|, so the (rows, n + 1) grid phi z is read at
+    the distinct |z| only (33 of 65 nodes at n = 64) and mirrored.  Both
+    give the values of a read per step and per record on every node, bit
+    for bit.  A wall read that raises is narrowed down to the step that
     raises, so the error surfaces after the steps before it, as it would
     step by step.  With n = 128 and dt = 0.02 from tau = e to 20 a
-    PowerLog(3, 3/4) biharmonic run takes 41 against 85 ms, and a
-    PetrovskiiSqrtLog(2) heat run 18 against 47 ms when read point by point
-    (2 vCPU, five alternating processes of 9 runs, median of the medians).
+    PowerLog(3, 3/4) biharmonic run takes 27 against 40 ms, and a
+    PetrovskiiSqrtLog(2) heat run 8.9 against 13.6 ms with a matrix formed
+    per step and the kernel read on every node (2 vCPU, five processes, each
+    alternating the two for 30 runs, median of the medians; the median
+    ratios are 0.67 and 0.65).
     """
     n = cfg.n
     h = 2.0 / n
@@ -267,26 +289,30 @@ def simulate(cfg):
     x = _initial_data(cfg, z)[kl:n + 1 - kl].copy()
     m = x.size
 
-    band = _operator(kl, n, h)
-
-    def step_matrix(tau, pv, ps):
-        # I - dt A for the wall (pv, ps) at tau, in the LAPACK band layout
-        if not (math.isfinite(pv) and math.isfinite(ps)):
-            raise ValueError(f"boundary is not finite at tau={tau:.6g}: "
-                             f"phi={pv!r}, phi'={ps!r}")
-        ab = band(pv, ps)
-        ab[kl:] *= -dt
-        ab[2 * kl] += 1.0
-        return ab
+    bands = _operator(kl, n, h)
+    # F is even and read at |y|, so the kernel is read once per distinct |z|
+    az, mirror = np.unique(np.abs(z), return_inverse=True)
 
     def weights_at(pv):
         # a0 weights of the wall pv, a float, or of each of an array of walls
         pv = np.asarray(pv)[..., None]
-        return _a0_weights(kl, z, kernels.eval_kernel(fam_kernel, pv * z) * pv)
+        return _a0_weights(kl, z, (kernels.eval_kernel(fam_kernel, pv * az) * pv)[..., mirror])
+
+    def step_bands(s, pvs, pss):
+        # I - dt A for the walls (pvs, pss) of steps s, s + 1, ..., up to the
+        # first wall that is not finite; a wall not finite at step s raises
+        for i, (pv, ps) in enumerate(zip(pvs, pss)):
+            if not (math.isfinite(pv) and math.isfinite(ps)):
+                if i == 0:
+                    raise ValueError(f"boundary is not finite at tau={tau0 + s * dt:.6g}: "
+                                     f"phi={pv!r}, phi'={ps!r}")
+                pvs, pss = pvs[:i], pss[:i]
+                break
+        return bands(pvs, pss, dt)
 
     _, _, gamma = phi.uncut.closed_form or (None, None, None)
     if gamma == 0.0:  # constant in tau, in any spelling, cut off or not
-        lu, piv, info = scipy.linalg.lapack.dgbtrf(step_matrix(tau0, phi0, 0.0), kl, kl)
+        lu, piv, info = scipy.linalg.lapack.dgbtrf(step_bands(0, [phi0], [0.0])[0], kl, kl)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
         weights, prop = weights_at(phi0), None
@@ -323,19 +349,35 @@ def simulate(cfg):
 
         first, pvs, pss = 0, [], []  # phi and phi' of the steps read last, from step first on
 
-        def wall_at(s, s_end):
+        def walls(s, s_end, k):
+            # phi and phi' of up to k steps from s on, from the walls read
+            # last if they hold step s, else read from s on
             nonlocal first, pvs, pss
             if not 0 <= s - first < len(pvs):
                 first, (pvs, pss) = s, read_wall(s, s_end)
-            return pvs[s - first], pss[s - first]
+            return pvs[s - first:s - first + k], pss[s - first:s - first + k]
+
+        # the bands of steps built_from, ..., of which those from step unused
+        # on are not solved yet: a solve overwrites its band, so a replayed
+        # step forms its own; a chunk holds at most _BLOCK_VALUES values
+        chunk = max(1, _BLOCK_VALUES // ((3 * kl + 1) * m))
+        built, built_from, unused = (), 0, 1
 
         def advance(x, s_from, s_to, s_end):
+            nonlocal built, built_from, unused
             for s in range(s_from + 1, s_to + 1):
-                x = _band_solve(step_matrix(tau0 + s * dt, *wall_at(s, s_end)), kl, x)
+                if s < unused:
+                    ab = step_bands(s, *walls(s, s_end, 1))[0]
+                else:
+                    if s - built_from >= len(built):
+                        built, built_from = step_bands(s, *walls(s, s_end, chunk)), s
+                    ab, unused = built[s - built_from], s + 1
+                x = _band_solve(ab, kl, x)
             return x
 
         def a0_weights(record_steps):
-            return weights_at(np.array([wall_at(s, record_steps[-1])[0] for s in record_steps]))
+            return weights_at(np.array([walls(s, record_steps[-1], 1)[0][0]
+                                        for s in record_steps]))
 
     taus, sups, a0s, snaps_t, snaps = _record_run(
         x, advance, a0_weights, r, np.linspace(tau0, tau1, 60), tau0, dt, steps, kl, n)

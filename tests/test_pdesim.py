@@ -26,16 +26,37 @@ def spoil_initial_data(monkeypatch):
     return spoil
 
 
+def direct_step_matrix(m, n, h, phi_val, phi_slope, dt):
+    """I - dt A formed from scratch for one wall, in the LAPACK band layout:
+    the stencil scaled by c, the drift vector added to the upper and taken
+    from the lower diagonal, the m = 2 wall folds, then * (-dt) and + 1."""
+    zc = -1.0 + np.arange(m, n + 1 - m) * h
+    c = -(-1) ** m / phi_val ** (2 * m) / h ** (2 * m)
+    drift = (phi_slope / phi_val - 1 / (2 * m)) * zc / (2.0 * h)
+    ab = pdesim._stencil(m, zc.size) * c
+    ab[2 * m - 1, 1:] += drift[:-1]
+    ab[2 * m + 1, :-1] -= drift[1:]
+    if m == 2:
+        ab[4, 0] += 0.25 * (-4.0 * c) + 0.25 * (-drift[0])
+        ab[5, 0] += 0.25 * c
+        ab[4, -1] += 0.25 * (-4.0 * c) + 0.25 * drift[-1]
+        ab[3, -1] += 0.25 * c
+    ab[m:] *= -dt
+    ab[2 * m] += 1.0
+    return ab
+
+
 class TestOperator:
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("n,phi_val,phi_slope", [(64, 1.0, 0.0), (96, 3.7, 0.2),
                                                      (128, 0.4, -1.3)])
     def test_band_matches_dense_operator(self, m, n, phi_val, phi_slope):
-        # dense -(-D2)^m / phi^(2m) + (phi'/phi - 1/(2m)) z D1 on the full grid,
-        # with D2 and D1 the central differences at the nodes 1..n-1, taken on
-        # the interior rows through the embedding of the unknowns w[m..n-m]
-        # (w = 0 at the walls and, for m = 2, w1 = w2/4 and w(n-1) = w(n-2)/4)
-        h = 2.0 / n
+        # I - dt A, with A the dense -(-D2)^m / phi^(2m) + (phi'/phi - 1/(2m)) z D1
+        # on the full grid, D2 and D1 the central differences at the nodes
+        # 1..n-1, taken on the interior rows through the embedding of the
+        # unknowns w[m..n-m] (w = 0 at the walls and, for m = 2, w1 = w2/4 and
+        # w(n-1) = w(n-2)/4)
+        h, dt = 2.0 / n, 0.5
         z = -1.0 + h * np.arange(n + 1)
         d2, d1 = np.zeros((n + 1, n + 1)), np.zeros((n + 1, n + 1))
         for i in range(1, n):
@@ -48,9 +69,9 @@ class TestOperator:
         embed[m:n + 1 - m] = np.eye(size)
         if m == 2:
             embed[1, 0] = embed[n - 1, -1] = 0.25
-        dense = (full @ embed)[m:n + 1 - m]
+        dense = np.eye(size) - dt * (full @ embed)[m:n + 1 - m]
 
-        ab = pdesim._operator(m, n, h)(phi_val, phi_slope)
+        ab = pdesim._operator(m, n, h)([phi_val], [phi_slope], dt)[0]
         assert ab.shape == (3 * m + 1, size)
         assert not ab[:m].any()  # the fill-in rows
         band = np.zeros((size, size))
@@ -61,41 +82,38 @@ class TestOperator:
         np.testing.assert_allclose(band, dense, rtol=0.0, atol=1e-13 * scale)
         assert np.array_equal(band != 0.0, dense != 0.0)
 
-    @staticmethod
-    def direct_band(m, n, h, phi_val, phi_slope):
-        # the band formed from scratch for one wall: the stencil scaled by c,
-        # the drift vector added to the upper and taken from the lower
-        # diagonal, then the m = 2 wall folds
-        zc = -1.0 + np.arange(m, n + 1 - m) * h
-        c = -(-1) ** m / phi_val ** (2 * m) / h ** (2 * m)
-        drift = (phi_slope / phi_val - 1 / (2 * m)) * zc / (2.0 * h)
-        ab = pdesim._stencil(m, zc.size) * c
-        ab[2 * m - 1, 1:] += drift[:-1]
-        ab[2 * m + 1, :-1] -= drift[1:]
-        if m == 2:
-            ab[4, 0] += 0.25 * (-4.0 * c) + 0.25 * (-drift[0])
-            ab[5, 0] += 0.25 * c
-            ab[4, -1] += 0.25 * (-4.0 * c) + 0.25 * drift[-1]
-            ab[3, -1] += 0.25 * c
-        return ab
-
     @pytest.mark.parametrize("m", [1, 2])
     @pytest.mark.parametrize("n", [64, 96, 128])
     def test_per_run_band_equals_direct_formula_bit_for_bit(self, m, n):
-        # one builder per run serves every step: at random walls (phi, phi'),
-        # signs of phi' and edge walls included, its band has the bits (signed
-        # zeros too) of the band formed from scratch
-        h = 2.0 / n
-        band = pdesim._operator(m, n, h)
+        # one builder per run gives the step matrices of a chunk of steps: at
+        # random walls (phi, phi'), signs of phi' and edge walls included,
+        # each has the bits (signed zeros too) of the matrix formed from
+        # scratch for its step alone, in a chunk or a chunk of one
+        h, dt = 2.0 / n, 0.02
+        bands = pdesim._operator(m, n, h)
         rng = np.random.default_rng(29 + 10 * m + n)
         walls = np.column_stack([np.exp(rng.uniform(-3.0, 4.0, 200)),
                                  rng.normal(0.0, 3.0, 200)]).tolist()
         # (2, 1/m) has no drift: its drift diagonals hold signed zeros
         walls += [(1.0, 0.0), (2.0, -0.0), (2.0, 1.0 / m), (1e-3, 1e3), (1e3, -1e-3)]
-        for pv, ps in walls:
-            ab = band(pv, ps)
-            assert ab.tobytes() == self.direct_band(m, n, h, pv, ps).tobytes(), (pv, ps)
-            assert ab.tobytes() == band(pv, ps).tobytes()  # no state kept between steps
+        chunk = bands(*zip(*walls), dt)
+        assert chunk.shape == (len(walls), 3 * m + 1, n + 1 - 2 * m)
+        for ab, (pv, ps) in zip(chunk, walls):
+            want = direct_step_matrix(m, n, h, pv, ps, dt).tobytes()
+            assert ab.tobytes() == want, (pv, ps)
+            assert bands([pv], [ps], dt)[0].tobytes() == want  # no state kept between steps
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_chunk_layout_suits_the_lapack_call(self, m):
+        # gtsv reads three contiguous diagonals of a (k, 4, size) array; gbsv
+        # takes each band of a C-order (k, size, 7) array as a Fortran-ordered
+        # (7, size) view, which f2py passes on without a copy
+        chunk = pdesim._operator(m, 64, 2.0 / 64)([2.0, 2.5, 3.0], [0.1, 0.2, 0.3], 0.02)
+        if m == 1:
+            assert chunk.flags.c_contiguous
+        else:
+            assert chunk.base.shape == (3, 61, 7) and chunk.base.flags.c_contiguous
+            assert all(ab.flags.f_contiguous for ab in chunk)
 
 
 class TestFitRate:
@@ -135,13 +153,11 @@ class TestConstantWallFactors:
         # snapshotted on the schedule of the moving-wall loop
         h, z = 2.0 / n, res.z
         if family == "biharmonic":
-            ab, bands, inner = pdesim._operator(2, n, h)(l, 0.0)[2:], (2, 2), slice(2, n - 1)
+            ab, bands, inner = direct_step_matrix(2, n, h, l, 0.0, dt)[2:], (2, 2), slice(2, n - 1)
             fk = kernels.eval_kernel(kernels.biharmonic(), l * z)
         else:
-            ab, bands, inner = pdesim._operator(1, n, h)(l, 0.0)[1:], (1, 1), slice(1, n)
+            ab, bands, inner = direct_step_matrix(1, n, h, l, 0.0, dt)[1:], (1, 1), slice(1, n)
             fk = kernels.eval_kernel(kernels.heat(), l * z)
-        ab = -dt * ab
-        ab[bands[0], :] += 1.0
         x = pdesim._initial_data(cfg, z)[inner]
         steps = math.ceil(tau_end / dt)
         every = max(1, steps // 4000)
@@ -191,10 +207,7 @@ class TestConstantWallFactors:
         cfg = pdesim.SimConfig(family="biharmonic", phi=criteria.Constant(l), n=n, dt=dt,
                                tau_span=(0.0, 1.0))
         res = pdesim.simulate(cfg)
-        ab = pdesim._operator(2, n, 2.0 / n)(l, 0.0)
-        ab[2:] *= -dt
-        ab[4] += 1.0
-        lu, piv, _ = dgbtrf(ab, 2, 2)
+        lu, piv, _ = dgbtrf(direct_step_matrix(2, n, 2.0 / n, l, 0.0, dt), 2, 2)
         x, states = pdesim._initial_data(cfg, res.z)[2:n - 1], []
         for _ in range(50):
             x, _ = dgbtrs(lu, 2, 2, x, piv)
@@ -286,9 +299,7 @@ class TestMovingWallDirectSolves:
         for k in range(steps):
             tau = tau0 + (k + 1) * dt
             pv, ps = phi(tau), phi.derivative(tau)
-            ab = -dt * pdesim._operator(bands[0], n, h)(pv, ps)[bands[0]:]
-            ab[bands[0], :] += 1.0
-            x = solve_banded(bands, ab, x)
+            x = solve_banded(bands, direct_step_matrix(bands[0], n, h, pv, ps, dt)[bands[0]:], x)
             w = pdesim._full_state(bands[0], x, n)
             if k % every == 0 or k == steps - 1:
                 taus.append(tau)
@@ -365,10 +376,7 @@ def per_record_oracle(cfg):
             pv, ps = float(phi(t)), float(phi.derivative(t))
             if not (math.isfinite(pv) and math.isfinite(ps)):
                 raise ValueError(f"boundary is not finite at tau={t:.6g}: phi={pv!r}, phi'={ps!r}")
-            ab = pdesim._operator(m, n, h)(pv, ps)
-            ab[m:] *= -dt
-            ab[2 * m] += 1.0
-            x = pdesim._band_solve(ab, m, x)
+            x = pdesim._band_solve(direct_step_matrix(m, n, h, pv, ps, dt), m, x)
         return x
 
     def a0_weights(record_steps):
@@ -424,6 +432,39 @@ class TestBlockReads:
                                tau_span=(criteria.TAU0, criteria.TAU0 + 8.0035))
         assert_same_run(cfg)
 
+    @pytest.mark.parametrize("family,phi", MOVING_WALLS)
+    def test_blocks_match_point_reads_on_a_non_dyadic_grid(self, family, phi):
+        # h = 1/48 is not a power of two: z and -z can differ in their last
+        # bits, and the kernel is read on each |z| that differs
+        assert_same_run(pdesim.SimConfig(family=family, phi=phi, n=96, dt=0.02,
+                                         tau_span=(criteria.TAU0, criteria.TAU0 + 15.0)))
+
+    @pytest.mark.parametrize("family,phi", MOVING_WALLS)
+    def test_blocks_match_point_reads_at_stride_three(self, family, phi):
+        # 12 004 steps: records every third step, so snapshots land between
+        # records, mid-block; each is replayed from the record before it,
+        # whose steps have consumed their bands in the solves
+        cfg = pdesim.SimConfig(family=family, phi=phi, n=64, dt=0.001,
+                               tau_span=(criteria.TAU0, criteria.TAU0 + 12.0035))
+        steps = math.ceil(12.0035 / 0.001)
+        assert steps // 4000 == 3
+        assert_same_run(cfg)
+
+    @pytest.mark.parametrize("family,phi", MOVING_WALLS)
+    def test_blocks_match_point_reads_when_long_reads_raise(self, family, phi):
+        # reads of more than 100 steps raise, so each block of 256 records is
+        # read 64 steps at a time, and the walls of its records come from
+        # four reads, most of them made before the last one
+        class Short(type(phi)):
+            def _phi_u(self, u):
+                if u.size > 100:
+                    raise MemoryError("read too long")
+                return super()._phi_u(u)
+
+        cfg = pdesim.SimConfig(family=family, phi=Short(*dataclasses.astuple(phi)), n=64,
+                               dt=0.02, tau_span=(criteria.TAU0, criteria.TAU0 + 12.0))
+        assert_same_run(cfg)
+
     @pytest.mark.parametrize("family", ["biharmonic", "heat"])
     def test_blocks_match_point_reads_on_the_cli_run(self, family):
         # simulate --phi powerlog:C=3,g=0.75 --tau-end 20, automatic step
@@ -473,6 +514,37 @@ class TestBlockReads:
                                      in breaks else "no wall past")
 
 
+class TestStepMatrixChunks:
+    def test_chunks_of_a_long_stride_stay_within_the_bound(self, monkeypatch):
+        # 200 004 steps at record stride 50: a block of 256 records spans
+        # 12 800 steps, and one chunk of step matrices for all of them would
+        # hold 3.2 M values; a chunk holds at most _BLOCK_VALUES values
+        shapes, operator = [], pdesim._operator
+
+        def recorded(m, n, h):
+            bands = operator(m, n, h)
+
+            def chunk(phi_vals, phi_slopes, dt):
+                ab = bands(phi_vals, phi_slopes, dt)
+                shapes.append(ab.shape)
+                return ab
+
+            return chunk
+
+        monkeypatch.setattr(pdesim, "_operator", recorded)
+        cfg = pdesim.SimConfig(family="heat", phi=criteria.PetrovskiiSqrtLog(2.0), n=64,
+                               dt=0.001, tau_span=(criteria.TAU0, criteria.TAU0 + 200.0035))
+        res = pdesim.simulate(cfg)
+        size = cfg.n - 1
+        bound = pdesim._BLOCK_VALUES // (4 * size)
+        assert len(res.tau) == 4002 and np.all(np.isfinite(res.sup_norm))
+        assert {shape[1:] for shape in shapes} == {(4, size)}
+        assert max(shape[0] for shape in shapes) == bound
+        # every step's matrix is formed once, and once more for each replayed
+        # step of a snapshot between records
+        assert 200004 <= sum(shape[0] for shape in shapes) <= 200004 + 60 * 49
+
+
 class TestKernelEvaluations:
     @pytest.fixture
     def kernel_calls(self, monkeypatch):
@@ -488,13 +560,13 @@ class TestKernelEvaluations:
     def test_constant_wall_evaluates_once(self, kernel_calls):
         res = run("biharmonic", 2.0, 1.0, n=64, dt=0.01)
         assert len(res.tau) == 100
-        assert kernel_calls == [65]
+        assert kernel_calls == [33]  # F is even: once per distinct |z|
 
     @pytest.mark.parametrize("family,phi", [("biharmonic", criteria.PowerLog(2.0, 0.75)),
                                             ("heat", criteria.PetrovskiiSqrtLog(2.0))])
     def test_moving_wall_reads_once_per_block(self, kernel_calls, family, phi):
         # 600 records: blocks of 256, 256 and 88, each one read of phi, one
-        # of phi' and one of the kernel on its rows x (n + 1) grid
+        # of phi' and one of the kernel on its rows x 33 distinct |z|
         reads = []
 
         class Counted(type(phi)):
@@ -510,9 +582,34 @@ class TestKernelEvaluations:
                                dt=0.02, tau_span=(criteria.TAU0, criteria.TAU0 + 12.0))
         res = pdesim.simulate(cfg)
         assert len(res.tau) == 600
-        assert kernel_calls == [256 * 65, 256 * 65, 88 * 65]
+        assert kernel_calls == [256 * 33, 256 * 33, 88 * 33]
         assert reads == [("phi", 1)] + [(f, rows) for rows in (256, 256, 88)
                                         for f in ("phi", "dphi")]
+
+    @pytest.mark.parametrize("n", [96, 160])
+    @pytest.mark.parametrize("family,phi", MOVING_WALLS + [("heat", criteria.Constant(2.5)),
+                                                          ("biharmonic", criteria.Constant(3.5))])
+    def test_mirrored_weights_equal_a_full_grid_read(self, monkeypatch, n, family, phi):
+        # the kernel read on the distinct |z| and mirrored gives the a0
+        # weights of a read on all n + 1 nodes bit for bit, also where h is
+        # not a power of two and z and -z differ
+        rows, a0_weights = [], pdesim._a0_weights
+
+        def recorded(m, z, kernel_rows):
+            rows.append(np.atleast_2d(kernel_rows))
+            return a0_weights(m, z, kernel_rows)
+
+        monkeypatch.setattr(pdesim, "_a0_weights", recorded)
+        cfg = pdesim.SimConfig(family=family, phi=phi, n=n, dt=0.02,
+                               tau_span=(criteria.TAU0, criteria.TAU0 + 6.0))
+        res = pdesim.simulate(cfg)
+        assert np.unique(np.abs(res.z)).size < n + 1
+        # a row per record, or one row for a constant wall
+        rows = np.concatenate(rows)
+        assert len(rows) == (1 if phi.closed_form[2] == 0.0 else len(res.tau))
+        walls = np.asarray(phi(res.tau[:len(rows)]))[:, None]
+        full = kernels.eval_kernel(kernels.parabolic(pdesim._HALF_ORDER[family]), walls * res.z)
+        assert np.array_equal(rows, full * walls)
 
 
 class TestRateSpectrumAgreement:
