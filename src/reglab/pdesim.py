@@ -15,16 +15,17 @@ Euler on the full operator.  One builder, made once per run from the
 wall-free pieces of the band, gives the step matrices I - dt A of a chunk
 of steps of either order in LAPACK band layout.  Every wall runs through one
 driver, which records the state on one schedule, checks it for finiteness
-and reduces it to sup norms and a0 in blocks, and takes snapshots.  Walls
-differ only in how a state advances between two steps: a constant wall, in
-any spelling, reuses one banded LU, and on a long enough run over at most
-256 interior unknowns the precomputed propagator (I - dt A)^-r, r the
-record stride; a moving wall reads phi, phi' and the kernel once per block
-of records (the even kernel at the distinct |z| only), forms the matrices
-of its steps a chunk at a time and factors and solves each with one
-LAPACK call (``gbsv``, or ``gtsv`` for the tridiagonal heat matrix).
-The recorded sup-norm and first-coefficient traces provide the empirical
-decay and growth rates that cross-check the interval spectrum."""
+and reduces it to sup norms and a0 in blocks, and takes snapshots; a block
+of records, a snapshot and a replay are each one call of the wall's
+generator ``run(x, s, stops)``, which keeps no state for the next.  A
+constant wall, in any spelling, reuses one banded LU, and on a long enough
+run over at most 256 interior unknowns the precomputed propagator
+(I - dt A)^-r, r the record stride; a moving wall reads phi and phi' once
+per run and the kernel once per block of records (the even kernel at the
+distinct |z| only), and forms its matrices a chunk at a time and solves
+each with one LAPACK call (``gbsv``, or ``gtsv`` for heat).  The recorded
+sup-norm and first-coefficient traces provide the empirical decay and
+growth rates that cross-check the interval spectrum."""
 
 from __future__ import annotations
 
@@ -54,6 +55,9 @@ _BLOCK_VALUES = 1 << 16
 # half the spatial order m of each family: the equation has 2m derivatives
 # and the walls m conditions (Dirichlet for heat, clamped for biharmonic)
 _HALF_ORDER = {"heat": 1, "biharmonic": 2}
+# a wall gives a step matrix when phi^(2m) lies in (1 / _WALL_POWER, _WALL_POWER):
+# entries dt / (phi h)^(2m) and the automatic step's (1 + lambda)^2 stay floats
+_WALL_POWER = 1e150
 
 
 @dataclass(frozen=True)
@@ -233,38 +237,33 @@ def simulate(cfg):
     state weighed with the kernel at the wall) in blocks of at most 256.  A
     block with a state that is not finite, or that ends in an error, is
     replayed by single steps from the record before, and the first of a
-    non-finite state (``FloatingPointError``) and the error is raised.
+    non-finite state (``FloatingPointError``) and the error is raised.  A
+    wall whose phi or phi' is not finite, or whose phi^(2m) leaves
+    (1e-150, 1e150), raises ``ValueError`` naming its tau when its step is
+    reached (phi(tau0) before the automatic step is sized from it), and a
+    singular step matrix ``LinAlgError``.
 
-    Walls differ only in how a state advances.  A wall constant in tau in any
-    spelling (``phi.uncut.closed_form`` has gamma = 0) runs as
-    ``Constant(phi(tau0))``: it LU-factors I - dt A once in band form
-    (``gbtrf``) and steps by ``gbtrs``.
-    When the interior size m (n - 3, or n - 1 for heat) is at most 256 and
-    the run has enough full strides to repay it, r such solves on the
-    identity give the propagator (I - dt A)^-r, and a full stride is one
+    Walls differ only in the generator ``run(x, s, stops)``, which steps the
+    state x of step s on and yields it at each of the increasing steps
+    ``stops``.  A block's records, a snapshot between records and a replay
+    are each one run from the record before them, and no run keeps anything
+    for the next.  A wall constant in tau in any spelling
+    (``phi.uncut.closed_form`` has gamma = 0) runs as
+    ``Constant(phi(tau0))``: one ``gbtrf`` of I - dt A, then ``gbtrs`` per
+    step.  When the interior size m (n - 3, or n - 1 for heat) is at most
+    256 and the run has enough full strides to repay it, r such solves on
+    the identity give the propagator (I - dt A)^-r, and a full stride is one
     product with it; its overflow shows later than that of band solves
     (data of size 1e305 at l = 5: tau = 154.9 against 2.76).  Any other wall
-    forms its step matrices from phi and phi' by the run's one builder, for
-    a chunk of steps of at most _BLOCK_VALUES values at once, with the
-    operations, in their order, of a matrix formed from scratch for each
-    step (so bit for bit), and solves each by ``gbsv`` (``gtsv`` for heat),
-    as ``solve_banded`` would.  A solve overwrites its matrix, so a step
-    replayed for a snapshot or a lost state forms its own.  A non-finite
-    phi or phi' raises ``ValueError`` when its step is reached, a singular
-    matrix ``LinAlgError``.
-    It reads phi and phi' for all the steps of a block of records by one
-    array read each, and the kernel for the block's records by one read:
-    F is even and read at |y|, so the (rows, n + 1) grid phi z is read at
-    the distinct |z| only (33 of 65 nodes at n = 64) and mirrored.  Both
-    give the values of a read per step and per record on every node, bit
-    for bit.  A wall read that raises is narrowed down to the step that
-    raises, so the error surfaces after the steps before it, as it would
-    step by step.  With n = 128 and dt = 0.02 from tau = e to 20 a
-    PowerLog(3, 3/4) biharmonic run takes 27 against 40 ms, and a
-    PetrovskiiSqrtLog(2) heat run 8.9 against 13.6 ms with a matrix formed
-    per step and the kernel read on every node (2 vCPU, five processes, each
-    alternating the two for 30 runs, median of the medians; the median
-    ratios are 0.67 and 0.65).
+    reads phi and phi' for the steps of its run by one array read each (a
+    read that raises is narrowed down to the step that raises, so the steps
+    before it run first), forms their matrices by the run's one builder, a
+    chunk of at most _BLOCK_VALUES values at once, bit for bit as one step
+    at a time, and solves each by ``gbsv`` (``gtsv`` for heat), as
+    ``solve_banded`` would.  The a0 of a block's records take one kernel
+    read: F is even, so the (rows, n + 1) grid phi z is read at the distinct
+    |z| only (33 of 65 nodes at n = 64) and mirrored, bit for bit a read per
+    record on every node.
     """
     n = cfg.n
     h = 2.0 / n
@@ -281,7 +280,19 @@ def simulate(cfg):
         raise ValueError(f"tau span ({tau0:g}, {tau1:g}) leaves the boundary's range "
                          f"[{phi.tau_min:g}, {phi.tau_max:g}]")
 
+    lo, hi = _WALL_POWER ** (-0.5 / kl), _WALL_POWER ** (0.5 / kl)  # phi of a step matrix
+
+    def bad_wall(t, *wall):
+        # the ValueError of a wall at t, phi and phi' if read, that gives no step matrix
+        what = (f"outside ({lo:.3g}, {hi:.3g})" if all(map(math.isfinite, wall))
+                else "not finite")
+        return ValueError(f"boundary is {what} at tau={t:.6g}: "
+                          + ", ".join(f"{k}={v!r}" for k, v in zip(("phi", "phi'"), wall)))
+
     phi0 = phi(tau0)
+    _, _, gamma = phi.uncut.closed_form or (None, None, None)
+    if (cfg.dt is None or gamma == 0.0) and not lo < phi0 < hi:  # it sizes dt or is the wall
+        raise bad_wall(tau0, phi0)
     dt = cfg.dt if cfg.dt is not None else _auto_dt(kl, phi0)
     steps = int(math.ceil((tau1 - tau0) / dt))
     r = max(1, steps // 4000)
@@ -294,37 +305,27 @@ def simulate(cfg):
     az, mirror = np.unique(np.abs(z), return_inverse=True)
 
     def weights_at(pv):
-        # a0 weights of the wall pv, a float, or of each of an array of walls
+        # a0 weights of the wall pv, a float, or of each of a list of walls
         pv = np.asarray(pv)[..., None]
         return _a0_weights(kl, z, (kernels.eval_kernel(fam_kernel, pv * az) * pv)[..., mirror])
 
-    def step_bands(s, pvs, pss):
-        # I - dt A for the walls (pvs, pss) of steps s, s + 1, ..., up to the
-        # first wall that is not finite; a wall not finite at step s raises
-        for i, (pv, ps) in enumerate(zip(pvs, pss)):
-            if not (math.isfinite(pv) and math.isfinite(ps)):
-                if i == 0:
-                    raise ValueError(f"boundary is not finite at tau={tau0 + s * dt:.6g}: "
-                                     f"phi={pv!r}, phi'={ps!r}")
-                pvs, pss = pvs[:i], pss[:i]
-                break
-        return bands(pvs, pss, dt)
-
-    _, _, gamma = phi.uncut.closed_form or (None, None, None)
     if gamma == 0.0:  # constant in tau, in any spelling, cut off or not
-        lu, piv, info = scipy.linalg.lapack.dgbtrf(step_bands(0, [phi0], [0.0])[0], kl, kl)
+        lu, piv, info = scipy.linalg.lapack.dgbtrf(bands([phi0], [0.0], dt)[0], kl, kl)
         if info > 0:
             raise np.linalg.LinAlgError("singular matrix")
         weights, prop = weights_at(phi0), None
 
-        def advance(x, s_from, s_to, s_end):
-            if prop is not None and s_to - s_from == r:
-                return np.dot(prop, x)
-            for _ in range(s_to - s_from):
-                x, _ = scipy.linalg.lapack.dgbtrs(lu, kl, kl, x, piv)
-            return x
+        def run(x, s, stops):
+            for stop in stops:
+                if prop is not None and stop - s == r:
+                    x = np.dot(prop, x)
+                else:
+                    for _ in range(stop - s):
+                        x, _ = scipy.linalg.lapack.dgbtrs(lu, kl, kl, x, piv)
+                s = stop
+                yield x, phi0
 
-        def a0_weights(record_steps):
+        def a0_weights(walls):
             return weights
 
         # Forming P^r takes r solves on m columns, about 0.4 r m single band
@@ -333,54 +334,49 @@ def simulate(cfg):
         # 25-27 strides at m = 61 (r = 1), 90-160 at m = 125 (r = 1), 250 at
         # m = 253 with r = 2; at m = 253 and r = 1 the product is no cheaper.
         if m <= _DENSE_MAX and (r - m / 200) * (steps // r) >= 0.4 * r * m:
-            prop = advance(np.eye(m, order="F"), 0, r, r)
+            prop, _ = next(run(np.eye(m, order="F"), 0, [r]))
     else:
         def read_wall(s, s_end):
-            # phi and phi' of steps s..s_end by one array read each; a read
-            # that raises is narrowed to its first half, down to the one step
-            # that raises, so the steps before that step run first
+            # phi and phi' of steps s..s_end by one array read each, up to the
+            # first wall that gives no step matrix, which raises at its step;
+            # a read that raises is narrowed to its first half, down to the one
+            # step that raises, so the steps before either run first
             t = tau0 + np.arange(s, s_end + 1) * dt  # bit for bit the tau of each step
             try:
-                return phi(t).tolist(), phi.derivative(t).tolist()
+                pvs, pss = phi(t).tolist(), phi.derivative(t).tolist()
             except Exception:
                 if s == s_end:
                     raise
                 return read_wall(s, (s + s_end) // 2)
+            for i, (pv, ps) in enumerate(zip(pvs, pss)):
+                if not (lo < pv < hi and math.isfinite(ps)):
+                    if i == 0:
+                        raise bad_wall(tau0 + s * dt, pv, ps)
+                    return pvs[:i], pss[:i]
+            return pvs, pss
 
-        first, pvs, pss = 0, [], []  # phi and phi' of the steps read last, from step first on
+        chunk = max(1, _BLOCK_VALUES // ((3 * kl + 1) * m))  # steps of one band array
 
-        def walls(s, s_end, k):
-            # phi and phi' of up to k steps from s on, from the walls read
-            # last if they hold step s, else read from s on
-            nonlocal first, pvs, pss
-            if not 0 <= s - first < len(pvs):
-                first, (pvs, pss) = s, read_wall(s, s_end)
-            return pvs[s - first:s - first + k], pss[s - first:s - first + k]
+        def run(x, s, stops):
+            # walls of steps first, first + 1, ... and bands of steps at,
+            # at + 1, ... as last read and formed; each band is solved once
+            first, pvs, pss = s + 1, [], []
+            at, ab = s + 1, ()
+            for stop in stops:
+                while s < stop:
+                    s += 1
+                    if s - at >= len(ab):
+                        if s - first >= len(pvs):
+                            first, (pvs, pss) = s, read_wall(s, stops[-1])
+                        k = s - first
+                        at, ab = s, bands(pvs[k:k + chunk], pss[k:k + chunk], dt)
+                    x = _band_solve(ab[s - at], kl, x)
+                yield x, pvs[s - first]
 
-        # the bands of steps built_from, ..., of which those from step unused
-        # on are not solved yet: a solve overwrites its band, so a replayed
-        # step forms its own; a chunk holds at most _BLOCK_VALUES values
-        chunk = max(1, _BLOCK_VALUES // ((3 * kl + 1) * m))
-        built, built_from, unused = (), 0, 1
-
-        def advance(x, s_from, s_to, s_end):
-            nonlocal built, built_from, unused
-            for s in range(s_from + 1, s_to + 1):
-                if s < unused:
-                    ab = step_bands(s, *walls(s, s_end, 1))[0]
-                else:
-                    if s - built_from >= len(built):
-                        built, built_from = step_bands(s, *walls(s, s_end, chunk)), s
-                    ab, unused = built[s - built_from], s + 1
-                x = _band_solve(ab, kl, x)
-            return x
-
-        def a0_weights(record_steps):
-            return weights_at(np.array([walls(s, record_steps[-1], 1)[0][0]
-                                        for s in record_steps]))
+        a0_weights = weights_at
 
     taus, sups, a0s, snaps_t, snaps = _record_run(
-        x, advance, a0_weights, r, np.linspace(tau0, tau1, 60), tau0, dt, steps, kl, n)
+        x, run, a0_weights, r, np.linspace(tau0, tau1, 60), tau0, dt, steps, kl, n)
     return SimResult(config=cfg, tau=taus, sup_norm=sups, a0=a0s, z=z,
                      snapshots_tau=snaps_t, snapshots=snaps)
 
@@ -407,28 +403,21 @@ def _a0_weights(m, z, kernel_rows):
     return c
 
 
-def _record_run(x, advance, a0_weights, r, snap_taus, tau0, dt, steps, half_order, n):
+def _record_run(x, run, a0_weights, r, snap_taus, tau0, dt, steps, half_order, n):
     """(tau, sup_norm, a0, snapshots_tau, snapshots) of one run from state x.
 
-    Records run in blocks.  ``advance(x, s_from, s_to, s_end)`` steps x
-    from s_from to s_to, both in the block that ends at step s_end, so a
-    moving wall reads phi and phi' for a whole block at once; and
-    ``a0_weights(steps)`` gives ``_a0_weights`` for the records of one
-    block, one vector for all or one row each, which a moving wall takes
-    from one kernel read.  ``simulate`` describes the schedule.
+    The generator ``run(x, s, stops)`` steps the state x of step s on and
+    yields (state, phi) at each of the increasing steps ``stops`` past s: a
+    block's records, a snapshot between records and the single steps that
+    search a lost state are each one run from the record before them.
+    ``a0_weights(walls)`` gives ``_a0_weights`` for a block's records from
+    their phi, one vector for all or one row each.  ``simulate`` describes
+    the schedule.
     """
     m = x.size
 
     def tau(s):
         return tau0 + s * dt
-
-    def lost_finiteness(x, s_from, s_to, s_end):
-        # single steps from s_from to the first non-finite state or to s_to
-        for s in range(s_from + 1, s_to + 1):
-            x = advance(x, s - 1, s, s_end)
-            if not np.all(np.isfinite(x)):
-                break
-        raise FloatingPointError(f"solution lost finiteness at tau={tau(s):.3f}")
 
     rec = list(range(1, steps + 1, r))
     if rec[-1] != steps:
@@ -451,8 +440,8 @@ def _record_run(x, advance, a0_weights, r, snap_taus, tau0, dt, steps, half_orde
     sups, a0s = [], []
     s_prev = snap_idx = 0
     for b in range(0, len(rec), rows):
-        block_steps, states = rec[b:b + rows], []
-        x_start, s_start, s_end = x, s_prev, block_steps[-1]
+        block_steps, states, walls = rec[b:b + rows], [], []
+        x_start, s_start = x, s_prev
 
         def before(s):
             # (state, step) of the last record at or before step s, from this
@@ -462,25 +451,33 @@ def _record_run(x, advance, a0_weights, r, snap_taus, tau0, dt, steps, half_orde
 
         with np.errstate(over="ignore", invalid="ignore"):  # checked here
             try:
-                for s in block_steps:
-                    x, s_prev = advance(x, s_prev, s, s_end), s
+                for x, wall in run(x_start, s_start, block_steps):
                     states.append(x)
+                    walls.append(wall)
             except ValueError:  # a bad wall or step matrix: the replay raises it again
                 pass
             block = np.array(states).reshape(-1, m)
             finite = np.isfinite(block).all(axis=1)
             if len(states) < len(block_steps) or not finite.all():
-                # a state lost before the failing step is named first
+                # single steps from the record before the first lost or failing
+                # record name a state lost before the failing step first
                 s_lost = block_steps[len(states) if finite.all() else int(np.argmin(finite))]
-                lost_finiteness(*before(s_lost - 1), s_lost, s_end)
+                x, s = before(s_lost - 1)
+                for s, (x, _) in enumerate(run(x, s, range(s + 1, s_lost + 1)), s + 1):
+                    if not np.all(np.isfinite(x)):
+                        break
+                raise FloatingPointError(f"solution lost finiteness at tau={tau(s):.3f}")
+        s_prev = block_steps[-1]
         sups.append(np.abs(block).max(axis=1))
         # row-wise sums: one matrix-vector product over the block would give
         # different bits at different BLAS thread counts
-        a0s.append((block * a0_weights(block_steps)).sum(axis=1))
+        a0s.append((block * a0_weights(walls)).sum(axis=1))
         while snap_idx < len(snap_steps) and snap_steps[snap_idx] <= s_prev:
             s = snap_steps[snap_idx]
-            x_base, s_base = before(s)
-            snaps[snap_idx] = _full_state(half_order, advance(x_base, s_base, s, s_end), n)
+            x_snap, s_base = before(s)
+            if s_base < s:  # between records
+                x_snap, _ = next(run(x_snap, s_base, [s]))
+            snaps[snap_idx] = _full_state(half_order, x_snap, n)
             snap_idx += 1
     return (np.array([tau(s) for s in rec]), np.concatenate(sups), np.concatenate(a0s),
             np.array([tau(s) for s in snap_steps]), snaps)

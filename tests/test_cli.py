@@ -502,6 +502,23 @@ class TestSimulateCommand:
         assert not out.exists()
         assert err == "simulate: seed must be a non-negative integer, got -1\n"
 
+    @pytest.mark.parametrize("family", ["biharmonic", "heat"])
+    @pytest.mark.parametrize("gamma", ["-200", "200"])
+    @pytest.mark.parametrize("dt", [[], ["--dt", "0.02"]], ids=["auto-dt", "dt"])
+    def test_wall_without_a_step_matrix_is_one_line_exit_two(self, tmp_path, capsys,
+                                                             family, gamma, dt):
+        # tau^-200 and tau^200 leave the float range at once: these ended in
+        # a ZeroDivisionError or OverflowError traceback with exit 1
+        out = tmp_path / "x.txt"
+        code = cli.main(["simulate", "--family", family, "--phi", f"powertau:C=1,g={gamma}",
+                         "--tau-end", "10", "--n", "64", *dt, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert not out.exists()
+        tau = "2.71828" if not dt else "2.73828"
+        assert err.startswith(f"simulate: boundary is outside (") and err.count("\n") == 1
+        assert f" at tau={tau}: phi=" in err
+
 
 class TestReproduceCommand:
     def test_critical_constants(self, tmp_path):

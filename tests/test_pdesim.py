@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -361,6 +362,56 @@ class TestMovingWallDirectSolves:
             pdesim._band_solve(ab, kl, np.ones(8))
 
 
+class TestWallsWithoutAStepMatrix:
+    """A wall that is not positive, or whose phi^(2m) leaves the float range,
+    raises ValueError naming its tau: at its step, or at tau0 when the
+    automatic step would be sized from it."""
+
+    class Falls(criteria.BoundaryFunction):
+        # 2 up to tau = 8, then down through 0 at tau = 10
+        def _phi_u(self, u):
+            return np.minimum(2.0, 10.0 - np.exp(u))
+
+        def _dphi(self, tau):
+            return np.where(tau < 8.0, 0.0, -1.0)
+
+    class Zero(criteria.BoundaryFunction):
+        def _phi_u(self, u):
+            return 0.0 * u
+
+        def _dphi(self, tau):
+            return 0.0 * tau
+
+    @pytest.mark.parametrize("family", ["biharmonic", "heat"])
+    def test_wall_falling_through_zero_is_named_where_it_stops_being_positive(self, family):
+        # it used to run on: heat to a0 = -9.1e-153, biharmonic to 0.0
+        cfg = pdesim.SimConfig(family=family, phi=self.Falls(), n=64, dt=0.02,
+                               tau_span=(criteria.TAU0, 16.0))
+        t = criteria.TAU0 + 0.02 * np.arange(1, 700)
+        first = t[cfg.phi(t) <= 0.0][0]
+        assert 10.0 <= first < 10.02
+        with pytest.raises(ValueError, match=rf"^boundary is outside \(.*\) at tau={first:.6g}: "
+                                             r"phi=-0\.01.*, phi'=-1\.0$"):
+            pdesim.simulate(cfg)
+
+    @pytest.mark.parametrize("family", ["biharmonic", "heat"])
+    @pytest.mark.parametrize("phi", [Zero(), criteria.PowerOfTau(1.0, -200.0),
+                                     criteria.PowerOfTau(1.0, 200.0),
+                                     criteria.Constant(1e200), criteria.Constant(1e-200)],
+                             ids=["zero", "tau^-200", "tau^200", "const-1e200", "const-1e-200"])
+    @pytest.mark.parametrize("dt", [None, 0.02])
+    def test_wall_out_of_range_is_named(self, family, phi, dt):
+        # these ended in ZeroDivisionError or OverflowError, from the automatic
+        # step or from phi^(2m) in the band builder; a constant wall is
+        # checked at tau0, a moving one at its first step
+        tau0 = phi.tau_min
+        cfg = pdesim.SimConfig(family=family, phi=phi, n=64, dt=dt, tau_span=(tau0, 10.0))
+        named = tau0 if dt is None or isinstance(phi, criteria.Constant) else tau0 + dt
+        with pytest.raises(ValueError, match=rf"^boundary is outside \(.*\) at tau={named:.6g}: "
+                                             + re.escape(f"phi={phi(named)!r}")):
+            pdesim.simulate(cfg)
+
+
 def per_record_oracle(cfg):
     """``simulate`` on a moving wall read point by point: phi and phi' read
     as scalars on every step and the kernel once per record."""
@@ -370,22 +421,24 @@ def per_record_oracle(cfg):
     dt = cfg.dt if cfg.dt is not None else pdesim._auto_dt(m, phi(tau0))
     steps = math.ceil((tau1 - tau0) / dt)
 
-    def advance(x, s_from, s_to, s_end):
-        for s in range(s_from + 1, s_to + 1):
-            t = tau0 + s * dt
-            pv, ps = float(phi(t)), float(phi.derivative(t))
-            if not (math.isfinite(pv) and math.isfinite(ps)):
-                raise ValueError(f"boundary is not finite at tau={t:.6g}: phi={pv!r}, phi'={ps!r}")
-            x = pdesim._band_solve(direct_step_matrix(m, n, h, pv, ps, dt), m, x)
-        return x
+    def run(x, s, stops):
+        for stop in stops:
+            while s < stop:
+                s += 1
+                t = tau0 + s * dt
+                pv, ps = float(phi(t)), float(phi.derivative(t))
+                if not (math.isfinite(pv) and math.isfinite(ps)):
+                    raise ValueError(f"boundary is not finite at tau={t:.6g}: "
+                                     f"phi={pv!r}, phi'={ps!r}")
+                x = pdesim._band_solve(direct_step_matrix(m, n, h, pv, ps, dt), m, x)
+            yield x, pv
 
-    def a0_weights(record_steps):
-        walls = [float(phi(tau0 + s * dt)) for s in record_steps]
+    def a0_weights(walls):
         return np.array([pdesim._a0_weights(m, z, kernels.eval_kernel(
             kernels.parabolic(m), pv * z) * pv) for pv in walls])
 
     x = pdesim._initial_data(cfg, z)[m:n + 1 - m].copy()
-    out = pdesim._record_run(x, advance, a0_weights, max(1, steps // 4000),
+    out = pdesim._record_run(x, run, a0_weights, max(1, steps // 4000),
                              np.linspace(tau0, tau1, 60), tau0, dt, steps, m, n)
     return dict(zip(["tau", "sup_norm", "a0", "snapshots_tau", "snapshots"], out), z=z)
 
@@ -489,29 +542,39 @@ class TestBlockReads:
         return Breaks()
 
     @pytest.mark.parametrize("family", ["biharmonic", "heat"])
-    @pytest.mark.parametrize("breaks", [
+    @pytest.mark.parametrize("breaks,dt,named", [
         # the wall is nan from a step in the third block of records on
-        dict(nan_after=14.0),
+        (dict(nan_after=14.0), 0.02, "boundary is not finite at tau=14.0183:"),
         # the state is lost in the second block, the wall is nan in the third
-        dict(nan_after=14.0, steep=(9.0, 9.5)),
+        (dict(nan_after=14.0, steep=(9.0, 9.5)), 0.02, "solution lost finiteness at tau=9.018"),
         # a read holding a tau past 11.0 raises, late in the second block
-        dict(raise_after=11.0),
+        (dict(raise_after=11.0), 0.02, "no wall past the end of its table"),
         # the state is lost in the second block, before the read that raises
-        dict(raise_after=11.0, steep=(9.0, 9.5)),
+        (dict(raise_after=11.0, steep=(9.0, 9.5)), 0.02,
+         "solution lost finiteness at tau=9.018"),
         # ... and in the block before
-        dict(raise_after=11.0, steep=(7.0, 7.5)),
-    ], ids=["nan-wall", "lost-then-nan", "raises", "lost-then-raises", "lost-block-before"])
-    def test_errors_name_the_step_of_the_point_reads(self, family, breaks):
-        cfg = pdesim.SimConfig(family=family, phi=self.wall(**breaks), n=64, dt=0.02,
+        (dict(raise_after=11.0, steep=(7.0, 7.5)), 0.02,
+         "solution lost finiteness at tau=7.018"),
+        # the same at record stride 3: the steps searched for a lost state,
+        # and the step that fails, lie between records
+        (dict(nan_after=14.0), 0.001, "boundary is not finite at tau=14.0003:"),
+        (dict(nan_after=14.0, steep=(9.0, 9.5)), 0.001, "solution lost finiteness at tau=9.000"),
+        (dict(raise_after=11.0), 0.001, "no wall past the end of its table"),
+        (dict(raise_after=11.0, steep=(9.0, 9.5)), 0.001,
+         "solution lost finiteness at tau=9.000"),
+        (dict(raise_after=11.0, steep=(7.0, 7.5)), 0.001,
+         "solution lost finiteness at tau=7.000"),
+    ], ids=["nan-wall", "lost-then-nan", "raises", "lost-then-raises", "lost-block-before",
+            "nan-wall-stride3", "lost-then-nan-stride3", "raises-stride3",
+            "lost-then-raises-stride3", "lost-block-before-stride3"])
+    def test_errors_name_the_step_of_the_point_reads(self, family, breaks, dt, named):
+        cfg = pdesim.SimConfig(family=family, phi=self.wall(**breaks), n=64, dt=dt,
                                tau_span=(criteria.TAU0, 16.0))
+        assert max(1, math.ceil((16.0 - criteria.TAU0) / dt) // 4000) == (1 if dt == 0.02 else 3)
         got = outcome(cfg, pdesim.simulate)
         assert got == outcome(cfg, per_record_oracle)
-        if "steep" in breaks:
-            assert got[0] is FloatingPointError
-        else:
-            assert got[0] is ValueError
-            assert got[1].startswith("boundary is not finite at tau=14.0" if "nan_after"
-                                     in breaks else "no wall past")
+        assert got[0] is (FloatingPointError if "steep" in breaks else ValueError)
+        assert got[1].startswith(named)
 
 
 class TestStepMatrixChunks:
@@ -543,6 +606,11 @@ class TestStepMatrixChunks:
         # every step's matrix is formed once, and once more for each replayed
         # step of a snapshot between records
         assert 200004 <= sum(shape[0] for shape in shapes) <= 200004 + 60 * 49
+        # a run forms its matrices a chunk at a time: the chunks of the steps,
+        # one more where each block of records starts, and one per snapshot
+        # between records, whose replay is a run of its own
+        blocks = math.ceil(len(res.tau) / pdesim._BLOCK_ROWS)
+        assert len(shapes) <= math.ceil(200004 / bound) + blocks + 60
 
 
 class TestKernelEvaluations:
